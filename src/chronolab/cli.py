@@ -8,8 +8,8 @@ manifest is written even when a stage fails.  Floats are serialized
 with 17 significant digits so a fixed config and seed regenerate
 byte-identical CSVs.
 
-Exit codes: 0 ok, 2 config error, 3 numerical/convergence error,
-4 I/O error.
+Exit codes: 0 ok, 2 config error (schema or cross-field), 3
+numerical/convergence error, 4 I/O error, 5 internal error.
 """
 
 from __future__ import annotations
@@ -54,10 +54,12 @@ def load_config(arg: str) -> dict:
 
 
 def validate_config(doc) -> tuple:
-    """Schema-check a config document; returns (scenario, merged parameters).
+    """Check a config document; returns (scenario, merged parameters).
 
-    Unknown keys anywhere are rejected; the first violation is reported
-    with a JSON-pointer-style path into the document.
+    Unknown keys anywhere are rejected; the first schema violation is
+    reported with a JSON-pointer-style path into the document.  The
+    merged parameters then build the scenario's parameter class, whose
+    cross-field checks report their own pointer.
     """
     if not isinstance(doc, dict):
         raise ConfigError("config must be a JSON object", path="/")
@@ -76,6 +78,7 @@ def validate_config(doc) -> tuple:
         raise ConfigError(first.message, path=pointer)
     params = dict(SCENARIOS[name].defaults)
     params.update(doc.get("parameters", {}))
+    SCENARIOS[name].config(**params)
     return name, params
 
 
@@ -174,7 +177,7 @@ def run_command(args) -> int:
         writer = write_csv if args.format == "csv" else write_json_table
         t1 = time.perf_counter()
         try:
-            tables = SCENARIOS[name].run(params, seed=seed, jobs=args.jobs)
+            tables = SCENARIOS[name].run(params, jobs=args.jobs)
             stages.append({"name": "compute", "status": "ok",
                            "seconds": time.perf_counter() - t1})
             t2 = time.perf_counter()
@@ -200,6 +203,12 @@ def run_command(args) -> int:
                            "seconds": time.perf_counter() - t1, "error": str(exc)})
             print(f"I/O error: {exc}", file=sys.stderr)
             code = 4
+        except Exception as exc:  # a fault of the program: still leave a manifest
+            stages.append({"name": "compute", "status": "failed",
+                           "seconds": time.perf_counter() - t1,
+                           "error": f"{type(exc).__name__}: {exc}"})
+            print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+            code = 5
 
     manifest = {
         "artifact_version": __version__,

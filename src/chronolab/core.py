@@ -2,13 +2,19 @@
 
 Everything downstream works on uniform 1D grids and on 2D fields stored
 row-major with the system coordinate x varying fastest: ``values[iR, ix]``.
-Integrals are trapezoid sums; sampled-data derivatives use second-order
-stencils (central in the interior, one-sided at the edges).
+Integrals are trapezoid sums.
+
+This module is the one home of the finite-difference stencils:
+`central_difference` (first and second derivatives, order 2 or 4, at the
+interior rows), the one-sided edges that `_d1`/`_d2` add on top of it,
+and the kinetic-energy coefficients `_kinetic_coeffs` with their
+matrix-free application `_apply_kinetic`, from which the stationary
+module assembles its banded and sparse matrices.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -147,11 +153,7 @@ def inner_product(a, b) -> complex:
     Works for Field1D and Field2D; both arguments must share a grid.
     """
     _same_grid(a, b)
-    if isinstance(a, Field1D):
-        w = a.grid.weights
-    else:
-        w = a.grid.weights
-    return complex(np.sum(w * np.conj(a.values) * b.values))
+    return complex(np.sum(a.grid.weights * np.conj(a.values) * b.values))
 
 
 def norm(a) -> float:
@@ -169,7 +171,25 @@ def normalize(a):
 
 
 # ---------------------------------------------------------------------------
-# sampled-data derivatives (second order)
+# finite-difference stencils
+
+
+def central_difference(values: np.ndarray, h: float, deriv: int, order: int = 2) -> np.ndarray:
+    """Central derivative along axis 0 at the interior rows only.
+
+    `deriv` is 1 or 2 and `order` (2 or 4) the stencil's accuracy; the
+    result drops order // 2 rows at each end of the axis.
+    """
+    v = values
+    if order == 2:
+        if deriv == 1:
+            return (v[2:] - v[:-2]) / (2.0 * h)
+        return (v[2:] - 2.0 * v[1:-1] + v[:-2]) / (h * h)
+    if order == 4:
+        if deriv == 1:
+            return (-v[4:] + 8.0 * v[3:-1] - 8.0 * v[1:-3] + v[:-4]) / (12.0 * h)
+        return (-v[4:] + 16.0 * v[3:-1] - 30.0 * v[2:-2] + 16.0 * v[1:-3] - v[:-4]) / (12.0 * h * h)
+    raise DegenerateInputError(f"central stencil order must be 2 or 4, got {order}")
 
 
 def _d1(values: np.ndarray, h: float, axis: int = 0) -> np.ndarray:
@@ -178,7 +198,7 @@ def _d1(values: np.ndarray, h: float, axis: int = 0) -> np.ndarray:
     if v.shape[0] < 3:
         raise DegenerateInputError("need at least 3 points for a derivative")
     out = np.empty_like(v)
-    out[1:-1] = (v[2:] - v[:-2]) / (2.0 * h)
+    out[1:-1] = central_difference(v, h, 1)
     out[0] = (-3.0 * v[0] + 4.0 * v[1] - v[2]) / (2.0 * h)
     out[-1] = (3.0 * v[-1] - 4.0 * v[-2] + v[-3]) / (2.0 * h)
     return np.moveaxis(out, 0, axis)
@@ -192,7 +212,7 @@ def _d2(values: np.ndarray, h: float, axis: int = 0) -> np.ndarray:
         raise DegenerateInputError("need at least 3 points for a second derivative")
     out = np.empty_like(v)
     h2 = h * h
-    out[1:-1] = (v[2:] - 2.0 * v[1:-1] + v[:-2]) / h2
+    out[1:-1] = central_difference(v, h, 2)
     if m >= 4:
         out[0] = (2.0 * v[0] - 5.0 * v[1] + 4.0 * v[2] - v[3]) / h2
         out[-1] = (2.0 * v[-1] - 5.0 * v[-2] + 4.0 * v[-3] - v[-4]) / h2
@@ -200,6 +220,42 @@ def _d2(values: np.ndarray, h: float, axis: int = 0) -> np.ndarray:
         # with 3 points the central stencil is all we have
         out[0] = out[1]
         out[-1] = out[1]
+    return np.moveaxis(out, 0, axis)
+
+
+def _kinetic_coeffs(order: int, h: float, mass: float, hbar: float):
+    """Coefficients of -hbar^2/(2 mass) d^2/dq^2 as (diag, off1, off2)."""
+    pref = hbar * hbar / (2.0 * mass * h * h)
+    if order == 2:
+        return 2.0 * pref, -1.0 * pref, 0.0
+    if order == 4:
+        return 30.0 / 12.0 * pref, -16.0 / 12.0 * pref, 1.0 / 12.0 * pref
+    raise DegenerateInputError(f"kinetic stencil order must be 2 or 4, got {order}")
+
+
+def _apply_kinetic(values: np.ndarray, axis: int, order: int, h: float, mass: float,
+                   hbar: float, project: bool = True) -> np.ndarray:
+    """Apply the kinetic operator along one axis.
+
+    With `project` the wall points are forced to zero and the stencil
+    sees zero ghosts beyond them, which keeps the operator exactly
+    symmetric (the Dirichlet box).  Without it the wall values enter the
+    stencil as they stand; only the interior output is then meaningful.
+    """
+    v = np.moveaxis(values, axis, 0)
+    c0, c1, c2 = _kinetic_coeffs(order, h, mass, hbar)
+    pad = 2
+    z = np.zeros((v.shape[0] + 2 * pad,) + v.shape[1:], dtype=v.dtype)
+    if project:
+        z[pad + 1:-pad - 1] = v[1:-1]  # walls forced to zero
+    else:
+        z[pad:-pad] = v
+    out = c0 * z[pad:-pad] + c1 * (z[pad - 1:-pad - 1] + z[pad + 1:-pad + 1])
+    if c2 != 0.0:
+        out += c2 * (z[pad - 2:-pad - 2] + z[pad + 2:])
+    if project:
+        out[0] = 0.0
+        out[-1] = 0.0
     return np.moveaxis(out, 0, axis)
 
 

@@ -35,6 +35,9 @@ from .core import (
     Linear,
     SystemSpec,
     WindowedPulse,
+    _apply_kinetic,
+    _kinetic_coeffs,
+    central_difference,
 )
 from .errors import (
     BlowUpError,
@@ -43,11 +46,13 @@ from .errors import (
     GridMismatchError,
     StabilityError,
 )
+from .params import FRACTION, INDEX, INT2, NUMBER, POSITIVE, array, param, require
 from .semiclassical import ComplexTimeMap, WKBState
 from .stationary import (
     EigenPair,
-    _apply_kinetic,
     _discrete_wavenumber,
+    _matrix_elements,
+    _slice_hamiltonian,
     solve_directed_state,
     solve_system_basis,
 )
@@ -62,6 +67,8 @@ __all__ = [
     "conditional_from_composite",
     "ResidualReport",
     "tdse_residual",
+    "DirectedRunConfig",
+    "directed_run",
     "EmergenceScanConfig",
     "QuantumEmergenceRow",
     "EmergenceReport",
@@ -146,8 +153,7 @@ def _crank_nicolson(
     """
     nx = x_grid.n
     h = x_grid.spacing
-    c0 = hbar * hbar / (mass * h * h)
-    c1 = -hbar * hbar / (2.0 * mass * h * h)
+    c0, c1, _ = _kinetic_coeffs(2, h, mass, hbar)
     out = np.zeros((dtaus.size + 1, nx), dtype=complex)
     out[0] = psi0
     out[0, 0] = 0.0
@@ -235,15 +241,6 @@ class AmplitudeSet:
         return float(np.max(np.abs(tot - tot[0])))
 
 
-def _drive_matrix(basis: ChannelBasis, drive, t: float) -> np.ndarray:
-    """<phi_m | drive(., t) | phi_n> by quadrature, (k, k)."""
-    x = basis.x_grid.points
-    w = basis.x_grid.weights
-    v = np.asarray(drive(x, t), dtype=float)
-    mat = basis.state_matrix()
-    return (np.conj(mat) * (w * v)) @ mat.T
-
-
 def propagate_amplitudes(
     basis: ChannelBasis,
     drive,
@@ -274,9 +271,10 @@ def propagate_amplitudes(
         return AmplitudeSet(t, out, eps)
 
     deps = eps[:, None] - eps[None, :]
+    x = basis.x_grid.points
 
     def rhs(time, a):
-        v = _drive_matrix(basis, drive, time)
+        v = _matrix_elements(basis, np.asarray(drive(x, time), dtype=float))
         return (-1j / hbar) * ((v * np.exp(1j * deps * time / hbar)) @ a)
 
     for i in range(t.size - 1):
@@ -385,13 +383,8 @@ def conditional_from_composite(
     chi = wkb.chi().values
     psi = state.values / chi[:, None]
 
-    x = state.grid.x.points
-    r = state.grid.r.points
     wx = state.grid.x.weights
-    hs = _apply_kinetic(psi, 1, x_stencil_order, state.grid.x.spacing, spec.m, spec.hbar)
-    v = np.asarray(spec.v_sys(x), dtype=float)[None, :] \
-        + np.asarray(spec.v_int(x[None, :], r[:, None]), dtype=float)
-    hs = hs + v * psi
+    hs = _slice_hamiltonian(spec, psi, state.grid.x, state.grid.r.points, x_stencil_order)
     weight = np.sum(wx * np.abs(psi) ** 2, axis=1)
     if np.any(weight <= 0.0):
         raise DegenerateInputError("conditional slice with zero weight")
@@ -433,13 +426,6 @@ class ResidualReport:
     resampled: bool
 
 
-def _central_dt(values: np.ndarray, dt: float, order: int) -> np.ndarray:
-    """Interior-row time derivative (order 1 or 2) of values[it, ix]."""
-    if order == 1:
-        return (values[2:] - values[:-2]) / (2.0 * dt)
-    return (values[2:] - 2.0 * values[1:-1] + values[:-2]) / (dt * dt)
-
-
 def tdse_residual(
     traj: WavefunctionTrajectory,
     system: SystemSpec,
@@ -455,6 +441,10 @@ def tdse_residual(
     operator (which retains the -U_S term) is applied; the imaginary
     part of U_S is only reported.  The correction ratio rho uses
     M v^2 from the trajectory's clock metadata unless `mv2` is given.
+
+    `drive(x, t)`, when given, is called once with x as a (1, nx) row and
+    t as an (nt, 1) column, and must return an array that broadcasts to
+    (nt, nx); CouplingDrive does.
     """
     if traj.times.size < 3:
         raise DegenerateInputError("need at least 3 slices for time stencils")
@@ -488,16 +478,12 @@ def tdse_residual(
                          system.m, hbar)
     sys_term = h_t + np.asarray(system.v_sys(x), dtype=float)[None, :] * tpsi
     if drive is not None:
-        try:
-            v_drive = np.asarray(drive(x[None, :], t[:, None]), dtype=float)
-            v_drive = np.broadcast_to(v_drive, tpsi.shape)
-        except Exception:
-            v_drive = np.array([np.asarray(drive(x, tk), dtype=float) for tk in t])
-        drive_term = v_drive * tpsi
+        v_drive = np.asarray(drive(x[None, :], t[:, None]), dtype=float)
+        drive_term = np.broadcast_to(v_drive, tpsi.shape) * tpsi
     else:
         drive_term = np.zeros_like(tpsi)
     us_term = u.real[:, None] * tpsi
-    dt_term = 1j * hbar * _central_dt(tpsi, dt, 1)
+    dt_term = 1j * hbar * central_difference(tpsi, dt, 1)
 
     sl = slice(1, -1)
     resid = sys_term[sl] + drive_term[sl] - us_term[sl] - dt_term
@@ -512,8 +498,8 @@ def tdse_residual(
         raise DegenerateInputError("trajectory is zero on the interior slices")
     residual = _norm(resid) / den
 
-    d1 = _central_dt(psi, dt, 1)
-    d2 = _central_dt(psi, dt, 2)
+    d1 = central_difference(psi, dt, 1)
+    d2 = central_difference(psi, dt, 2)
     retained = hbar * _norm(d1)
     correction = (hbar * hbar / (2.0 * mv2)) * _norm(d2)
     if retained == 0.0:
@@ -534,31 +520,86 @@ def tdse_residual(
 
 
 @dataclass(frozen=True)
-class EmergenceScanConfig:
-    """Standard heavy-clock scan: a windowed pulse drives a harmonic system
-    while the free clock crosses the pulse at increasing kinetic energy.
+class DirectedRunConfig:
+    """A free heavy clock carries a windowed coupling pulse past a harmonic
+    system; each clock kinetic energy is one directed composite solve
+    (`directed_run`).
 
-    The drive seen in emergent time is the same at every scan point (the
-    pulse center and width are fixed fractions of the duration); only
-    the clock gets heavier and faster.  `max_phase_per_step` bounds
+    The drive seen in emergent time is the same at every kinetic energy
+    (the pulse center and width are fixed fractions of the duration);
+    only the clock gets heavier and faster.  `max_phase_per_step` bounds
     k * dR so lattice dispersion stays out of the measurement."""
 
-    clock_mass: float = 200.0
-    system_mass: float = 1.0
-    hbar: float = 1.0
-    system_stiffness: float = 4.0
-    pulse_amplitude: float = 0.3
-    duration: float = 2.0
-    pulse_center_fraction: float = 0.4
-    pulse_width_fraction: float = 1.0 / 12.0
-    kinetic_energies: tuple = (15.0, 50.0, 150.0, 500.0)
-    channels: int = 6
-    x_halfwidth: float = 8.0
-    x_points: int = 161
-    max_phase_per_step: float = 0.01
-    slices: int = 4001
-    incoming: int = 0
-    residual_tol: float = 1e-6
+    clock_mass: float = param(200.0, POSITIVE)
+    system_mass: float = param(1.0, POSITIVE)
+    hbar: float = param(1.0, POSITIVE)
+    system_stiffness: float = param(4.0, POSITIVE)
+    pulse_amplitude: float = param(0.3, NUMBER)
+    duration: float = param(2.0, POSITIVE)
+    pulse_center_fraction: float = param(0.4, FRACTION)
+    pulse_width_fraction: float = param(1.0 / 12.0, FRACTION)
+    channels: int = param(6, INT2)
+    x_half: float = param(8.0, POSITIVE)
+    x_points: int = param(161, INT2)
+    max_phase_per_step: float = param(0.01, POSITIVE)
+    slices: int = param(4001, INT2)
+    incoming: int = param(0, INDEX)
+    residual_tol: float = param(1e-6, POSITIVE)
+
+    def __post_init__(self):
+        require(self.channels <= self.x_points - 2, "channels",
+                f"{self.channels} channels need at least {self.channels + 2} x_points, "
+                f"got {self.x_points}")
+        require(self.incoming < self.channels, "incoming",
+                f"incoming channel {self.incoming} is outside the {self.channels} channels")
+
+    def system_basis(self) -> tuple:
+        """The harmonic system and its lowest `channels` order-2 eigenstates."""
+        x_grid = Grid1D(-self.x_half, self.x_half, self.x_points)
+        system = SystemSpec(self.system_mass, self.hbar, Harmonic(self.system_stiffness))
+        return system, solve_system_basis(system, x_grid, self.channels, order=2)
+
+
+def directed_run(cfg: DirectedRunConfig, basis: ChannelBasis, e_kin: float) -> tuple:
+    """Directed composite state of one clock kinetic energy.
+
+    The clock enters in channel `incoming` and crosses R in
+    [0, v * duration] on a fine grid of stride * (slices - 1) + 1
+    points, with the smallest stride that keeps k_max * dR at or below
+    `max_phase_per_step`; the returned state keeps every stride-th row.
+    Returns (spec, fine R grid, pair, v).
+    """
+    M, hbar = cfg.clock_mass, cfg.hbar
+    eps0 = float(basis.energies[cfg.incoming])
+    v = float(np.sqrt(2.0 * e_kin / M))
+    span = v * cfg.duration
+    e_total = e_kin + eps0
+
+    k_max = float(np.sqrt(2.0 * M * e_total)) / hbar
+    n_min = int(np.ceil(span * k_max / cfg.max_phase_per_step))
+    stride = max(1, -(-n_min // (cfg.slices - 1)))  # ceil division
+    r_grid = Grid1D(0.0, span, stride * (cfg.slices - 1) + 1)
+
+    coupling = WindowedPulse(
+        cfg.pulse_amplitude,
+        cfg.pulse_center_fraction * span,
+        cfg.pulse_width_fraction * cfg.duration * v,
+        Linear(1.0),
+    )
+    spec = CompositeSpec(M, cfg.system_mass, hbar, Constant(0.0),
+                         Harmonic(cfg.system_stiffness), coupling,
+                         energy=e_total, clock_energy=e_total)
+    pair = solve_directed_state(spec, basis, r_grid, e_total, cfg.incoming,
+                                cfg.residual_tol, stride=stride)
+    return spec, r_grid, pair, v
+
+
+@dataclass(frozen=True)
+class EmergenceScanConfig(DirectedRunConfig):
+    """Standard heavy-clock scan: the directed run repeated at increasing
+    clock kinetic energy."""
+
+    kinetic_energies: tuple = param((15.0, 50.0, 150.0, 500.0), array(POSITIVE, 3))
 
 
 @dataclass(frozen=True)
@@ -584,30 +625,8 @@ class EmergenceReport:
 
 def _scan_point(cfg: EmergenceScanConfig, system: SystemSpec, basis: ChannelBasis,
                 e_kin: float) -> QuantumEmergenceRow:
-    M = cfg.clock_mass
-    hbar = cfg.hbar
-    eps0 = float(basis.energies[cfg.incoming])
-    v = float(np.sqrt(2.0 * e_kin / M))
-    span = v * cfg.duration
-    e_total = e_kin + eps0
-
-    k_max = float(np.sqrt(2.0 * M * e_total)) / hbar
-    n_min = int(np.ceil(span * k_max / cfg.max_phase_per_step))
-    stride = max(1, -(-n_min // (cfg.slices - 1)))  # ceil division
-    n = stride * (cfg.slices - 1) + 1
-    r_grid = Grid1D(0.0, span, n)
-
-    coupling = WindowedPulse(
-        cfg.pulse_amplitude,
-        cfg.pulse_center_fraction * span,
-        cfg.pulse_width_fraction * cfg.duration * v,
-        Linear(1.0),
-    )
-    spec = CompositeSpec(M, cfg.system_mass, hbar, Constant(0.0),
-                         Harmonic(cfg.system_stiffness), coupling,
-                         energy=e_total, clock_energy=e_total)
-    pair = solve_directed_state(spec, basis, r_grid, e_total, cfg.incoming,
-                                cfg.residual_tol, stride=stride)
+    spec, r_grid, pair, v = directed_run(cfg, basis, e_kin)
+    M, hbar, e_total = cfg.clock_mass, cfg.hbar, spec.energy
 
     # clock factor from the lattice dispersion of the solve grid: the
     # composite channels carry discrete wavenumbers, and dividing by the
@@ -622,7 +641,7 @@ def _scan_point(cfg: EmergenceScanConfig, system: SystemSpec, basis: ChannelBasi
     tmap = TimeMap(r_sub, (M / p_lat) * rel)
     traj = conditional_from_composite(pair, wkb, tmap, spec,
                                       x_stencil_order=basis.stencil_order)
-    report = tdse_residual(traj, system, drive=CouplingDrive(coupling, tmap))
+    report = tdse_residual(traj, system, drive=CouplingDrive(spec.v_int, tmap))
 
     norms = traj.slice_norms()
     spread = float((norms.max() - norms.min()) / norms.mean())
@@ -652,9 +671,7 @@ def emergence_scan(
             f"scan span {hi / lo:.1f}x is below the required 30x"
         )
 
-    x_grid = Grid1D(-cfg.x_halfwidth, cfg.x_halfwidth, cfg.x_points)
-    system = SystemSpec(cfg.system_mass, cfg.hbar, Harmonic(cfg.system_stiffness))
-    basis = solve_system_basis(system, x_grid, cfg.channels, order=2)
+    system, basis = cfg.system_basis()
 
     def one(e_kin: float) -> QuantumEmergenceRow:
         try:

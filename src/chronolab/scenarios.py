@@ -1,15 +1,18 @@
 """Builtin experiment scenarios.
 
-Each scenario is a named, schema-validated pipeline that turns a
-parameter dictionary into plot-ready tables (column names + rows).
-Complex quantities are split into re_/im_ columns at table-building
-time so every cell is a plain number or string.  The registry is fixed;
-new pipelines are composed in configs, not plugged in.
+Each scenario is a named pipeline: a frozen parameter class, whose
+fields declare every parameter once with its default and its schema
+bounds, and a runner that turns a parameter instance into plot-ready
+tables (column names + rows).  The registry derives each scenario's
+defaults and config schema from its parameter class.  Complex quantities
+are split into re_/im_ columns at table-building time so every cell is a
+plain number or string.  The registry is fixed; new pipelines are
+composed in configs, not plugged in.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -38,8 +41,9 @@ from .core import (
     WindowedPulse,
 )
 from .errors import ConfigError
+from .params import FRACTION, INT2, NUMBER, POSITIVE, STRIDE, array, param, require
 from .semiclassical import perfect_clock, quantum_time
-from .stationary import solve_directed_state, solve_system_basis
+from .stationary import solve_system_basis
 
 __all__ = ["Table", "Scenario", "SCENARIOS", "get_scenario", "config_schema"]
 
@@ -57,13 +61,27 @@ def _table(columns, rows) -> Table:
 
 
 # ---------------------------------------------------------------------------
-# runners
+# parameters and runners
 
 
-def _run_perfect_clock(p: dict, seed: int, jobs: int) -> dict:
-    r_grid = Grid1D(p["r_min"], p["r_max"], p["points"])
-    clock = perfect_clock(p["clock_mass"], p["momentum"], r_grid, p["hbar"])
-    tau = quantum_time(clock.chi(), clock.M, p["hbar"])
+@dataclass(frozen=True)
+class PerfectClockConfig:
+    clock_mass: float = param(50.0, POSITIVE)
+    momentum: float = param(2.0, POSITIVE)
+    hbar: float = param(1.0, POSITIVE)
+    r_min: float = param(0.0, NUMBER)
+    r_max: float = param(4.0, NUMBER)
+    points: int = param(4001, INT2)
+
+    def __post_init__(self):
+        require(self.r_min < self.r_max, "r_max",
+                f"r_max {self.r_max} must exceed r_min {self.r_min}")
+
+
+def _run_perfect_clock(p: PerfectClockConfig, jobs: int) -> dict:
+    r_grid = Grid1D(p.r_min, p.r_max, p.points)
+    clock = perfect_clock(p.clock_mass, p.momentum, r_grid, p.hbar)
+    tau = quantum_time(clock.chi(), clock.M, p.hbar)
     exact = clock.time_map().times
     err = np.abs(tau.values - exact)
     rows = [
@@ -78,27 +96,45 @@ def _run_perfect_clock(p: dict, seed: int, jobs: int) -> dict:
     }
 
 
-def _run_two_level(p: dict, seed: int, jobs: int) -> dict:
-    x_grid = Grid1D(-p["x_half"], p["x_half"], p["x_points"])
-    system = SystemSpec(p["system_mass"], p["hbar"], Harmonic(p["system_stiffness"]))
+@dataclass(frozen=True)
+class TwoLevelConfig:
+    clock_mass: float = param(80.0, POSITIVE)
+    env_stiffness: float = param(1.0, POSITIVE)
+    clock_energy: float = param(10.0, POSITIVE)
+    clock_half_range: float = param(3.5, POSITIVE)
+    clock_points: int = param(2001, INT2)
+    system_mass: float = param(1.0, POSITIVE)
+    system_stiffness: float = param(4.0, POSITIVE)
+    hbar: float = param(1.0, POSITIVE)
+    pulse_amplitude: float = param(0.2, NUMBER)
+    pulse_center: float = param(0.0, NUMBER)
+    pulse_width: float = param(0.8, POSITIVE)
+    x_half: float = param(8.0, POSITIVE)
+    x_points: int = param(321, INT2)
+    time_steps: int = param(8000, INT2)
+    duration_fraction: float = param(0.9, FRACTION)
+    output_stride: int = param(10, STRIDE)
+
+
+def _run_two_level(p: TwoLevelConfig, jobs: int) -> dict:
+    x_grid = Grid1D(-p.x_half, p.x_half, p.x_points)
+    system = SystemSpec(p.system_mass, p.hbar, Harmonic(p.system_stiffness))
     basis = solve_system_basis(system, x_grid, 2, order=2)
 
-    r_grid = Grid1D(-p["clock_half_range"], p["clock_half_range"], p["clock_points"])
-    clock = ClockModel(Harmonic(p["env_stiffness"]), p["clock_mass"],
-                       p["clock_energy"], r_grid)
+    r_grid = Grid1D(-p.clock_half_range, p.clock_half_range, p.clock_points)
+    clock = ClockModel(Harmonic(p.env_stiffness), p.clock_mass, p.clock_energy, r_grid)
     tmap = clock_time_map(clock)
-    t_end = tmap.span[0] + p["duration_fraction"] * (tmap.span[1] - tmap.span[0])
-    t = np.linspace(tmap.span[0], t_end, p["time_steps"] + 1)
+    t_end = tmap.span[0] + p.duration_fraction * (tmap.span[1] - tmap.span[0])
+    t = np.linspace(tmap.span[0], t_end, p.time_steps + 1)
     # smooth pulse in R: a sudden drive would leak population into the
     # third level and spoil the two-channel truncation
-    pulse = WindowedPulse(p["pulse_amplitude"], p["pulse_center"],
-                          p["pulse_width"], Linear(1.0))
+    pulse = WindowedPulse(p.pulse_amplitude, p.pulse_center, p.pulse_width, Linear(1.0))
     drive = CouplingDrive(pulse, tmap)
 
     psi0 = Field1D(x_grid, basis.states[0].values)
     rep = dynamics.compare_amplitudes_to_grid(system, basis, drive, psi0, t)
 
-    stride = max(1, p["output_stride"])
+    stride = max(1, p.output_stride)
     rows = []
     for i in range(0, t.size, stride):
         a = rep.ode.amplitudes[i]
@@ -120,52 +156,37 @@ def _run_two_level(p: dict, seed: int, jobs: int) -> dict:
     }
 
 
-def _run_beam_on_atom(p: dict, seed: int, jobs: int) -> dict:
-    M, hbar = p["clock_mass"], p["hbar"]
-    x_grid = Grid1D(-p["x_half"], p["x_half"], p["x_points"])
-    system = SystemSpec(p["system_mass"], hbar, Harmonic(p["system_stiffness"]))
-    basis = solve_system_basis(system, x_grid, p["channels"], order=2)
-    eps0 = float(basis.energies[p["incoming"]])
+@dataclass(frozen=True)
+class BeamOnAtomConfig(dynamics.DirectedRunConfig):
+    kinetic_energy: float = param(50.0, POSITIVE)
+    max_phase_per_step: float = param(0.02, POSITIVE)
+    output_stride: int = param(10, STRIDE)
 
-    e_kin = p["kinetic_energy"]
-    v = float(np.sqrt(2.0 * e_kin / M))
-    span = v * p["duration"]
-    e_total = e_kin + eps0
-    k_max = float(np.sqrt(2.0 * M * e_total)) / hbar
-    n_min = int(np.ceil(span * k_max / p["max_phase_per_step"]))
-    stride = max(1, -(-n_min // (p["slices"] - 1)))
-    r_grid = Grid1D(0.0, span, stride * (p["slices"] - 1) + 1)
 
-    coupling = WindowedPulse(
-        p["pulse_amplitude"],
-        p["pulse_center_fraction"] * span,
-        p["pulse_width_fraction"] * p["duration"] * v,
-        Linear(1.0),
-    )
-    spec = CompositeSpec(M, p["system_mass"], hbar, Constant(0.0),
-                         Harmonic(p["system_stiffness"]), coupling,
-                         energy=e_total, clock_energy=e_total)
-    pair = solve_directed_state(spec, basis, r_grid, e_total, p["incoming"],
-                                p["residual_tol"], stride=stride)
+def _run_beam_on_atom(p: BeamOnAtomConfig, jobs: int) -> dict:
+    _, basis = p.system_basis()
+    spec, _, pair, _ = dynamics.directed_run(p, basis, p.kinetic_energy)
+    e_total = spec.energy
 
+    # the beam's own time axis: the free-clock map its tables are built from
     r_sub = pair.state.grid.r
-    clock = ClockModel(Constant(0.0), M, e_total, r_sub)
+    clock = ClockModel(Constant(0.0), p.clock_mass, e_total, r_sub)
     tmap = clock_time_map(clock)
 
     # per-slice channel amplitudes of the retained state
     mat = basis.state_matrix()
-    wx = x_grid.weights
+    wx = basis.x_grid.weights
     amps = (np.conj(mat) * wx) @ pair.state.values.T  # (k, n_slices)
     pops = np.abs(amps.T) ** 2
     pops /= pops[0].sum()  # entry slice defines the unit of population
 
-    out_stride = max(1, p["output_stride"])
+    out_stride = max(1, p.output_stride)
     idx = range(0, r_sub.n, out_stride)
     pop_cols = [f"pop_{n}" for n in range(len(basis))]
     rows = [
         (r_sub.points[i], tmap.times[i], *pops[i]) for i in idx
     ]
-    summary = [(pair.residual, float(e_total), p["incoming"],
+    summary = [(pair.residual, float(e_total), p.incoming,
                 *pops[0], *pops[-1])]
     sum_cols = (["residual", "energy", "incoming"]
                 + [f"entry_{c}" for c in pop_cols] + [f"exit_{c}" for c in pop_cols])
@@ -175,16 +196,32 @@ def _run_beam_on_atom(p: dict, seed: int, jobs: int) -> dict:
     }
 
 
-def _run_classical_emergence(p: dict, seed: int, jobs: int) -> dict:
+@dataclass(frozen=True)
+class ClassicalEmergenceConfig:
+    clock_mass: float = param(100.0, POSITIVE)
+    system_mass: float = param(1.0, POSITIVE)
+    system_stiffness: float = param(4.0, POSITIVE)
+    coupling: float = param(0.02, NUMBER)
+    x0: float = param(0.5, NUMBER)
+    px0: float = param(0.0, NUMBER)
+    # two points at least: the slope is fitted across them
+    energies: tuple = param((20.0, 60.0, 200.0, 600.0, 2000.0), array(POSITIVE, 2))
+    t_span: float = param(4.0, POSITIVE)
+    steps: int = param(12000, INT2)
+    clock_energy_offset: str | float = param(
+        "none", {"anyOf": [{"enum": ["system", "none"]}, {"type": "number"}]})
+
+
+def _run_classical_emergence(p: ClassicalEmergenceConfig, jobs: int) -> dict:
     spec = CompositeSpec(
-        p["clock_mass"], p["system_mass"], 1.0,
-        Constant(0.0), Harmonic(p["system_stiffness"]),
-        Bilinear(p["coupling"]),
-        energy=max(p["energies"]), clock_energy=max(p["energies"]),
+        p.clock_mass, p.system_mass, 1.0,
+        Constant(0.0), Harmonic(p.system_stiffness),
+        Bilinear(p.coupling),
+        energy=max(p.energies), clock_energy=max(p.energies),
     )
     report = compare_composite_reduced(
-        spec, p["energies"], p["x0"], p["px0"], p["t_span"],
-        steps=p["steps"], clock_energy_offset=p["clock_energy_offset"],
+        spec, p.energies, p.x0, p.px0, p.t_span,
+        steps=p.steps, clock_energy_offset=p.clock_energy_offset,
     )
     rows = [
         (r.scan_value, r.mv2, r.deviation, r.neglected_mean,
@@ -200,25 +237,47 @@ def _run_classical_emergence(p: dict, seed: int, jobs: int) -> dict:
     }
 
 
-def _run_jacobi_paths(p: dict, seed: int, jobs: int) -> dict:
-    masses = np.asarray(p["masses"], dtype=float)
-    q_start = np.asarray(p["q_start"], dtype=float)
-    q_end = np.asarray(p["q_end"], dtype=float)
-    if p["well"] == "none":
+@dataclass(frozen=True)
+class JacobiPathsConfig:
+    masses: tuple = param((1.0, 1.0), array(POSITIVE, 1))
+    energy: float = param(2.0, POSITIVE)
+    q_start: tuple = param((0.0, 0.0), array(NUMBER, 1))
+    q_end: tuple = param((1.0, 0.6), array(NUMBER, 1))
+    segments: int = param(48, INT2)
+    well: str = param("harmonic", {"enum": ["none", "harmonic"]})
+    stiffness: float = param(1.0, POSITIVE)
+    center: tuple = param((0.6, 0.2), array(NUMBER, 1))
+
+    def __post_init__(self):
+        dims = len(self.q_start)
+        require(len(self.q_end) == dims, "q_end",
+                f"q_end has {len(self.q_end)} coordinates, q_start has {dims}")
+        require(len(self.masses) == dims, "masses",
+                f"{len(self.masses)} masses for {dims}-dimensional endpoints")
+        if self.well == "harmonic":
+            require(len(self.center) == dims, "center",
+                    f"center has {len(self.center)} coordinates, the endpoints have {dims}")
+
+
+def _run_jacobi_paths(p: JacobiPathsConfig, jobs: int) -> dict:
+    masses = np.asarray(p.masses, dtype=float)
+    q_start = np.asarray(p.q_start, dtype=float)
+    q_end = np.asarray(p.q_end, dtype=float)
+    if p.well == "none":
         potential = lambda q: np.zeros(np.asarray(q).shape[:-1])
         gradient = lambda q: np.zeros_like(np.asarray(q, dtype=float))
     else:
-        k = p["stiffness"]
-        center = np.asarray(p["center"], dtype=float)
+        k = p.stiffness
+        center = np.asarray(p.center, dtype=float)
         potential = lambda q: 0.5 * k * np.sum((np.asarray(q) - center) ** 2, axis=-1)
         gradient = lambda q: k * (np.asarray(q, dtype=float) - center)
-    problem = PathProblem(potential, gradient, masses, p["energy"])
+    problem = PathProblem(potential, gradient, masses, p.energy)
 
-    path = minimize_action_path(problem, q_start, q_end, p["segments"])
+    path = minimize_action_path(problem, q_start, q_end, p.segments)
     action = path_action(path)
     momenta = path_momenta(path)
     residuals = constraint_residuals(path)
-    endpoint = endpoint_momentum_check(problem, q_start, q_end, p["segments"])
+    endpoint = endpoint_momentum_check(problem, q_start, q_end, p.segments)
 
     seg = np.linalg.norm(np.diff(path.nodes, axis=0), axis=1)
     s = np.concatenate(([0.0], np.cumsum(seg)))
@@ -245,26 +304,8 @@ def _run_jacobi_paths(p: dict, seed: int, jobs: int) -> dict:
     }
 
 
-def _run_emergence_scan(p: dict, seed: int, jobs: int) -> dict:
-    cfg = dynamics.EmergenceScanConfig(
-        clock_mass=p["clock_mass"],
-        system_mass=p["system_mass"],
-        hbar=p["hbar"],
-        system_stiffness=p["system_stiffness"],
-        pulse_amplitude=p["pulse_amplitude"],
-        duration=p["duration"],
-        pulse_center_fraction=p["pulse_center_fraction"],
-        pulse_width_fraction=p["pulse_width_fraction"],
-        kinetic_energies=tuple(p["kinetic_energies"]),
-        channels=p["channels"],
-        x_halfwidth=p["x_half"],
-        x_points=p["x_points"],
-        max_phase_per_step=p["max_phase_per_step"],
-        slices=p["slices"],
-        incoming=p["incoming"],
-        residual_tol=p["residual_tol"],
-    )
-    report = dynamics.emergence_scan(cfg, jobs=jobs)
+def _run_emergence_scan(p: dynamics.EmergenceScanConfig, jobs: int) -> dict:
+    report = dynamics.emergence_scan(p, jobs=jobs)
     rows = [
         (r.scan_value, r.mv2, r.residual, r.rho, report.slope)
         for r in report.rows
@@ -287,159 +328,48 @@ def _run_emergence_scan(p: dict, seed: int, jobs: int) -> dict:
 
 @dataclass(frozen=True)
 class Scenario:
+    """A builtin pipeline: its parameter class and its runner."""
+
     name: str
     description: str
-    defaults: dict
-    properties: dict  # jsonschema for the parameter block
+    config: type  # frozen dataclass whose fields are the parameters
     runner: object
 
-    def run(self, params: dict, seed: int = 0, jobs: int = 1) -> dict:
-        return self.runner(params, seed, jobs)
+    @property
+    def defaults(self) -> dict:
+        """Default parameters as a config document holds them (lists, not tuples)."""
+        return {f.name: list(f.default) if isinstance(f.default, tuple) else f.default
+                for f in fields(self.config)}
+
+    @property
+    def properties(self) -> dict:
+        """jsonschema of the parameter block, from the fields' metadata."""
+        return {f.name: f.metadata["schema"] for f in fields(self.config)}
+
+    def run(self, params: dict, jobs: int = 1) -> dict:
+        return self.runner(self.config(**params), jobs)
 
 
-_POS = {"type": "number", "exclusiveMinimum": 0}
-_NONNEG = {"type": "number", "minimum": 0}
-_NUM = {"type": "number"}
-_INT2 = {"type": "integer", "minimum": 2}
-_FRACTION = {"type": "number", "exclusiveMinimum": 0, "maximum": 1}
-
-SCENARIOS: dict = {}
-
-
-def _register(name, description, defaults, properties, runner):
-    SCENARIOS[name] = Scenario(name, description, defaults, properties, runner)
-
-
-_register(
-    "perfect-clock",
-    "Free plane-wave clock: complex quantum time against the exact linear map.",
-    {
-        "clock_mass": 50.0, "momentum": 2.0, "hbar": 1.0,
-        "r_min": 0.0, "r_max": 4.0, "points": 4001,
-    },
-    {
-        "clock_mass": _POS, "momentum": _POS, "hbar": _POS,
-        "r_min": _NUM, "r_max": _NUM, "points": _INT2,
-    },
-    _run_perfect_clock,
-)
-
-_register(
-    "harmonic-clock-two-level",
-    "Two harmonic channels driven through a harmonic clock: amplitude ODEs vs grid propagation.",
-    {
-        "clock_mass": 80.0, "env_stiffness": 1.0, "clock_energy": 10.0,
-        "clock_half_range": 3.5, "clock_points": 2001,
-        "system_mass": 1.0, "system_stiffness": 4.0, "hbar": 1.0,
-        "pulse_amplitude": 0.2, "pulse_center": 0.0, "pulse_width": 0.8,
-        "x_half": 8.0, "x_points": 321,
-        "time_steps": 8000, "duration_fraction": 0.9, "output_stride": 10,
-    },
-    {
-        "clock_mass": _POS, "env_stiffness": _POS, "clock_energy": _POS,
-        "clock_half_range": _POS, "clock_points": _INT2,
-        "system_mass": _POS, "system_stiffness": _POS, "hbar": _POS,
-        "pulse_amplitude": _NUM, "pulse_center": _NUM, "pulse_width": _POS,
-        "x_half": _POS, "x_points": _INT2,
-        "time_steps": _INT2, "duration_fraction": _FRACTION,
-        "output_stride": {"type": "integer", "minimum": 1},
-    },
-    _run_two_level,
-)
-
-_register(
-    "beam-on-atom",
-    "Directed beam crossing a coupling pulse on a harmonic system: channel populations along the beam.",
-    {
-        "clock_mass": 200.0, "kinetic_energy": 50.0, "hbar": 1.0,
-        "system_mass": 1.0, "system_stiffness": 4.0,
-        "pulse_amplitude": 0.3, "duration": 2.0,
-        "pulse_center_fraction": 0.4, "pulse_width_fraction": 1.0 / 12.0,
-        "channels": 6, "x_half": 8.0, "x_points": 161,
-        "max_phase_per_step": 0.02, "slices": 4001, "incoming": 0,
-        "residual_tol": 1e-6, "output_stride": 10,
-    },
-    {
-        "clock_mass": _POS, "kinetic_energy": _POS, "hbar": _POS,
-        "system_mass": _POS, "system_stiffness": _POS,
-        "pulse_amplitude": _NUM, "duration": _POS,
-        "pulse_center_fraction": _FRACTION, "pulse_width_fraction": _FRACTION,
-        "channels": _INT2, "x_half": _POS, "x_points": _INT2,
-        "max_phase_per_step": _POS, "slices": _INT2,
-        "incoming": {"type": "integer", "minimum": 0},
-        "residual_tol": _POS,
-        "output_stride": {"type": "integer", "minimum": 1},
-    },
-    _run_beam_on_atom,
-)
-
-_register(
-    "classical-emergence",
-    "Composite vs clock-driven reduced trajectories across a clock-energy scan.",
-    {
-        "clock_mass": 100.0, "system_mass": 1.0, "system_stiffness": 4.0,
-        "coupling": 0.02, "x0": 0.5, "px0": 0.0,
-        "energies": [20.0, 60.0, 200.0, 600.0, 2000.0],
-        "t_span": 4.0, "steps": 12000, "clock_energy_offset": "none",
-    },
-    {
-        "clock_mass": _POS, "system_mass": _POS, "system_stiffness": _POS,
-        "coupling": _NUM, "x0": _NUM, "px0": _NUM,
-        "energies": {"type": "array", "items": _POS, "minItems": 1},
-        "t_span": _POS, "steps": _INT2,
-        "clock_energy_offset": {
-            "anyOf": [{"enum": ["system", "none"]}, {"type": "number"}]
-        },
-    },
-    _run_classical_emergence,
-)
-
-_register(
-    "jacobi-paths",
-    "Fixed-energy variational paths: geodesics, momenta, endpoint gradients.",
-    {
-        "masses": [1.0, 1.0], "energy": 2.0,
-        "q_start": [0.0, 0.0], "q_end": [1.0, 0.6],
-        "segments": 48, "well": "harmonic", "stiffness": 1.0,
-        "center": [0.6, 0.2],
-    },
-    {
-        "masses": {"type": "array", "items": _POS, "minItems": 1},
-        "energy": _POS,
-        "q_start": {"type": "array", "items": _NUM, "minItems": 1},
-        "q_end": {"type": "array", "items": _NUM, "minItems": 1},
-        "segments": _INT2,
-        "well": {"enum": ["none", "harmonic"]},
-        "stiffness": _POS,
-        "center": {"type": "array", "items": _NUM, "minItems": 1},
-    },
-    _run_jacobi_paths,
-)
-
-_register(
-    "emergence-scan",
-    "Clock-energy scan of the conditional TDSE residual and correction ratio.",
-    {
-        "clock_mass": 200.0, "system_mass": 1.0, "hbar": 1.0,
-        "system_stiffness": 4.0, "pulse_amplitude": 0.3, "duration": 2.0,
-        "pulse_center_fraction": 0.4, "pulse_width_fraction": 1.0 / 12.0,
-        "kinetic_energies": [15.0, 50.0, 150.0, 500.0],
-        "channels": 6, "x_half": 8.0, "x_points": 161,
-        "max_phase_per_step": 0.01, "slices": 4001, "incoming": 0,
-        "residual_tol": 1e-6,
-    },
-    {
-        "clock_mass": _POS, "system_mass": _POS, "hbar": _POS,
-        "system_stiffness": _POS, "pulse_amplitude": _NUM, "duration": _POS,
-        "pulse_center_fraction": _FRACTION, "pulse_width_fraction": _FRACTION,
-        "kinetic_energies": {"type": "array", "items": _POS, "minItems": 3},
-        "channels": _INT2, "x_half": _POS, "x_points": _INT2,
-        "max_phase_per_step": _POS, "slices": _INT2,
-        "incoming": {"type": "integer", "minimum": 0},
-        "residual_tol": _POS,
-    },
-    _run_emergence_scan,
-)
+SCENARIOS = {s.name: s for s in (
+    Scenario("perfect-clock",
+             "Free plane-wave clock: complex quantum time against the exact linear map.",
+             PerfectClockConfig, _run_perfect_clock),
+    Scenario("harmonic-clock-two-level",
+             "Two harmonic channels driven through a harmonic clock: amplitude ODEs vs grid propagation.",
+             TwoLevelConfig, _run_two_level),
+    Scenario("beam-on-atom",
+             "Directed beam crossing a coupling pulse on a harmonic system: channel populations along the beam.",
+             BeamOnAtomConfig, _run_beam_on_atom),
+    Scenario("classical-emergence",
+             "Composite vs clock-driven reduced trajectories across a clock-energy scan.",
+             ClassicalEmergenceConfig, _run_classical_emergence),
+    Scenario("jacobi-paths",
+             "Fixed-energy variational paths: geodesics, momenta, endpoint gradients.",
+             JacobiPathsConfig, _run_jacobi_paths),
+    Scenario("emergence-scan",
+             "Clock-energy scan of the conditional TDSE residual and correction ratio.",
+             dynamics.EmergenceScanConfig, _run_emergence_scan),
+)}
 
 
 def get_scenario(name: str) -> Scenario:

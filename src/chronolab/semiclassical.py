@@ -23,7 +23,7 @@ import numpy as np
 from scipy.integrate import cumulative_trapezoid
 
 from .classical import ClockModel, TimeMap
-from .core import Field1D, Grid1D, _d1, _d2
+from .core import Field1D, Grid1D, _d1
 from .errors import DegenerateInputError, StationaryPointError
 
 __all__ = [

@@ -30,6 +30,9 @@ from .core import (
     Field2D,
     Grid1D,
     Grid2D,
+    _apply_kinetic,
+    _kinetic_coeffs,
+    central_difference,
     norm,
 )
 from .errors import (
@@ -68,43 +71,7 @@ WINDOW_THRESHOLD = 1e-8
 
 
 # ---------------------------------------------------------------------------
-# stencils
-
-
-def _kinetic_coeffs(order: int, h: float, mass: float, hbar: float):
-    """Coefficients of -hbar^2/(2 mass) d^2/dq^2 as (diag, off1, off2)."""
-    pref = hbar * hbar / (2.0 * mass * h * h)
-    if order == 2:
-        return 2.0 * pref, -1.0 * pref, 0.0
-    if order == 4:
-        return 30.0 / 12.0 * pref, -16.0 / 12.0 * pref, 1.0 / 12.0 * pref
-    raise DegenerateInputError(f"kinetic stencil order must be 2 or 4, got {order}")
-
-
-def _apply_kinetic(values: np.ndarray, axis: int, order: int, h: float, mass: float,
-                   hbar: float, project: bool = True) -> np.ndarray:
-    """Apply the kinetic operator along one axis.
-
-    With `project` the wall points are forced to zero and the stencil
-    sees zero ghosts beyond them, which keeps the operator exactly
-    symmetric (the Dirichlet box).  Without it the wall values enter the
-    stencil as they stand; only the interior output is then meaningful.
-    """
-    v = np.moveaxis(values, axis, 0)
-    c0, c1, c2 = _kinetic_coeffs(order, h, mass, hbar)
-    pad = 2
-    z = np.zeros((v.shape[0] + 2 * pad,) + v.shape[1:], dtype=v.dtype)
-    if project:
-        z[pad + 1:-pad - 1] = v[1:-1]  # walls forced to zero
-    else:
-        z[pad:-pad] = v
-    out = c0 * z[pad:-pad] + c1 * (z[pad - 1:-pad - 1] + z[pad + 1:-pad + 1])
-    if c2 != 0.0:
-        out += c2 * (z[pad - 2:-pad - 2] + z[pad + 2:])
-    if project:
-        out[0] = 0.0
-        out[-1] = 0.0
-    return np.moveaxis(out, 0, axis)
+# kinetic matrices (coefficients from core)
 
 
 def _kinetic_banded(n_interior: int, order: int, h: float, mass: float, hbar: float) -> np.ndarray:
@@ -431,6 +398,38 @@ def _check_product(fs: FactorizedState, state: Field2D, tol: float = 1e-12):
         raise DegenerateInputError(f"factorization does not reproduce the state: {defect:.3e}")
 
 
+def _slice_hamiltonian(spec, psi: np.ndarray, x_grid: Grid1D, r: np.ndarray,
+                      order: int) -> np.ndarray:
+    """(H_S + V_I(., R)) psi per R slice for psi[iR, ix], order-`order` x stencil."""
+    x = x_grid.points
+    hs = _apply_kinetic(psi, 1, order, x_grid.spacing, spec.m, spec.hbar)
+    hs += (np.asarray(spec.v_sys(x), dtype=float)[None, :]
+           + np.asarray(spec.v_int(x[None, :], r[:, None]), dtype=float)) * psi
+    return hs
+
+
+def _conditional_terms(fs: FactorizedState, spec):
+    """Operator terms of the conditional-factor equation on the rows the
+    R stencil reaches (the outermost margin slices are clipped).
+
+    Returns (sl, hs_psi, dpsi, d2psi, log_dchi): the row slice,
+    (H_S + V_I) psi, the first and second R derivatives of psi, and
+    (1/chi) dchi/dR, all restricted to those rows.
+    """
+    order_r, order_x = fs.stencil_orders
+    margin = 2 if order_r == 4 else 1
+    nr = fs.psi.grid.r.n
+    if nr < 2 * margin + 3:
+        raise WindowError(f"window of {nr} slices too narrow for the R stencil")
+    h_r = fs.psi.grid.r.spacing
+    psi = fs.psi.values
+    sl = slice(margin, nr - margin)
+    hs_psi = _slice_hamiltonian(spec, psi, fs.psi.grid.x, fs.psi.grid.r.points, order_x)
+    log_dchi = central_difference(fs.chi.values, h_r, 1, order_r) / fs.chi.values[sl]
+    return (sl, hs_psi[sl], central_difference(psi, h_r, 1, order_r),
+            central_difference(psi, h_r, 2, order_r), log_dchi)
+
+
 def compute_back_reaction(fs: FactorizedState, spec) -> Field1D:
     """Back-reaction potential U_S(R) felt by the clock.
 
@@ -444,71 +443,22 @@ def compute_back_reaction(fs: FactorizedState, spec) -> Field1D:
     stencils match the orders recorded on the factorized state; the
     outermost margin slices are clipped accordingly.
     """
-    order_r, order_x = fs.stencil_orders
-    margin = 2 if order_r == 4 else 1
-    nr = fs.psi.grid.r.n
-    if nr < 2 * margin + 3:
-        raise WindowError(f"window of {nr} slices too narrow for the R stencil")
-    h_r = fs.psi.grid.r.spacing
-    x = fs.psi.grid.x.points
-    r = fs.psi.grid.r.points
+    sl, hs_psi, dpsi, d2psi, log_dchi = _conditional_terms(fs, spec)
     wx = fs.psi.grid.x.weights
-
     psi = fs.psi.values
-    hbar, m, bigm = spec.hbar, spec.m, spec.M
-
-    hs_psi = _apply_kinetic(psi, 1, order_x, fs.psi.grid.x.spacing, m, hbar)
-    hs_psi += _potential_slices(spec, x, r) * psi
-
-    dpsi = _interior_derivative(psi, h_r, order_r, 1)
-    d2psi = _interior_derivative(psi, h_r, order_r, 2)
-    dchi = _interior_derivative(fs.chi.values, h_r, order_r, 1)
-
-    sl = slice(margin, nr - margin)
-    log_dchi = dchi[sl] / fs.chi.values[sl]
+    hbar, bigm = spec.hbar, spec.M
     bra = np.conj(psi[sl])
     weight = np.sum(wx * np.abs(psi[sl]) ** 2, axis=1)
     if np.any(weight <= 0.0):
         raise DegenerateInputError("psi slice with zero weight inside the window")
 
     term = (
-        np.sum(wx * bra * hs_psi[sl], axis=1)
-        - (hbar**2 / bigm) * log_dchi * np.sum(wx * bra * dpsi[sl], axis=1)
-        - (hbar**2 / (2.0 * bigm)) * np.sum(wx * bra * d2psi[sl], axis=1)
+        np.sum(wx * bra * hs_psi, axis=1)
+        - (hbar**2 / bigm) * log_dchi * np.sum(wx * bra * dpsi, axis=1)
+        - (hbar**2 / (2.0 * bigm)) * np.sum(wx * bra * d2psi, axis=1)
     )
-    sub = fs.psi.grid.r.subgrid(margin, nr - margin - 1)
+    sub = fs.psi.grid.r.subgrid(sl.start, sl.stop - 1)
     return Field1D(sub, term / weight)
-
-
-def _potential_slices(spec, x: np.ndarray, r: np.ndarray) -> np.ndarray:
-    """V_sys(x) + V_I(x, R) sampled as (nR, nx)."""
-    v = np.asarray(spec.v_sys(x)[None, :] + spec.v_int(x[None, :], r[:, None]), dtype=float)
-    return np.broadcast_to(v, (r.size, x.size))
-
-
-def _interior_derivative(values: np.ndarray, h: float, order: int, deriv: int) -> np.ndarray:
-    """Central derivative along axis 0, valid away from the margin.
-
-    Margin entries are filled with the nearest valid value; callers are
-    expected to clip them.
-    """
-    v = values
-    out = np.zeros_like(v)
-    if order == 2 or deriv == 0:
-        if deriv == 1:
-            out[1:-1] = (v[2:] - v[:-2]) / (2.0 * h)
-        else:
-            out[1:-1] = (v[2:] - 2.0 * v[1:-1] + v[:-2]) / (h * h)
-        out[0] = out[1]
-        out[-1] = out[-2]
-        return out
-    if deriv == 1:
-        out[2:-2] = (-v[4:] + 8.0 * v[3:-1] - 8.0 * v[1:-3] + v[:-4]) / (12.0 * h)
-    else:
-        out[2:-2] = (-v[4:] + 16.0 * v[3:-1] - 30.0 * v[2:-2] + 16.0 * v[1:-3] - v[:-4]) / (12.0 * h * h)
-    out[0] = out[1] = out[2]
-    out[-1] = out[-2] = out[-3]
-    return out
 
 
 def conditional_equation_residual(fs: FactorizedState, spec, u_s: Field1D | None = None) -> float:
@@ -521,30 +471,17 @@ def conditional_equation_residual(fs: FactorizedState, spec, u_s: Field1D | None
     """
     if u_s is None:
         u_s = compute_back_reaction(fs, spec)
-    order_r, order_x = fs.stencil_orders
-    margin = 2 if order_r == 4 else 1
-    nr = fs.psi.grid.r.n
-    if u_s.grid.n != nr - 2 * margin:
+    sl, hs_psi, dpsi, d2psi, log_dchi = _conditional_terms(fs, spec)
+    if u_s.grid.n != sl.stop - sl.start:
         raise GridMismatchError("U_S table does not match the window margin")
-    h_r = fs.psi.grid.r.spacing
-    x = fs.psi.grid.x.points
-    r = fs.psi.grid.r.points
     psi = fs.psi.values
-    hbar, m, bigm = spec.hbar, spec.m, spec.M
+    hbar, bigm = spec.hbar, spec.M
 
-    hs_psi = _apply_kinetic(psi, 1, order_x, fs.psi.grid.x.spacing, m, hbar)
-    hs_psi += _potential_slices(spec, x, r) * psi
-    dpsi = _interior_derivative(psi, h_r, order_r, 1)
-    d2psi = _interior_derivative(psi, h_r, order_r, 2)
-    dchi = _interior_derivative(fs.chi.values, h_r, order_r, 1)
-
-    sl = slice(margin, nr - margin)
-    log_dchi = (dchi[sl] / fs.chi.values[sl])[:, None]
     lhs = (
-        hs_psi[sl]
+        hs_psi
         - u_s.values[:, None] * psi[sl]
-        - (hbar**2 / (2.0 * bigm)) * d2psi[sl]
-        - (hbar**2 / bigm) * log_dchi * dpsi[sl]
+        - (hbar**2 / (2.0 * bigm)) * d2psi
+        - (hbar**2 / bigm) * log_dchi[:, None] * dpsi
     )
     # drop wall columns: psi inherits the Dirichlet walls of the state
     wx = fs.psi.grid.x.weights[1:-1]
@@ -666,20 +603,23 @@ def project_channels(state: Field2D, basis: ChannelBasis) -> ChannelDecompositio
     return ChannelDecomposition(basis, state.grid.r, kappas, 1.0 - captured / total)
 
 
+def _matrix_elements(basis: ChannelBasis, v_x: np.ndarray) -> np.ndarray:
+    """<phi_m | v | phi_n> by quadrature for v sampled on the basis grid, (k, k)."""
+    mat = basis.state_matrix()
+    return (np.conj(mat) * (basis.x_grid.weights * v_x)) @ mat.T
+
+
 def _coupling_matrices(spec, basis: ChannelBasis, r_points: np.ndarray) -> np.ndarray:
     """<phi_m | V_I(., R) | phi_n> as (nR, k, k)."""
-    wx = basis.x_grid.weights
-    mat = basis.state_matrix()
     x = basis.x_grid.points
     fac = spec.v_int.factorized()
     if fac is not None:
         g, hx = fac
-        hmat = (np.conj(mat) * (wx * hx(x))) @ mat.T  # (k, k)
+        hmat = _matrix_elements(basis, hx(x))  # (k, k)
         return np.asarray(g(r_points), dtype=float)[:, None, None] * hmat[None, :, :]
     out = np.empty((r_points.size, len(basis), len(basis)), dtype=complex)
     for j, r in enumerate(r_points):
-        vx = np.asarray(spec.v_int(x, float(r)), dtype=float)
-        out[j] = (np.conj(mat) * (wx * vx)) @ mat.T
+        out[j] = _matrix_elements(basis, np.asarray(spec.v_int(x, float(r)), dtype=float))
     return out
 
 
@@ -823,9 +763,7 @@ def solve_directed_state(
         g_of_r = hmat = None
     else:
         g, hx = fac
-        wx = basis.x_grid.weights
-        mat = basis.state_matrix()
-        hmat = (np.conj(mat) * (wx * hx(basis.x_grid.points))) @ mat.T
+        hmat = _matrix_elements(basis, hx(basis.x_grid.points))
         g_of_r = np.asarray(g(r), dtype=float)
         couplings = None
 

@@ -157,7 +157,7 @@ def test_criterion_04_emergence_exponent():
 def test_criterion_05_two_route_equivalence():
     t0 = time.perf_counter()
     params = default_config("harmonic-clock-two-level")["parameters"]
-    tables = SCENARIOS["harmonic-clock-two-level"].run(params, 0, 1)
+    tables = SCENARIOS["harmonic-clock-two-level"].run(params)
     summary = dict(zip(tables["summary"].columns, tables["summary"].rows[0]))
 
     # degenerate limit: exact two-level rotation |a_1|^2 = sin^2(lam c t)
@@ -182,7 +182,7 @@ def test_criterion_05_two_route_equivalence():
 def test_criterion_06_classical_emergence():
     t0 = time.perf_counter()
     params = default_config("classical-emergence")["parameters"]
-    tables = SCENARIOS["classical-emergence"].run(params, 0, 1)
+    tables = SCENARIOS["classical-emergence"].run(params)
     slope = dict(zip(tables["summary"].columns, tables["summary"].rows[0]))["slope"]
     deviations = np.array([row[2] for row in tables["classical_emergence"].rows])
 

@@ -1,14 +1,17 @@
 """Scenario registry and command-line driver, exercised through main()."""
 
+import dataclasses
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import chronolab
-from chronolab.cli import load_config, main, validate_config
+from chronolab.cli import _config_hash, load_config, main, validate_config
 from chronolab.errors import ConfigError
 from chronolab.scenarios import SCENARIOS, config_schema, default_config, get_scenario
 
@@ -57,6 +60,22 @@ def test_default_config_validates(name):
     assert params == doc["parameters"]
     schema = config_schema(name)
     assert schema["properties"]["scenario"]["const"] == name
+
+
+# sha256 of each builtin's default config document
+DEFAULT_HASHES = {
+    "beam-on-atom": "c9c78d9ea5bb76a1b53ec4ed013b5735e2a115a46ec7286ef0a77d26295b8459",
+    "classical-emergence": "8efe575d3f1587e5954e8b1d78b8f0a659a7a97d82d9bf45f84edd2c29db7183",
+    "emergence-scan": "2ad5e926b8ed22146c4b7f6da0f9d7bf7e7e8b71ea7f3e2cbf556759c3c93232",
+    "harmonic-clock-two-level": "4e0b9b53c2e97b139bd636070a427745b49906cdd956dfc5ed64d8b41cc7a257",
+    "jacobi-paths": "6882e200532337bfce8f8212bf81155363e5fef58a0fa7e5162fe91ac4f9d6bc",
+    "perfect-clock": "1c70c1b5fccb2c45ccaf564e4fd79589289ee53c4c089eb58d17eb9818351cba",
+}
+
+
+@pytest.mark.parametrize("name", BUILTINS)
+def test_builtin_defaults_are_pinned(name):
+    assert _config_hash(default_config(name), "") == DEFAULT_HASHES[name]
 
 
 def test_unknown_parameter_key_rejected():
@@ -228,6 +247,45 @@ def test_numerical_failure_exits_3(tmp_path, capsys):
     assert statuses == {"validate": "ok", "compute": "failed"}
 
 
+# schema-valid configs whose fields contradict each other
+CROSS_FIELD = [
+    ("beam-on-atom", {"incoming": 9}, "/parameters/incoming"),
+    ("beam-on-atom", {"channels": 200}, "/parameters/channels"),
+    ("jacobi-paths", {"masses": [1, 1, 1]}, "/parameters/masses"),
+    ("perfect-clock", {"r_min": 5, "r_max": 1}, "/parameters/r_max"),
+    ("classical-emergence", {"energies": [200]}, "/parameters/energies"),
+]
+
+
+@pytest.mark.parametrize("name, params, pointer", CROSS_FIELD)
+def test_cross_field_config_exits_2_with_pointer(tmp_path, capsys, name, params, pointer):
+    cfg = write_config(tmp_path, {"scenario": name, "parameters": params})
+    assert main(["validate", cfg]) == 2
+    assert pointer in capsys.readouterr().err
+    out = tmp_path / "out"
+    assert main(["run", cfg, "--out", str(out)]) == 2
+    assert pointer in capsys.readouterr().err
+    manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
+    assert [(s["name"], s["status"]) for s in manifest["stages"]] == [("validate", "failed")]
+
+
+def test_internal_error_exits_5_with_manifest(tmp_path, capsys, monkeypatch):
+    def broken(p, jobs):
+        raise RuntimeError("broken runner")
+
+    monkeypatch.setitem(SCENARIOS, "perfect-clock",
+                        dataclasses.replace(SCENARIOS["perfect-clock"], runner=broken))
+    cfg = write_config(tmp_path, FAST_CLOCK)
+    out = tmp_path / "out"
+    assert main(["run", cfg, "--out", str(out)]) == 5
+    err = capsys.readouterr().err
+    assert "internal error: RuntimeError: broken runner" in err
+    assert "Traceback" not in err
+    manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
+    statuses = {s["name"]: s["status"] for s in manifest["stages"]}
+    assert statuses == {"validate": "ok", "compute": "failed"}
+
+
 def test_degenerate_scan_fails_fast(tmp_path, capsys):
     # the scan insists on a >= 30x spread in clock kinetic energy and
     # checks that before any eigensolve starts
@@ -284,9 +342,12 @@ def test_csv_cells_are_full_precision(tmp_path):
 
 
 def test_module_entry_point():
+    # the child process imports the same chronolab as this test
+    src = str(Path(chronolab.__file__).resolve().parents[1])
     proc = subprocess.run(
         [sys.executable, "-m", "chronolab.cli", "version"],
         capture_output=True, text=True, check=False,
+        env={**os.environ, "PYTHONPATH": src},
     )
     assert proc.returncode == 0
     assert proc.stdout.strip() == chronolab.__version__

@@ -220,6 +220,16 @@ def test_residual_report_term_norms():
         assert key in rep.term_norms
     assert not rep.resampled
 
+    # the drive is called once on the whole (t, x) table; a drive that
+    # only takes scalar times fails loudly
+    def scalar_times_only(x, t):
+        if np.ndim(t):
+            raise TypeError("scalar times only")
+        return 0.0 * x
+
+    with pytest.raises(TypeError, match="scalar times only"):
+        tdse_residual(traj, system, drive=scalar_times_only, mv2=100.0)
+
 
 def test_emergence_scan_config_validation():
     with pytest.raises(DegenerateInputError):
