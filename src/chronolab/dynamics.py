@@ -46,12 +46,13 @@ from .errors import (
     GridMismatchError,
     StabilityError,
 )
-from .params import FRACTION, INDEX, INT2, NUMBER, POSITIVE, array, param, require
+from .params import FRACTION, GRID, INDEX, INT2, NUMBER, POSITIVE, array, param, require
 from .semiclassical import ComplexTimeMap, WKBState
 from .stationary import (
     EigenPair,
     _discrete_wavenumber,
     _matrix_elements,
+    _project,
     _slice_hamiltonian,
     solve_directed_state,
     solve_system_basis,
@@ -323,8 +324,7 @@ def compare_amplitudes_to_grid(
     if psi0.grid != basis.x_grid:
         raise GridMismatchError("psi0 grid does not match basis grid")
     w = basis.x_grid.weights
-    mat = basis.state_matrix()
-    a0 = (np.conj(mat) * w) @ psi0.values
+    a0 = _project(basis, psi0.values)
     total = float(np.sum(w * np.abs(psi0.values) ** 2))
     if total == 0.0:
         raise DegenerateInputError("zero initial state")
@@ -337,7 +337,7 @@ def compare_amplitudes_to_grid(
     t = np.asarray(t_grid, dtype=float)
     ode = propagate_amplitudes(basis, drive, a0, t, hbar=system.hbar)
     traj = propagate_tdse(system, drive, psi0, t)
-    proj = (np.conj(mat) * w) @ traj.values.T  # (k, nt)
+    proj = _project(basis, traj.values)  # (k, nt)
     proj = proj.T * np.exp(1j * basis.energies[None, :] * t[:, None] / system.hbar)
     deviation = float(np.max(np.abs(ode.amplitudes - proj)))
     return TwoRouteReport(t, ode, proj, deviation, defect)
@@ -540,9 +540,9 @@ class DirectedRunConfig:
     pulse_width_fraction: float = param(1.0 / 12.0, FRACTION)
     channels: int = param(6, INT2)
     x_half: float = param(8.0, POSITIVE)
-    x_points: int = param(161, INT2)
+    x_points: int = param(161, GRID)
     max_phase_per_step: float = param(0.01, POSITIVE)
-    slices: int = param(4001, INT2)
+    slices: int = param(4001, GRID)
     incoming: int = param(0, INDEX)
     residual_tol: float = param(1e-6, POSITIVE)
 

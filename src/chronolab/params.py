@@ -16,6 +16,7 @@ from .errors import ConfigError
 POSITIVE = {"type": "number", "exclusiveMinimum": 0}
 NUMBER = {"type": "number"}
 INT2 = {"type": "integer", "minimum": 2}
+GRID = {"type": "integer", "minimum": 3}  # point count of a Grid1D
 INDEX = {"type": "integer", "minimum": 0}
 STRIDE = {"type": "integer", "minimum": 1}
 FRACTION = {"type": "number", "exclusiveMinimum": 0, "maximum": 1}

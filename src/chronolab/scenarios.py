@@ -41,9 +41,9 @@ from .core import (
     WindowedPulse,
 )
 from .errors import ConfigError
-from .params import FRACTION, INT2, NUMBER, POSITIVE, STRIDE, array, param, require
+from .params import FRACTION, GRID, INT2, NUMBER, POSITIVE, STRIDE, array, param, require
 from .semiclassical import perfect_clock, quantum_time
-from .stationary import solve_system_basis
+from .stationary import _project, solve_system_basis
 
 __all__ = ["Table", "Scenario", "SCENARIOS", "get_scenario", "config_schema"]
 
@@ -71,7 +71,7 @@ class PerfectClockConfig:
     hbar: float = param(1.0, POSITIVE)
     r_min: float = param(0.0, NUMBER)
     r_max: float = param(4.0, NUMBER)
-    points: int = param(4001, INT2)
+    points: int = param(4001, GRID)
 
     def __post_init__(self):
         require(self.r_min < self.r_max, "r_max",
@@ -102,7 +102,7 @@ class TwoLevelConfig:
     env_stiffness: float = param(1.0, POSITIVE)
     clock_energy: float = param(10.0, POSITIVE)
     clock_half_range: float = param(3.5, POSITIVE)
-    clock_points: int = param(2001, INT2)
+    clock_points: int = param(2001, GRID)
     system_mass: float = param(1.0, POSITIVE)
     system_stiffness: float = param(4.0, POSITIVE)
     hbar: float = param(1.0, POSITIVE)
@@ -110,7 +110,7 @@ class TwoLevelConfig:
     pulse_center: float = param(0.0, NUMBER)
     pulse_width: float = param(0.8, POSITIVE)
     x_half: float = param(8.0, POSITIVE)
-    x_points: int = param(321, INT2)
+    x_points: int = param(321, GRID)
     time_steps: int = param(8000, INT2)
     duration_fraction: float = param(0.9, FRACTION)
     output_stride: int = param(10, STRIDE)
@@ -174,9 +174,7 @@ def _run_beam_on_atom(p: BeamOnAtomConfig, jobs: int) -> dict:
     tmap = clock_time_map(clock)
 
     # per-slice channel amplitudes of the retained state
-    mat = basis.state_matrix()
-    wx = basis.x_grid.weights
-    amps = (np.conj(mat) * wx) @ pair.state.values.T  # (k, n_slices)
+    amps = _project(basis, pair.state.values)  # (k, n_slices)
     pops = np.abs(amps.T) ** 2
     pops /= pops[0].sum()  # entry slice defines the unit of population
 

@@ -17,6 +17,7 @@ stay consistent.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -584,6 +585,18 @@ class ChannelDecomposition:
     defect: float
 
 
+def _project(basis: ChannelBasis, values: np.ndarray) -> np.ndarray:
+    """<phi_m | values> over the last axis of `values`, (k, ...) by quadrature."""
+    return (np.conj(basis.state_matrix()) * basis.x_grid.weights) @ values.T
+
+
+def _system_action(spec, basis: ChannelBasis) -> np.ndarray:
+    """H_S phi_n on the basis grid with the basis stencil, (k, nx)."""
+    mat = basis.state_matrix()
+    kin = _apply_kinetic(mat, 1, basis.stencil_order, basis.x_grid.spacing, spec.m, spec.hbar)
+    return kin + np.asarray(spec.v_sys(basis.x_grid.points), dtype=float) * mat
+
+
 def project_channels(state: Field2D, basis: ChannelBasis) -> ChannelDecomposition:
     """kappa_n(R) = <phi_n | Psi(., R)> with the completeness defect.
 
@@ -592,9 +605,7 @@ def project_channels(state: Field2D, basis: ChannelBasis) -> ChannelDecompositio
     """
     if basis.x_grid != state.grid.x:
         raise GridMismatchError("basis grid does not match the state's x axis")
-    wx = basis.x_grid.weights
-    mat = basis.state_matrix()  # (k, nx)
-    kappas = (np.conj(mat) * wx) @ state.values.T  # (k, nR)
+    kappas = _project(basis, state.values)  # (k, nR)
     wr = state.grid.r.weights
     total = float(np.sum(state.grid.weights * np.abs(state.values) ** 2))
     if total == 0.0:
@@ -647,14 +658,7 @@ def close_coupled_residuals(decomp: ChannelDecomposition, spec, energy: float,
     couplings = _coupling_matrices(spec, basis, r)
 
     # system part of V_eff: <phi_m | H_S phi_n> with the basis stencil
-    wx = basis.x_grid.weights
-    mat = basis.state_matrix()
-    hs = np.empty_like(mat)
-    for i, s in enumerate(basis.states):
-        t = _apply_kinetic(s.values, 0, basis.stencil_order, basis.x_grid.spacing,
-                           spec.m, spec.hbar)
-        hs[i] = t + np.asarray(spec.v_sys(basis.x_grid.points), dtype=float) * s.values
-    hmat = (np.conj(mat) * wx) @ hs.T  # (k, k)
+    hmat = _project(basis, _system_action(spec, basis))  # (k, k)
     veff = couplings + hmat[None, :, :]
 
     herm = float(np.max(np.abs(veff - np.conj(np.swapaxes(veff, 1, 2)))))
@@ -732,13 +736,23 @@ def solve_directed_state(
     satisfies the interior stencil equations of the order-(2 in R,
     basis order in x) Hamiltonian to rounding plus channel truncation.
 
-    The residual is evaluated in row blocks on the full grid (the 2D
-    field is never materialized whole), then the returned field keeps
-    every stride-th R row; (n - 1) must be divisible by stride.
+    The recurrence runs as a blocked transfer-matrix scan
+    (`_transfer_scan`): about sqrt(n) blocks are propagated at once, so
+    the Python loop has about 3 sqrt(n) steps instead of n.  The
+    residual is the interior norm of (H - E) applied to the channel-sum
+    field, relative to the field's norm.  For product-form couplings it
+    is evaluated in channel space (`_channel_residual`), at a cost per R
+    row that does not grow with the x grid; other couplings use the
+    x-space evaluation in row blocks (`_directed_residual`).  Neither
+    materializes the full 2D field.  The returned field keeps every
+    stride-th R row; (n - 1) must be divisible by stride.
 
-    Preconditions: V_env and the channel coupling must be flat near the
-    entry edge (the seed assumes a free incoming wave), and every basis
-    channel must be open at this energy.
+    Preconditions, checked: every basis channel must be open at the
+    entry edge (TurningPointError otherwise), and V_env and the channel
+    coupling must be flat there, since the seed is a free incoming wave:
+    on the first two rows neither |V_env(R_j) - V_env(R_0)| nor the
+    largest coupling matrix element may exceed residual_tol * |E|
+    (DegenerateInputError otherwise).
     """
     r = r_grid.points
     h = r_grid.spacing
@@ -753,31 +767,38 @@ def solve_directed_state(
         if energy - e_n - v_env[0] <= 0:
             raise TurningPointError(f"channel {n} closed at the entry edge (E - eps - V <= 0)")
 
-    kin0 = energy - eps[incoming] - v_env[0]
-    k_in = _discrete_wavenumber(kin0, h, spec.M, spec.hbar)
-
     # coupling matrices: product-form couplings avoid an (nR, k, k) table
     fac = spec.v_int.factorized()
     if fac is None:
-        couplings = _coupling_matrices(spec, basis, r)
-        g_of_r = hmat = None
+        w = _real_if_exact(_coupling_matrices(spec, basis, r))
+        g_of_r = None
+        entry = w[:2]
     else:
         g, hx = fac
-        hmat = _matrix_elements(basis, hx(basis.x_grid.points))
+        w = _real_if_exact(_matrix_elements(basis, hx(basis.x_grid.points)))
         g_of_r = np.asarray(g(r), dtype=float)
-        couplings = None
+        entry = g_of_r[:2, None, None] * w
+    flat_tol = residual_tol * abs(energy)
+    v_step = float(np.max(np.abs(v_env[:2] - v_env[0])))
+    w_entry = float(np.max(np.abs(entry)))
+    if v_step > flat_tol or w_entry > flat_tol:
+        raise DegenerateInputError(
+            f"the entry edge is not free: V_env step {v_step:.3e} and coupling "
+            f"{w_entry:.3e} must stay below residual_tol * |E| = {flat_tol:.3e}"
+        )
 
-    kappas = np.zeros((r_grid.n, k), dtype=complex)
-    kappas[0, incoming] = np.exp(1j * k_in * r[0])
-    kappas[1, incoming] = np.exp(1j * k_in * r[1])
+    kin0 = energy - eps[incoming] - v_env[0]
+    k_in = _discrete_wavenumber(kin0, h, spec.M, spec.hbar)
+    seed = np.zeros((2, k), dtype=complex)
+    seed[:, incoming] = np.exp(1j * k_in * r[:2])
     pref = 2.0 * spec.M * h * h / (spec.hbar * spec.hbar)
-    eps_diag = np.diag(eps)
-    for j in range(1, r_grid.n - 1):
-        w = eps_diag + (couplings[j] if couplings is not None else g_of_r[j] * hmat)
-        rhs = (v_env[j] - energy) * kappas[j] + w @ kappas[j]
-        kappas[j + 1] = 2.0 * kappas[j] - kappas[j - 1] + pref * rhs
-
-    res = _directed_residual(spec, basis, r_grid, energy, kappas)
+    diag = pref * (v_env[:, None] - energy + eps[None, :])
+    if g_of_r is None:
+        kappas = _transfer_scan(seed, diag, pref * w)
+        res = _directed_residual(spec, basis, r_grid, energy, kappas)
+    else:
+        kappas = _transfer_scan(seed, diag, w, pref * g_of_r)
+        res = _channel_residual(spec, basis, r_grid, energy, kappas, g_of_r, hx)
     if res > residual_tol * max(abs(energy), 1e-300):
         raise ConvergenceError(
             f"directed state residual {res:.3e} exceeds {residual_tol:.1e} * |E|",
@@ -791,6 +812,125 @@ def solve_directed_state(
     sub = r_grid if stride == 1 else Grid1D(r_grid.lo, r_grid.hi, (r_grid.n - 1) // stride + 1)
     values = (kappas[::stride] @ basis.state_matrix()) / total
     return EigenPair(energy, Field2D(Grid2D(sub, basis.x_grid), values), res)
+
+
+def _real_if_exact(a: np.ndarray) -> np.ndarray:
+    """The real part of `a` when its imaginary part is exactly zero."""
+    return a if np.any(a.imag) else a.real
+
+
+def _transfer_scan(seed: np.ndarray, diag: np.ndarray, w: np.ndarray,
+                   g: np.ndarray | None = None) -> np.ndarray:
+    """Rows kappa_0 .. kappa_{n-1} of the second-order recurrence
+
+        kappa_{j+1} = 2 kappa_j - kappa_{j-1} + diag_j * kappa_j + W_j kappa_j
+
+    from the two seed rows, with W_j = g_j w for a (k, k) matrix w and an
+    (n,) profile g, or W_j = w[j] for an (n, k, k) table.  diag is (n, k).
+
+    The state is carried as (kappa_j, delta_j = kappa_j - kappa_{j-1})
+    and stepped by delta += increment, kappa += delta.  This is the
+    increment form: the increment is about (k dR)^2 times kappa, so
+    folding the 2 into the diagonal would cost about four digits.  The
+    n - 2 steps are split into about sqrt(n - 2) blocks of equal length
+    (the last one padded with repeats of the final step, whose rows are
+    dropped), and
+
+    1. all blocks step the 2k unit states at once, giving each block's
+       2k x 2k transfer matrix;
+    2. the boundary states are carried across the blocks in order;
+    3. all blocks step again at once from their boundary states and
+       write their rows.
+    """
+    n = diag.shape[0]
+    k = seed.shape[1]
+    steps = n - 2
+    length = math.isqrt(steps - 1) + 1  # ceil(sqrt(steps))
+    blocks = -(-steps // length)
+    starts = 1 + length * np.arange(blocks)
+
+    def increment(j, kap):
+        # kap: (blocks, c, k) stack of row vectors at rows j (blocks,)
+        out = diag[j][:, None, :] * kap
+        if g is None:
+            out += kap @ np.swapaxes(w[j], 1, 2)
+        else:
+            out += g[j][:, None, None] * (kap.reshape(-1, k) @ w.T).reshape(kap.shape)
+        return out
+
+    def sweep(kap, delta, rows=None):
+        for s in range(length):
+            j = starts + s
+            delta += increment(np.minimum(j, n - 2), kap)
+            kap += delta
+            if rows is not None:
+                rows[j + 1] = kap[:, 0]
+
+    # pass 1: row i < k of the unit states is kappa = e_i, row k + i is delta = e_i
+    unit = np.eye(2 * k, dtype=np.result_type(diag, w, float))
+    kap = np.repeat(unit[None, :, :k], blocks, axis=0)
+    delta = np.repeat(unit[None, :, k:], blocks, axis=0)
+    sweep(kap, delta)
+    transfer = np.concatenate([kap, delta], axis=2)  # (blocks, 2k, 2k), z_out = z_in @ T
+
+    # pass 2: boundary states (kappa, delta) at the start of each block
+    z = np.empty((blocks, 2 * k), dtype=complex)
+    z[0, :k] = seed[1]
+    z[0, k:] = seed[1] - seed[0]
+    for b in range(blocks - 1):
+        z[b + 1] = z[b] @ transfer[b]
+
+    # pass 3: every block from its boundary state, writing its rows
+    rows = np.empty((2 + blocks * length, k), dtype=complex)
+    rows[:2] = seed
+    sweep(z[:, None, :k].copy(), z[:, None, k:].copy(), rows)
+    return rows[:n]
+
+
+def _channel_residual(spec, basis: ChannelBasis, r_grid: Grid1D, energy: float,
+                      kappas: np.ndarray, g_of_r: np.ndarray, hx, block: int = 8192) -> float:
+    """`_directed_residual` for a product coupling g(R) h(x), in channel space.
+
+    With d_n = H_S phi_n - sum_m <phi_m|H_S phi_n> phi_m and
+    e_n = h phi_n - sum_m <phi_m|h phi_n> phi_m, the interior row j of
+    (H - E) psi is exactly
+
+        sum_m c_jm phi_m + sum_n kappa_jn d_n + g(R_j) sum_n kappa_jn e_n,
+
+    c_j being the close-coupled residual of row j, so its squared norm
+    is a quadratic form in y_j = (c_j, kappa_j, g(R_j) kappa_j) with the
+    3k x 3k Gram matrix of (phi, d, e) over the interior x columns.
+    Rows are taken in blocks so no (n, 3k) array is held.
+    """
+    k = len(basis)
+    mat = basis.state_matrix()
+    hs_phi = _system_action(spec, basis)
+    h_phi = np.asarray(hx(basis.x_grid.points), dtype=float) * mat
+    hs = _project(basis, hs_phi)  # <phi_m | H_S phi_n>
+    hh = _project(basis, h_phi)
+    vecs = np.concatenate([mat, hs_phi - hs.T @ mat, h_phi - hh.T @ mat])[:, 1:-1]
+    gram = (np.conj(vecs) * basis.x_grid.weights[1:-1]) @ vecs.T
+    _, c1, _ = _kinetic_coeffs(2, r_grid.spacing, spec.M, spec.hbar)
+    v_env = np.asarray(spec.v_env(r_grid.points), dtype=float)
+    wr = r_grid.weights
+    num2 = 0.0
+    den2 = 0.0
+    n = r_grid.n
+    for a in range(1, n - 1, block):
+        b = min(a + block, n - 1)
+        kap = kappas[a:b]
+        g = g_of_r[a:b, None]
+        y = np.empty((b - a, 3 * k), dtype=complex)
+        # the R stencil as a difference of differences: c0 = -2 c1
+        y[:, :k] = (c1 * ((kappas[a + 1:b + 1] - kap) - (kap - kappas[a - 1:b - 1]))
+                    + (v_env[a:b, None] - energy) * kap + kap @ hs.T + g * (kap @ hh.T))
+        y[:, k:2 * k] = kap
+        y[:, 2 * k:] = g * kap
+        num2 += float(wr[a:b] @ np.sum(np.conj(y) * (y @ gram.T), axis=1).real)
+        den2 += float(wr[a:b] @ np.sum(np.conj(kap) * (kap @ gram[:k, :k].T), axis=1).real)
+    if den2 == 0.0:
+        raise DegenerateInputError("directed state has no interior weight")
+    return float(np.sqrt(max(num2, 0.0) / den2))
 
 
 def _directed_residual(spec, basis: ChannelBasis, r_grid: Grid1D, energy: float,

@@ -2,8 +2,15 @@
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from chronolab import Field1D, Grid1D
+
+# property tests draw the same examples on every run, keep no example
+# database, and stay a small share of the suite's run time
+settings.register_profile("chronolab", derandomize=True, database=None,
+                          max_examples=40, deadline=2000)
+settings.load_profile("chronolab")
 
 
 @pytest.fixture

@@ -234,6 +234,39 @@ def test_schema_violation_exits_2_with_pointer(tmp_path, capsys):
     assert "/parameters/points" in capsys.readouterr().err
 
 
+# grid point counts below the 3 points a Grid1D needs
+TOO_FEW_POINTS = [
+    ("perfect-clock", "points"),
+    ("harmonic-clock-two-level", "clock_points"),
+    ("harmonic-clock-two-level", "x_points"),
+    ("beam-on-atom", "slices"),
+    ("emergence-scan", "slices"),
+]
+
+
+@pytest.mark.parametrize("name, key", TOO_FEW_POINTS)
+def test_two_point_grid_exits_2_with_pointer(tmp_path, capsys, name, key):
+    cfg = write_config(tmp_path, {"scenario": name, "parameters": {key: 2}})
+    assert main(["validate", cfg]) == 2
+    assert f"/parameters/{key}" in capsys.readouterr().err
+    assert main(["run", cfg, "--out", str(tmp_path / "out")]) == 2
+    assert f"/parameters/{key}" in capsys.readouterr().err
+
+
+def test_pulse_on_the_entry_edge_exits_3(tmp_path, capsys):
+    # the directed solve needs a free entry edge; this pulse sits on it
+    cfg = write_config(tmp_path, {"scenario": "beam-on-atom",
+                                  "parameters": {"pulse_center_fraction": 1e-3}})
+    out = tmp_path / "out"
+    assert main(["run", cfg, "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert "entry edge" in err
+    assert "Traceback" not in err
+    manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
+    statuses = {s["name"]: s["status"] for s in manifest["stages"]}
+    assert statuses == {"validate": "ok", "compute": "failed"}
+
+
 def test_numerical_failure_exits_3(tmp_path, capsys):
     # endpoints sit above the available energy, so no allowed path exists
     doc = default_config("jacobi-paths")

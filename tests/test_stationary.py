@@ -1,13 +1,18 @@
 """Composite eigenproblems, factorization, channels and directed states."""
 
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from chronolab import (
     Bilinear,
     ChannelBasis,
     CompositeSpec,
     Constant,
+    Coupling,
     DegenerateInputError,
     Field1D,
     Field2D,
@@ -32,6 +37,12 @@ from chronolab import (
     solve_directed_state,
     solve_eigenpairs,
     solve_system_basis,
+)
+from chronolab.stationary import (
+    _channel_residual,
+    _directed_residual,
+    _project,
+    _transfer_scan,
 )
 
 
@@ -219,7 +230,8 @@ def test_bo_states_sign_convention():
 # directed states
 
 
-def _directed_setup(coupling, slices=801, e_kin=50.0):
+def _directed_problem(coupling, slices=801, e_kin=50.0, v_env=None):
+    """(spec, basis, fine R grid, stride) of a beam crossing a harmonic system."""
     M, hbar = 200.0, 1.0
     x_grid = Grid1D(-8.0, 8.0, 161)
     system = SystemSpec(1.0, hbar, Harmonic(4.0))
@@ -232,9 +244,14 @@ def _directed_setup(coupling, slices=801, e_kin=50.0):
     n_min = int(np.ceil(span * k_max / 0.02))
     stride = max(1, -(-n_min // (slices - 1)))
     r_grid = Grid1D(0.0, span, stride * (slices - 1) + 1)
-    spec = CompositeSpec(M, 1.0, hbar, Constant(), Harmonic(4.0), coupling,
+    spec = CompositeSpec(M, 1.0, hbar, v_env or Constant(), Harmonic(4.0), coupling,
                          energy=e_total, clock_energy=e_total)
-    pair = solve_directed_state(spec, basis, r_grid, e_total, 0, 1e-6, stride=stride)
+    return spec, basis, r_grid, stride
+
+
+def _directed_setup(coupling, slices=801, e_kin=50.0, v_env=None):
+    spec, basis, r_grid, stride = _directed_problem(coupling, slices, e_kin, v_env)
+    pair = solve_directed_state(spec, basis, r_grid, spec.energy, 0, 1e-6, stride=stride)
     return basis, pair
 
 
@@ -263,3 +280,97 @@ def test_directed_pulse_transfers_population():
     # the pulse moves some population up, mostly to the adjacent channel
     assert pops[1, -1] > 1e-6
     assert pops[1, -1] > 10.0 * pops[2, -1]
+
+
+def test_directed_entry_edge_must_be_free():
+    # a pulse centred on the entry edge: the free seed wave is not a solution there
+    with pytest.raises(DegenerateInputError, match="entry edge"):
+        _directed_setup(WindowedPulse(0.3, 0.0, 0.08, Linear(1.0)))
+    # a sloped clock potential: V_env changes across the first step
+    with pytest.raises(DegenerateInputError, match="entry edge"):
+        _directed_setup(ZeroCoupling(), v_env=Linear(1.0))
+
+
+# ---------------------------------------------------------------------------
+# blocked transfer scan and channel-space residual
+
+
+def _sequential_scan(seed, diag, w, g=None):
+    """The recurrence one row at a time, as an oracle for _transfer_scan."""
+    n, k = diag.shape
+    kap = np.zeros((n, k), dtype=complex)
+    kap[:2] = seed
+    for j in range(1, n - 1):
+        w_j = w[j] if g is None else g[j] * w
+        kap[j + 1] = 2.0 * kap[j] - kap[j - 1] + diag[j] * kap[j] + w_j @ kap[j]
+    return kap
+
+
+def _hermitian(rng, shape, scale):
+    a = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    return scale * (a + np.conj(np.swapaxes(a, -1, -2)))
+
+
+@given(n=st.integers(3, 600), k=st.integers(1, 4), seed=st.integers(0, 2**32 - 1),
+       table=st.booleans())
+@example(n=3, k=1, seed=0, table=False)
+@example(n=12, k=2, seed=1, table=False)  # 10 steps: 3 blocks of 4, the last padded
+@example(n=12, k=3, seed=2, table=True)
+@example(n=600, k=4, seed=3, table=False)
+def test_transfer_scan_matches_sequential_recurrence(n, k, seed, table):
+    rng = np.random.default_rng(seed)
+    kh = rng.uniform(1e-3, 5e-2)  # lattice phase per step
+    diag = -kh**2 * (1.0 + 0.2 * rng.random((n, k)))
+    seed_rows = rng.standard_normal((2, k)) + 1j * rng.standard_normal((2, k))
+    if table:
+        # a coupling without a product form: one Hermitian matrix per row
+        args = (_hermitian(rng, (n, k, k), 0.05 * kh**2),)
+    else:
+        args = (_hermitian(rng, (k, k), 0.05 * kh**2), rng.standard_normal(n))
+    want = _sequential_scan(seed_rows, diag, *args)
+    got = _transfer_scan(seed_rows, diag, *args)
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want)) <= 1e-9 * np.max(np.abs(want))
+
+
+@dataclass(frozen=True)
+class _PulseTable(Coupling):
+    """A WindowedPulse that does not declare its product form."""
+
+    pulse: WindowedPulse
+
+    def __call__(self, x, r):
+        return self.pulse(x, r)
+
+
+def test_directed_coupling_without_product_form_matches():
+    pulse = WindowedPulse(0.3, 0.7, 0.08, Linear(1.0))
+    _, product = _directed_setup(pulse)
+    _, table = _directed_setup(_PulseTable(pulse))
+    scale = np.max(np.abs(product.state.values))
+    assert np.max(np.abs(table.state.values - product.state.values)) < 1e-9 * scale
+    # channel-space and x-space residuals of the same solution
+    assert product.residual < 1e-6 and table.residual < 1e-6
+    assert abs(table.residual - product.residual) < 1e-4 * product.residual
+
+
+def test_channel_residual_matches_x_space_residual():
+    pulse = WindowedPulse(0.3, 0.7, 0.08, Linear(1.0))
+    spec, basis, r_grid, stride = _directed_problem(pulse, slices=4001, e_kin=15.0)
+    assert stride == 1
+    pair = solve_directed_state(spec, basis, r_grid, spec.energy, 0, 1e-6)
+    kappas = _project(basis, pair.state.values).T
+    g_of_r, hx = pulse.factorized()
+    g_r = g_of_r(r_grid.points)
+
+    def both(kap):
+        return (_channel_residual(spec, basis, r_grid, spec.energy, kap, g_r, hx, block=1000),
+                _directed_residual(spec, basis, r_grid, spec.energy, kap))
+
+    chan, xspace = both(kappas)
+    assert chan < 1e-6 and xspace < 1e-6
+    assert abs(chan - xspace) < 1e-4 * xspace
+    rng = np.random.default_rng(7)
+    noise = rng.standard_normal(kappas.shape) + 1j * rng.standard_normal(kappas.shape)
+    chan, xspace = both(kappas + 1e-6 * np.max(np.abs(kappas)) * noise)
+    assert abs(chan - xspace) < 1e-8 * xspace
