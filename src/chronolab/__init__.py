@@ -57,7 +57,6 @@ from .classical import (
     ClockModel,
     CouplingDrive,
     DiscretePath,
-    Drive,
     EmergenceRow,
     EndpointReport,
     PathProblem,

@@ -41,7 +41,6 @@ __all__ = [
     "EndpointReport",
     "Trajectory",
     "integrate_composite",
-    "Drive",
     "CouplingDrive",
     "integrate_driven_system",
     "ClockModel",
@@ -321,53 +320,69 @@ def endpoint_momentum_check(
 
 @dataclass(eq=False)
 class Trajectory:
-    """Sampled phase-space history over an evenly spaced parameter."""
+    """Sampled phase-space history over a parameter grid.
 
-    parameter: np.ndarray  # (n,)
-    positions: np.ndarray  # (n, d)
-    momenta: np.ndarray  # (n, d)
-    action: np.ndarray  # (n,) accumulated integral of p . dq
-    energies: np.ndarray  # (n,)
+    A single run has parameter (n,), positions and momenta (n, d), action
+    and energies (n,).  A run of L lanes puts the lane axis after the
+    sample axis: positions and momenta (n, L, d), action and energies
+    (n, L), parameter (n,) when the lanes share one grid and (n, L) when
+    each lane has its own.
+    """
+
+    parameter: np.ndarray
+    positions: np.ndarray
+    momenta: np.ndarray
+    action: np.ndarray  # accumulated integral of p . dq
+    energies: np.ndarray
 
     @property
     def energy_drift(self) -> float:
+        """Largest relative energy excursion from the start, over all lanes."""
         e0 = self.energies[0]
-        scale = max(abs(e0), 1e-300)
-        return float(np.max(np.abs(self.energies - e0)) / scale)
+        scale = np.maximum(np.abs(e0), 1e-300)
+        return float(np.max(np.abs(self.energies - e0) / scale))
 
 
-def _verlet(positions0, momenta0, masses, force, times, energy):
-    """Velocity Verlet with a possibly parameter-dependent force."""
-    n = len(times)
-    d = len(positions0)
-    q = np.empty((n, d))
-    p = np.empty((n, d))
-    w = np.empty(n)
-    e = np.empty(n)
+def _verlet(positions0, momenta0, masses, force, times):
+    """Velocity Verlet of L lanes stepped together.
+
+    `positions0` and `momenta0` are (L, d); `times` is (n, L), or (n, 1)
+    for lanes on one grid, and each lane steps by its own
+    dt = times[i + 1] - times[i].  `force(q, i)` returns the (L, d) force
+    at the lane states q on grid row i.  Returns positions and momenta
+    (n, L, d) and the accumulated action (n, L), the trapezoid of p . dq.
+    """
+    n = times.shape[0]
+    q = np.empty((n,) + positions0.shape)
+    p = np.empty_like(q)
     q[0] = positions0
     p[0] = momenta0
-    w[0] = 0.0
-    f = force(q[0], times[0])
-    e[0] = energy(q[0], p[0], times[0])
+    dt = np.diff(times, axis=0)[:, :, None]
+    half_dt = 0.5 * dt
     inv_m = 1.0 / masses
+    f = force(q[0], 0)
     for i in range(n - 1):
-        dt = times[i + 1] - times[i]
-        p_half = p[i] + 0.5 * dt * f
-        q[i + 1] = q[i] + dt * p_half * inv_m
-        f = force(q[i + 1], times[i + 1])
-        p[i + 1] = p_half + 0.5 * dt * f
-        # accumulated reduced action: trapezoid of p . dq
-        w[i + 1] = w[i] + float(np.dot(0.5 * (p[i] + p[i + 1]), q[i + 1] - q[i]))
-        e[i + 1] = energy(q[i + 1], p[i + 1], times[i + 1])
-    return q, p, w, e
+        p_half = p[i] + half_dt[i] * f
+        q[i + 1] = q[i] + dt[i] * p_half * inv_m
+        f = force(q[i + 1], i + 1)
+        p[i + 1] = p_half + half_dt[i] * f
+    # the action is formed in place after the step arrays are freed, so
+    # the peak holds two temporaries of the trajectory's size
+    del dt, half_dt
+    p_mid = p[:-1] + p[1:]
+    p_mid *= 0.5
+    p_mid *= np.diff(q, axis=0)
+    w = np.zeros(q.shape[:2])
+    np.cumsum(p_mid.sum(axis=-1), axis=0, out=w[1:])
+    return q, p, w
 
 
 def integrate_composite(
     spec,
-    r0: float,
-    pr0: float,
-    x0: float,
-    px0: float,
+    r0,
+    pr0,
+    x0,
+    px0,
     span: float,
     steps: int,
     drift_tol: float = 1e-6,
@@ -375,27 +390,37 @@ def integrate_composite(
 ) -> Trajectory:
     """Leapfrog the closed composite (R, x) over the internal parameter.
 
-    The composite Hamiltonian is p_R^2/2M + p_x^2/2m + V(x, R); the run
-    fails with StabilityError if the relative energy drift exceeds
-    `drift_tol` even after `max_halvings` step halvings.
+    The composite Hamiltonian is p_R^2/2M + p_x^2/2m + V(x, R).  With
+    scalar initial data the trajectory has positions and momenta
+    (steps + 1, 2), columns (R, x).  When any of r0, pr0, x0, px0 is an
+    (L,) array, the L initial states are integrated as lanes of one array
+    on one shared parameter grid, and positions and momenta are
+    (steps + 1, L, 2).  The step count doubles for the whole batch while
+    any lane's relative energy drift exceeds `drift_tol`; StabilityError
+    is raised when it still does after `max_halvings` doublings.
     """
+    start = np.stack(np.broadcast_arrays(*(np.asarray(v, dtype=float)
+                                           for v in (r0, pr0, x0, px0))), axis=-1)
+    lanes = start.ndim == 2
+    start = np.atleast_2d(start)
     masses = np.array([spec.M, spec.m])
 
-    def force(q, _t):
-        r, x = q
-        fr = -(spec.v_env.derivative(r) + spec.v_int.d_dr(x, r))
-        fx = -(spec.v_sys.derivative(x) + spec.v_int.d_dx(x, r))
-        return np.array([float(fr), float(fx)])
-
-    def energy(q, p, _t):
-        return float(0.5 * p[0] ** 2 / spec.M + 0.5 * p[1] ** 2 / spec.m
-                     + spec.total_potential(q[1], q[0]))
+    def force(q, _i):
+        r, x = q[:, 0], q[:, 1]
+        f = np.empty_like(q)
+        f[:, 0] = -(spec.v_env.derivative(r) + spec.v_int.d_dr(x, r))
+        f[:, 1] = -(spec.v_sys.derivative(x) + spec.v_int.d_dx(x, r))
+        return f
 
     n = steps
     for _ in range(max_halvings + 1):
         times = np.linspace(0.0, span, n + 1)
-        q, p, w, e = _verlet(np.array([r0, x0]), np.array([pr0, px0]), masses, force, times, energy)
-        traj = Trajectory(times, q, p, w, e)
+        q, p, w = _verlet(start[:, [0, 2]], start[:, [1, 3]], masses, force, times[:, None])
+        r, x = q[..., 0], q[..., 1]
+        e = (0.5 * p[..., 0] ** 2 / spec.M + 0.5 * p[..., 1] ** 2 / spec.m
+             + spec.total_potential(x, r))
+        traj = Trajectory(times, q, p, w, e) if lanes else Trajectory(
+            times, q[:, 0], p[:, 0], w[:, 0], e[:, 0])
         if traj.energy_drift <= drift_tol:
             return traj
         n *= 2
@@ -405,25 +430,8 @@ def integrate_composite(
     )
 
 
-class Drive:
-    """Time-dependent potential acting on the system coordinate.
-
-    Subclasses should override d_dx when an analytic derivative exists;
-    the default is a central finite difference.
-    """
-
-    def __call__(self, x, t):
-        raise NotImplementedError
-
-    def d_dx(self, x, t, h: float = 1e-6):
-        return (np.asarray(self(np.asarray(x) + h, t)) - np.asarray(self(np.asarray(x) - h, t))) / (2 * h)
-
-    def d_dt(self, x, t, h: float = 1e-6):
-        return (np.asarray(self(x, t + h)) - np.asarray(self(x, t - h))) / (2 * h)
-
-
 @dataclass(frozen=True)
-class CouplingDrive(Drive):
+class CouplingDrive:
     """Coupling V_I(x, R) read through a clock map R(t)."""
 
     coupling: Coupling
@@ -432,35 +440,49 @@ class CouplingDrive(Drive):
     def __call__(self, x, t):
         return self.coupling(x, self.timemap.r_of_t(t))
 
-    def d_dx(self, x, t, h: float = 1e-6):
-        return self.coupling.d_dx(x, self.timemap.r_of_t(t))
-
 
 def integrate_driven_system(
     system: SystemSpec,
-    drive: Drive | None,
-    x0: float,
-    px0: float,
+    drive: CouplingDrive | list[CouplingDrive],
+    x0,
+    px0,
     t_grid: np.ndarray,
 ) -> Trajectory:
-    """Leapfrog the 1D system under V_sys(x) + drive(x, t)."""
+    """Leapfrog the 1D system under V_sys(x) + V_I(x, R(t)).
+
+    `drive` is one CouplingDrive with an (n,) `t_grid`, giving positions
+    and momenta (n, 1).  For L lanes it is a sequence of L CouplingDrives
+    that share one coupling, each with its own clock map, `t_grid` is
+    (n, L) with one time column per lane, x0 and px0 are scalars or (L,)
+    arrays, and positions and momenta are (n, L, 1).  R(t) is tabulated
+    once per lane before stepping; each step evaluates the coupling's
+    x-derivative on all lanes at once, and the energies are computed
+    after the loop with one drive call per lane.
+    """
     t_grid = np.asarray(t_grid, dtype=float)
-    masses = np.array([system.m])
+    lanes = t_grid.ndim == 2
+    drives = list(drive) if lanes else [drive]
+    times = t_grid if lanes else t_grid[:, None]
+    if times.shape[1] != len(drives):
+        raise DegenerateInputError(f"{len(drives)} drives for {times.shape[1]} time columns")
+    coupling = drives[0].coupling
+    if any(d.coupling != coupling for d in drives):
+        raise DegenerateInputError("the lanes of a driven run must share one coupling")
+    r = np.column_stack([d.timemap.r_of_t(times[:, j]) for j, d in enumerate(drives)])
+    x0, px0 = (np.broadcast_to(np.asarray(v, dtype=float), (len(drives),))[:, None]
+               for v in (x0, px0))
 
-    def force(q, t):
-        f = -system.v_sys.derivative(q[0])
-        if drive is not None:
-            f = f - drive.d_dx(q[0], t)
-        return np.array([float(f)])
+    def force(q, i):
+        x = q[:, 0]
+        return (-system.v_sys.derivative(x) - coupling.d_dx(x, r[i]))[:, None]
 
-    def energy(q, p, t):
-        e = 0.5 * p[0] ** 2 / system.m + system.v_sys(q[0])
-        if drive is not None:
-            e = e + drive(q[0], t)
-        return float(e)
-
-    q, p, w, e = _verlet(np.array([x0]), np.array([px0]), masses, force, t_grid, energy)
-    return Trajectory(t_grid, q, p, w, e)
+    q, p, w = _verlet(x0, px0, np.array([system.m]), force, times)
+    x = q[..., 0]
+    e = 0.5 * p[..., 0] ** 2 / system.m + system.v_sys(x)
+    e = e + np.column_stack([d(x[:, j], times[:, j]) for j, d in enumerate(drives)])
+    if lanes:
+        return Trajectory(t_grid, q, p, w, e)
+    return Trajectory(t_grid, q[:, 0], p[:, 0], w[:, 0], e[:, 0])
 
 
 # ---------------------------------------------------------------------------
@@ -594,6 +616,48 @@ def _loglog_slope(x, y):
     return float(coeffs[0])
 
 
+def _composite_lane(spec, q, p, clock_energy, t_span, steps):
+    """Clock model and readouts of one composite lane.
+
+    `q` and `p` are the lane's (n, 2) composite history, columns (R, x).
+    Returns the lane's drive, its time grid over the common window, the
+    composite system coordinate on that grid, the run averages of the
+    neglected term dp^2/2M and of the retained system energy, and the
+    mean clock velocity.
+    """
+    r_comp = q[:, 0]
+    r_hi = float(np.max(r_comp))
+    r_grid = Grid1D(r_comp[0], r_hi, 4001)
+    clock = ClockModel(spec.v_env, spec.M, clock_energy, r_grid)
+    tmap = clock_time_map(clock)
+    t_max = min(tmap.span[1], float(tmap.t_of_r(r_hi)), t_span)
+    t_grid = np.linspace(0.0, t_max, steps + 1)
+
+    # composite system coordinate re-read against clock time
+    if np.any(np.diff(r_comp) <= 0.0):
+        raise TurningPointError("composite clock coordinate is not monotone on this run")
+    t_comp = np.asarray(tmap.t_of_r(np.clip(r_comp, r_grid.lo, r_grid.hi)), dtype=float)
+    x_comp = np.interp(t_grid, t_comp, q[:, 1])
+
+    # neglected (dW_S/dR)^2/2M vs retained system energy, averaged
+    # over the samples inside the common time window
+    mask = t_comp <= t_max
+    p_r = p[:, 0][mask]
+    r_m = np.clip(r_comp[mask], r_grid.lo, r_grid.hi)
+    p_clock = np.asarray(clock_momentum(clock, r_m), dtype=float)
+    dp = p_r - p_clock
+    neglected_mean = float(np.mean(dp * dp / (2.0 * spec.M)))
+    xs, pxs = q[:, 1][mask], p[:, 1][mask]
+    e_s_inst = 0.5 * pxs**2 / spec.m + np.asarray(spec.v_sys(xs), dtype=float) \
+        + np.asarray(spec.v_int(xs, r_m), dtype=float)
+    retained_mean = float(np.mean(np.abs(e_s_inst)))
+    if retained_mean == 0.0:
+        raise DegenerateInputError("retained system energy averages to zero")
+    v_mean = float(np.mean(p_clock) / spec.M)
+    return (CouplingDrive(spec.v_int, tmap), t_grid, x_comp, neglected_mean, retained_mean,
+            v_mean)
+
+
 def compare_composite_reduced(
     spec,
     total_energies,
@@ -609,7 +673,8 @@ def compare_composite_reduced(
     (x0, px0) and the clock taking up the remaining energy; it is
     integrated in its internal parameter, its system coordinate re-read
     against the clock time t(R), and compared with the reduced system
-    driven by V_I(x, R(t)).
+    driven by V_I(x, R(t)).  Every scan value is one lane of a single
+    composite run and of a single driven run.
 
     The clock model behind t(R) carries E minus `clock_energy_offset`:
     "system" subtracts the initial system energy (the tuned clock, which
@@ -625,72 +690,40 @@ def compare_composite_reduced(
     total_energies = np.asarray(total_energies, dtype=float)
     if total_energies.size < 1:
         raise DegenerateInputError("empty energy scan")
-
     e_sys0 = float(0.5 * px0**2 / spec.m + spec.v_sys(x0))
+    if clock_energy_offset == "system":
+        offset = e_sys0
+    elif clock_energy_offset == "none":
+        offset = 0.0
+    else:
+        offset = float(clock_energy_offset)
+
+    # composite launch: clock takes whatever the system leaves over
+    r0 = 0.0
+    ke_clock = total_energies - e_sys0 - float(spec.v_env(r0)) - float(spec.v_int(x0, r0))
+    if np.any(ke_clock <= 0.0):
+        raise DegenerateInputError(
+            f"no clock kinetic energy left at E={total_energies[ke_clock <= 0.0][0]} "
+            f"(system holds {e_sys0})"
+        )
+    pr0 = np.sqrt(2.0 * spec.M * ke_clock)
+    span = t_span * 1.1  # internal-parameter span; clock covers >= t_span
+    comp = integrate_composite(spec, r0, pr0, x0, px0, span, steps)
+
+    lanes = [_composite_lane(spec, comp.positions[:, k], comp.momenta[:, k], e_total - offset,
+                             t_span, steps)
+             for k, e_total in enumerate(total_energies)]
+    del comp  # the lane readouts are all the comparison needs from here on
+    drives, t_grid, x_comp, neglected, retained, v_means = zip(*lanes)
+    red = integrate_driven_system(spec.system, drives, x0, px0, np.column_stack(t_grid))
+    deviation = np.max(np.abs(np.column_stack(x_comp) - red.positions[..., 0]), axis=0)
+
     rows = []
-    for e_total in total_energies:
-        if clock_energy_offset == "system":
-            offset = e_sys0
-        elif clock_energy_offset == "none":
-            offset = 0.0
-        else:
-            offset = float(clock_energy_offset)
-
-        # composite launch: clock takes whatever the system leaves over
-        r0 = 0.0
-        ke_clock = e_total - e_sys0 - float(spec.v_env(r0)) - float(spec.v_int(x0, r0))
-        if ke_clock <= 0.0:
-            raise DegenerateInputError(
-                f"no clock kinetic energy left at E={e_total} (system holds {e_sys0})"
-            )
-        pr0 = float(np.sqrt(2.0 * spec.M * ke_clock))
-        v0 = pr0 / spec.M
-        span = t_span * 1.1  # internal-parameter span; clock covers >= t_span
-        comp = integrate_composite(spec, r0, pr0, x0, px0, span, steps)
-
-        r_hi = float(np.max(comp.positions[:, 0]))
-        r_grid = Grid1D(r0, r_hi, 4001)
-        clock = ClockModel(spec.v_env, spec.M, e_total - offset, r_grid)
-        tmap = clock_time_map(clock)
-
-        # reduced run over the common time window
-        t_max = min(tmap.span[1], float(tmap.t_of_r(r_hi)), t_span)
-        t_grid = np.linspace(0.0, t_max, steps + 1)
-        drive = CouplingDrive(spec.v_int, tmap)
-        red = integrate_driven_system(spec.system, drive, x0, px0, t_grid)
-
-        # composite system coordinate re-read against clock time
-        r_comp = comp.positions[:, 0]
-        if np.any(np.diff(r_comp) <= 0.0):
-            raise TurningPointError("composite clock coordinate is not monotone on this run")
-        t_comp = np.asarray(tmap.t_of_r(np.clip(r_comp, r_grid.lo, r_grid.hi)), dtype=float)
-        x_comp = np.interp(t_grid, t_comp, comp.positions[:, 1])
-        deviation = float(np.max(np.abs(x_comp - red.positions[:, 0])))
-
-        # neglected (dW_S/dR)^2/2M vs retained system energy, averaged
-        # over the samples inside the common time window
-        mask = t_comp <= t_max
-        p_r = comp.momenta[:, 0][mask]
-        r_m = np.clip(r_comp[mask], r_grid.lo, r_grid.hi)
-        p_clock = np.asarray(clock_momentum(clock, r_m), dtype=float)
-        dp = p_r - p_clock
-        neglected_mean = float(np.mean(dp * dp / (2.0 * spec.M)))
-        xs, pxs = comp.positions[:, 1][mask], comp.momenta[:, 1][mask]
-        e_s_inst = 0.5 * pxs**2 / spec.m + np.asarray(spec.v_sys(xs), dtype=float) \
-            + np.asarray(spec.v_int(xs, r_m), dtype=float)
-        retained_mean = float(np.mean(np.abs(e_s_inst)))
-        if retained_mean == 0.0:
-            raise DegenerateInputError("retained system energy averages to zero")
-        v_mean = float(np.mean(p_clock) / spec.M)
-        rows.append(EmergenceRow(
-            float(e_total),
-            spec.M * v0**2,
-            deviation,
-            neglected_mean,
-            retained_mean,
-            neglected_mean / retained_mean,
-            e_sys0 / (2.0 * spec.M * v_mean**2),
-        ))
+    for e_total, p_r0, dev, neg, ret, v_mean in zip(total_energies, pr0, deviation,
+                                                     neglected, retained, v_means):
+        v0 = float(p_r0) / spec.M
+        rows.append(EmergenceRow(float(e_total), spec.M * v0**2, float(dev), neg, ret,
+                                 neg / ret, e_sys0 / (2.0 * spec.M * v_mean**2)))
 
     slope = (
         _loglog_slope([r.mv2 for r in rows], [max(r.deviation, 1e-300) for r in rows])

@@ -659,7 +659,8 @@ def emergence_scan(
     the WKB clock factor, and measure the conditional TDSE residual and
     the correction ratio rho.  Stage errors are recorded per point and
     the scan continues; the log-log slope of rho vs M v^2 is fitted over
-    the successful points.  `jobs` > 1 dispatches scan points to a
+    the successful points; fewer than two raise DegenerateInputError
+    listing every point's error.  `jobs` > 1 dispatches scan points to a
     thread pool; row order always follows the config.
     """
     cfg = config if config is not None else EmergenceScanConfig()
@@ -691,12 +692,14 @@ def emergence_scan(
         rows = [one(e) for e in points]
 
     good = [r for r in rows if r.error is None]
-    if len(good) >= 2:
-        lx = np.log([r.mv2 for r in good])
-        ly = np.log([r.rho for r in good])
-        slope = float(np.polyfit(lx, ly, 1)[0])
-    else:
-        slope = float("nan")
+    if len(good) < 2:
+        failures = "; ".join(f"E_kin={r.scan_value:g}: {r.error}" for r in rows if r.error)
+        raise DegenerateInputError(
+            f"{len(good)} of {len(rows)} scan points succeeded, the slope fit needs 2: {failures}"
+        )
+    lx = np.log([r.mv2 for r in good])
+    ly = np.log([r.rho for r in good])
+    slope = float(np.polyfit(lx, ly, 1)[0])
     return EmergenceReport(tuple(rows), slope, cfg)
 
 

@@ -32,7 +32,7 @@ from chronolab import (
     path_action,
     path_momenta,
 )
-from chronolab.errors import ConvergenceError
+from chronolab.errors import ConvergenceError, StabilityError
 
 
 def _free_problem(energy=2.0, masses=(1.0, 1.0)):
@@ -178,6 +178,65 @@ def test_driven_system_matches_ramped_force_solution():
     np.testing.assert_allclose(traj.positions[:, 0], exact, atol=2e-6)
 
 
+def _same_trajectory(batch, lane, solo):
+    # lane `lane` of a batched run against a run of that lane alone
+    for name in ("positions", "momenta", "action", "energies"):
+        np.testing.assert_array_equal(getattr(batch, name)[:, lane], getattr(solo, name))
+
+
+def test_driven_lanes_match_solo_runs_and_the_ramped_force_solution():
+    # two clocks of different speed carry the same V_I = lam * x * R past
+    # two oscillators, each lane on its own time grid
+    lam, k = 0.3, 4.0
+    grid = Grid1D(0.0, 20.0, 2001)
+    speeds, x0s, t_ends = (2.0, 3.0), (0.5, -0.3), (3.0, 2.5)
+    drives = [CouplingDrive(Bilinear(lam), TimeMap(grid, grid.points / v)) for v in speeds]
+    system = SystemSpec(1.0, 1.0, Harmonic(k))
+    t = np.column_stack([np.linspace(0.0, t_end, 6000) for t_end in t_ends])
+    batch = integrate_driven_system(system, drives, np.array(x0s), 0.0, t)
+    assert batch.positions.shape == (6000, 2, 1)
+    w = np.sqrt(k)
+    for j, (drive, v, x0) in enumerate(zip(drives, speeds, x0s)):
+        _same_trajectory(batch, j, integrate_driven_system(system, drive, x0, 0.0, t[:, j]))
+        tj = t[:, j]
+        exact = x0 * np.cos(w * tj) + lam * v / (k * w) * np.sin(w * tj) - lam * v / k * tj
+        np.testing.assert_allclose(batch.positions[:, j, 0], exact, atol=2e-6)
+
+
+def test_driven_lanes_must_share_one_coupling():
+    grid = Grid1D(0.0, 20.0, 2001)
+    tmap = TimeMap(grid, grid.points / 2.0)
+    drives = [CouplingDrive(Bilinear(0.3), tmap), CouplingDrive(Bilinear(0.4), tmap)]
+    t = np.column_stack([np.linspace(0.0, 1.0, 11)] * 2)
+    with pytest.raises(DegenerateInputError):
+        integrate_driven_system(SystemSpec(1.0, 1.0, Harmonic(4.0)), drives, 0.5, 0.0, t)
+
+
+def test_composite_batch_refines_every_lane_together():
+    # lane 0 needs 500 -> 4000 steps for a 1e-6 drift, lane 1 passes at 500
+    spec = CompositeSpec(50.0, 1.0, 1.0, Constant(), Harmonic(4.0), ZeroCoupling())
+    x0s = np.array([0.5, 0.05])
+    batch = integrate_composite(spec, 0.0, 10.0, x0s, 0.0, span=6.0, steps=500)
+    assert batch.parameter.size - 1 == 4000
+    assert batch.positions.shape == (4001, 2, 2)
+    assert batch.energy_drift <= 1e-6
+    alone = integrate_composite(spec, 0.0, 10.0, x0s[1], 0.0, span=6.0, steps=500)
+    assert alone.parameter.size - 1 == 500
+    # on the refined grid each lane is the run of that lane alone
+    for j, x0 in enumerate(x0s):
+        _same_trajectory(batch, j, integrate_composite(spec, 0.0, 10.0, x0, 0.0,
+                                                       span=6.0, steps=4000))
+
+
+def test_composite_batch_reports_exhausted_refinement():
+    spec = CompositeSpec(50.0, 1.0, 1.0, Constant(), Harmonic(4.0), ZeroCoupling())
+    with pytest.raises(StabilityError) as info:
+        integrate_composite(spec, 0.0, 10.0, np.array([0.5, 0.05]), 0.0, span=6.0,
+                            steps=500, max_halvings=2)
+    assert info.value.suggested_step > 0.0
+    assert info.value.suggested_step < 6.0 / 2000
+
+
 # ---------------------------------------------------------------------------
 # the clock
 
@@ -252,6 +311,19 @@ def test_untuned_clock_deviation_shrinks_with_clock_energy():
     # the measured neglected/retained ratio tracks the a-priori estimate
     r = rep.rows[-1]
     assert r.ratio_measured == pytest.approx(r.ratio_estimate, rel=0.3)
+
+
+def test_energy_lanes_match_single_energy_runs():
+    spec = CompositeSpec(100.0, 1.0, 1.0, Constant(), Harmonic(4.0), Bilinear(0.02))
+    energies = [40.0, 160.0, 640.0]
+    rep = compare_composite_reduced(spec, energies, 0.5, 0.0, t_span=3.0, steps=6000,
+                                    clock_energy_offset="none")
+    solo = [compare_composite_reduced(spec, [e], 0.5, 0.0, t_span=3.0, steps=6000,
+                                      clock_energy_offset="none").rows[0]
+            for e in energies]
+    assert rep.rows == tuple(solo)
+    fit = np.polyfit(np.log([r.mv2 for r in solo]), np.log([r.deviation for r in solo]), 1)
+    assert rep.slope == float(fit[0])
 
 
 def test_compare_rejects_exhausted_clock():

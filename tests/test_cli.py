@@ -334,6 +334,23 @@ def test_degenerate_scan_fails_fast(tmp_path, capsys):
     assert compute["seconds"] < 1.0
 
 
+def test_scan_without_two_good_points_exits_3(tmp_path, capsys):
+    # the pulse sits on the entry edge at every scan point, so no point
+    # solves and there is no slope to fit
+    cfg = write_config(tmp_path, {"scenario": "emergence-scan",
+                                  "parameters": {"pulse_center_fraction": 0.1, "slices": 401}})
+    out = tmp_path / "out"
+    assert main(["run", cfg, "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert "0 of 4 scan points succeeded" in err
+    assert err.count("entry edge") == 4
+    assert "Traceback" not in err
+    manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
+    statuses = {s["name"]: s["status"] for s in manifest["stages"]}
+    assert statuses == {"validate": "ok", "compute": "failed"}
+    assert manifest["outputs"] == []
+
+
 def test_unwritable_output_dir_exits_4(tmp_path, capsys):
     blocker = tmp_path / "blocked"
     blocker.write_text("file, not a directory", encoding="utf-8")
