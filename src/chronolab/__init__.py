@@ -41,7 +41,6 @@ from .core import (
     Harmonic,
     Linear,
     Potential,
-    SeparableCoupling,
     SystemSpec,
     Tabulated,
     WindowedPulse,

@@ -62,11 +62,12 @@ __all__ = [
 class PathProblem:
     """Fixed-energy path problem: potential, its gradient, masses, energy.
 
-    `potential` and `gradient` take a point q of shape (d,) (or an array
-    (..., d) for `potential`).  The kinetic metric is diagonal,
-    a_ij = masses[i] * delta_ij; a general symmetric metric could be wired
-    in at the few call sites marked below, but only the diagonal case is
-    exercised.
+    `potential` and `gradient` take an array q of shape (..., d) and
+    return shapes (...) and (..., d); each is called once per action
+    evaluation, on all segment midpoints at once.  The kinetic metric is
+    diagonal, a_ij = masses[i] * delta_ij; a general symmetric metric
+    could be wired in at the few call sites marked below, but only the
+    diagonal case is exercised.
     """
 
     potential: object
@@ -126,7 +127,7 @@ def _action_and_gradient(problem: PathProblem, nodes: np.ndarray):
 
     # dW/dq_i collects: endpoint terms f * A dq / L and midpoint terms
     # (1/2) grad f * L, with grad f = -grad V / f.
-    gradv = np.array([np.asarray(problem.gradient(m), dtype=float) for m in mids])
+    gradv = np.asarray(problem.gradient(mids), dtype=float)
     df = -gradv / f[:, None]
     unit = (dq * a) / lengths[:, None]
     g = np.zeros_like(nodes)

@@ -4,6 +4,10 @@ Everything downstream works on uniform 1D grids and on 2D fields stored
 row-major with the system coordinate x varying fastest: ``values[iR, ix]``.
 Integrals are trapezoid sums.
 
+A coupling V_I(x, R) is one product form, `Coupling(env, sys, strength)`
+= strength * sys(x) * env(R); `Bilinear`, `WindowedPulse` and
+`ZeroCoupling` are constructors of it.
+
 This module is the one home of the finite-difference stencils:
 `central_difference` (first and second derivatives, order 2 or 4, at the
 interior rows), the one-sided edges that `_d1`/`_d2` add on top of it,
@@ -39,7 +43,6 @@ __all__ = [
     "Tabulated",
     "Coupling",
     "Bilinear",
-    "SeparableCoupling",
     "WindowedPulse",
     "ZeroCoupling",
     "SystemSpec",
@@ -234,28 +237,23 @@ def _kinetic_coeffs(order: int, h: float, mass: float, hbar: float):
 
 
 def _apply_kinetic(values: np.ndarray, axis: int, order: int, h: float, mass: float,
-                   hbar: float, project: bool = True) -> np.ndarray:
+                   hbar: float) -> np.ndarray:
     """Apply the kinetic operator along one axis.
 
-    With `project` the wall points are forced to zero and the stencil
-    sees zero ghosts beyond them, which keeps the operator exactly
-    symmetric (the Dirichlet box).  Without it the wall values enter the
-    stencil as they stand; only the interior output is then meaningful.
+    The wall points are forced to zero and the stencil sees zero ghosts
+    beyond them, which keeps the operator exactly symmetric (the
+    Dirichlet box).
     """
     v = np.moveaxis(values, axis, 0)
     c0, c1, c2 = _kinetic_coeffs(order, h, mass, hbar)
     pad = 2
     z = np.zeros((v.shape[0] + 2 * pad,) + v.shape[1:], dtype=v.dtype)
-    if project:
-        z[pad + 1:-pad - 1] = v[1:-1]  # walls forced to zero
-    else:
-        z[pad:-pad] = v
+    z[pad + 1:-pad - 1] = v[1:-1]  # walls forced to zero
     out = c0 * z[pad:-pad] + c1 * (z[pad - 1:-pad - 1] + z[pad + 1:-pad + 1])
     if c2 != 0.0:
         out += c2 * (z[pad - 2:-pad - 2] + z[pad + 2:])
-    if project:
-        out[0] = 0.0
-        out[-1] = 0.0
+    out[0] = 0.0
+    out[-1] = 0.0
     return np.moveaxis(out, 0, axis)
 
 
@@ -326,7 +324,11 @@ class Constant(Potential):
 
 @dataclass(frozen=True)
 class GaussianWell(Potential):
-    """V(q) = -depth * exp(-(q - center)^2 / (2 width^2))."""
+    """V(q) = -depth * exp(-(q - center)^2 / (2 width^2)).
+
+    A negative depth makes a bump; depth -1 is the unit Gaussian envelope
+    of `WindowedPulse`.
+    """
 
     depth: float
     width: float
@@ -378,114 +380,43 @@ class Tabulated(Potential):
 # couplings V_I(x, R)
 
 
+@dataclass(frozen=True)
 class Coupling:
-    """Interaction of the system coordinate x with the environment coordinate R."""
+    """V_I(x, R) = strength * sys(x) * env(R), a product of two 1D potentials.
 
-    def __call__(self, x, r):
-        raise NotImplementedError
-
-    def d_dx(self, x, r):
-        raise NotImplementedError
-
-    def d_dr(self, x, r):
-        raise NotImplementedError
-
-    def factorized(self):
-        """Return (g, h) with V_I(x,R) = g(R) * h(x) when that structure exists.
-
-        g maps an R array to an array, h maps an x array to an array.
-        Returns None for couplings without a product form.
-        """
-        return None
-
-
-@dataclass(frozen=True)
-class Bilinear(Coupling):
-    """V_I(x, R) = strength * x * R."""
-
-    strength: float
-
-    def __call__(self, x, r):
-        return self.strength * np.asarray(x) * np.asarray(r)
-
-    def d_dx(self, x, r):
-        return self.strength * np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(r, dtype=float))[1]
-
-    def d_dr(self, x, r):
-        return self.strength * np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(r, dtype=float))[0]
-
-    def factorized(self):
-        return (lambda r: self.strength * np.asarray(r, dtype=float),
-                lambda x: np.asarray(x, dtype=float))
-
-
-@dataclass(frozen=True)
-class SeparableCoupling(Coupling):
-    """V_I(x, R) = env(R) * sys(x) for two 1D potentials."""
+    The system sees the clock only through env(R): read along a clock map
+    R(t), the coupling is the drive strength * env(R(t)) * sys(x).  The
+    stationary solves use the same split, as the profile g(R) =
+    strength * env(R) times the matrix elements of sys(x).
+    """
 
     env: Potential
     sys: Potential
+    strength: float = 1.0
 
     def __call__(self, x, r):
-        return self.env(r) * self.sys(x)
+        return (self.strength * self.sys(x)) * self.env(r)
 
     def d_dx(self, x, r):
-        return self.env(r) * self.sys.derivative(x)
+        return (self.strength * self.sys.derivative(x)) * self.env(r)
 
     def d_dr(self, x, r):
-        return self.env.derivative(r) * self.sys(x)
-
-    def factorized(self):
-        return (lambda r: np.asarray(self.env(r), dtype=float),
-                lambda x: np.asarray(self.sys(x), dtype=float))
+        return (self.strength * self.sys(x)) * self.env.derivative(r)
 
 
-@dataclass(frozen=True)
-class WindowedPulse(Coupling):
+def Bilinear(strength: float) -> Coupling:
+    """V_I(x, R) = strength * x * R."""
+    return Coupling(Linear(1.0), Linear(1.0), strength)
+
+
+def WindowedPulse(amplitude: float, center: float, width: float, profile: Potential) -> Coupling:
     """V_I(x, R) = amplitude * profile(x) * exp(-(R - center)^2 / (2 width^2))."""
-
-    amplitude: float
-    center: float
-    width: float
-    profile: Potential
-
-    def __post_init__(self):
-        if self.width <= 0:
-            raise DegenerateInputError(f"pulse width must be > 0, got {self.width}")
-
-    def _envelope(self, r):
-        d = np.asarray(r) - self.center
-        return np.exp(-d * d / (2.0 * self.width**2))
-
-    def __call__(self, x, r):
-        return self.amplitude * self.profile(x) * self._envelope(r)
-
-    def d_dx(self, x, r):
-        return self.amplitude * self.profile.derivative(x) * self._envelope(r)
-
-    def d_dr(self, x, r):
-        d = np.asarray(r) - self.center
-        return self.amplitude * self.profile(x) * self._envelope(r) * (-d / self.width**2)
-
-    def factorized(self):
-        return (lambda r: self.amplitude * self._envelope(r),
-                lambda x: np.asarray(self.profile(x), dtype=float))
+    return Coupling(GaussianWell(-1.0, width, center), profile, amplitude)
 
 
-@dataclass(frozen=True)
-class ZeroCoupling(Coupling):
-    def __call__(self, x, r):
-        return np.zeros(np.broadcast_shapes(np.shape(x), np.shape(r)))
-
-    def d_dx(self, x, r):
-        return self(x, r)
-
-    def d_dr(self, x, r):
-        return self(x, r)
-
-    def factorized(self):
-        return (lambda r: np.zeros_like(np.asarray(r, dtype=float)),
-                lambda x: np.zeros_like(np.asarray(x, dtype=float)))
+def ZeroCoupling() -> Coupling:
+    """V_I = 0: the system does not see the clock."""
+    return Coupling(Constant(0.0), Constant(0.0), 0.0)
 
 
 def eval_potential(spec, coords):
@@ -562,6 +493,10 @@ class CompositeSpec:
         return self.v_env(r) + self.v_sys(x) + self.v_int(x, r)
 
 
+# largest |<phi_m|phi_n> - delta_mn| a ChannelBasis accepts
+ORTHONORMALITY_TOL = 1e-8
+
+
 @dataclass(eq=False)
 class ChannelBasis:
     """Orthonormal system states with their energies.
@@ -574,7 +509,6 @@ class ChannelBasis:
     states: tuple
     energies: np.ndarray
     stencil_order: int = 2
-    orthonormality_tol: float = 1e-8
 
     def __post_init__(self):
         self.states = tuple(self.states)
@@ -586,9 +520,9 @@ class ChannelBasis:
                 raise GridMismatchError("basis state grid differs from basis grid")
         g = self.gram()
         defect = float(np.max(np.abs(g - np.eye(len(self.states)))))
-        if defect > self.orthonormality_tol:
+        if defect > ORTHONORMALITY_TOL:
             raise DegenerateInputError(
-                f"basis not orthonormal: max defect {defect:.3e} > {self.orthonormality_tol:.1e}"
+                f"basis not orthonormal: max defect {defect:.3e} > {ORTHONORMALITY_TOL:.1e}"
             )
 
     def __len__(self):

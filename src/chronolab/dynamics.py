@@ -353,7 +353,6 @@ def conditional_from_composite(
     tmap: TimeMap,
     spec: CompositeSpec,
     x_stencil_order: int = 2,
-    breakdown_bound: float | None = None,
 ) -> WavefunctionTrajectory:
     """Conditional system wavefunction psi(x, t(R)) = Psi(x, R) / chi_WKB(R).
 
@@ -362,23 +361,12 @@ def conditional_from_composite(
     expectation of H_S + V_I(., R); the O(1/M) derivative terms of the
     full back-reaction are omitted here because slices may be strided in
     R (the full object lives in the factorization machinery).
-
-    `breakdown_bound`, when given, rejects WKB states whose breakdown
-    ratio max exceeds it.
     """
     state = pair.state
     if wkb.r_grid != state.grid.r:
         raise GridMismatchError("WKB grid does not match the state's R axis")
     if tmap.r_grid != state.grid.r:
         raise GridMismatchError("time map grid does not match the state's R axis")
-    if breakdown_bound is not None:
-        from .semiclassical import wkb_breakdown_ratio
-
-        worst = float(np.max(wkb_breakdown_ratio(wkb)))
-        if worst > breakdown_bound:
-            raise DegenerateInputError(
-                f"WKB breakdown ratio {worst:.3e} exceeds bound {breakdown_bound:.1e}"
-            )
 
     chi = wkb.chi().values
     psi = state.values / chi[:, None]
@@ -422,7 +410,6 @@ class ResidualReport:
     rho: float
     mv2: float
     dt: float
-    term_norms: dict
     resampled: bool
 
 
@@ -439,7 +426,7 @@ def tdse_residual(
     back-reaction is removed by the phase transformation
     psi~ = psi * exp(+(i/hbar) int Re U_S dt) before the residual
     operator (which retains the -U_S term) is applied; the imaginary
-    part of U_S is only reported.  The correction ratio rho uses
+    part of U_S is not used.  The correction ratio rho uses
     M v^2 from the trajectory's clock metadata unless `mv2` is given.
 
     `drive(x, t)`, when given, is called once with x as a (1, nx) row and
@@ -474,26 +461,22 @@ def tdse_residual(
     phase = np.exp((1j / hbar) * cumulative_trapezoid(u.real, t, initial=0.0))
     tpsi = psi * phase[:, None]
 
-    h_t = _apply_kinetic(tpsi, 1, traj.x_stencil_order, traj.x_grid.spacing,
-                         system.m, hbar)
-    sys_term = h_t + np.asarray(system.v_sys(x), dtype=float)[None, :] * tpsi
+    inner = tpsi[1:-1]
+    resid = np.asarray(system.v_sys(x), dtype=float)[None, :] * inner
+    resid += _apply_kinetic(inner, 1, traj.x_stencil_order, traj.x_grid.spacing,
+                            system.m, hbar)
     if drive is not None:
         v_drive = np.asarray(drive(x[None, :], t[:, None]), dtype=float)
-        drive_term = np.broadcast_to(v_drive, tpsi.shape) * tpsi
-    else:
-        drive_term = np.zeros_like(tpsi)
-    us_term = u.real[:, None] * tpsi
-    dt_term = 1j * hbar * central_difference(tpsi, dt, 1)
-
-    sl = slice(1, -1)
-    resid = sys_term[sl] + drive_term[sl] - us_term[sl] - dt_term
+        resid += np.broadcast_to(v_drive, tpsi.shape)[1:-1] * inner
+    resid -= u.real[1:-1, None] * inner
+    resid -= 1j * hbar * central_difference(tpsi, dt, 1)
 
     wx = traj.x_grid.weights[1:-1]
 
     def _norm(rows):
         return float(np.sqrt(np.sum(wx * np.abs(rows[:, 1:-1]) ** 2)))
 
-    den = _norm(tpsi[sl])
+    den = _norm(inner)
     if den == 0.0:
         raise DegenerateInputError("trajectory is zero on the interior slices")
     residual = _norm(resid) / den
@@ -504,15 +487,7 @@ def tdse_residual(
     correction = (hbar * hbar / (2.0 * mv2)) * _norm(d2)
     if retained == 0.0:
         raise DegenerateInputError("trajectory is time-independent; no retained term")
-    terms = {
-        "system": _norm(sys_term[sl]),
-        "drive": _norm(drive_term[sl]),
-        "u_s": _norm(us_term[sl]),
-        "time_derivative": _norm(dt_term),
-        "correction": correction,
-        "u_s_imag_max": float(np.max(np.abs(u.imag))),
-    }
-    return ResidualReport(residual, correction / retained, mv2, dt, terms, resampled)
+    return ResidualReport(residual, correction / retained, mv2, dt, resampled)
 
 
 # ---------------------------------------------------------------------------

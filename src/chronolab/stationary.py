@@ -8,6 +8,10 @@ back-reaction potential U_S(R) and the residuals of the projected
 equations, and provides fixed-R channel bases with the close-coupled
 residual and the Schmidt spectrum.
 
+Channel-space constructions use the product form of the coupling,
+strength * env(R) * sys(x): the coupling matrices on R row j are
+g(R_j) times the one (k, k) matrix of sys(x), with g = strength * env.
+
 Kinetic stencils are the 5-point (fourth-order) form per axis by
 default; operators can be built with per-axis order 2 where a downstream
 construction needs the 3-point form.  Residual evaluators take their
@@ -118,9 +122,6 @@ class Hamiltonian2D:
     v_table: np.ndarray  # (nR, nx)
     order_r: int = 4
     order_x: int = 4
-    # open in R: wall rows kept as-is, for states that travel through the
-    # domain instead of standing in a box
-    project_r: bool = True
 
     def __post_init__(self):
         self.v_table = np.asarray(self.v_table, dtype=float)
@@ -131,24 +132,15 @@ class Hamiltonian2D:
         if f.grid != self.grid:
             raise GridMismatchError("field grid does not match Hamiltonian grid")
         v = f.values
-        out = _apply_kinetic(v, 0, self.order_r, self.grid.r.spacing, self.M, self.hbar,
-                             project=self.project_r)
+        out = _apply_kinetic(v, 0, self.order_r, self.grid.r.spacing, self.M, self.hbar)
         out += _apply_kinetic(v, 1, self.order_x, self.grid.x.spacing, self.m, self.hbar)
         pot = self.v_table * v
-        if self.project_r:
-            pot[0, :] = 0.0
-            pot[-1, :] = 0.0
+        pot[0, :] = 0.0
+        pot[-1, :] = 0.0
         pot[:, 0] = 0.0
         pot[:, -1] = 0.0
         out += pot
         return Field2D(self.grid, out)
-
-    def norm_estimate(self) -> float:
-        """Gershgorin-style bound on the operator norm."""
-        cr = _kinetic_coeffs(self.order_r, self.grid.r.spacing, self.M, self.hbar)
-        cx = _kinetic_coeffs(self.order_x, self.grid.x.spacing, self.m, self.hbar)
-        return float(sum(abs(c) for c in cr) * 2 + sum(abs(c) for c in cx) * 2
-                     + np.max(np.abs(self.v_table)))
 
     def residual(self, f: Field2D, energy: float) -> float:
         """||(H - E) f|| / ||f|| with the norm over interior rows."""
@@ -161,19 +153,8 @@ class Hamiltonian2D:
             raise DegenerateInputError("zero field in residual")
         return num / den
 
-    def boundary_amplitude(self, f: Field2D) -> float:
-        """max wall amplitude relative to the field maximum."""
-        v = np.abs(f.values)
-        peak = float(v.max())
-        if peak == 0.0:
-            return 0.0
-        edge = max(v[0, :].max(), v[-1, :].max(), v[:, 0].max(), v[:, -1].max())
-        return float(edge) / peak
-
     def to_sparse(self):
         """Interior-point sparse matrix (row-major, x fastest)."""
-        if not self.project_r:
-            raise DegenerateInputError("sparse form exists only for the Dirichlet box")
         nr, nx = self.grid.r.n - 2, self.grid.x.n - 2
         kr = _kinetic_sparse(nr, self.order_r, self.grid.r.spacing, self.M, self.hbar)
         kx = _kinetic_sparse(nx, self.order_x, self.grid.x.spacing, self.m, self.hbar)
@@ -304,15 +285,12 @@ def solve_bo_states(spec, x_grid: Grid1D, r_value: float, k: int, order: int = 4
 class BOSurface:
     r_values: np.ndarray
     energies: np.ndarray  # (k, nR)
-    states: list | None = None
 
 
-def bo_surface(spec, x_grid: Grid1D, r_values, k: int, order: int = 4,
-               keep_states: bool = False) -> BOSurface:
+def bo_surface(spec, x_grid: Grid1D, r_values, k: int, order: int = 4) -> BOSurface:
     """Sweep solve_bo_states over R, aligning state signs by overlap."""
     r_values = np.asarray(r_values, dtype=float)
     energies = np.empty((k, r_values.size))
-    kept = [] if keep_states else None
     prev = None
     w = x_grid.weights
     for j, r in enumerate(r_values):
@@ -325,9 +303,7 @@ def bo_surface(spec, x_grid: Grid1D, r_values, k: int, order: int = 4,
             states = aligned
         energies[:, j] = vals
         prev = states
-        if keep_states:
-            kept.append(states)
-    return BOSurface(r_values, energies, kept)
+    return BOSurface(r_values, energies)
 
 
 # ---------------------------------------------------------------------------
@@ -441,7 +417,7 @@ def compute_back_reaction(fs: FactorizedState, spec) -> Field1D:
         - (hbar^2/2M) d^2/dR^2
 
     in psi, normalized by the slice weight (psi|psi).  The derivative
-    stencils match the orders recorded on the factorized state; the
+    stencils match the orders recorded on the FactorizedState; the
     outermost margin slices are clipped accordingly.
     """
     sl, hs_psi, dpsi, d2psi, log_dchi = _conditional_terms(fs, spec)
@@ -620,18 +596,11 @@ def _matrix_elements(basis: ChannelBasis, v_x: np.ndarray) -> np.ndarray:
     return (np.conj(mat) * (basis.x_grid.weights * v_x)) @ mat.T
 
 
-def _coupling_matrices(spec, basis: ChannelBasis, r_points: np.ndarray) -> np.ndarray:
-    """<phi_m | V_I(., R) | phi_n> as (nR, k, k)."""
-    x = basis.x_grid.points
-    fac = spec.v_int.factorized()
-    if fac is not None:
-        g, hx = fac
-        hmat = _matrix_elements(basis, hx(x))  # (k, k)
-        return np.asarray(g(r_points), dtype=float)[:, None, None] * hmat[None, :, :]
-    out = np.empty((r_points.size, len(basis), len(basis)), dtype=complex)
-    for j, r in enumerate(r_points):
-        out[j] = _matrix_elements(basis, np.asarray(spec.v_int(x, float(r)), dtype=float))
-    return out
+def _coupling_factors(spec, basis: ChannelBasis, r_points: np.ndarray) -> tuple:
+    """(g(R), <phi_m | sys | phi_n>) of the coupling strength * env(R) * sys(x)."""
+    c = spec.v_int
+    g = np.asarray(c.strength * c.env(r_points), dtype=float)
+    return g, _matrix_elements(basis, np.asarray(c.sys(basis.x_grid.points), dtype=float))
 
 
 @dataclass(frozen=True)
@@ -655,11 +624,11 @@ def close_coupled_residuals(decomp: ChannelDecomposition, spec, energy: float,
     basis = decomp.basis
     r = decomp.r_grid.points
     k = len(basis)
-    couplings = _coupling_matrices(spec, basis, r)
+    g, wmat = _coupling_factors(spec, basis, r)
 
     # system part of V_eff: <phi_m | H_S phi_n> with the basis stencil
     hmat = _project(basis, _system_action(spec, basis))  # (k, k)
-    veff = couplings + hmat[None, :, :]
+    veff = g[:, None, None] * wmat[None, :, :] + hmat[None, :, :]
 
     herm = float(np.max(np.abs(veff - np.conj(np.swapaxes(veff, 1, 2)))))
     scale = float(np.max(np.abs(veff))) or 1.0
@@ -736,16 +705,16 @@ def solve_directed_state(
     satisfies the interior stencil equations of the order-(2 in R,
     basis order in x) Hamiltonian to rounding plus channel truncation.
 
-    The recurrence runs as a blocked transfer-matrix scan
-    (`_transfer_scan`): about sqrt(n) blocks are propagated at once, so
-    the Python loop has about 3 sqrt(n) steps instead of n.  The
-    residual is the interior norm of (H - E) applied to the channel-sum
-    field, relative to the field's norm.  For product-form couplings it
-    is evaluated in channel space (`_channel_residual`), at a cost per R
-    row that does not grow with the x grid; other couplings use the
-    x-space evaluation in row blocks (`_directed_residual`).  Neither
-    materializes the full 2D field.  The returned field keeps every
-    stride-th R row; (n - 1) must be divisible by stride.
+    The coupling enters row j as g(R_j) w, with g = strength * env and
+    w the matrix elements of its `sys` factor.  The recurrence runs as a
+    blocked transfer-matrix scan (`_transfer_scan`): about sqrt(n)
+    blocks are propagated at once, so the Python loop has about
+    3 sqrt(n) steps instead of n.  The residual is the interior norm of
+    (H - E) applied to the channel-sum field, relative to the field's
+    norm, evaluated in channel space (`_channel_residual`) at a cost per
+    R row that does not grow with the x grid; the full 2D field is never
+    materialized.  The returned field keeps every stride-th R row;
+    (n - 1) must be divisible by stride.
 
     Preconditions, checked: every basis channel must be open at the
     entry edge (TurningPointError otherwise), and V_env and the channel
@@ -767,17 +736,10 @@ def solve_directed_state(
         if energy - e_n - v_env[0] <= 0:
             raise TurningPointError(f"channel {n} closed at the entry edge (E - eps - V <= 0)")
 
-    # coupling matrices: product-form couplings avoid an (nR, k, k) table
-    fac = spec.v_int.factorized()
-    if fac is None:
-        w = _real_if_exact(_coupling_matrices(spec, basis, r))
-        g_of_r = None
-        entry = w[:2]
-    else:
-        g, hx = fac
-        w = _real_if_exact(_matrix_elements(basis, hx(basis.x_grid.points)))
-        g_of_r = np.asarray(g(r), dtype=float)
-        entry = g_of_r[:2, None, None] * w
+    # the coupling on row j is g(R_j) w: no (nR, k, k) table is formed
+    g_of_r, w = _coupling_factors(spec, basis, r)
+    w = _real_if_exact(w)
+    entry = g_of_r[:2, None, None] * w
     flat_tol = residual_tol * abs(energy)
     v_step = float(np.max(np.abs(v_env[:2] - v_env[0])))
     w_entry = float(np.max(np.abs(entry)))
@@ -793,12 +755,8 @@ def solve_directed_state(
     seed[:, incoming] = np.exp(1j * k_in * r[:2])
     pref = 2.0 * spec.M * h * h / (spec.hbar * spec.hbar)
     diag = pref * (v_env[:, None] - energy + eps[None, :])
-    if g_of_r is None:
-        kappas = _transfer_scan(seed, diag, pref * w)
-        res = _directed_residual(spec, basis, r_grid, energy, kappas)
-    else:
-        kappas = _transfer_scan(seed, diag, w, pref * g_of_r)
-        res = _channel_residual(spec, basis, r_grid, energy, kappas, g_of_r, hx)
+    kappas = _transfer_scan(seed, diag, w, pref * g_of_r)
+    res = _channel_residual(spec, basis, r_grid, energy, kappas, g_of_r)
     if res > residual_tol * max(abs(energy), 1e-300):
         raise ConvergenceError(
             f"directed state residual {res:.3e} exceeds {residual_tol:.1e} * |E|",
@@ -820,13 +778,13 @@ def _real_if_exact(a: np.ndarray) -> np.ndarray:
 
 
 def _transfer_scan(seed: np.ndarray, diag: np.ndarray, w: np.ndarray,
-                   g: np.ndarray | None = None) -> np.ndarray:
+                   g: np.ndarray) -> np.ndarray:
     """Rows kappa_0 .. kappa_{n-1} of the second-order recurrence
 
-        kappa_{j+1} = 2 kappa_j - kappa_{j-1} + diag_j * kappa_j + W_j kappa_j
+        kappa_{j+1} = 2 kappa_j - kappa_{j-1} + diag_j * kappa_j + g_j w kappa_j
 
-    from the two seed rows, with W_j = g_j w for a (k, k) matrix w and an
-    (n,) profile g, or W_j = w[j] for an (n, k, k) table.  diag is (n, k).
+    from the two seed rows, for a (k, k) matrix w, an (n,) profile g and
+    an (n, k) diag.
 
     The state is carried as (kappa_j, delta_j = kappa_j - kappa_{j-1})
     and stepped by delta += increment, kappa += delta.  This is the
@@ -852,10 +810,7 @@ def _transfer_scan(seed: np.ndarray, diag: np.ndarray, w: np.ndarray,
     def increment(j, kap):
         # kap: (blocks, c, k) stack of row vectors at rows j (blocks,)
         out = diag[j][:, None, :] * kap
-        if g is None:
-            out += kap @ np.swapaxes(w[j], 1, 2)
-        else:
-            out += g[j][:, None, None] * (kap.reshape(-1, k) @ w.T).reshape(kap.shape)
+        out += g[j][:, None, None] * (kap.reshape(-1, k) @ w.T).reshape(kap.shape)
         return out
 
     def sweep(kap, delta, rows=None):
@@ -888,10 +843,13 @@ def _transfer_scan(seed: np.ndarray, diag: np.ndarray, w: np.ndarray,
 
 
 def _channel_residual(spec, basis: ChannelBasis, r_grid: Grid1D, energy: float,
-                      kappas: np.ndarray, g_of_r: np.ndarray, hx, block: int = 8192) -> float:
-    """`_directed_residual` for a product coupling g(R) h(x), in channel space.
+                      kappas: np.ndarray, g_of_r: np.ndarray, block: int = 8192) -> float:
+    """Interior residual of the channel-sum field psi = sum_n kappa_n phi_n,
+    ||(H - E) psi|| / ||psi|| with H at order 2 in R and the basis order
+    in x, over interior rows and columns, computed in channel space.
 
-    With d_n = H_S phi_n - sum_m <phi_m|H_S phi_n> phi_m and
+    The coupling is g(R) h(x) with h = spec.v_int.sys.  With
+    d_n = H_S phi_n - sum_m <phi_m|H_S phi_n> phi_m and
     e_n = h phi_n - sum_m <phi_m|h phi_n> phi_m, the interior row j of
     (H - E) psi is exactly
 
@@ -900,12 +858,13 @@ def _channel_residual(spec, basis: ChannelBasis, r_grid: Grid1D, energy: float,
     c_j being the close-coupled residual of row j, so its squared norm
     is a quadratic form in y_j = (c_j, kappa_j, g(R_j) kappa_j) with the
     3k x 3k Gram matrix of (phi, d, e) over the interior x columns.
-    Rows are taken in blocks so no (n, 3k) array is held.
+    Rows are taken in blocks so no (n, 3k) array is held, and the cost
+    per row does not grow with the x grid.
     """
     k = len(basis)
     mat = basis.state_matrix()
     hs_phi = _system_action(spec, basis)
-    h_phi = np.asarray(hx(basis.x_grid.points), dtype=float) * mat
+    h_phi = np.asarray(spec.v_int.sys(basis.x_grid.points), dtype=float) * mat
     hs = _project(basis, hs_phi)  # <phi_m | H_S phi_n>
     hh = _project(basis, h_phi)
     vecs = np.concatenate([mat, hs_phi - hs.T @ mat, h_phi - hh.T @ mat])[:, 1:-1]
@@ -931,39 +890,3 @@ def _channel_residual(spec, basis: ChannelBasis, r_grid: Grid1D, energy: float,
     if den2 == 0.0:
         raise DegenerateInputError("directed state has no interior weight")
     return float(np.sqrt(max(num2, 0.0) / den2))
-
-
-def _directed_residual(spec, basis: ChannelBasis, r_grid: Grid1D, energy: float,
-                       kappas: np.ndarray, block: int = 2048) -> float:
-    """Interior residual of the channel-sum field, evaluated in row blocks.
-
-    Matches Hamiltonian2D(order_r=2, order_x=basis order, project_r=False)
-    applied to the assembled field, restricted to interior rows and
-    columns, without ever holding the full field in memory.
-    """
-    mat = basis.state_matrix()
-    x = basis.x_grid.points
-    v_sys_x = np.asarray(spec.v_sys(x), dtype=float)
-    c0, c1, _ = _kinetic_coeffs(2, r_grid.spacing, spec.M, spec.hbar)
-    wr = r_grid.weights
-    wx = basis.x_grid.weights
-    num2 = 0.0
-    den2 = 0.0
-    n = r_grid.n
-    for a in range(1, n - 1, block):
-        b = min(a + block, n - 1)
-        psi = kappas[a - 1:b + 1] @ mat  # one halo row each side
-        mid = psi[1:-1]
-        lhs = c0 * mid + c1 * (psi[:-2] + psi[2:])
-        lhs += _apply_kinetic(mid, 1, basis.stencil_order, basis.x_grid.spacing,
-                              spec.m, spec.hbar)
-        rows = r_grid.points[a:b]
-        v = v_sys_x[None, :] + np.asarray(spec.v_env(rows), dtype=float)[:, None] \
-            + np.asarray(spec.v_int(x[None, :], rows[:, None]), dtype=float)
-        lhs += (v - energy) * mid
-        w = np.outer(wr[a:b], wx[1:-1])
-        num2 += float(np.sum(w * np.abs(lhs[:, 1:-1]) ** 2))
-        den2 += float(np.sum(w * np.abs(mid[:, 1:-1]) ** 2))
-    if den2 == 0.0:
-        raise DegenerateInputError("directed state has no interior weight")
-    return float(np.sqrt(num2 / den2))

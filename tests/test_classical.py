@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from chronolab import (
@@ -264,6 +266,29 @@ def test_free_clock_time_is_linear():
     # the map inverts consistently
     t_probe = np.linspace(*tmap.span, 37)
     np.testing.assert_allclose(tmap.t_of_r(tmap.r_of_t(t_probe)), t_probe, atol=1e-10)
+
+
+@given(n=st.integers(50, 400), seed=st.integers(0, 2**32 - 1))
+def test_time_map_round_trip(n, seed):
+    # a smooth, strictly increasing t(R): a drifting clock whose rate wobbles
+    # by up to 90% over at most 3 periods, at least 16 points per period;
+    # between the nodes the two PCHIP interpolants are inverse to within
+    # about 1e-4 of the time span there
+    rng = np.random.default_rng(seed)
+    lo, span = rng.uniform(-5.0, 5.0), rng.uniform(0.1, 10.0)
+    grid = Grid1D(lo, lo + span, n)
+    rate = rng.uniform(0.1, 10.0)
+    wobble = rng.uniform(0.0, 0.9)
+    waves = rng.uniform(0.5, 3.0)
+    k = 2.0 * np.pi * waves / span
+    rel = grid.points - lo
+    tmap = TimeMap(grid, rate * (rel + wobble / k * np.sin(k * rel)))
+    # at the nodes both interpolants are exact
+    np.testing.assert_allclose(tmap.r_of_t(tmap.times), grid.points, rtol=0, atol=1e-12 * span)
+    t_probe = np.sort(rng.uniform(*tmap.span, 50))
+    t_span = tmap.span[1] - tmap.span[0]
+    np.testing.assert_allclose(tmap.t_of_r(tmap.r_of_t(t_probe)), t_probe,
+                               rtol=0, atol=1e-3 * t_span)
 
 
 def test_clock_action_against_quadrature():

@@ -8,6 +8,7 @@ from chronolab import (
     ChannelBasis,
     CompositeSpec,
     Constant,
+    Coupling,
     DegenerateInputError,
     DomainError,
     Field1D,
@@ -18,7 +19,6 @@ from chronolab import (
     GridMismatchError,
     Harmonic,
     Linear,
-    SeparableCoupling,
     SystemSpec,
     Tabulated,
     WindowedPulse,
@@ -169,20 +169,34 @@ def test_eval_potential_flags_nonfinite():
 # couplings
 
 
-@pytest.mark.parametrize(
-    "coupling",
-    [
-        Bilinear(0.3),
-        SeparableCoupling(GaussianWell(1.0, 0.7), Linear(2.0)),
-        WindowedPulse(0.5, 1.0, 0.4, Linear(1.0)),
-        ZeroCoupling(),
-    ],
-)
+COUPLINGS = [
+    Bilinear(0.3),
+    Coupling(GaussianWell(1.0, 0.7), Linear(2.0)),
+    WindowedPulse(0.5, 1.0, 0.4, Linear(1.0)),
+    ZeroCoupling(),
+]
+
+
+@pytest.mark.parametrize("coupling", COUPLINGS)
 def test_factorized_matches_direct_evaluation(coupling):
     x = np.linspace(-2.0, 2.0, 11)[:, None]
     r = np.linspace(-1.0, 3.0, 9)[None, :]
-    g, h = coupling.factorized()
-    np.testing.assert_allclose(g(r) * h(x), coupling(x, r), atol=1e-14)
+    g = coupling.strength * coupling.env(r)
+    np.testing.assert_allclose(g * coupling.sys(x), coupling(x, r), atol=1e-14)
+
+
+@pytest.mark.parametrize(
+    "coupling", COUPLINGS + [Coupling(Harmonic(1.5, 0.2), GaussianWell(0.8, 0.6, -0.3), 0.7)]
+)
+def test_coupling_derivatives_match_central_differences(coupling):
+    x = np.linspace(-2.0, 2.0, 11)[:, None]
+    r = np.linspace(-1.0, 3.0, 9)[None, :]
+    h = 1e-5
+    d_dx = (coupling(x + h, r) - coupling(x - h, r)) / (2.0 * h)
+    d_dr = (coupling(x, r + h) - coupling(x, r - h)) / (2.0 * h)
+    assert coupling.d_dx(x, r).shape == coupling.d_dr(x, r).shape == (11, 9)
+    np.testing.assert_allclose(coupling.d_dx(x, r), d_dx, rtol=0, atol=1e-8)
+    np.testing.assert_allclose(coupling.d_dr(x, r), d_dr, rtol=0, atol=1e-8)
 
 
 def test_windowed_pulse_shape():

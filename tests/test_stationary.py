@@ -1,7 +1,5 @@
 """Composite eigenproblems, factorization, channels and directed states."""
 
-from dataclasses import dataclass
-
 import numpy as np
 import pytest
 from hypothesis import example, given
@@ -12,7 +10,6 @@ from chronolab import (
     ChannelBasis,
     CompositeSpec,
     Constant,
-    Coupling,
     DegenerateInputError,
     Field1D,
     Field2D,
@@ -38,9 +35,9 @@ from chronolab import (
     solve_eigenpairs,
     solve_system_basis,
 )
+from chronolab.core import _apply_kinetic, _kinetic_coeffs
 from chronolab.stationary import (
     _channel_residual,
-    _directed_residual,
     _project,
     _transfer_scan,
 )
@@ -295,15 +292,47 @@ def test_directed_entry_edge_must_be_free():
 # blocked transfer scan and channel-space residual
 
 
-def _sequential_scan(seed, diag, w, g=None):
+def _sequential_scan(seed, diag, w, g):
     """The recurrence one row at a time, as an oracle for _transfer_scan."""
     n, k = diag.shape
     kap = np.zeros((n, k), dtype=complex)
     kap[:2] = seed
     for j in range(1, n - 1):
-        w_j = w[j] if g is None else g[j] * w
-        kap[j + 1] = 2.0 * kap[j] - kap[j - 1] + diag[j] * kap[j] + w_j @ kap[j]
+        kap[j + 1] = 2.0 * kap[j] - kap[j - 1] + diag[j] * kap[j] + g[j] * w @ kap[j]
     return kap
+
+
+def _directed_residual(spec, basis, r_grid, energy, kappas, block=2048):
+    """The directed residual in x space, as an oracle for _channel_residual.
+
+    Assembles the channel-sum field in row blocks and applies the
+    composite H - E with the order-2 R stencil (wall rows taken as they
+    stand) and the basis stencil in x, over interior rows and columns.
+    """
+    mat = basis.state_matrix()
+    x = basis.x_grid.points
+    v_sys_x = np.asarray(spec.v_sys(x), dtype=float)
+    c0, c1, _ = _kinetic_coeffs(2, r_grid.spacing, spec.M, spec.hbar)
+    wr = r_grid.weights
+    wx = basis.x_grid.weights
+    num2 = 0.0
+    den2 = 0.0
+    n = r_grid.n
+    for a in range(1, n - 1, block):
+        b = min(a + block, n - 1)
+        psi = kappas[a - 1:b + 1] @ mat  # one halo row each side
+        mid = psi[1:-1]
+        lhs = c0 * mid + c1 * (psi[:-2] + psi[2:])
+        lhs += _apply_kinetic(mid, 1, basis.stencil_order, basis.x_grid.spacing,
+                              spec.m, spec.hbar)
+        rows = r_grid.points[a:b]
+        v = v_sys_x[None, :] + np.asarray(spec.v_env(rows), dtype=float)[:, None] \
+            + np.asarray(spec.v_int(x[None, :], rows[:, None]), dtype=float)
+        lhs += (v - energy) * mid
+        w = np.outer(wr[a:b], wx[1:-1])
+        num2 += float(np.sum(w * np.abs(lhs[:, 1:-1]) ** 2))
+        den2 += float(np.sum(w * np.abs(mid[:, 1:-1]) ** 2))
+    return float(np.sqrt(num2 / den2))
 
 
 def _hermitian(rng, shape, scale):
@@ -311,47 +340,21 @@ def _hermitian(rng, shape, scale):
     return scale * (a + np.conj(np.swapaxes(a, -1, -2)))
 
 
-@given(n=st.integers(3, 600), k=st.integers(1, 4), seed=st.integers(0, 2**32 - 1),
-       table=st.booleans())
-@example(n=3, k=1, seed=0, table=False)
-@example(n=12, k=2, seed=1, table=False)  # 10 steps: 3 blocks of 4, the last padded
-@example(n=12, k=3, seed=2, table=True)
-@example(n=600, k=4, seed=3, table=False)
-def test_transfer_scan_matches_sequential_recurrence(n, k, seed, table):
+@given(n=st.integers(3, 600), k=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
+@example(n=3, k=1, seed=0)
+@example(n=12, k=2, seed=1)  # 10 steps: 3 blocks of 4, the last padded
+@example(n=600, k=4, seed=3)
+def test_transfer_scan_matches_sequential_recurrence(n, k, seed):
     rng = np.random.default_rng(seed)
     kh = rng.uniform(1e-3, 5e-2)  # lattice phase per step
     diag = -kh**2 * (1.0 + 0.2 * rng.random((n, k)))
     seed_rows = rng.standard_normal((2, k)) + 1j * rng.standard_normal((2, k))
-    if table:
-        # a coupling without a product form: one Hermitian matrix per row
-        args = (_hermitian(rng, (n, k, k), 0.05 * kh**2),)
-    else:
-        args = (_hermitian(rng, (k, k), 0.05 * kh**2), rng.standard_normal(n))
-    want = _sequential_scan(seed_rows, diag, *args)
-    got = _transfer_scan(seed_rows, diag, *args)
+    w = _hermitian(rng, (k, k), 0.05 * kh**2)
+    g = rng.standard_normal(n)
+    want = _sequential_scan(seed_rows, diag, w, g)
+    got = _transfer_scan(seed_rows, diag, w, g)
     assert got.shape == want.shape
     assert np.max(np.abs(got - want)) <= 1e-9 * np.max(np.abs(want))
-
-
-@dataclass(frozen=True)
-class _PulseTable(Coupling):
-    """A WindowedPulse that does not declare its product form."""
-
-    pulse: WindowedPulse
-
-    def __call__(self, x, r):
-        return self.pulse(x, r)
-
-
-def test_directed_coupling_without_product_form_matches():
-    pulse = WindowedPulse(0.3, 0.7, 0.08, Linear(1.0))
-    _, product = _directed_setup(pulse)
-    _, table = _directed_setup(_PulseTable(pulse))
-    scale = np.max(np.abs(product.state.values))
-    assert np.max(np.abs(table.state.values - product.state.values)) < 1e-9 * scale
-    # channel-space and x-space residuals of the same solution
-    assert product.residual < 1e-6 and table.residual < 1e-6
-    assert abs(table.residual - product.residual) < 1e-4 * product.residual
 
 
 def test_channel_residual_matches_x_space_residual():
@@ -360,11 +363,10 @@ def test_channel_residual_matches_x_space_residual():
     assert stride == 1
     pair = solve_directed_state(spec, basis, r_grid, spec.energy, 0, 1e-6)
     kappas = _project(basis, pair.state.values).T
-    g_of_r, hx = pulse.factorized()
-    g_r = g_of_r(r_grid.points)
+    g_r = pulse.strength * pulse.env(r_grid.points)
 
     def both(kap):
-        return (_channel_residual(spec, basis, r_grid, spec.energy, kap, g_r, hx, block=1000),
+        return (_channel_residual(spec, basis, r_grid, spec.energy, kap, g_r, block=1000),
                 _directed_residual(spec, basis, r_grid, spec.energy, kap))
 
     chan, xspace = both(kappas)
