@@ -108,7 +108,6 @@ from .semiclassical import (
 )
 from .dynamics import (
     AmplitudeSet,
-    ComplexTimeTrajectory,
     EmergenceScanConfig,
     EmergenceReport,
     QuantumEmergenceRow,
@@ -119,7 +118,6 @@ from .dynamics import (
     conditional_from_composite,
     emergence_scan,
     propagate_amplitudes,
-    propagate_complex_time,
     propagate_tdse,
     tdse_residual,
 )

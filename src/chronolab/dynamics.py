@@ -7,8 +7,8 @@ that equation on the grid (Crank-Nicolson) and in a channel basis
 from composite states, measures how well they satisfy the TDSE and how
 large the leading correction term is, and runs the clock-energy scan
 that turns the correction's 1/(M v^2) scaling into a fitted exponent.
-A complex-step Crank-Nicolson variant explores propagation along
-complex time paths.
+Both propagators evaluate the drive once per block of BLOCK_STEPS time
+steps, so a drive takes array times that broadcast against x.
 
 Phase convention: psi(x,t) = sum_n a_n(t) phi_n(x) exp(-i eps_n t/hbar),
 so grid-to-amplitude comparisons multiply projections by
@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import cumulative_trapezoid
 from scipy.interpolate import CubicSpline
-from scipy.linalg import solve_banded
+from scipy.linalg import get_lapack_funcs
 
 from .classical import CouplingDrive, TimeMap
 from .core import (
@@ -47,7 +47,7 @@ from .errors import (
     StabilityError,
 )
 from .params import FRACTION, GRID, INDEX, INT2, NUMBER, POSITIVE, array, param, require
-from .semiclassical import ComplexTimeMap, WKBState
+from .semiclassical import WKBState
 from .stationary import (
     EigenPair,
     _discrete_wavenumber,
@@ -74,9 +74,18 @@ __all__ = [
     "QuantumEmergenceRow",
     "EmergenceReport",
     "emergence_scan",
-    "ComplexTimeTrajectory",
-    "propagate_complex_time",
 ]
+
+# time steps per block of drive evaluations in the propagators.  A block's
+# largest table is the (steps, 3, k, nx) product inside its RK4 stage
+# matrices: 8 MB at k = 2 and nx = 321, whatever the length of the run
+BLOCK_STEPS = 256
+
+
+def _blocks(t: np.ndarray):
+    """(start, stop) step ranges of at most BLOCK_STEPS steps covering t."""
+    for start in range(0, t.size - 1, BLOCK_STEPS):
+        yield start, min(start + BLOCK_STEPS, t.size - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -132,57 +141,7 @@ class WavefunctionTrajectory:
 
 
 # ---------------------------------------------------------------------------
-# Crank-Nicolson core (shared by real and complex stepping)
-
-
-def _crank_nicolson(
-    x_grid: Grid1D,
-    mass: float,
-    hbar: float,
-    psi0: np.ndarray,
-    dtaus: np.ndarray,
-    v_mid,
-    max_growth: float | None = None,
-):
-    """Trapezoidal stepping of i hbar dpsi/dtau = H psi on a Dirichlet grid.
-
-    `dtaus` may be complex; `v_mid(i)` returns the full potential row
-    (length nx, real or complex) at the midpoint of step i.  Exactly
-    norm-conserving for real steps and real potentials; the optional
-    `max_growth` bound (relative to the initial norm) guards complex
-    stepping against blow-up.
-    """
-    nx = x_grid.n
-    h = x_grid.spacing
-    c0, c1, _ = _kinetic_coeffs(2, h, mass, hbar)
-    out = np.zeros((dtaus.size + 1, nx), dtype=complex)
-    out[0] = psi0
-    out[0, 0] = 0.0
-    out[0, -1] = 0.0
-    norm0 = float(np.sqrt(np.sum(np.abs(out[0]) ** 2)))
-    ab = np.zeros((3, nx - 2), dtype=complex)
-    for i, dtau in enumerate(dtaus):
-        u = out[i, 1:-1]
-        vm = np.asarray(v_mid(i), dtype=complex)[1:-1]
-        alpha = 1j * dtau / (2.0 * hbar)
-        hu = (c0 + vm) * u
-        hu[:-1] += c1 * u[1:]
-        hu[1:] += c1 * u[:-1]
-        rhs = u - alpha * hu
-        ab[0, 1:] = alpha * c1
-        ab[1, :] = 1.0 + alpha * (c0 + vm)
-        ab[2, :-1] = alpha * c1
-        unew = solve_banded((1, 1), ab, rhs)
-        if not np.all(np.isfinite(unew)):
-            raise BlowUpError(f"non-finite amplitudes at step {i}")
-        out[i + 1, 1:-1] = unew
-        if max_growth is not None:
-            n = float(np.sqrt(np.sum(np.abs(unew) ** 2)))
-            if n > max_growth * max(norm0, 1e-300):
-                raise BlowUpError(
-                    f"norm grew past {max_growth:.1e} x initial at step {i}"
-                )
-    return out
+# Crank-Nicolson
 
 
 def propagate_tdse(
@@ -193,25 +152,50 @@ def propagate_tdse(
 ) -> WavefunctionTrajectory:
     """Crank-Nicolson propagation of the driven system TDSE.
 
-    `drive` is any callable v(x_array, t_scalar) -> array (or None); it
-    is evaluated at step midpoints, which keeps the stepping second
-    order in the step for time-dependent drives.  Walls are Dirichlet.
+    The drive (or None) is evaluated at the step midpoints, which keeps
+    the stepping second order in the step for time-dependent drives.
+    `drive(x, t)` is called once per block of BLOCK_STEPS steps, with x
+    as a (1, nx) row and t as a (steps, 1) column of midpoints, and must
+    return an array that broadcasts to (steps, nx); CouplingDrive does.
+    Walls are Dirichlet.  Each step is one tridiagonal LAPACK solve
+    (gtsv); the stepping is exactly norm-conserving for real potentials.
     """
     t = np.asarray(t_grid, dtype=float)
     if t.size < 2 or np.any(np.diff(t) <= 0.0):
         raise DegenerateInputError("need at least 2 strictly increasing times")
-    x = psi0.grid.points
+    grid = psi0.grid
+    x = grid.points
+    hbar = system.hbar
+    c0, c1, _ = _kinetic_coeffs(2, grid.spacing, system.m, hbar)
     v_static = np.asarray(system.v_sys(x), dtype=float)
-
-    def v_mid(i):
-        if drive is None:
-            return v_static
-        tm = 0.5 * (t[i] + t[i + 1])
-        return v_static + np.asarray(drive(x, tm), dtype=float)
-
-    vals = _crank_nicolson(psi0.grid, system.m, system.hbar, psi0.values,
-                           np.diff(t).astype(complex), v_mid)
-    return WavefunctionTrajectory(psi0.grid, t, vals, x_stencil_order=2)
+    dtaus = np.diff(t).astype(complex)
+    gtsv, = get_lapack_funcs(("gtsv",), (dtaus,))
+    out = np.zeros((t.size, grid.n), dtype=complex)
+    out[0, 1:-1] = psi0.values[1:-1]
+    for start, stop in _blocks(t):
+        v = v_static
+        if drive is not None:
+            tm = 0.5 * (t[start:stop] + t[start + 1:stop + 1])
+            v = v_static + np.asarray(drive(x[None, :], tm[:, None]), dtype=float)
+        v = np.broadcast_to(v, (stop - start, grid.n))
+        for i in range(start, stop):
+            u = out[i, 1:-1]
+            vm = v[i - start, 1:-1].astype(complex)
+            alpha = 1j * dtaus[i] / (2.0 * hbar)
+            hu = (c0 + vm) * u
+            hu[:-1] += c1 * u[1:]
+            hu[1:] += c1 * u[:-1]
+            rhs = u - alpha * hu
+            diag = 1.0 + alpha * (c0 + vm)
+            if rhs.size == 1:  # one interior point: gtsv needs two
+                unew, info = rhs / diag, 0
+            else:
+                off = np.full(rhs.size - 1, alpha * c1)
+                _, _, _, unew, info = gtsv(off, diag, off, rhs, overwrite_b=True)
+            if info != 0 or not np.all(np.isfinite(unew)):
+                raise BlowUpError(f"non-finite amplitudes at step {i} (gtsv info {info})")
+            out[i + 1, 1:-1] = unew
+    return WavefunctionTrajectory(grid, t, out, x_stencil_order=2)
 
 
 # ---------------------------------------------------------------------------
@@ -252,9 +236,15 @@ def propagate_amplitudes(
 ) -> AmplitudeSet:
     """RK4 on i hbar da_m/dt = sum_n V_mn(t) a_n exp(i (eps_m - eps_n) t / hbar).
 
-    The drive matrix is recomputed at every RK4 stage.  A Hermitian
-    drive conserves total population; drift beyond `drift_tol` raises
-    StabilityError suggesting a smaller step.
+    The stage times of step i are t[i], t[i] + dt/2 and t[i] + dt with
+    dt = t[i+1] - t[i].  `drive(x, t)` (or None) is called once per block
+    of BLOCK_STEPS steps, with x as a (1, 1, nx) row and t as a
+    (steps, 3, 1) table of stage times, and must return an array that
+    broadcasts to (steps, 3, nx); CouplingDrive does.  The block's
+    (steps, 3, k, k) drive matrices are formed before its steps are
+    taken.  Non-finite amplitudes raise BlowUpError.  A Hermitian drive
+    conserves total population; a drift that is not within `drift_tol`
+    raises StabilityError suggesting a smaller step.
     """
     t = np.asarray(t_grid, dtype=float)
     if t.size < 2 or np.any(np.diff(t) <= 0.0):
@@ -273,24 +263,31 @@ def propagate_amplitudes(
 
     deps = eps[:, None] - eps[None, :]
     x = basis.x_grid.points
+    for start, stop in _blocks(t):
+        ti = t[start:stop]
+        dts = t[start + 1:stop + 1] - ti
+        stage_t = np.stack([ti, ti + 0.5 * dts, ti + dts], axis=1)
+        v = np.broadcast_to(
+            np.asarray(drive(x[None, None, :], stage_t[:, :, None]), dtype=float),
+            stage_t.shape + x.shape)
+        m = _matrix_elements(basis, v) * np.exp(1j * deps * stage_t[..., None, None] / hbar)
+        for j, dt in enumerate(dts):
+            m1, m2, m4 = m[j]
+            a = out[start + j]
+            k1 = (-1j / hbar) * (m1 @ a)
+            k2 = (-1j / hbar) * (m2 @ (a + 0.5 * dt * k1))
+            k3 = (-1j / hbar) * (m2 @ (a + 0.5 * dt * k2))
+            k4 = (-1j / hbar) * (m4 @ (a + dt * k3))
+            out[start + j + 1] = a + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
-    def rhs(time, a):
-        v = _matrix_elements(basis, np.asarray(drive(x, time), dtype=float))
-        return (-1j / hbar) * ((v * np.exp(1j * deps * time / hbar)) @ a)
-
-    for i in range(t.size - 1):
-        dt = t[i + 1] - t[i]
-        a = out[i]
-        k1 = rhs(t[i], a)
-        k2 = rhs(t[i] + 0.5 * dt, a + 0.5 * dt * k1)
-        k3 = rhs(t[i] + 0.5 * dt, a + 0.5 * dt * k2)
-        k4 = rhs(t[i] + dt, a + dt * k3)
-        out[i + 1] = a + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-
+    bad = np.flatnonzero(~np.all(np.isfinite(out), axis=1))
+    if bad.size:
+        raise BlowUpError(f"non-finite amplitudes at t = {t[bad[0]]:g}")
     result = AmplitudeSet(t, out, eps)
-    if result.population_drift > drift_tol:
+    drift = result.population_drift
+    if not drift <= drift_tol:
         raise StabilityError(
-            f"population drift {result.population_drift:.3e} > {drift_tol:.1e}",
+            f"population drift {drift:.3e} > {drift_tol:.1e}",
             suggested_step=float(np.min(np.diff(t))) / 2.0,
         )
     return result
@@ -319,7 +316,10 @@ def compare_amplitudes_to_grid(
 
     psi0 must live in the basis span (representation defect below
     `defect_tol`); projections of the grid evolution are corrected by
-    exp(+i eps_m t / hbar) before comparison.
+    exp(+i eps_m t / hbar) before comparison.  `drive(x, t)` (or None)
+    must take array times that broadcast against x, as both
+    propagators call it once per block of BLOCK_STEPS steps;
+    CouplingDrive does.
     """
     if psi0.grid != basis.x_grid:
         raise GridMismatchError("psi0 grid does not match basis grid")
@@ -676,68 +676,3 @@ def emergence_scan(
     ly = np.log([r.rho for r in good])
     slope = float(np.polyfit(lx, ly, 1)[0])
     return EmergenceReport(tuple(rows), slope, cfg)
-
-
-# ---------------------------------------------------------------------------
-# complex time
-
-
-@dataclass(eq=False)
-class ComplexTimeTrajectory:
-    """Wavefunction stepped along a complex time polyline."""
-
-    x_grid: Grid1D
-    tau: np.ndarray
-    values: np.ndarray
-
-    def __post_init__(self):
-        self.tau = np.asarray(self.tau, dtype=complex)
-        self.values = np.asarray(self.values, dtype=complex)
-        if self.values.shape != (self.tau.size, self.x_grid.n):
-            raise GridMismatchError("trajectory shape does not match tau axis")
-
-    def slice_norms(self) -> np.ndarray:
-        w = self.x_grid.weights
-        return np.sqrt(np.sum(w * np.abs(self.values) ** 2, axis=1))
-
-
-def propagate_complex_time(
-    system: SystemSpec,
-    psi0: Field1D,
-    tau_path,
-    drive=None,
-    u_s=None,
-    blowup_factor: float = 1e6,
-) -> ComplexTimeTrajectory:
-    """Crank-Nicolson stepping along a complex tau polyline.
-
-    The stepped equation is (H_S + V_I(tau) + U_S(tau) - i hbar d/dtau)
-    psi = 0 with the back-reaction entering with a plus sign (kept as
-    the exploratory form prescribes; see the docs for the sign
-    discussion).  `tau_path` is a ComplexTimeMap or a complex array.
-    Norm is not conserved off the real axis; growth beyond
-    `blowup_factor` times the initial norm raises BlowUpError.  A real
-    path reproduces propagate_tdse exactly.
-    """
-    tau = tau_path.values if isinstance(tau_path, ComplexTimeMap) else tau_path
-    tau = np.asarray(tau, dtype=complex)
-    if tau.size < 2:
-        raise DegenerateInputError("need at least 2 tau samples")
-    dtaus = np.diff(tau)
-    if np.any(dtaus == 0.0):
-        raise DegenerateInputError("tau path contains a zero step")
-    x = psi0.grid.points
-    v_static = np.asarray(system.v_sys(x), dtype=float)
-
-    def v_mid(i):
-        tm = 0.5 * (tau[i] + tau[i + 1])
-        v = v_static.astype(complex)
-        if drive is not None:
-            v = v + np.asarray(drive(x, tm))
-        if u_s is not None:
-            v = v + np.asarray(u_s(tm))
-        return v
-
-    vals = _crank_nicolson(psi0.grid, system.m, system.hbar, psi0.values,
-                           dtaus, v_mid, max_growth=blowup_factor)
-    return ComplexTimeTrajectory(psi0.grid, tau, vals)

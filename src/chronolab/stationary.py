@@ -591,9 +591,12 @@ def project_channels(state: Field2D, basis: ChannelBasis) -> ChannelDecompositio
 
 
 def _matrix_elements(basis: ChannelBasis, v_x: np.ndarray) -> np.ndarray:
-    """<phi_m | v | phi_n> by quadrature for v sampled on the basis grid, (k, k)."""
+    """<phi_m | v | phi_n> by quadrature for v sampled on the basis grid.
+
+    v_x is (..., nx), one potential per row; the result is (..., k, k).
+    """
     mat = basis.state_matrix()
-    return (np.conj(mat) * (basis.x_grid.weights * v_x)) @ mat.T
+    return (np.conj(mat) * (basis.x_grid.weights * v_x)[..., None, :]) @ mat.T
 
 
 def _coupling_factors(spec, basis: ChannelBasis, r_points: np.ndarray) -> tuple:

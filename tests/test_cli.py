@@ -280,6 +280,21 @@ def test_numerical_failure_exits_3(tmp_path, capsys):
     assert statuses == {"validate": "ok", "compute": "failed"}
 
 
+def test_amplitude_overflow_exits_3(tmp_path, capsys):
+    # a pulse this strong overflows the 20 RK4 steps; the non-finite
+    # amplitudes must stop the run, not land in the tables as NaN
+    cfg = write_config(tmp_path, {"scenario": "harmonic-clock-two-level",
+                                  "parameters": {"pulse_amplitude": 1e6, "time_steps": 20}})
+    out = tmp_path / "out"
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert main(["run", cfg, "--out", str(out)]) == 3
+    assert "BlowUpError" in capsys.readouterr().err
+    manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
+    statuses = {s["name"]: s["status"] for s in manifest["stages"]}
+    assert statuses == {"validate": "ok", "compute": "failed"}
+    assert not list(out.glob("*.csv"))
+
+
 # schema-valid configs whose fields contradict each other
 CROSS_FIELD = [
     ("beam-on-atom", {"incoming": 9}, "/parameters/incoming"),

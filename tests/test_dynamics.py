@@ -25,14 +25,13 @@ from chronolab import (
     norm,
     normalize,
     propagate_amplitudes,
-    propagate_complex_time,
     propagate_tdse,
     solve_directed_state,
     solve_system_basis,
     tdse_residual,
 )
+from chronolab.dynamics import BLOCK_STEPS
 from chronolab.errors import BlowUpError, StabilityError
-from conftest import ho_ground
 
 
 def _packet(grid, center=0.0, width=1.0, k0=0.0):
@@ -186,6 +185,118 @@ def test_two_route_comparison_rejects_out_of_span_state():
 
 
 # ---------------------------------------------------------------------------
+# block tables against per-sample steppers
+
+
+def _rk4_per_sample(basis, drive, a0, t, hbar):
+    """RK4 with the drive and its matrix elements evaluated at each stage."""
+    deps = basis.energies[:, None] - basis.energies[None, :]
+    x = basis.x_grid.points
+    w = basis.x_grid.weights
+    mat = basis.state_matrix()
+    out = np.empty((t.size, len(basis)), dtype=complex)
+    out[0] = a0
+
+    def rhs(time, a):
+        v = (np.conj(mat) * (w * np.asarray(drive(x, time), dtype=float))) @ mat.T
+        return (-1j / hbar) * ((v * np.exp(1j * deps * time / hbar)) @ a)
+
+    for i in range(t.size - 1):
+        dt = t[i + 1] - t[i]
+        a = out[i]
+        k1 = rhs(t[i], a)
+        k2 = rhs(t[i] + 0.5 * dt, a + 0.5 * dt * k1)
+        k3 = rhs(t[i] + 0.5 * dt, a + 0.5 * dt * k2)
+        k4 = rhs(t[i] + dt, a + dt * k3)
+        out[i + 1] = a + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return out
+
+
+def _cn_per_sample(system, drive, psi0, t):
+    """Crank-Nicolson with the drive evaluated at each midpoint, banded solves."""
+    from scipy.linalg import solve_banded
+    from chronolab.core import _kinetic_coeffs
+
+    grid = psi0.grid
+    x = grid.points
+    c0, c1, _ = _kinetic_coeffs(2, grid.spacing, system.m, system.hbar)
+    v_static = np.asarray(system.v_sys(x), dtype=float)
+    out = np.zeros((t.size, grid.n), dtype=complex)
+    out[0, 1:-1] = psi0.values[1:-1]
+    ab = np.zeros((3, grid.n - 2), dtype=complex)
+    for i, dtau in enumerate(np.diff(t).astype(complex)):
+        u = out[i, 1:-1]
+        tm = 0.5 * (t[i] + t[i + 1])
+        vm = np.asarray(v_static + np.asarray(drive(x, tm), dtype=float), dtype=complex)[1:-1]
+        alpha = 1j * dtau / (2.0 * system.hbar)
+        hu = (c0 + vm) * u
+        hu[:-1] += c1 * u[1:]
+        hu[1:] += c1 * u[:-1]
+        ab[0, 1:] = alpha * c1
+        ab[1, :] = 1.0 + alpha * (c0 + vm)
+        ab[2, :-1] = alpha * c1
+        out[i + 1, 1:-1] = solve_banded((1, 1), ab, u - alpha * hu)
+    return out
+
+
+class _RecordingDrive:
+    """A drive that keeps a copy of every time table it is called with."""
+
+    def __init__(self, drive):
+        self.drive = drive
+        self.times = []
+
+    def __call__(self, x, t):
+        self.times.append(np.array(t))
+        return self.drive(x, t)
+
+
+def test_block_propagators_match_per_sample_steppers_bit_for_bit():
+    from chronolab import ClockModel, Linear, WindowedPulse, clock_time_map
+
+    grid = Grid1D(-8.0, 8.0, 161)
+    system = SystemSpec(1.0, 0.9, Harmonic(4.0))
+    basis = solve_system_basis(system, grid, 2, order=2)
+    tmap = clock_time_map(ClockModel(Harmonic(1.0), 80.0, 10.0, Grid1D(-3.5, 3.5, 2001)))
+    tmap = TimeMap(tmap.r_grid, tmap.times - 0.5 * tmap.span[1])  # the pulse at t = 0
+    drive = CouplingDrive(WindowedPulse(0.2, 0.0, 0.8, Linear(1.0)), tmap)
+
+    # more than two blocks with a partial last one; the steps shrink into
+    # t = 0 and grow out of it by factors of 3 to 10, where t[i] + dt need
+    # not round to t[i+1], and are non-uniform elsewhere
+    rng = np.random.default_rng(7)
+    steps = 2 * BLOCK_STEPS + 37
+    near = 1e-8 * np.cumprod(rng.uniform(3.0, 10.0, 8))
+    far = near[-1] + np.cumsum(rng.uniform(0.5, 1.5, steps - 15) * 0.006)
+    t = np.r_[-near[::-1], near, far]
+    dt = np.diff(t)
+    assert t.size == steps + 1 and np.any(t[:-1] + dt != t[1:])
+    a0 = np.array([0.6, 0.8j])
+    psi0 = basis.states[0]
+
+    recorded = _RecordingDrive(drive)
+    amps = propagate_amplitudes(basis, recorded, a0, t, hbar=system.hbar)
+    assert np.array_equal(amps.amplitudes, _rk4_per_sample(basis, drive, a0, t, system.hbar))
+    assert [r.shape for r in recorded.times] == [(BLOCK_STEPS, 3, 1)] * 2 + [(37, 3, 1)]
+    stages = np.stack([t[:-1], t[:-1] + 0.5 * dt, t[:-1] + dt], axis=1)
+    assert np.array_equal(np.concatenate(recorded.times)[..., 0], stages)
+
+    recorded = _RecordingDrive(drive)
+    traj = propagate_tdse(system, recorded, psi0, t)
+    assert np.array_equal(traj.values, _cn_per_sample(system, drive, psi0, t))
+    assert [r.shape for r in recorded.times] == [(BLOCK_STEPS, 1)] * 2 + [(37, 1)]
+    assert np.array_equal(np.concatenate(recorded.times)[:, 0], 0.5 * (t[:-1] + t[1:]))
+
+
+def test_amplitude_blow_up_is_not_a_silent_nan():
+    grid = Grid1D(-8.0, 8.0, 161)
+    basis = solve_system_basis(SystemSpec(1.0, 1.0, Harmonic(4.0)), grid, 2, order=2)
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(BlowUpError):
+        propagate_amplitudes(basis, lambda x, t: 1e300 * x, [1.0, 0.0],
+                             np.linspace(0.0, 20.0, 21))
+
+
+# ---------------------------------------------------------------------------
 # conditional states from directed composites
 
 
@@ -258,38 +369,3 @@ def test_emergence_scan_config_validation():
         emergence_scan(EmergenceScanConfig(kinetic_energies=(10.0, 40.0)))
     with pytest.raises(DegenerateInputError):
         emergence_scan(EmergenceScanConfig(kinetic_energies=(10.0, 40.0, 160.0)))
-
-
-# ---------------------------------------------------------------------------
-# complex tau paths
-
-
-def test_real_tau_path_reproduces_plain_propagation():
-    grid = Grid1D(-10.0, 10.0, 401)
-    system = SystemSpec(1.0, 1.0, Harmonic(1.0))
-    psi0 = _packet(grid, 0.5)
-    t = np.linspace(0.0, 2.0, 801)
-    a = propagate_tdse(system, None, psi0, t)
-    b = propagate_complex_time(system, psi0, t.astype(complex))
-    assert np.array_equal(a.values, b.values)
-
-
-def test_imaginary_tau_relaxes_to_ground_state():
-    grid = Grid1D(-10.0, 10.0, 401)
-    system = SystemSpec(1.0, 1.0, Harmonic(1.0))
-    tau = -1j * np.linspace(0.0, 8.0, 3201)
-    traj = propagate_complex_time(system, _packet(grid, 0.5), tau)
-    fin = traj.values[-1]
-    fin = fin / np.sqrt(np.sum(grid.weights * np.abs(fin) ** 2))
-    overlap = abs(np.sum(grid.weights * ho_ground(grid, 1.0, 1.0) * fin))
-    assert overlap > 0.999999
-    norms = traj.slice_norms()
-    assert np.all(np.diff(norms) <= 1e-12)
-
-
-def test_growing_tau_path_is_stopped():
-    grid = Grid1D(-10.0, 10.0, 401)
-    system = SystemSpec(1.0, 1.0, Harmonic(1.0))
-    tau = 1j * np.linspace(0.0, 40.0, 2001)
-    with pytest.raises(BlowUpError):
-        propagate_complex_time(system, _packet(grid, 0.5), tau, blowup_factor=1e6)
