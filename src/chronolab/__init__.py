@@ -78,6 +78,7 @@ from .stationary import (
     BOSurface,
     ChannelDecomposition,
     CloseCoupledReport,
+    DirectedState,
     EigenPair,
     FactorizedState,
     Hamiltonian2D,
@@ -108,6 +109,7 @@ from .semiclassical import (
 )
 from .dynamics import (
     AmplitudeSet,
+    ConditionalTrajectory,
     EmergenceScanConfig,
     EmergenceReport,
     QuantumEmergenceRow,

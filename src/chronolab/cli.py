@@ -4,7 +4,8 @@ Subcommands: run, list, validate, version.  A run takes a JSON config
 file (or the name of a builtin scenario, which runs its defaults),
 validates it against the scenario's schema, executes the pipeline, and
 writes one CSV (or JSON) file per output table plus a manifest.  The
-manifest is written even when a stage fails.  Floats are serialized
+manifest is written even when a stage fails; it lists, not prints, the
+RuntimeWarnings of the compute stage.  Floats are serialized
 with 17 significant digits so a fixed config and seed regenerate
 byte-identical CSVs.
 
@@ -21,6 +22,7 @@ import json
 import os
 import sys
 import time
+import warnings
 from pathlib import Path
 
 import jsonschema
@@ -177,7 +179,9 @@ def run_command(args) -> int:
         writer = write_csv if args.format == "csv" else write_json_table
         t1 = time.perf_counter()
         try:
-            tables = SCENARIOS[name].run(params, jobs=args.jobs)
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always", RuntimeWarning)
+                tables = SCENARIOS[name].run(params, jobs=args.jobs)
             stages.append({"name": "compute", "status": "ok",
                            "seconds": time.perf_counter() - t1})
             t2 = time.perf_counter()
@@ -209,6 +213,14 @@ def run_command(args) -> int:
                            "error": f"{type(exc).__name__}: {exc}"})
             print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
             code = 5
+        noted = {}  # distinct RuntimeWarnings; other categories are shown
+        for w in caught:
+            if issubclass(w.category, RuntimeWarning):
+                noted[str(w.message), f"{Path(w.filename).name}:{w.lineno}"] = None
+            else:
+                warnings.showwarning(w.message, w.category, w.filename, w.lineno)
+        if noted:  # stages[1] is the stage that covers the compute call
+            stages[1]["warnings"] = [{"message": m, "location": loc} for m, loc in noted]
 
     manifest = {
         "artifact_version": __version__,

@@ -35,7 +35,7 @@ from .core import (
     Linear,
     SystemSpec,
     WindowedPulse,
-    _apply_kinetic,
+    ZeroCoupling,
     _kinetic_coeffs,
     central_difference,
 )
@@ -49,11 +49,13 @@ from .errors import (
 from .params import FRACTION, GRID, INDEX, INT2, NUMBER, POSITIVE, array, param, require
 from .semiclassical import WKBState
 from .stationary import (
-    EigenPair,
+    DirectedState,
+    _coupling_factors,
     _discrete_wavenumber,
     _matrix_elements,
     _project,
-    _slice_hamiltonian,
+    _span_gram,
+    _system_action,
     solve_directed_state,
     solve_system_basis,
 )
@@ -65,6 +67,7 @@ __all__ = [
     "propagate_amplitudes",
     "TwoRouteReport",
     "compare_amplitudes_to_grid",
+    "ConditionalTrajectory",
     "conditional_from_composite",
     "ResidualReport",
     "tdse_residual",
@@ -96,21 +99,12 @@ def _blocks(t: np.ndarray):
 class WavefunctionTrajectory:
     """System wavefunction sampled along a time axis: values[it, ix].
 
-    `u_s` carries the per-slice back-reaction samples when the
-    trajectory came out of a composite factorization; the clock metadata
-    (mass, window-averaged velocity and its spread) feeds the correction
-    term of the TDSE residual.  Slice norms are reported as they come;
-    nothing is renormalized.
+    Slice norms are reported as they come; nothing is renormalized.
     """
 
     x_grid: Grid1D
     times: np.ndarray
     values: np.ndarray
-    x_stencil_order: int = 2
-    u_s: np.ndarray | None = None
-    clock_mass: float | None = None
-    v_mean: float | None = None
-    v_spread: float | None = None
 
     def __post_init__(self):
         self.times = np.asarray(self.times, dtype=float)
@@ -122,10 +116,6 @@ class WavefunctionTrajectory:
             )
         if self.times.size < 2 or np.any(np.diff(self.times) <= 0.0):
             raise DegenerateInputError("need at least 2 strictly increasing times")
-        if self.u_s is not None:
-            self.u_s = np.asarray(self.u_s, dtype=complex)
-            if self.u_s.shape != (self.times.size,):
-                raise GridMismatchError("u_s table does not match the time axis")
 
     def slice_norms(self) -> np.ndarray:
         w = self.x_grid.weights
@@ -195,7 +185,7 @@ def propagate_tdse(
             if info != 0 or not np.all(np.isfinite(unew)):
                 raise BlowUpError(f"non-finite amplitudes at step {i} (gtsv info {info})")
             out[i + 1, 1:-1] = unew
-    return WavefunctionTrajectory(grid, t, out, x_stencil_order=2)
+    return WavefunctionTrajectory(grid, t, out)
 
 
 # ---------------------------------------------------------------------------
@@ -347,48 +337,63 @@ def compare_amplitudes_to_grid(
 # conditional wavefunctions
 
 
+@dataclass(eq=False)
+class ConditionalTrajectory:
+    """Conditional state psi(x, t_j) = sum_n amplitudes[j, n] phi_n(x), its
+    back-reaction samples u_s (zero if not given), and the clock mass and
+    mean velocity that give the M v^2 of the TDSE correction term."""
+
+    basis: ChannelBasis
+    times: np.ndarray
+    amplitudes: np.ndarray
+    u_s: np.ndarray | None = None
+    clock_mass: float | None = None
+    v_mean: float | None = None
+
+    def __post_init__(self):
+        self.times = np.asarray(self.times, dtype=float)
+        self.amplitudes = np.asarray(self.amplitudes, dtype=complex)
+        n = self.times.size
+        self.u_s = np.zeros(n, complex) if self.u_s is None else np.asarray(self.u_s, complex)
+        if self.amplitudes.shape != (n, len(self.basis)) or self.u_s.shape != (n,):
+            raise GridMismatchError("amplitude or u_s table does not match the time axis")
+        if n < 2 or np.any(np.diff(self.times) <= 0.0):
+            raise DegenerateInputError("need at least 2 strictly increasing times")
+
+    def slice_norms(self) -> np.ndarray:
+        return np.sqrt(np.sum(np.abs(self.amplitudes) ** 2, axis=1))
+
+
 def conditional_from_composite(
-    pair: EigenPair,
+    state: DirectedState,
     wkb: WKBState,
     tmap: TimeMap,
     spec: CompositeSpec,
-    x_stencil_order: int = 2,
-) -> WavefunctionTrajectory:
-    """Conditional system wavefunction psi(x, t(R)) = Psi(x, R) / chi_WKB(R).
+) -> ConditionalTrajectory:
+    """Conditional system state psi(x, t(R)) = Psi(x, R) / chi_WKB(R).
 
-    Slice norms are left as they come out of the division.  Each slice
-    carries a back-reaction sample u_s computed as the normalized slice
-    expectation of H_S + V_I(., R); the O(1/M) derivative terms of the
-    full back-reaction are omitted here because slices may be strided in
-    R (the full object lives in the factorization machinery).
+    It lies in the channel span with the directed state: a = kappa / chi,
+    a (slices, k) table, norms as they come out of the division.  Each
+    slice carries u_s = a^H (H_s + g(R) W) a / |a|^2 with
+    H_s = <phi_m|H_S phi_n>, W = <phi_m|sys|phi_n> and g = strength * env;
+    the O(1/M) derivative terms of the full back-reaction are omitted
+    because slices may be strided in R (the factorization has them).
     """
-    state = pair.state
-    if wkb.r_grid != state.grid.r:
+    if wkb.r_grid != state.r_grid:
         raise GridMismatchError("WKB grid does not match the state's R axis")
-    if tmap.r_grid != state.grid.r:
+    if tmap.r_grid != state.r_grid:
         raise GridMismatchError("time map grid does not match the state's R axis")
 
-    chi = wkb.chi().values
-    psi = state.values / chi[:, None]
-
-    wx = state.grid.x.weights
-    hs = _slice_hamiltonian(spec, psi, state.grid.x, state.grid.r.points, x_stencil_order)
-    weight = np.sum(wx * np.abs(psi) ** 2, axis=1)
+    basis = state.basis
+    amps = state.amplitudes / wkb.chi().values[:, None]
+    weight = np.sum(np.abs(amps) ** 2, axis=1)
     if np.any(weight <= 0.0):
         raise DegenerateInputError("conditional slice with zero weight")
-    u_s = np.sum(wx * np.conj(psi) * hs, axis=1) / weight
-
+    hs = _project(basis, _system_action(spec, basis))
+    g, w = _coupling_factors(spec, basis, state.r_grid.points)
+    u_s = np.sum(np.conj(amps) * (amps @ hs.T + g[:, None] * (amps @ w.T)), axis=1) / weight
     v_clock = wkb.momentum / wkb.M
-    return WavefunctionTrajectory(
-        state.grid.x,
-        tmap.times,
-        psi,
-        x_stencil_order=x_stencil_order,
-        u_s=u_s,
-        clock_mass=wkb.M,
-        v_mean=float(np.mean(v_clock)),
-        v_spread=float(np.std(v_clock)),
-    )
+    return ConditionalTrajectory(basis, tmap.times, amps, u_s, wkb.M, float(np.mean(v_clock)))
 
 
 # ---------------------------------------------------------------------------
@@ -397,26 +402,27 @@ def conditional_from_composite(
 
 @dataclass(frozen=True)
 class ResidualReport:
-    """How far a trajectory is from solving the driven TDSE.
+    """How far a conditional trajectory is from solving the driven TDSE.
 
     `residual` is ||(H_S + V_I - U_S - i hbar d/dt) psi~|| / ||psi~||
-    with the U_S phase removed from psi~ beforehand; `rho` is the
-    neglected-to-retained ratio ||(hbar^2/2Mv^2) d2psi/dt2|| /
+    with the U_S phase removed from psi~ beforehand, and `out_of_span`
+    the part of it outside the channel span, over the same norm; `rho`
+    is the neglected-to-retained ratio ||(hbar^2/2Mv^2) d2psi/dt2|| /
     ||hbar dpsi/dt|| on the raw slices.  Endpoint slices are excluded
     from every norm.
     """
 
     residual: float
+    out_of_span: float
     rho: float
     mv2: float
-    dt: float
     resampled: bool
 
 
 def tdse_residual(
-    traj: WavefunctionTrajectory,
+    traj: ConditionalTrajectory,
     system: SystemSpec,
-    drive=None,
+    drive: CouplingDrive | None = None,
     mv2: float | None = None,
 ) -> ResidualReport:
     """Measure the TDSE residual and the correction-term ratio of a trajectory.
@@ -424,27 +430,29 @@ def tdse_residual(
     Needs at least 3 slices; non-uniform time samples are resampled by
     cubic interpolation first.  The purely time-dependent part of the
     back-reaction is removed by the phase transformation
-    psi~ = psi * exp(+(i/hbar) int Re U_S dt) before the residual
-    operator (which retains the -U_S term) is applied; the imaginary
-    part of U_S is not used.  The correction ratio rho uses
-    M v^2 from the trajectory's clock metadata unless `mv2` is given.
+    a~ = a * exp(+(i/hbar) int Re U_S dt) before the residual operator
+    (which retains the -U_S term) is applied; the imaginary part of U_S
+    is not used.  rho uses M v^2 from the trajectory's clock metadata
+    unless `mv2` is given.
 
-    `drive(x, t)`, when given, is called once with x as a (1, nx) row and
-    t as an (nt, 1) column, and must return an array that broadcasts to
-    (nt, nx); CouplingDrive does.
+    All of it is computed from the amplitudes.  The drive (a CouplingDrive
+    or None) is g(t) sys(x), g = strength * env(R(t)).  Row j of the
+    residual is sum_m c_jm phi_m + sum_n a~_jn (d_n + g_j e_n), with
+    c = H_s a~ + g W a~ - Re(U_S) a~ - i hbar D_t a~ and d_n, e_n as in
+    `_span_gram`: a quadratic form in (c, a~, g a~) with the Gram matrix of
+    (phi, d, e).  `rho` is a ratio of amplitude norms.
     """
+    if drive is not None and not isinstance(drive, CouplingDrive):
+        raise TypeError("the drive of a channel-space residual must be a CouplingDrive")
     if traj.times.size < 3:
         raise DegenerateInputError("need at least 3 slices for time stencils")
-    t = traj.times
-    psi = traj.values
-    u = traj.u_s if traj.u_s is not None else np.zeros(t.size, dtype=complex)
-
+    t, amps, u = traj.times, traj.amplitudes, traj.u_s
     diffs = np.diff(t)
     mean_dt = float(np.mean(diffs))
     resampled = bool(np.max(np.abs(diffs - mean_dt)) > 1e-9 * mean_dt)
     if resampled:
         uniform = np.linspace(t[0], t[-1], t.size)
-        psi = CubicSpline(t, psi, axis=0)(uniform)
+        amps = CubicSpline(t, amps, axis=0)(uniform)
         u = CubicSpline(t, u)(uniform)
         t = uniform
     dt = float(t[1] - t[0])
@@ -457,37 +465,28 @@ def tdse_residual(
         mv2 = float(traj.clock_mass * traj.v_mean**2)
 
     hbar = system.hbar
-    x = traj.x_grid.points
-    phase = np.exp((1j / hbar) * cumulative_trapezoid(u.real, t, initial=0.0))
-    tpsi = psi * phase[:, None]
+    k = len(traj.basis)
+    cpl, r = (ZeroCoupling(), t) if drive is None else (drive.coupling, drive.timemap.r_of_t(t))
+    g = np.asarray(cpl.strength * cpl.env(r), dtype=float)
+    hs, w, gram = _span_gram(system, traj.basis, cpl.sys(traj.basis.x_grid.points))
 
-    inner = tpsi[1:-1]
-    resid = np.asarray(system.v_sys(x), dtype=float)[None, :] * inner
-    resid += _apply_kinetic(inner, 1, traj.x_stencil_order, traj.x_grid.spacing,
-                            system.m, hbar)
-    if drive is not None:
-        v_drive = np.asarray(drive(x[None, :], t[:, None]), dtype=float)
-        resid += np.broadcast_to(v_drive, tpsi.shape)[1:-1] * inner
-    resid -= u.real[1:-1, None] * inner
-    resid -= 1j * hbar * central_difference(tpsi, dt, 1)
-
-    wx = traj.x_grid.weights[1:-1]
-
-    def _norm(rows):
-        return float(np.sqrt(np.sum(wx * np.abs(rows[:, 1:-1]) ** 2)))
-
-    den = _norm(inner)
-    if den == 0.0:
+    tamps = amps * np.exp((1j / hbar) * cumulative_trapezoid(u.real, t, initial=0.0))[:, None]
+    inner, g = tamps[1:-1], g[1:-1, None]
+    c = (inner @ hs.T + g * (inner @ w.T) - u.real[1:-1, None] * inner
+         - 1j * hbar * central_difference(tamps, dt, 1))
+    y = np.concatenate([c, inner, g * inner], axis=1)
+    den2 = np.vdot(inner, inner @ gram[:k, :k].T).real  # summed over rows
+    if den2 == 0.0:
         raise DegenerateInputError("trajectory is zero on the interior slices")
-    residual = _norm(resid) / den
+    residual = np.sqrt(max(np.vdot(y, y @ gram.T).real, 0.0) / den2)
+    outside = np.sqrt(max(np.vdot(y[:, k:], y[:, k:] @ gram[k:, k:].T).real, 0.0) / den2)
 
-    d1 = central_difference(psi, dt, 1)
-    d2 = central_difference(psi, dt, 2)
-    retained = hbar * _norm(d1)
-    correction = (hbar * hbar / (2.0 * mv2)) * _norm(d2)
+    retained = hbar * np.linalg.norm(central_difference(amps, dt, 1))
+    correction = (hbar * hbar / (2.0 * mv2)) * np.linalg.norm(central_difference(amps, dt, 2))
     if retained == 0.0:
         raise DegenerateInputError("trajectory is time-independent; no retained term")
-    return ResidualReport(residual, correction / retained, mv2, dt, resampled)
+    return ResidualReport(float(residual), float(outside), float(correction / retained),
+                          mv2, resampled)
 
 
 # ---------------------------------------------------------------------------
@@ -542,7 +541,7 @@ def directed_run(cfg: DirectedRunConfig, basis: ChannelBasis, e_kin: float) -> t
     [0, v * duration] on a fine grid of stride * (slices - 1) + 1
     points, with the smallest stride that keeps k_max * dR at or below
     `max_phase_per_step`; the returned state keeps every stride-th row.
-    Returns (spec, fine R grid, pair, v).
+    Returns (spec, fine R grid, directed state, v).
     """
     M, hbar = cfg.clock_mass, cfg.hbar
     eps0 = float(basis.energies[cfg.incoming])
@@ -564,9 +563,9 @@ def directed_run(cfg: DirectedRunConfig, basis: ChannelBasis, e_kin: float) -> t
     spec = CompositeSpec(M, cfg.system_mass, hbar, Constant(0.0),
                          Harmonic(cfg.system_stiffness), coupling,
                          energy=e_total, clock_energy=e_total)
-    pair = solve_directed_state(spec, basis, r_grid, e_total, cfg.incoming,
-                                cfg.residual_tol, stride=stride)
-    return spec, r_grid, pair, v
+    state = solve_directed_state(spec, basis, r_grid, e_total, cfg.incoming,
+                                 cfg.residual_tol, stride=stride)
+    return spec, r_grid, state, v
 
 
 @dataclass(frozen=True)
@@ -585,6 +584,7 @@ class QuantumEmergenceRow:
     rho: float
     v_mean: float
     norm_spread: float
+    residual_out_of_span: float
     error: str | None = None
 
 
@@ -600,7 +600,7 @@ class EmergenceReport:
 
 def _scan_point(cfg: EmergenceScanConfig, system: SystemSpec, basis: ChannelBasis,
                 e_kin: float) -> QuantumEmergenceRow:
-    spec, r_grid, pair, v = directed_run(cfg, basis, e_kin)
+    spec, r_grid, state, v = directed_run(cfg, basis, e_kin)
     M, hbar, e_total = cfg.clock_mass, cfg.hbar, spec.energy
 
     # clock factor from the lattice dispersion of the solve grid: the
@@ -608,20 +608,19 @@ def _scan_point(cfg: EmergenceScanConfig, system: SystemSpec, basis: ChannelBasi
     # continuum sqrt(2ME) phase would leave a spurious drift growing
     # with E^2 h^2 that buries the physical correction at the top of
     # the scan
-    r_sub = pair.state.grid.r
+    r_sub = state.r_grid
     p_lat = hbar * _discrete_wavenumber(e_total, r_grid.spacing, M, hbar)
     rel = r_sub.points - r_sub.points[0]
     wkb = WKBState(r_sub, p_lat * rel, np.full(r_sub.n, p_lat ** -0.5),
                    np.full(r_sub.n, p_lat), e_total, M, hbar)
     tmap = TimeMap(r_sub, (M / p_lat) * rel)
-    traj = conditional_from_composite(pair, wkb, tmap, spec,
-                                      x_stencil_order=basis.stencil_order)
+    traj = conditional_from_composite(state, wkb, tmap, spec)
     report = tdse_residual(traj, system, drive=CouplingDrive(spec.v_int, tmap))
 
     norms = traj.slice_norms()
     spread = float((norms.max() - norms.min()) / norms.mean())
     return QuantumEmergenceRow(e_kin, M * v * v, report.residual, report.rho,
-                               float(traj.v_mean), spread)
+                               float(traj.v_mean), spread, report.out_of_span)
 
 
 def emergence_scan(
@@ -653,9 +652,8 @@ def emergence_scan(
         try:
             return _scan_point(cfg, system, basis, e_kin)
         except ChronolabError as exc:
-            return QuantumEmergenceRow(
-                e_kin, 2.0 * e_kin, float("nan"), float("nan"),
-                float("nan"), float("nan"), f"{type(exc).__name__}: {exc}")
+            return QuantumEmergenceRow(e_kin, 2.0 * e_kin, *[float("nan")] * 5,
+                                       f"{type(exc).__name__}: {exc}")
 
     points = [float(e) for e in cfg.kinetic_energies]
     if jobs > 1:

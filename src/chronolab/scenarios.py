@@ -43,7 +43,7 @@ from .core import (
 from .errors import ConfigError
 from .params import FRACTION, GRID, INT2, NUMBER, POSITIVE, STRIDE, array, param, require
 from .semiclassical import perfect_clock, quantum_time
-from .stationary import _project, solve_system_basis
+from .stationary import solve_system_basis
 
 __all__ = ["Table", "Scenario", "SCENARIOS", "get_scenario", "config_schema"]
 
@@ -165,17 +165,15 @@ class BeamOnAtomConfig(dynamics.DirectedRunConfig):
 
 def _run_beam_on_atom(p: BeamOnAtomConfig, jobs: int) -> dict:
     _, basis = p.system_basis()
-    spec, _, pair, _ = dynamics.directed_run(p, basis, p.kinetic_energy)
+    spec, _, state, _ = dynamics.directed_run(p, basis, p.kinetic_energy)
     e_total = spec.energy
 
     # the beam's own time axis: the free-clock map its tables are built from
-    r_sub = pair.state.grid.r
+    r_sub = state.r_grid
     clock = ClockModel(Constant(0.0), p.clock_mass, e_total, r_sub)
     tmap = clock_time_map(clock)
 
-    # per-slice channel amplitudes of the retained state
-    amps = _project(basis, pair.state.values)  # (k, n_slices)
-    pops = np.abs(amps.T) ** 2
+    pops = np.abs(state.amplitudes) ** 2
     pops /= pops[0].sum()  # entry slice defines the unit of population
 
     out_stride = max(1, p.output_stride)
@@ -184,7 +182,7 @@ def _run_beam_on_atom(p: BeamOnAtomConfig, jobs: int) -> dict:
     rows = [
         (r_sub.points[i], tmap.times[i], *pops[i]) for i in idx
     ]
-    summary = [(pair.residual, float(e_total), p.incoming,
+    summary = [(state.residual, float(e_total), p.incoming,
                 *pops[0], *pops[-1])]
     sum_cols = (["residual", "energy", "incoming"]
                 + [f"entry_{c}" for c in pop_cols] + [f"exit_{c}" for c in pop_cols])
@@ -309,14 +307,16 @@ def _run_emergence_scan(p: dynamics.EmergenceScanConfig, jobs: int) -> dict:
         for r in report.rows
     ]
     details = [
-        (r.scan_value, r.v_mean, r.norm_spread, r.error if r.error else "")
+        (r.scan_value, r.v_mean, r.norm_spread, r.residual_out_of_span,
+         r.error if r.error else "")
         for r in report.rows
     ]
     return {
         "emergence_scan": _table(
             ("scan_value", "mv2", "residual", "rho", "slope_fit"), rows),
         "scan_details": _table(
-            ("scan_value", "v_mean", "norm_spread", "error"), details),
+            ("scan_value", "v_mean", "norm_spread", "residual_out_of_span", "error"),
+            details),
     }
 
 

@@ -55,6 +55,7 @@ __all__ = [
     "EigenPair",
     "solve_eigenpairs",
     "solve_directed_state",
+    "DirectedState",
     "FactorizedState",
     "factorize_prescribed",
     "factorize_selfconsistent",
@@ -375,16 +376,6 @@ def _check_product(fs: FactorizedState, state: Field2D, tol: float = 1e-12):
         raise DegenerateInputError(f"factorization does not reproduce the state: {defect:.3e}")
 
 
-def _slice_hamiltonian(spec, psi: np.ndarray, x_grid: Grid1D, r: np.ndarray,
-                      order: int) -> np.ndarray:
-    """(H_S + V_I(., R)) psi per R slice for psi[iR, ix], order-`order` x stencil."""
-    x = x_grid.points
-    hs = _apply_kinetic(psi, 1, order, x_grid.spacing, spec.m, spec.hbar)
-    hs += (np.asarray(spec.v_sys(x), dtype=float)[None, :]
-           + np.asarray(spec.v_int(x[None, :], r[:, None]), dtype=float)) * psi
-    return hs
-
-
 def _conditional_terms(fs: FactorizedState, spec):
     """Operator terms of the conditional-factor equation on the rows the
     R stencil reaches (the outermost margin slices are clipped).
@@ -401,7 +392,10 @@ def _conditional_terms(fs: FactorizedState, spec):
     h_r = fs.psi.grid.r.spacing
     psi = fs.psi.values
     sl = slice(margin, nr - margin)
-    hs_psi = _slice_hamiltonian(spec, psi, fs.psi.grid.x, fs.psi.grid.r.points, order_x)
+    x, r = fs.psi.grid.x.points, fs.psi.grid.r.points
+    hs_psi = _apply_kinetic(psi, 1, order_x, fs.psi.grid.x.spacing, spec.m, spec.hbar)
+    hs_psi += (np.asarray(spec.v_sys(x), dtype=float)[None, :]
+               + np.asarray(spec.v_int(x[None, :], r[:, None]), dtype=float)) * psi
     log_dchi = central_difference(fs.chi.values, h_r, 1, order_r) / fs.chi.values[sl]
     return (sl, hs_psi[sl], central_difference(psi, h_r, 1, order_r),
             central_difference(psi, h_r, 2, order_r), log_dchi)
@@ -690,6 +684,22 @@ def _discrete_wavenumber(energy_kin: float, h: float, mass: float, hbar: float) 
     return float(np.arccos(c) / h)
 
 
+@dataclass(eq=False)
+class DirectedState:
+    """Directed state Psi(x, R_j) = sum_n amplitudes[j, n] phi_n(x) of unit
+    quadrature norm, with the solve's relative interior residual."""
+
+    basis: ChannelBasis
+    r_grid: Grid1D
+    amplitudes: np.ndarray  # (nR, k)
+    energy: float
+    residual: float
+
+    def field(self) -> Field2D:
+        values = self.amplitudes @ self.basis.state_matrix()
+        return Field2D(Grid2D(self.r_grid, self.basis.x_grid), values)
+
+
 def solve_directed_state(
     spec,
     basis: ChannelBasis,
@@ -698,7 +708,7 @@ def solve_directed_state(
     incoming: int = 0,
     residual_tol: float = 1e-6,
     stride: int = 1,
-) -> EigenPair:
+) -> DirectedState:
     """Directed solution of the composite TISE at fixed total energy.
 
     Box eigenstates are standing waves in R; a clock that actually runs
@@ -715,9 +725,10 @@ def solve_directed_state(
     3 sqrt(n) steps instead of n.  The residual is the interior norm of
     (H - E) applied to the channel-sum field, relative to the field's
     norm, evaluated in channel space (`_channel_residual`) at a cost per
-    R row that does not grow with the x grid; the full 2D field is never
-    materialized.  The returned field keeps every stride-th R row;
-    (n - 1) must be divisible by stride.
+    R row that does not grow with the x grid.  The state is returned as
+    its channel amplitudes kappa_n(R) on every stride-th R row, scaled to
+    unit norm; the (R, x) field is never formed.  (n - 1) must be
+    divisible by stride.
 
     Preconditions, checked: every basis channel must be open at the
     entry edge (TurningPointError otherwise), and V_env and the channel
@@ -771,8 +782,7 @@ def solve_directed_state(
     if total == 0.0:
         raise DegenerateInputError("directed state vanished")
     sub = r_grid if stride == 1 else Grid1D(r_grid.lo, r_grid.hi, (r_grid.n - 1) // stride + 1)
-    values = (kappas[::stride] @ basis.state_matrix()) / total
-    return EigenPair(energy, Field2D(Grid2D(sub, basis.x_grid), values), res)
+    return DirectedState(basis, sub, kappas[::stride] / total, energy, res)
 
 
 def _real_if_exact(a: np.ndarray) -> np.ndarray:
@@ -845,33 +855,40 @@ def _transfer_scan(seed: np.ndarray, diag: np.ndarray, w: np.ndarray,
     return rows[:n]
 
 
+def _span_gram(system, basis: ChannelBasis, sys_x) -> tuple:
+    """hs = <phi_m|H_S phi_n> at the basis stencil, hh = <phi_m|h phi_n> for
+    h(x) = sys_x, and the 3k x 3k Gram matrix of (phi_n, d_n, e_n) over the
+    interior x columns, d_n = H_S phi_n - sum_m hs_mn phi_m and
+    e_n = h phi_n - sum_m hh_mn phi_m being the out-of-span parts."""
+    mat = basis.state_matrix()
+    hs_phi = _system_action(system, basis)
+    h_phi = np.asarray(sys_x, dtype=float) * mat
+    hs = _project(basis, hs_phi)
+    hh = _project(basis, h_phi)
+    vecs = np.concatenate([mat, hs_phi - hs.T @ mat, h_phi - hh.T @ mat])[:, 1:-1]
+    return hs, hh, (np.conj(vecs) * basis.x_grid.weights[1:-1]) @ vecs.T
+
+
 def _channel_residual(spec, basis: ChannelBasis, r_grid: Grid1D, energy: float,
                       kappas: np.ndarray, g_of_r: np.ndarray, block: int = 8192) -> float:
     """Interior residual of the channel-sum field psi = sum_n kappa_n phi_n,
     ||(H - E) psi|| / ||psi|| with H at order 2 in R and the basis order
     in x, over interior rows and columns, computed in channel space.
 
-    The coupling is g(R) h(x) with h = spec.v_int.sys.  With
-    d_n = H_S phi_n - sum_m <phi_m|H_S phi_n> phi_m and
-    e_n = h phi_n - sum_m <phi_m|h phi_n> phi_m, the interior row j of
-    (H - E) psi is exactly
+    The coupling is g(R) h(x) with h = spec.v_int.sys.  With d_n and e_n
+    the out-of-span parts of H_S phi_n and h phi_n (`_span_gram`), the
+    interior row j of (H - E) psi is exactly
 
         sum_m c_jm phi_m + sum_n kappa_jn d_n + g(R_j) sum_n kappa_jn e_n,
 
     c_j being the close-coupled residual of row j, so its squared norm
     is a quadratic form in y_j = (c_j, kappa_j, g(R_j) kappa_j) with the
-    3k x 3k Gram matrix of (phi, d, e) over the interior x columns.
+    Gram matrix of (phi, d, e) over the interior x columns.
     Rows are taken in blocks so no (n, 3k) array is held, and the cost
     per row does not grow with the x grid.
     """
     k = len(basis)
-    mat = basis.state_matrix()
-    hs_phi = _system_action(spec, basis)
-    h_phi = np.asarray(spec.v_int.sys(basis.x_grid.points), dtype=float) * mat
-    hs = _project(basis, hs_phi)  # <phi_m | H_S phi_n>
-    hh = _project(basis, h_phi)
-    vecs = np.concatenate([mat, hs_phi - hs.T @ mat, h_phi - hh.T @ mat])[:, 1:-1]
-    gram = (np.conj(vecs) * basis.x_grid.weights[1:-1]) @ vecs.T
+    hs, hh, gram = _span_gram(spec, basis, spec.v_int.sys(basis.x_grid.points))
     _, c1, _ = _kinetic_coeffs(2, r_grid.spacing, spec.M, spec.hbar)
     v_env = np.asarray(spec.v_env(r_grid.points), dtype=float)
     wr = r_grid.weights

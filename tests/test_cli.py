@@ -7,7 +7,6 @@ import subprocess
 import sys
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 import chronolab
@@ -282,16 +281,22 @@ def test_numerical_failure_exits_3(tmp_path, capsys):
 
 def test_amplitude_overflow_exits_3(tmp_path, capsys):
     # a pulse this strong overflows the 20 RK4 steps; the non-finite
-    # amplitudes must stop the run, not land in the tables as NaN
+    # amplitudes must stop the run, not land in the tables as NaN, and
+    # numpy's overflow warnings go into the manifest, not onto stderr
     cfg = write_config(tmp_path, {"scenario": "harmonic-clock-two-level",
                                   "parameters": {"pulse_amplitude": 1e6, "time_steps": 20}})
     out = tmp_path / "out"
-    with np.errstate(over="ignore", invalid="ignore"):
-        assert main(["run", cfg, "--out", str(out)]) == 3
-    assert "BlowUpError" in capsys.readouterr().err
+    assert main(["run", cfg, "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert "BlowUpError" in err
+    assert "RuntimeWarning" not in err
     manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
     statuses = {s["name"]: s["status"] for s in manifest["stages"]}
     assert statuses == {"validate": "ok", "compute": "failed"}
+    noted = manifest["stages"][1]["warnings"]
+    assert any(w["message"] == "overflow encountered in matmul"
+               and w["location"].startswith("dynamics.py:") for w in noted)
+    assert len(noted) == len({(w["message"], w["location"]) for w in noted})
     assert not list(out.glob("*.csv"))
 
 

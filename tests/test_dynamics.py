@@ -2,18 +2,22 @@
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
+from scipy.integrate import cumulative_trapezoid
+from scipy.interpolate import CubicSpline
 
 from chronolab import (
-    Bilinear,
     CompositeSpec,
+    ConditionalTrajectory,
     Constant,
+    Coupling,
     CouplingDrive,
     DegenerateInputError,
     ZeroCoupling,
     EmergenceScanConfig,
     Field1D,
+    GaussianWell,
     Grid1D,
     Harmonic,
     SystemSpec,
@@ -30,7 +34,8 @@ from chronolab import (
     solve_system_basis,
     tdse_residual,
 )
-from chronolab.dynamics import BLOCK_STEPS
+from chronolab.core import _apply_kinetic, central_difference
+from chronolab.dynamics import BLOCK_STEPS, DirectedRunConfig, directed_run
 from chronolab.errors import BlowUpError, StabilityError
 
 
@@ -300,11 +305,90 @@ def test_amplitude_blow_up_is_not_a_silent_nan():
 # conditional states from directed composites
 
 
+def _clock_factor(state, spec, fine_spacing):
+    """The scan's lattice WKB clock factor and time map on the state's R grid."""
+    from chronolab.stationary import _discrete_wavenumber
+
+    M, hbar, e_total = spec.M, spec.hbar, spec.energy
+    r_sub = state.r_grid
+    p_lat = hbar * _discrete_wavenumber(e_total, fine_spacing, M, hbar)
+    rel = r_sub.points - r_sub.points[0]
+    wkb = WKBState(r_sub, p_lat * rel, np.full(r_sub.n, p_lat**-0.5),
+                   np.full(r_sub.n, p_lat), e_total, M, hbar)
+    return wkb, TimeMap(r_sub, (M / p_lat) * rel)
+
+
+def _conditional_x(state, wkb, spec):
+    """The conditional in x space, as an oracle for conditional_from_composite.
+
+    Returns psi = Psi / chi on the (R, x) grid and u_s, the normalized
+    slice expectation of H_S + V_I(., R) with the basis stencil in x.
+    """
+    field = state.field()
+    x_grid = field.grid.x
+    x, r = x_grid.points, field.grid.r.points
+    psi = field.values / wkb.chi().values[:, None]
+    hs = _apply_kinetic(psi, 1, state.basis.stencil_order, x_grid.spacing, spec.m, spec.hbar)
+    hs += (np.asarray(spec.v_sys(x), dtype=float)[None, :]
+           + np.asarray(spec.v_int(x[None, :], r[:, None]), dtype=float)) * psi
+    wx = x_grid.weights
+    u_s = np.sum(wx * np.conj(psi) * hs, axis=1) / np.sum(wx * np.abs(psi) ** 2, axis=1)
+    return psi, u_s
+
+
+def _tdse_residual_x(x_grid, order, t, psi, u, system, drive, mv2):
+    """The TDSE residual in x space, as an oracle for tdse_residual.
+
+    Applies (H_S + V_I - Re U_S - i hbar d/dt) to the phase-transformed
+    slices psi[it, ix] with the order-`order` x stencil and returns
+    (residual, rho, resampled, rows), rows being the interior residual
+    rows over the norm of the interior slices.
+    """
+    diffs = np.diff(t)
+    mean_dt = float(np.mean(diffs))
+    resampled = bool(np.max(np.abs(diffs - mean_dt)) > 1e-9 * mean_dt)
+    if resampled:
+        uniform = np.linspace(t[0], t[-1], t.size)
+        psi = CubicSpline(t, psi, axis=0)(uniform)
+        u = CubicSpline(t, u)(uniform)
+        t = uniform
+    dt = float(t[1] - t[0])
+    hbar = system.hbar
+    x = x_grid.points
+    phase = np.exp((1j / hbar) * cumulative_trapezoid(u.real, t, initial=0.0))
+    tpsi = psi * phase[:, None]
+    inner = tpsi[1:-1]
+    resid = np.asarray(system.v_sys(x), dtype=float)[None, :] * inner
+    resid += _apply_kinetic(inner, 1, order, x_grid.spacing, system.m, hbar)
+    if drive is not None:
+        v_drive = np.asarray(drive(x[None, :], t[:, None]), dtype=float)
+        resid += np.broadcast_to(v_drive, tpsi.shape)[1:-1] * inner
+    resid -= u.real[1:-1, None] * inner
+    resid -= 1j * hbar * central_difference(tpsi, dt, 1)
+
+    wx = x_grid.weights
+
+    def _norm(rows):
+        return float(np.sqrt(np.sum(wx[1:-1] * np.abs(rows[:, 1:-1]) ** 2)))
+
+    den = _norm(inner)
+    d1 = central_difference(psi, dt, 1)
+    d2 = central_difference(psi, dt, 2)
+    rho = (hbar * hbar / (2.0 * mv2)) * _norm(d2) / (hbar * _norm(d1))
+    return _norm(resid) / den, rho, resampled, resid / den
+
+
+def _out_of_span(basis, rows):
+    """Interior norm of rows minus their projection on the basis span."""
+    mat = basis.state_matrix()
+    w = basis.x_grid.weights
+    perp = rows - ((np.conj(mat) * w) @ rows.T).T @ mat
+    return float(np.sqrt(np.sum(w[1:-1] * np.abs(perp[:, 1:-1]) ** 2)))
+
+
 def test_free_beam_conditional_carries_emergent_phase():
     # The clock carries the full energy, so the conditional state is not
     # frozen: it picks up the phase exp(-i eps0 t) of the channel it rides.
-    from chronolab.stationary import _discrete_wavenumber
-
     M, hbar = 200.0, 1.0
     x_grid = Grid1D(-8.0, 8.0, 161)
     system = SystemSpec(1.0, hbar, Harmonic(4.0))
@@ -315,24 +399,18 @@ def test_free_beam_conditional_carries_emergent_phase():
     spec = CompositeSpec(M, 1.0, hbar, Constant(), Harmonic(4.0),
                          ZeroCoupling(),
                          energy=e_total, clock_energy=e_total)
-    pair = solve_directed_state(spec, basis, r_grid, e_total, 0, 1e-6, stride=4)
+    state = solve_directed_state(spec, basis, r_grid, e_total, 0, 1e-6, stride=4)
+    wkb, tmap = _clock_factor(state, spec, r_grid.spacing)
+    traj = conditional_from_composite(state, wkb, tmap, spec)
 
-    r_sub = pair.state.grid.r
-    p_lat = hbar * _discrete_wavenumber(e_total, r_grid.spacing, M, hbar)
-    rel = r_sub.points - r_sub.points[0]
-    wkb = WKBState(r_sub, p_lat * rel, np.full(r_sub.n, p_lat**-0.5),
-                   np.full(r_sub.n, p_lat), e_total, M, hbar)
-    tmap = TimeMap(r_sub, (M / p_lat) * rel)
-    traj = conditional_from_composite(pair, wkb, tmap, spec, x_stencil_order=2)
-
-    assert np.ptp([norm(Field1D(x_grid, row)) for row in traj.values]) < 1e-10
-    assert traj.u_s is not None
+    assert np.ptp(traj.slice_norms()) < 1e-10
     np.testing.assert_allclose(traj.u_s.real, eps0, rtol=1e-8)
 
     # phase-locked comparison against the entry slice
     t_rel = traj.times - traj.times[0]
-    locked = traj.values[0][None, :] * np.exp(-1j * eps0 * t_rel / hbar)[:, None]
-    dev = np.max(np.abs(traj.values - locked)) / np.max(np.abs(traj.values[0]))
+    amps = traj.amplitudes
+    locked = amps[0][None, :] * np.exp(-1j * eps0 * t_rel / hbar)[:, None]
+    dev = np.max(np.abs(amps - locked)) / np.max(np.abs(amps[0]))
     mv2 = 2.0 * (e_total - eps0)
     # residual phase drift accumulates at the correction rate: eps0^2 T / (2 M v^2)
     assert dev == pytest.approx(eps0**2 * t_rel[-1] / (2.0 * mv2), rel=0.05)
@@ -343,25 +421,84 @@ def test_free_beam_conditional_carries_emergent_phase():
     assert rep.residual == pytest.approx(rep.rho, rel=0.02)
 
 
-def test_residual_report_term_norms():
+def test_channel_conditional_and_residual_match_x_space_on_a_pulse():
+    cfg = DirectedRunConfig(slices=801)
+    system, basis = cfg.system_basis()
+    spec, r_grid, state, _ = directed_run(cfg, basis, 50.0)
+    wkb, tmap = _clock_factor(state, spec, r_grid.spacing)
+    drive = CouplingDrive(spec.v_int, tmap)
+    traj = conditional_from_composite(state, wkb, tmap, spec)
+    rep = tdse_residual(traj, system, drive=drive)
+
+    psi, u_s = _conditional_x(state, wkb, spec)
+    wx = basis.x_grid.weights
+    np.testing.assert_allclose(traj.slice_norms(),
+                               np.sqrt(np.sum(wx * np.abs(psi) ** 2, axis=1)), rtol=1e-10)
+    assert np.max(np.abs(traj.u_s - u_s)) <= 1e-10 * np.max(np.abs(u_s))
+    residual, rho, resampled, rows = _tdse_residual_x(
+        basis.x_grid, basis.stencil_order, traj.times, psi, u_s, system, drive, rep.mv2)
+    assert not rep.resampled and not resampled
+    assert rep.residual == pytest.approx(residual, rel=1e-10)
+    assert rep.rho == pytest.approx(rho, rel=1e-10)
+    # out of the span only channel truncation is left: the directed-solve level
+    assert 1e-9 < rep.out_of_span < 1e-4 * rep.residual
+    # the oracle subtracts the span part from rows of size ~1: its rounding,
+    # about 1e-15 absolute, is 3e-8 of an out-of-span norm of 3e-8
+    assert rep.out_of_span == pytest.approx(_out_of_span(basis, rows), rel=1e-6)
+
+
+@given(k=st.integers(1, 4), nt=st.integers(3, 40), uniform=st.booleans(),
+       order=st.sampled_from([2, 4]), seed=st.integers(0, 2**32 - 1))
+@example(k=3, nt=25, uniform=True, order=2, seed=0)
+@example(k=2, nt=30, uniform=False, order=4, seed=1)
+def test_channel_residual_matches_x_space_on_random_trajectories(k, nt, uniform, order, seed):
+    # a random trajectory in the span of a basis that does not diagonalize
+    # the system, under a random product drive: every block of the quadratic
+    # form, the -Re(U_S) term and the phase transform all carry weight
+    rng = np.random.default_rng(seed)
+    grid = Grid1D(-6.0, 6.0, 61)
+    basis = solve_system_basis(SystemSpec(1.0, 1.0, Harmonic(rng.uniform(1.0, 5.0))),
+                               grid, k, order=order)
+    system = SystemSpec(rng.uniform(0.5, 2.0), rng.uniform(0.5, 1.5),
+                        Harmonic(rng.uniform(0.5, 6.0), rng.uniform(-0.5, 0.5)))
+    steps = np.full(nt - 1, 0.05) if uniform else rng.uniform(0.02, 0.08, nt - 1)
+    t = rng.uniform(-1.0, 1.0) + np.r_[0.0, np.cumsum(steps)]
+    amps = rng.standard_normal((nt, k)) + 1j * rng.standard_normal((nt, k))
+    u_s = rng.uniform(-3.0, 3.0, nt) + 1j * rng.uniform(-1.0, 1.0, nt)
+    r_map = Grid1D(0.0, 1.0, 40)
+    s = r_map.points
+    tmap = TimeMap(r_map, t[0] - 0.1 + (t[-1] - t[0] + 0.2) * (s + 0.5 * s * s) / 1.5)
+    coupling = Coupling(GaussianWell(-1.0, rng.uniform(0.1, 0.5), rng.uniform(0.0, 1.0)),
+                        Harmonic(rng.uniform(0.5, 2.0), rng.uniform(-1.0, 1.0)),
+                        rng.uniform(-2.0, 2.0))
+    drive = CouplingDrive(coupling, tmap)
+    traj = ConditionalTrajectory(basis, t, amps, u_s)
+    rep = tdse_residual(traj, system, drive=drive, mv2=rng.uniform(10.0, 1e3))
+
+    psi = amps @ basis.state_matrix()
+    residual, rho, resampled, rows = _tdse_residual_x(
+        grid, order, t, psi, u_s, system, drive, rep.mv2)
+    assert rep.resampled == resampled == (not uniform)
+    assert rep.residual == pytest.approx(residual, rel=1e-10)
+    assert rep.rho == pytest.approx(rho, rel=1e-10)
+    assert rep.out_of_span == pytest.approx(_out_of_span(basis, rows), rel=1e-10)
+
+
+def test_stationary_superposition_has_no_residual():
     grid = Grid1D(-9.0, 9.0, 901)
     system = SystemSpec(1.0, 1.0, Harmonic(1.0))
-    basis = solve_system_basis(system, grid, 1, order=2)
+    basis = solve_system_basis(system, grid, 2, order=2)
     t = np.linspace(0.0, 2.0, 2001)
-    traj = propagate_tdse(system, None, basis.states[0], t)
+    amps = np.array([0.6, 0.8j]) * np.exp(-1j * np.outer(t, basis.energies))
+    traj = ConditionalTrajectory(basis, t, amps)
     rep = tdse_residual(traj, system, mv2=100.0)
     assert rep.residual < 1e-5
+    assert rep.out_of_span < 1e-10
     assert not rep.resampled
 
-    # the drive is called once on the whole (t, x) table; a drive that
-    # only takes scalar times fails loudly
-    def scalar_times_only(x, t):
-        if np.ndim(t):
-            raise TypeError("scalar times only")
-        return 0.0 * x
-
-    with pytest.raises(TypeError, match="scalar times only"):
-        tdse_residual(traj, system, drive=scalar_times_only, mv2=100.0)
+    # the channel-space residual needs the product form of the drive
+    with pytest.raises(TypeError, match="CouplingDrive"):
+        tdse_residual(traj, system, drive=lambda x, tt: 0.0 * x, mv2=100.0)
 
 
 def test_emergence_scan_config_validation():
