@@ -243,7 +243,8 @@ def constraint_residuals(path: DiscretePath) -> np.ndarray:
 
 @dataclass(frozen=True)
 class EndpointReport:
-    """Finite-difference gradient of the minimized action at both endpoints.
+    """Finite-difference gradient of the minimized action at both endpoints,
+    with the minimized base path the probes start from.
 
     The probe should match the analytic gradient of the discrete action
     to second order in `delta` (envelope theorem: interior nodes are at
@@ -260,6 +261,7 @@ class EndpointReport:
     analytic_start: np.ndarray
     momentum_start: np.ndarray
     delta: float
+    path: DiscretePath
 
     @property
     def probe_error_end(self) -> float:
@@ -290,7 +292,8 @@ def endpoint_momentum_check(
 
     Central differences of the minimized action should reproduce the
     terminal momentum (and minus the initial momentum) to second order in
-    `delta`.
+    `delta`.  The report carries the minimized base path as `path`, so a
+    caller that needs it does not minimize the same inputs again.
     """
     q_start = np.asarray(q_start, dtype=float)
     q_end = np.asarray(q_end, dtype=float)
@@ -312,7 +315,7 @@ def endpoint_momentum_check(
         e[j] = delta
         fd_end[j] = (minimized_w(q_start, q_end + e) - minimized_w(q_start, q_end - e)) / (2 * delta)
         fd_start[j] = (minimized_w(q_start + e, q_end) - minimized_w(q_start - e, q_end)) / (2 * delta)
-    return EndpointReport(fd_end, g[-1], p[-1], fd_start, g[0], p[0], delta)
+    return EndpointReport(fd_end, g[-1], p[-1], fd_start, g[0], p[0], delta, base)
 
 
 # ---------------------------------------------------------------------------

@@ -80,8 +80,9 @@ __all__ = [
 ]
 
 # time steps per block of drive evaluations in the propagators.  A block's
-# largest table is the (steps, 3, k, nx) product inside its RK4 stage
-# matrices: 8 MB at k = 2 and nx = 321, whatever the length of the run
+# largest table is the (u, k, nx) product inside its RK4 stage matrices, u
+# <= 3 * steps distinct stage times: under 8 MB at k = 2 and nx = 321,
+# whatever the length of the run
 BLOCK_STEPS = 256
 
 
@@ -148,7 +149,10 @@ def propagate_tdse(
     as a (1, nx) row and t as a (steps, 1) column of midpoints, and must
     return an array that broadcasts to (steps, nx); CouplingDrive does.
     Walls are Dirichlet.  Each step is one tridiagonal LAPACK solve
-    (gtsv); the stepping is exactly norm-conserving for real potentials.
+    (gtsv) on the block's diagonals, formed before its steps; the
+    stepping is exactly norm-conserving for real potentials.  The first
+    step whose solve fails or whose amplitudes are not finite raises
+    BlowUpError naming it.
     """
     t = np.asarray(t_grid, dtype=float)
     if t.size < 2 or np.any(np.diff(t) <= 0.0):
@@ -168,23 +172,31 @@ def propagate_tdse(
             tm = 0.5 * (t[start:stop] + t[start + 1:stop + 1])
             v = v_static + np.asarray(drive(x[None, :], tm[:, None]), dtype=float)
         v = np.broadcast_to(v, (stop - start, grid.n))
-        for i in range(start, stop):
+        h_diag = c0 + v[:, 1:-1].astype(complex)
+        alpha = 1j * dtaus[start:stop] / (2.0 * hbar)
+        diag = 1.0 + alpha[:, None] * h_diag
+        off = np.repeat((alpha * c1)[:, None], grid.n - 3, axis=1)
+        info, failed = 0, stop
+        for j, i in enumerate(range(start, stop)):
             u = out[i, 1:-1]
-            vm = v[i - start, 1:-1].astype(complex)
-            alpha = 1j * dtaus[i] / (2.0 * hbar)
-            hu = (c0 + vm) * u
+            hu = h_diag[j] * u
             hu[:-1] += c1 * u[1:]
             hu[1:] += c1 * u[:-1]
-            rhs = u - alpha * hu
-            diag = 1.0 + alpha * (c0 + vm)
+            rhs = u - alpha[j] * hu
             if rhs.size == 1:  # one interior point: gtsv needs two
-                unew, info = rhs / diag, 0
+                unew = rhs / diag[j]
             else:
-                off = np.full(rhs.size - 1, alpha * c1)
-                _, _, _, unew, info = gtsv(off, diag, off, rhs, overwrite_b=True)
-            if info != 0 or not np.all(np.isfinite(unew)):
-                raise BlowUpError(f"non-finite amplitudes at step {i} (gtsv info {info})")
+                _, _, _, unew, info = gtsv(off[j], diag[j], off[j], rhs, overwrite_b=True)
+                if info != 0:
+                    failed = i
+                    break
             out[i + 1, 1:-1] = unew
+        # the first non-finite row, or the failed solve, names the step
+        bad = np.flatnonzero(~np.all(np.isfinite(out[start + 1:failed + 1]), axis=1))
+        if bad.size:
+            info, failed = 0, start + int(bad[0])
+        if failed < stop:
+            raise BlowUpError(f"non-finite amplitudes at step {failed} (gtsv info {info})")
     return WavefunctionTrajectory(grid, t, out)
 
 
@@ -228,11 +240,14 @@ def propagate_amplitudes(
 
     The stage times of step i are t[i], t[i] + dt/2 and t[i] + dt with
     dt = t[i+1] - t[i].  `drive(x, t)` (or None) is called once per block
-    of BLOCK_STEPS steps, with x as a (1, 1, nx) row and t as a
-    (steps, 3, 1) table of stage times, and must return an array that
-    broadcasts to (steps, 3, nx); CouplingDrive does.  The block's
-    (steps, 3, k, k) drive matrices are formed before its steps are
-    taken.  Non-finite amplitudes raise BlowUpError.  A Hermitian drive
+    of BLOCK_STEPS steps, with x as a (1, nx) row and t as a (u, 1)
+    column of the block's distinct stage times, and must return an array
+    that broadcasts to (u, nx); CouplingDrive does.  The drive, its
+    matrix elements and their phase factors are formed once per distinct
+    time and indexed into the block's (steps, 3, k, k) drive matrices
+    before its steps are taken, so where t[i] + dt equals t[i+1] the
+    last stage of step i and the first of step i+1 share one evaluation.
+    Non-finite amplitudes raise BlowUpError.  A Hermitian drive
     conserves total population; a drift that is not within `drift_tol`
     raises StabilityError suggesting a smaller step.
     """
@@ -257,10 +272,12 @@ def propagate_amplitudes(
         ti = t[start:stop]
         dts = t[start + 1:stop + 1] - ti
         stage_t = np.stack([ti, ti + 0.5 * dts, ti + dts], axis=1)
+        times, where = np.unique(stage_t, return_inverse=True)
         v = np.broadcast_to(
-            np.asarray(drive(x[None, None, :], stage_t[:, :, None]), dtype=float),
-            stage_t.shape + x.shape)
-        m = _matrix_elements(basis, v) * np.exp(1j * deps * stage_t[..., None, None] / hbar)
+            np.asarray(drive(x[None, :], times[:, None]), dtype=float),
+            times.shape + x.shape)
+        m = _matrix_elements(basis, v) * np.exp(1j * deps * times[:, None, None] / hbar)
+        m = m[where.reshape(stage_t.shape)]
         for j, dt in enumerate(dts):
             m1, m2, m4 = m[j]
             a = out[start + j]
@@ -578,6 +595,13 @@ class EmergenceScanConfig(DirectedRunConfig):
 
 @dataclass(frozen=True)
 class QuantumEmergenceRow:
+    """One scan point. `mv2` = M v^2 = 2 E_kin is the x axis of the slope fit,
+    but `rho` is computed with the M v^2 of the clock factor, M v_mean^2,
+    about 2 (E_kin + eps_0): `_scan_point` builds the clock from the
+    lattice momentum of the total energy. The two differ by 7% at E_kin 15
+    and 0.2% at E_kin 500; against M v_mean^2 the default slope would read
+    -1.0147 instead of -0.99717."""
+
     scan_value: float
     mv2: float
     residual: float

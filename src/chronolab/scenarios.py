@@ -25,7 +25,6 @@ from .classical import (
     compare_composite_reduced,
     constraint_residuals,
     endpoint_momentum_check,
-    minimize_action_path,
     path_action,
     path_momenta,
 )
@@ -269,11 +268,11 @@ def _run_jacobi_paths(p: JacobiPathsConfig, jobs: int) -> dict:
         gradient = lambda q: k * (np.asarray(q, dtype=float) - center)
     problem = PathProblem(potential, gradient, masses, p.energy)
 
-    path = minimize_action_path(problem, q_start, q_end, p.segments)
+    endpoint = endpoint_momentum_check(problem, q_start, q_end, p.segments)
+    path = endpoint.path
     action = path_action(path)
     momenta = path_momenta(path)
     residuals = constraint_residuals(path)
-    endpoint = endpoint_momentum_check(problem, q_start, q_end, p.segments)
 
     seg = np.linalg.norm(np.diff(path.nodes, axis=0), axis=1)
     s = np.concatenate(([0.0], np.cumsum(seg)))

@@ -1,12 +1,14 @@
 """Scenario registry and command-line driver, exercised through main()."""
 
 import dataclasses
+import hashlib
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import chronolab
@@ -195,6 +197,58 @@ def test_rerun_is_byte_identical(tmp_path):
     assert main(["run", cfg, "--out", str(out_b)]) == 0
     for fname in ("perfect_clock.csv", "summary.csv"):
         assert (out_a / fname).read_bytes() == (out_b / fname).read_bytes()
+
+
+# sha256 of every CSV the two-route and fixed-energy-path scenarios write at
+# their defaults; a change that moves a digit updates the hash and says so
+DEFAULT_CSV_HASHES = {
+    "jacobi-paths": {
+        "path.csv": "c946233ee19068553d6d1de09597b554dbabee16492b2cf98e5485083070b8c7",
+        "summary.csv": "64b439a58ce47305eeeade6c8ad16a597b758dde1a6dca919cee68bf9db09e15",
+    },
+    "harmonic-clock-two-level": {
+        "summary.csv": "23c25943f1483eb478c354c07a923201d4b7e9d1d403a819c944f8f33d906748",
+        "two_level.csv": "dc2827f6d785a1d50337235fcf28dfe2719d454bd6101627e2ed6ad9550dc556",
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(DEFAULT_CSV_HASHES))
+def test_default_csvs_are_pinned(tmp_path, name):
+    out = tmp_path / "out"
+    assert main(["run", name, "--out", str(out)]) == 0
+    written = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.glob("*.csv")}
+    assert written == DEFAULT_CSV_HASHES[name]
+
+
+def test_jacobi_paths_minimizes_each_path_once(monkeypatch):
+    from chronolab import classical
+
+    minimize = classical.minimize_action_path
+    calls = []
+
+    def counted(*args, **kwargs):
+        path = minimize(*args, **kwargs)
+        calls.append((args, kwargs, path))
+        return path
+
+    for module in [m for k, m in sys.modules.items() if k.split(".")[0] == "chronolab"]:
+        if getattr(module, "minimize_action_path", None) is minimize:
+            monkeypatch.setattr(module, "minimize_action_path", counted)
+    params = SCENARIOS["jacobi-paths"].defaults
+    tables = SCENARIOS["jacobi-paths"].run(params)
+    # the base path, then two displaced endpoints per coordinate at each end
+    assert len(calls) == 1 + 4 * len(params["q_start"])
+
+    args, kwargs, base = calls[0]
+    assert np.array_equal(minimize(*args, **kwargs).nodes, base.nodes)
+    rows = np.array(tables["path"].rows, dtype=float)
+    assert np.array_equal(rows[:, 2:], base.nodes)
+
+    # the endpoint report carries that base path
+    problem, q_start, q_end, _ = args
+    report = classical.endpoint_momentum_check(problem, q_start, q_end, 12)
+    assert np.array_equal(report.path.nodes, minimize(problem, q_start, q_end, 12).nodes)
 
 
 def test_seed_override_lands_in_manifest(tmp_path):

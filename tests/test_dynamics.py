@@ -282,9 +282,14 @@ def test_block_propagators_match_per_sample_steppers_bit_for_bit():
     recorded = _RecordingDrive(drive)
     amps = propagate_amplitudes(basis, recorded, a0, t, hbar=system.hbar)
     assert np.array_equal(amps.amplitudes, _rk4_per_sample(basis, drive, a0, t, system.hbar))
-    assert [r.shape for r in recorded.times] == [(BLOCK_STEPS, 3, 1)] * 2 + [(37, 3, 1)]
+    # one call per block, on the block's distinct stage times, as a column
     stages = np.stack([t[:-1], t[:-1] + 0.5 * dt, t[:-1] + dt], axis=1)
-    assert np.array_equal(np.concatenate(recorded.times)[..., 0], stages)
+    blocks = [stages[s:s + BLOCK_STEPS] for s in range(0, steps, BLOCK_STEPS)]
+    assert len(recorded.times) == len(blocks) == 3
+    for times, block in zip(recorded.times, blocks):
+        assert times.ndim == 2 and times.shape[1] == 1
+        assert np.unique(times).size == times.size
+        assert np.array_equal(np.sort(times[:, 0]), np.unique(block))
 
     recorded = _RecordingDrive(drive)
     traj = propagate_tdse(system, recorded, psi0, t)
@@ -299,6 +304,20 @@ def test_amplitude_blow_up_is_not_a_silent_nan():
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(BlowUpError):
         propagate_amplitudes(basis, lambda x, t: 1e300 * x, [1.0, 0.0],
                              np.linspace(0.0, 20.0, 21))
+
+
+@pytest.mark.parametrize("bad_step", [0, 300])
+def test_grid_blow_up_names_the_first_bad_step(bad_step):
+    grid = Grid1D(-8.0, 8.0, 161)
+    system = SystemSpec(1.0, 1.0, Harmonic(4.0))
+    t = np.linspace(0.0, 5.49, 2 * BLOCK_STEPS + 38)  # 549 steps; step 300 is inside block 2
+    t_bad = 0.5 * (t[bad_step] + t[bad_step + 1])
+
+    def drive(x, tm):
+        return np.where(tm >= t_bad, np.nan, 0.1 * x)
+
+    with pytest.raises(BlowUpError, match=rf"at step {bad_step} "):
+        propagate_tdse(system, drive, _packet(grid), t)
 
 
 # ---------------------------------------------------------------------------
