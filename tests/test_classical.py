@@ -34,6 +34,7 @@ from chronolab import (
     path_action,
     path_momenta,
 )
+from chronolab import classical
 from chronolab.errors import ConvergenceError, StabilityError
 
 
@@ -46,12 +47,12 @@ def _free_problem(energy=2.0, masses=(1.0, 1.0)):
     )
 
 
-def _harmonic_problem(energy=2.0, k=1.0, center=(0.6, 0.2)):
+def _harmonic_problem(energy=2.0, k=1.0, center=(0.6, 0.2), masses=(1.0, 1.0)):
     c = np.asarray(center)
     return PathProblem(
         potential=lambda q: 0.5 * k * np.sum((np.asarray(q) - c) ** 2, axis=-1),
         gradient=lambda q: k * (np.asarray(q, dtype=float) - c),
-        masses=np.array([1.0, 1.0]),
+        masses=np.asarray(masses),
         energy=energy,
     )
 
@@ -111,16 +112,81 @@ def test_minimizer_rejects_forbidden_seed_and_bad_input():
         minimize_action_path(_harmonic_problem(), [0.0, 0.0], [1.0, 0.6], max_iter=2)
 
 
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("segments", [7, 8, 9])  # m = 6, 7, 8 interior nodes
+def test_coloured_hessian_matches_dense_differences(d, segments):
+    # anisotropic masses and an off-centre well, so every Hessian block is full
+    problem = _harmonic_problem(2.5, 1.7, np.linspace(0.3, -0.2, d), np.linspace(0.8, 2.1, d))
+    q_end = np.linspace(0.9, -0.4, d)
+    nodes = classical._straight_seed(np.zeros(d), q_end, segments)
+    bend = np.sin(np.pi * np.arange(segments + 1) / segments)[:, None]
+    nodes += 0.1 * bend * np.linspace(1.0, -0.5, d)
+
+    def gradient(z):
+        full = nodes.copy()
+        full[1:-1] = z.reshape(-1, d)
+        return classical._action_and_gradient(problem, full)[1][1:-1].ravel()
+
+    z, step = nodes[1:-1].ravel(), 1e-6
+    coloured = classical._coloured_hessian(gradient, z, d, step)
+    # one central difference per coordinate, column by column
+    dense = np.empty_like(coloured)
+    for j in range(z.size):
+        e = np.zeros(z.size)
+        e[j] = step
+        dense[:, j] = (gradient(z + e) - gradient(z - e)) / (2.0 * step)
+    dense = 0.5 * (dense + dense.T)
+    np.testing.assert_allclose(coloured, dense, rtol=0.0, atol=1e-9 * np.max(np.abs(dense)))
+    # the neighbour blocks are there and nothing lies outside them
+    m = segments - 1
+    blocks = np.abs(coloured.reshape(m, d, m, d)).max(axis=(1, 3))
+    assert np.all(np.diag(blocks, 1) > 0.0)
+    assert np.all(np.triu(blocks, 2) == 0.0)
+
+
+def test_minimizer_meets_the_gate_where_quasi_newton_stalled():
+    # L-BFGS with restarts stalls here at a gradient max of 2.2e-3 against
+    # a gate of 1.8e-7
+    problem = _harmonic_problem(1.9799, 3.0988, [0.2399], [2.0643])
+    path = minimize_action_path(problem, [0.0], [-0.8362], segments=24)
+    w, g = classical._action_and_gradient(problem, path.nodes)
+    assert np.max(np.abs(g[1:-1])) < 1e-7 * w
+
+
+def test_minimizer_backs_off_the_forbidden_wall(monkeypatch):
+    problem = _harmonic_problem(1.2656, 1.8165, [0.5682, 0.3152, -0.0352],
+                               [2.7893, 0.5717, 1.1992])
+    action_and_gradient = classical._action_and_gradient
+    walls = []
+
+    def counted(*args):
+        try:
+            return action_and_gradient(*args)
+        except ForbiddenRegionError:
+            walls.append(args)
+            raise
+
+    monkeypatch.setattr(classical, "_action_and_gradient", counted)
+    path = minimize_action_path(problem, [0.0, 0.0, 0.0], [0.5145, 0.7389, 0.7465], segments=64)
+    # some trial points or their Hessian probes crossed E = V
+    assert walls
+    # the action L-BFGS converged to on this problem
+    assert path_action(path) == pytest.approx(1.7462974927629262, rel=1e-10)
+
+
 def test_endpoint_probe_second_order():
     prob = _harmonic_problem()
     reports = [
         endpoint_momentum_check(prob, [0.0, 0.0], [1.0, 0.6], segments=24, delta=d)
-        for d in (4e-3, 2e-3)
+        for d in (4e-3, 2e-3, 1e-4)
     ]
     errs = [r.probe_error_end for r in reports]
     assert errs[0] < 2e-4
     # halving delta should cut the probe error by about 4
     assert errs[0] / errs[1] == pytest.approx(4.0, rel=0.5)
+    # at small delta the probe sits near its delta^2 floor only when every
+    # minimization has converged well past the gradient gate
+    assert errs[2] < 1e-8
 
 
 def test_endpoint_gradient_equals_momentum_for_free_motion():
@@ -133,11 +199,8 @@ def test_endpoint_gradient_equals_momentum_for_free_motion():
 
 def test_endpoint_momentum_gap_shrinks_with_segments():
     prob = _harmonic_problem()
-    gaps = [
-        np.max(np.abs(endpoint_momentum_check(prob, [0.0, 0.0], [1.0, 0.6], segments=s).momentum_end
-                      - endpoint_momentum_check(prob, [0.0, 0.0], [1.0, 0.6], segments=s).analytic_end))
-        for s in (24, 48)
-    ]
+    reports = [endpoint_momentum_check(prob, [0.0, 0.0], [1.0, 0.6], segments=s) for s in (24, 48)]
+    gaps = [np.max(np.abs(r.momentum_end - r.analytic_end)) for r in reports]
     assert gaps[0] / gaps[1] == pytest.approx(2.0, rel=0.35)
 
 

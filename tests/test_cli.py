@@ -200,23 +200,41 @@ def test_rerun_is_byte_identical(tmp_path):
 
 
 # sha256 of every CSV the two-route and fixed-energy-path scenarios write at
-# their defaults; a change that moves a digit updates the hash and says so
+# their defaults with one BLAS thread; a change that moves a digit updates
+# the hash and says so
 DEFAULT_CSV_HASHES = {
     "jacobi-paths": {
-        "path.csv": "c946233ee19068553d6d1de09597b554dbabee16492b2cf98e5485083070b8c7",
-        "summary.csv": "64b439a58ce47305eeeade6c8ad16a597b758dde1a6dca919cee68bf9db09e15",
+        "path.csv": "e13ead03be8bd318303e060a85fa0f3009961926f46b1e4bcf39cca7efdfb9ef",
+        "summary.csv": "671838bd5916dedb53c78d6932a2f5ed487a92387dd41aa5f5a81e519fb850ec",
     },
     "harmonic-clock-two-level": {
         "summary.csv": "23c25943f1483eb478c354c07a923201d4b7e9d1d403a819c944f8f33d906748",
-        "two_level.csv": "dc2827f6d785a1d50337235fcf28dfe2719d454bd6101627e2ed6ad9550dc556",
+        "two_level.csv": "5b5893d9c2c8ec7959ed3d19982934f3bc5dc182df1939f12821bf1f85d91e87",
     },
 }
+
+
+def _run_child(*args: str) -> subprocess.CompletedProcess:
+    """`python -m chronolab.cli *args` in a child with one BLAS thread.
+
+    The child imports the same chronolab as this test.  A threaded GEMM
+    sums in another order than a single thread and can move the last bit
+    of a cell, so the pinned hashes hold at one thread only.
+    """
+    src = str(Path(chronolab.__file__).resolve().parents[1])
+    one = {k: "1" for k in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
+    return subprocess.run(
+        [sys.executable, "-m", "chronolab.cli", *args],
+        capture_output=True, text=True, check=False,
+        env={**os.environ, "PYTHONPATH": src, **one},
+    )
 
 
 @pytest.mark.parametrize("name", sorted(DEFAULT_CSV_HASHES))
 def test_default_csvs_are_pinned(tmp_path, name):
     out = tmp_path / "out"
-    assert main(["run", name, "--out", str(out)]) == 0
+    proc = _run_child("run", name, "--out", str(out))
+    assert proc.returncode == 0, proc.stderr
     written = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.glob("*.csv")}
     assert written == DEFAULT_CSV_HASHES[name]
 
@@ -466,12 +484,6 @@ def test_csv_cells_are_full_precision(tmp_path):
 
 
 def test_module_entry_point():
-    # the child process imports the same chronolab as this test
-    src = str(Path(chronolab.__file__).resolve().parents[1])
-    proc = subprocess.run(
-        [sys.executable, "-m", "chronolab.cli", "version"],
-        capture_output=True, text=True, check=False,
-        env={**os.environ, "PYTHONPATH": src},
-    )
+    proc = _run_child("version")
     assert proc.returncode == 0
     assert proc.stdout.strip() == chronolab.__version__
