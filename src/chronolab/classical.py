@@ -36,6 +36,8 @@ __all__ = [
     "PathProblem",
     "DiscretePath",
     "minimize_action_path",
+    "path_action",
+    "constraint_residuals",
     "path_momenta",
     "endpoint_momentum_check",
     "EndpointReport",
@@ -603,18 +605,10 @@ class TimeMap:
 
 
 def clock_time_map(clock: ClockModel) -> TimeMap:
-    """t(R) = M * cumulative integral of dR'/p(R') from the grid start.
-
-    Also usable as the abbreviated clock action via `clock_action`.
-    """
+    """t(R) = M * cumulative integral of dR'/p(R') from the grid start."""
     p = clock.momentum_table()
     t = cumulative_trapezoid(clock.M / p, clock.r_grid.points, initial=0.0)
     return TimeMap(clock.r_grid, t)
-
-
-def clock_action(clock: ClockModel) -> np.ndarray:
-    """W(R) = cumulative integral of p dR' from the grid start."""
-    return cumulative_trapezoid(clock.momentum_table(), clock.r_grid.points, initial=0.0)
 
 
 def energy_correction(e_system: float, M: float, v: float) -> float:

@@ -157,9 +157,7 @@ def run_command(args) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         code = 2
 
-    seed = args.seed
-    if seed is None:
-        seed = doc.get("seed", 0) if isinstance(doc, dict) else 0
+    seed = doc.get("seed", 0) if isinstance(doc, dict) else 0
     out_dir = args.out
     if out_dir is None and isinstance(doc, dict):
         out_dir = doc.get("out")
@@ -286,8 +284,6 @@ def main(argv=None) -> int:
     run_p.add_argument("--out", default=None, help="output directory")
     run_p.add_argument("--format", choices=("csv", "json"), default="csv",
                        help="output table format")
-    run_p.add_argument("--seed", type=int, default=None,
-                       help="override the config's seed")
 
     list_p = sub.add_parser("list", help="list builtin scenarios")
     list_p.add_argument("--format", choices=("text", "json"), default="text")

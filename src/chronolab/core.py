@@ -10,8 +10,8 @@ A coupling V_I(x, R) is one product form, `Coupling(env, sys, strength)`
 
 This module is the one home of the finite-difference stencils:
 `central_difference` (first and second derivatives, order 2 or 4, at the
-interior rows), the one-sided edges that `_d1`/`_d2` add on top of it,
-and the kinetic-energy coefficients `_kinetic_coeffs` with their
+interior rows), the one-sided edges that `_d1` adds on top of it, and
+the kinetic-energy coefficients `_kinetic_coeffs` with their
 matrix-free application `_apply_kinetic`, from which the stationary
 module assembles its banded and sparse matrices.
 """
@@ -22,13 +22,8 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
-from .errors import (
-    DegenerateInputError,
-    DomainError,
-    GridMismatchError,
-)
+from .errors import DegenerateInputError, GridMismatchError
 
 __all__ = [
     "Grid1D",
@@ -40,7 +35,6 @@ __all__ = [
     "Linear",
     "Constant",
     "GaussianWell",
-    "Tabulated",
     "Coupling",
     "Bilinear",
     "WindowedPulse",
@@ -48,12 +42,9 @@ __all__ = [
     "SystemSpec",
     "CompositeSpec",
     "ChannelBasis",
-    "eval_potential",
     "inner_product",
     "norm",
     "normalize",
-    "first_derivative",
-    "second_derivative",
 ]
 
 
@@ -195,35 +186,16 @@ def central_difference(values: np.ndarray, h: float, deriv: int, order: int = 2)
     raise DegenerateInputError(f"central stencil order must be 2 or 4, got {order}")
 
 
-def _d1(values: np.ndarray, h: float, axis: int = 0) -> np.ndarray:
+def _d1(values: np.ndarray, h: float) -> np.ndarray:
     """First derivative: central interior, one-sided second order at edges."""
-    v = np.moveaxis(np.asarray(values), axis, 0)
+    v = np.asarray(values)
     if v.shape[0] < 3:
         raise DegenerateInputError("need at least 3 points for a derivative")
     out = np.empty_like(v)
     out[1:-1] = central_difference(v, h, 1)
     out[0] = (-3.0 * v[0] + 4.0 * v[1] - v[2]) / (2.0 * h)
     out[-1] = (3.0 * v[-1] - 4.0 * v[-2] + v[-3]) / (2.0 * h)
-    return np.moveaxis(out, 0, axis)
-
-
-def _d2(values: np.ndarray, h: float, axis: int = 0) -> np.ndarray:
-    """Second derivative: 3-point central interior, one-sided at edges."""
-    v = np.moveaxis(np.asarray(values), axis, 0)
-    m = v.shape[0]
-    if m < 3:
-        raise DegenerateInputError("need at least 3 points for a second derivative")
-    out = np.empty_like(v)
-    h2 = h * h
-    out[1:-1] = central_difference(v, h, 2)
-    if m >= 4:
-        out[0] = (2.0 * v[0] - 5.0 * v[1] + 4.0 * v[2] - v[3]) / h2
-        out[-1] = (2.0 * v[-1] - 5.0 * v[-2] + 4.0 * v[-3] - v[-4]) / h2
-    else:
-        # with 3 points the central stencil is all we have
-        out[0] = out[1]
-        out[-1] = out[1]
-    return np.moveaxis(out, 0, axis)
+    return out
 
 
 def _kinetic_coeffs(order: int, h: float, mass: float, hbar: float):
@@ -255,14 +227,6 @@ def _apply_kinetic(values: np.ndarray, axis: int, order: int, h: float, mass: fl
     out[0] = 0.0
     out[-1] = 0.0
     return np.moveaxis(out, 0, axis)
-
-
-def first_derivative(f: Field1D) -> Field1D:
-    return Field1D(f.grid, _d1(f.values, f.grid.spacing))
-
-
-def second_derivative(f: Field1D) -> Field1D:
-    return Field1D(f.grid, _d2(f.values, f.grid.spacing))
 
 
 # ---------------------------------------------------------------------------
@@ -347,35 +311,6 @@ class GaussianWell(Potential):
         return self.depth * d / self.width**2 * np.exp(-d * d / (2.0 * self.width**2))
 
 
-class Tabulated(Potential):
-    """Cubic interpolation through sampled values; out-of-span lookups fail."""
-
-    def __init__(self, grid: Grid1D, values):
-        v = np.asarray(values, dtype=float)
-        if v.shape != (grid.n,):
-            raise GridMismatchError("tabulated values do not match grid")
-        if grid.n < 4:
-            raise DegenerateInputError("tabulated potential needs at least 4 samples")
-        self.grid = grid
-        self.samples = v
-        self._spline = CubicSpline(grid.points, v)
-        self._dspline = self._spline.derivative()
-
-    def _check(self, q):
-        q = np.asarray(q, dtype=float)
-        if np.any(q < self.grid.lo) or np.any(q > self.grid.hi):
-            raise DomainError(
-                f"coordinate outside tabulated span [{self.grid.lo}, {self.grid.hi}]"
-            )
-        return q
-
-    def __call__(self, q):
-        return self._spline(self._check(q))
-
-    def derivative(self, q):
-        return self._dspline(self._check(q))
-
-
 # ---------------------------------------------------------------------------
 # couplings V_I(x, R)
 
@@ -417,23 +352,6 @@ def WindowedPulse(amplitude: float, center: float, width: float, profile: Potent
 def ZeroCoupling() -> Coupling:
     """V_I = 0: the system does not see the clock."""
     return Coupling(Constant(0.0), Constant(0.0), 0.0)
-
-
-def eval_potential(spec, coords):
-    """Evaluate a Potential at q, or a Coupling at (x, r).
-
-    Raises DomainError outside a tabulated span and rejects non-finite
-    results, so downstream code can rely on finite energies.
-    """
-    if isinstance(spec, Coupling):
-        x, r = coords
-        val = spec(x, r)
-    else:
-        val = spec(coords)
-    arr = np.asarray(val)
-    if not np.all(np.isfinite(arr)):
-        raise DomainError("potential evaluated to a non-finite value")
-    return val
 
 
 # ---------------------------------------------------------------------------

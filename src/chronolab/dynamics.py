@@ -234,7 +234,6 @@ def propagate_amplitudes(
     a0,
     t_grid,
     hbar: float = 1.0,
-    drift_tol: float = 1e-6,
 ) -> AmplitudeSet:
     """RK4 on i hbar da_m/dt = sum_n V_mn(t) a_n exp(i (eps_m - eps_n) t / hbar).
 
@@ -248,8 +247,8 @@ def propagate_amplitudes(
     before its steps are taken, so where t[i] + dt equals t[i+1] the
     last stage of step i and the first of step i+1 share one evaluation.
     Non-finite amplitudes raise BlowUpError.  A Hermitian drive
-    conserves total population; a drift that is not within `drift_tol`
-    raises StabilityError suggesting a smaller step.
+    conserves total population; a drift that is not within 1e-6 raises
+    StabilityError suggesting a smaller step.
     """
     t = np.asarray(t_grid, dtype=float)
     if t.size < 2 or np.any(np.diff(t) <= 0.0):
@@ -292,9 +291,9 @@ def propagate_amplitudes(
         raise BlowUpError(f"non-finite amplitudes at t = {t[bad[0]]:g}")
     result = AmplitudeSet(t, out, eps)
     drift = result.population_drift
-    if not drift <= drift_tol:
+    if not drift <= 1e-6:
         raise StabilityError(
-            f"population drift {drift:.3e} > {drift_tol:.1e}",
+            f"population drift {drift:.3e} > 1.0e-06",
             suggested_step=float(np.min(np.diff(t))) / 2.0,
         )
     return result
@@ -317,12 +316,11 @@ def compare_amplitudes_to_grid(
     drive,
     psi0: Field1D,
     t_grid,
-    defect_tol: float = 1e-6,
 ) -> TwoRouteReport:
     """Run both propagators from the same state and compare channel by channel.
 
     psi0 must live in the basis span (representation defect below
-    `defect_tol`); projections of the grid evolution are corrected by
+    1e-6); projections of the grid evolution are corrected by
     exp(+i eps_m t / hbar) before comparison.  `drive(x, t)` (or None)
     must take array times that broadcast against x, as both
     propagators call it once per block of BLOCK_STEPS steps;
@@ -336,7 +334,7 @@ def compare_amplitudes_to_grid(
     if total == 0.0:
         raise DegenerateInputError("zero initial state")
     defect = 1.0 - float(np.sum(np.abs(a0) ** 2)) / total
-    if defect > defect_tol:
+    if defect > 1e-6:
         raise DegenerateInputError(
             f"initial state is not in the basis span (defect {defect:.3e})"
         )
@@ -636,7 +634,7 @@ def _scan_point(cfg: EmergenceScanConfig, system: SystemSpec, basis: ChannelBasi
     p_lat = hbar * _discrete_wavenumber(e_total, r_grid.spacing, M, hbar)
     rel = r_sub.points - r_sub.points[0]
     wkb = WKBState(r_sub, p_lat * rel, np.full(r_sub.n, p_lat ** -0.5),
-                   np.full(r_sub.n, p_lat), e_total, M, hbar)
+                   np.full(r_sub.n, p_lat), M, hbar)
     tmap = TimeMap(r_sub, (M / p_lat) * rel)
     traj = conditional_from_composite(state, wkb, tmap, spec)
     report = tdse_residual(traj, system, drive=CouplingDrive(spec.v_int, tmap))

@@ -8,6 +8,21 @@ everything we raise deliberately.
 
 from __future__ import annotations
 
+__all__ = [
+    "ChronolabError",
+    "GridMismatchError",
+    "DegenerateInputError",
+    "ForbiddenRegionError",
+    "TurningPointError",
+    "StationaryPointError",
+    "NodeError",
+    "WindowError",
+    "ConvergenceError",
+    "StabilityError",
+    "BlowUpError",
+    "ConfigError",
+]
+
 
 class ChronolabError(Exception):
     """Base class for all deliberate errors raised by this package."""
@@ -15,10 +30,6 @@ class ChronolabError(Exception):
 
 class GridMismatchError(ChronolabError):
     """Fields defined on different grids were combined."""
-
-
-class DomainError(ChronolabError):
-    """A coordinate fell outside the domain where a quantity is defined."""
 
 
 class DegenerateInputError(ChronolabError):

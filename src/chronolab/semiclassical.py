@@ -1,15 +1,12 @@
 """The classical limit of the clock.
 
-Builds the WKB action and amplitude of the heavy coordinate, measures
-the term whose neglect produces the classical clock, and evaluates the
-complex quantum time
+Holds the WKB action and amplitude tables of the heavy coordinate, the
+perfect (free, sharp-momentum) clock, and the complex quantum time
 
-    tau(R) = (i/hbar) M * integral of chi / (d chi/dR')  dR'
+    tau(R) = (i/hbar) M * integral of chi / (d chi/dR')  dR'.
 
-together with its polar-form variant.  For a plane-wave clock tau is the
-real classical time M R / P; for real wavefunctions it is purely
-imaginary; in between it interpolates, and the scans here document how
-the imaginary part dies off as the clock grows heavy and fast.
+For a plane-wave clock tau is the real classical time M R / P; for real
+wavefunctions it is purely imaginary; in between it interpolates.
 
 All derivatives of sampled data use the shared second-order stencils
 from `core`.  hbar defaults to 1 throughout the module.
@@ -22,17 +19,14 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import cumulative_trapezoid
 
-from .classical import ClockModel, TimeMap
+from .classical import TimeMap
 from .core import Field1D, Grid1D, _d1
 from .errors import DegenerateInputError, StationaryPointError
 
 __all__ = [
     "WKBState",
-    "wkb_environment",
-    "wkb_breakdown_ratio",
     "ComplexTimeMap",
     "quantum_time",
-    "polar_time",
     "PerfectClock",
     "perfect_clock",
 ]
@@ -51,7 +45,6 @@ class WKBState:
     action: np.ndarray
     amplitude: np.ndarray
     momentum: np.ndarray
-    e_c: float
     M: float
     hbar: float = 1.0
 
@@ -77,30 +70,6 @@ class WKBState:
         return Field1D(self.r_grid, self.amplitude * np.exp(1j * self.action / self.hbar))
 
 
-def wkb_environment(clock: ClockModel, hbar: float = 1.0) -> WKBState:
-    """WKB tables for a classically allowed clock branch.
-
-    W(R) = cumulative trapezoid of p from the grid start, A = p^(-1/2).
-    Turning points inside the grid already fail at ClockModel
-    construction.
-    """
-    p = clock.momentum_table()
-    w = cumulative_trapezoid(p, clock.r_grid.points, initial=0.0)
-    return WKBState(clock.r_grid, w, p ** (-0.5), p, clock.E_c, clock.M, hbar)
-
-
-def wkb_breakdown_ratio(wkb: WKBState) -> np.ndarray:
-    """Per-R ratio |hbar W'' / (W')^2|, the smallness condition for the
-    classical-clock limit.
-
-    Evaluated from the stored momentum table (W' = p, W'' = dp/dR by the
-    shared stencil) so the ratio is free of the double-differentiation
-    noise of W itself.
-    """
-    dp = _d1(wkb.momentum, wkb.r_grid.spacing)
-    return np.abs(wkb.hbar * dp / wkb.momentum**2)
-
-
 @dataclass(eq=False)
 class ComplexTimeMap:
     """Complex clock readings tau(R) along a grid, tau(R_min) = 0."""
@@ -122,25 +91,13 @@ class ComplexTimeMap:
             return float("inf") if np.any(self.values.imag != 0.0) else 0.0
         return float(np.max(np.abs(self.values.imag))) / scale
 
-    def as_real(self, atol: float = 1e-12) -> TimeMap:
-        """Collapse to a real TimeMap; only valid when Im tau vanishes."""
-        scale = max(float(np.max(np.abs(self.values))), 1.0)
-        if float(np.max(np.abs(self.values.imag))) > atol * scale:
-            raise DegenerateInputError("tau has a non-negligible imaginary part")
-        return TimeMap(self.r_grid, self.values.real)
 
-
-def quantum_time(
-    chi: Field1D,
-    M: float,
-    hbar: float = 1.0,
-    derivative_floor: float = 1e-12,
-) -> ComplexTimeMap:
+def quantum_time(chi: Field1D, M: float, hbar: float = 1.0) -> ComplexTimeMap:
     """tau(R) = (i/hbar) M * cumulative integral of chi / chi'.
 
     chi' is the sampled second-order derivative; grid points where |chi'|
-    falls below derivative_floor * max|chi'| are stationary points of the
-    clock state and raise StationaryPointError with their locations.
+    falls below 1e-12 * max|chi'| are stationary points of the clock
+    state and raise StationaryPointError with their locations.
     """
     if M <= 0 or hbar <= 0:
         raise DegenerateInputError("need M > 0 and hbar > 0")
@@ -150,7 +107,7 @@ def quantum_time(
     if top == 0.0:
         raise StationaryPointError("chi is constant: no clock runs here",
                                    locations=chi.grid.points[:8])
-    low = mags < derivative_floor * top
+    low = mags < 1e-12 * top
     if np.any(low):
         bad = chi.grid.points[low]
         raise StationaryPointError(
@@ -162,39 +119,6 @@ def quantum_time(
     return ComplexTimeMap(chi.grid, tau)
 
 
-def polar_time(
-    r_grid: Grid1D,
-    amplitude: np.ndarray,
-    action: np.ndarray,
-    M: float,
-    hbar: float = 1.0,
-    denominator_floor: float = 1e-12,
-) -> ComplexTimeMap:
-    """tau(R) = M * cumulative integral of A / (A W' - i hbar A').
-
-    The polar-form route to the same quantum time; for constant A it
-    collapses to the real classical map M * integral dR/W'.
-    """
-    amplitude = np.asarray(amplitude, dtype=float)
-    action = np.asarray(action, dtype=float)
-    if amplitude.shape != (r_grid.n,) or action.shape != (r_grid.n,):
-        raise DegenerateInputError("amplitude/action tables do not match grid")
-    da = _d1(amplitude, r_grid.spacing)
-    dw = _d1(action, r_grid.spacing)
-    den = amplitude * dw - 1j * hbar * da
-    mags = np.abs(den)
-    top = float(mags.max())
-    low = mags < denominator_floor * max(top, 1e-300)
-    if top == 0.0 or np.any(low):
-        bad = r_grid.points[low] if top else r_grid.points
-        raise StationaryPointError(
-            f"polar denominator vanishes at {bad.size} grid points, e.g. R={bad[0]:.6g}",
-            locations=bad[:8],
-        )
-    tau = M * cumulative_trapezoid(amplitude / den, r_grid.points, initial=0.0)
-    return ComplexTimeMap(r_grid, tau)
-
-
 @dataclass(frozen=True)
 class PerfectClock:
     """Free clock at sharp momentum: the one case with no approximation."""
@@ -203,10 +127,6 @@ class PerfectClock:
     P: float
     r_grid: Grid1D
     hbar: float = 1.0
-
-    @property
-    def velocity(self) -> float:
-        return self.P / self.M
 
     def chi(self) -> Field1D:
         """Plane wave (2 pi hbar)^(-1/2) exp(i P R / hbar)."""

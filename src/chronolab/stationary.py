@@ -4,9 +4,8 @@ The composite obeys a single time-independent Schroedinger equation on a
 2D box.  This module builds the grid Hamiltonian, solves for interior
 eigenpairs and for directed channel states, splits eigenstates into a
 clock factor chi(R) times a conditional factor psi(x, R), evaluates the
-back-reaction potential U_S(R) and the residuals of the projected
-equations, and provides fixed-R channel bases with the close-coupled
-residual and the Schmidt spectrum.
+back-reaction potential U_S(R), and provides fixed-R channel bases with
+the close-coupled residual.
 
 Channel-space constructions use the product form of the coupling,
 strength * env(R) * sys(x): the coupling matrices on R row j are
@@ -60,16 +59,11 @@ __all__ = [
     "factorize_prescribed",
     "factorize_selfconsistent",
     "compute_back_reaction",
-    "conditional_equation_residual",
     "solve_system_basis",
-    "solve_bo_states",
-    "bo_surface",
     "project_channels",
     "ChannelDecomposition",
     "close_coupled_residuals",
     "CloseCoupledReport",
-    "schmidt_spectrum",
-    "SchmidtSpectrum",
 ]
 
 # relative amplitude below which chi is treated as absent
@@ -192,14 +186,12 @@ def solve_eigenpairs(
     h: Hamiltonian2D,
     e_target: float,
     k: int,
-    seed: int = 0,
-    residual_tol: float = 1e-8,
 ) -> list[EigenPair]:
     """The k eigenpairs nearest e_target via shift-invert Lanczos.
 
-    Deterministic for a fixed seed (the Krylov start vector is seeded).
-    Raises ConvergenceError if any returned pair misses the residual
-    bound residual_tol * |E|.
+    Deterministic: the Krylov start vector is drawn from a generator
+    with the fixed seed 0.  Raises ConvergenceError if any returned pair
+    misses the residual bound 1e-8 * |E|.
     """
     if k < 1:
         raise DegenerateInputError("need k >= 1")
@@ -207,7 +199,7 @@ def solve_eigenpairs(
     n = a.shape[0]
     if k >= n:
         raise DegenerateInputError(f"k={k} too large for {n} interior points")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     v0 = rng.standard_normal(n)
     vals, vecs = eigsh(a, k=k, sigma=e_target, which="LM", v0=v0)
     order = np.argsort(vals)
@@ -219,7 +211,7 @@ def solve_eigenpairs(
         f = Field2D(h.grid, full / norm(f))
         res = h.residual(f, float(vals[idx]))
         pairs.append(EigenPair(float(vals[idx]), f, res))
-    bad = [p for p in pairs if p.residual > residual_tol * max(abs(p.energy), 1e-300)]
+    bad = [p for p in pairs if p.residual > 1e-8 * max(abs(p.energy), 1e-300)]
     if bad:
         raise ConvergenceError(
             f"{len(bad)} eigenpairs exceed the residual bound",
@@ -271,42 +263,6 @@ def solve_system_basis(system, x_grid: Grid1D, k: int, order: int = 2) -> Channe
     return ChannelBasis(x_grid, states, vals, stencil_order=order)
 
 
-def solve_bo_states(spec, x_grid: Grid1D, r_value: float, k: int, order: int = 4):
-    """Fixed-R system eigenpairs of H_S + V_I(. , R).
-
-    Returns (states, energies); signs follow the real-positive-at-peak
-    convention.  Use `bo_surface` for sweeps with smooth continuation.
-    """
-    v = np.asarray(spec.v_sys(x_grid.points) + spec.v_int(x_grid.points, r_value), dtype=float)
-    vals, vecs = _solve_banded_eigen(v, x_grid, spec.m, spec.hbar, k, order)
-    return _embed_states(x_grid, vecs), vals
-
-
-@dataclass(eq=False)
-class BOSurface:
-    r_values: np.ndarray
-    energies: np.ndarray  # (k, nR)
-
-
-def bo_surface(spec, x_grid: Grid1D, r_values, k: int, order: int = 4) -> BOSurface:
-    """Sweep solve_bo_states over R, aligning state signs by overlap."""
-    r_values = np.asarray(r_values, dtype=float)
-    energies = np.empty((k, r_values.size))
-    prev = None
-    w = x_grid.weights
-    for j, r in enumerate(r_values):
-        states, vals = solve_bo_states(spec, x_grid, float(r), k, order)
-        if prev is not None:
-            aligned = []
-            for s, p in zip(states, prev):
-                ov = np.sum(w * np.conj(p.values) * s.values).real
-                aligned.append(Field1D(x_grid, -s.values) if ov < 0 else s)
-            states = aligned
-        energies[:, j] = vals
-        prev = states
-    return BOSurface(r_values, energies)
-
-
 # ---------------------------------------------------------------------------
 # factorization
 
@@ -317,7 +273,8 @@ class FactorizedState:
 
     `window` is the (i0, i1) index range of the full R grid where
     |chi| clears the relative threshold; chi and psi live on that
-    window's subgrid.  `u_s` is filled by compute_back_reaction.
+    window's subgrid.  `u_s`, the back-reaction potential, is filled by
+    factorize_selfconsistent.
     """
 
     chi: Field1D
@@ -328,9 +285,9 @@ class FactorizedState:
     u_s: Field1D | None = None
 
 
-def _window_of(chi_values: np.ndarray, r_points: np.ndarray, threshold: float):
+def _window_of(chi_values: np.ndarray, r_points: np.ndarray):
     amp = np.abs(chi_values)
-    mask = amp > threshold * float(amp.max())
+    mask = amp > WINDOW_THRESHOLD * float(amp.max())
     if not np.any(mask):
         raise DegenerateInputError("chi is zero everywhere")
     idx = np.flatnonzero(mask)
@@ -346,17 +303,16 @@ def _window_of(chi_values: np.ndarray, r_points: np.ndarray, threshold: float):
 
 
 def factorize_prescribed(state: Field2D, chi: Field1D,
-                         threshold: float = WINDOW_THRESHOLD,
                          stencil_orders: tuple = (4, 4)) -> FactorizedState:
     """Split a composite field as chi * psi with a caller-supplied chi.
 
-    psi = state / chi on the window where |chi| clears the threshold;
-    interior dips below the threshold raise NodeError since psi would
-    need division by a vanishing chi.
+    psi = state / chi on the window where |chi| clears WINDOW_THRESHOLD
+    relative to its maximum; interior dips below the threshold raise
+    NodeError since psi would need division by a vanishing chi.
     """
     if chi.grid != state.grid.r:
         raise GridMismatchError("chi grid does not match the R axis of the state")
-    i0, i1 = _window_of(chi.values, chi.grid.points, threshold)
+    i0, i1 = _window_of(chi.values, chi.grid.points)
     sub = chi.grid.subgrid(i0, i1)
     chi_w = Field1D(sub, chi.values[i0:i1 + 1])
     grid_w = Grid2D(sub, state.grid.x)
@@ -366,39 +322,14 @@ def factorize_prescribed(state: Field2D, chi: Field1D,
     return out
 
 
-def _check_product(fs: FactorizedState, state: Field2D, tol: float = 1e-12):
+def _check_product(fs: FactorizedState, state: Field2D):
     i0, i1 = fs.window
     recon = fs.chi.values[:, None] * fs.psi.values
     target = state.values[i0:i1 + 1, :]
     scale = float(np.max(np.abs(target))) or 1.0
     defect = float(np.max(np.abs(recon - target))) / scale
-    if defect > tol:
+    if defect > 1e-12:
         raise DegenerateInputError(f"factorization does not reproduce the state: {defect:.3e}")
-
-
-def _conditional_terms(fs: FactorizedState, spec):
-    """Operator terms of the conditional-factor equation on the rows the
-    R stencil reaches (the outermost margin slices are clipped).
-
-    Returns (sl, hs_psi, dpsi, d2psi, log_dchi): the row slice,
-    (H_S + V_I) psi, the first and second R derivatives of psi, and
-    (1/chi) dchi/dR, all restricted to those rows.
-    """
-    order_r, order_x = fs.stencil_orders
-    margin = 2 if order_r == 4 else 1
-    nr = fs.psi.grid.r.n
-    if nr < 2 * margin + 3:
-        raise WindowError(f"window of {nr} slices too narrow for the R stencil")
-    h_r = fs.psi.grid.r.spacing
-    psi = fs.psi.values
-    sl = slice(margin, nr - margin)
-    x, r = fs.psi.grid.x.points, fs.psi.grid.r.points
-    hs_psi = _apply_kinetic(psi, 1, order_x, fs.psi.grid.x.spacing, spec.m, spec.hbar)
-    hs_psi += (np.asarray(spec.v_sys(x), dtype=float)[None, :]
-               + np.asarray(spec.v_int(x[None, :], r[:, None]), dtype=float)) * psi
-    log_dchi = central_difference(fs.chi.values, h_r, 1, order_r) / fs.chi.values[sl]
-    return (sl, hs_psi[sl], central_difference(psi, h_r, 1, order_r),
-            central_difference(psi, h_r, 2, order_r), log_dchi)
 
 
 def compute_back_reaction(fs: FactorizedState, spec) -> Field1D:
@@ -412,11 +343,26 @@ def compute_back_reaction(fs: FactorizedState, spec) -> Field1D:
 
     in psi, normalized by the slice weight (psi|psi).  The derivative
     stencils match the orders recorded on the FactorizedState; the
-    outermost margin slices are clipped accordingly.
+    order_r // 2 outermost slices at each end, which the R stencil does
+    not reach, are clipped.
     """
-    sl, hs_psi, dpsi, d2psi, log_dchi = _conditional_terms(fs, spec)
-    wx = fs.psi.grid.x.weights
+    order_r, order_x = fs.stencil_orders
+    margin = order_r // 2
+    nr = fs.psi.grid.r.n
+    if nr < 2 * margin + 3:
+        raise WindowError(f"window of {nr} slices too narrow for the R stencil")
+    h_r = fs.psi.grid.r.spacing
     psi = fs.psi.values
+    sl = slice(margin, nr - margin)
+    x, r = fs.psi.grid.x.points, fs.psi.grid.r.points
+    hs_psi = _apply_kinetic(psi, 1, order_x, fs.psi.grid.x.spacing, spec.m, spec.hbar)
+    hs_psi += (np.asarray(spec.v_sys(x), dtype=float)[None, :]
+               + np.asarray(spec.v_int(x[None, :], r[:, None]), dtype=float)) * psi
+    log_dchi = central_difference(fs.chi.values, h_r, 1, order_r) / fs.chi.values[sl]
+    dpsi = central_difference(psi, h_r, 1, order_r)
+    d2psi = central_difference(psi, h_r, 2, order_r)
+
+    wx = fs.psi.grid.x.weights
     hbar, bigm = spec.hbar, spec.M
     bra = np.conj(psi[sl])
     weight = np.sum(wx * np.abs(psi[sl]) ** 2, axis=1)
@@ -424,43 +370,12 @@ def compute_back_reaction(fs: FactorizedState, spec) -> Field1D:
         raise DegenerateInputError("psi slice with zero weight inside the window")
 
     term = (
-        np.sum(wx * bra * hs_psi, axis=1)
+        np.sum(wx * bra * hs_psi[sl], axis=1)
         - (hbar**2 / bigm) * log_dchi * np.sum(wx * bra * dpsi, axis=1)
         - (hbar**2 / (2.0 * bigm)) * np.sum(wx * bra * d2psi, axis=1)
     )
     sub = fs.psi.grid.r.subgrid(sl.start, sl.stop - 1)
     return Field1D(sub, term / weight)
-
-
-def conditional_equation_residual(fs: FactorizedState, spec, u_s: Field1D | None = None) -> float:
-    """Residual of the conditional-factor equation over the window.
-
-    || (H_S + V_I - U_S - (hbar^2/2M) d^2/dR^2
-        - (hbar^2/M)(1/chi)(dchi/dR) d/dR) psi || / ||psi||
-
-    evaluated with the state's stencil orders, margin slices excluded.
-    """
-    if u_s is None:
-        u_s = compute_back_reaction(fs, spec)
-    sl, hs_psi, dpsi, d2psi, log_dchi = _conditional_terms(fs, spec)
-    if u_s.grid.n != sl.stop - sl.start:
-        raise GridMismatchError("U_S table does not match the window margin")
-    psi = fs.psi.values
-    hbar, bigm = spec.hbar, spec.M
-
-    lhs = (
-        hs_psi
-        - u_s.values[:, None] * psi[sl]
-        - (hbar**2 / (2.0 * bigm)) * d2psi
-        - (hbar**2 / bigm) * log_dchi[:, None] * dpsi
-    )
-    # drop wall columns: psi inherits the Dirichlet walls of the state
-    wx = fs.psi.grid.x.weights[1:-1]
-    wr = fs.psi.grid.r.weights[sl]
-    w = np.outer(wr, wx)
-    num = np.sqrt(float(np.sum(w * np.abs(lhs[:, 1:-1]) ** 2)))
-    den = np.sqrt(float(np.sum(w * np.abs(psi[sl][:, 1:-1]) ** 2)))
-    return num / den
 
 
 @dataclass(frozen=True)
@@ -471,21 +386,16 @@ class IterationTrace:
     energies: tuple
 
 
-def factorize_selfconsistent(
-    pair: EigenPair,
-    spec,
-    max_iter: int = 60,
-    tol: float = 1e-7,
-    threshold: float = WINDOW_THRESHOLD,
-    stencil_orders: tuple = (4, 4),
-) -> tuple[FactorizedState, IterationTrace]:
+def factorize_selfconsistent(pair: EigenPair, spec) -> tuple[FactorizedState, IterationTrace]:
     """Gauge-fixed factorization found by fixed-point iteration.
 
     Seeds chi with the marginal amplitude sqrt(int |Psi|^2 dx), then
     alternates psi = Psi/chi, U_S from compute_back_reaction, and a 1D
     clock eigensolve of -hbar^2/2M d^2/dR^2 + V_env + U_S, keeping the
     eigenvector with maximal overlap with the previous chi.  The gauge
-    is chi real and positive at its maximum with unit norm.
+    is chi real and positive at its maximum with unit norm.  Converged
+    when chi moves by less than 1e-7 in one step; ConvergenceError
+    after 60 steps.
     """
     state = pair.state
     wx = state.grid.x.weights
@@ -494,20 +404,20 @@ def factorize_selfconsistent(
     chi = Field1D(r_grid, marginal)
     chi = Field1D(r_grid, chi.values / norm(chi))
 
-    order_r, _ = stencil_orders
-    margin = 2 if order_r == 4 else 1
     v_env = np.asarray(spec.v_env(r_grid.points), dtype=float)
 
     steps = []
     energies = []
-    for _ in range(max_iter):
-        fs = factorize_prescribed(state, chi, threshold, stencil_orders)
+    for _ in range(60):
+        fs = factorize_prescribed(state, chi)
         u_s = compute_back_reaction(fs, spec)
         if float(np.max(np.abs(u_s.values.imag))) > 1e-6 * max(1.0, float(np.max(np.abs(u_s.values.real)))):
             raise ConvergenceError("back-reaction picked up a large imaginary part",
                                    trace=IterationTrace(tuple(steps), tuple(energies)))
         # pad U_S onto the full grid: edge values continue outside the window
         i0, i1 = fs.window
+        order_r = fs.stencil_orders[0]
+        margin = order_r // 2
         u_full = np.empty(r_grid.n)
         u_full[i0 + margin:i1 + 1 - margin] = u_s.values.real
         u_full[: i0 + margin] = u_s.values.real[0]
@@ -530,13 +440,13 @@ def factorize_selfconsistent(
         steps.append(step)
         energies.append(float(vals[best]))
         chi = new_chi
-        if step < tol:
-            fs = factorize_prescribed(state, chi, threshold, stencil_orders)
+        if step < 1e-7:
+            fs = factorize_prescribed(state, chi)
             fs = replace(fs, mode="selfconsistent", u_s=compute_back_reaction(fs, spec))
             return fs, IterationTrace(tuple(steps), tuple(energies))
 
     raise ConvergenceError(
-        f"factorization did not converge in {max_iter} iterations (last step {steps[-1]:.3e})",
+        f"factorization did not converge in 60 iterations (last step {steps[-1]:.3e})",
         trace=IterationTrace(tuple(steps), tuple(energies)),
     )
 
@@ -630,7 +540,7 @@ def close_coupled_residuals(decomp: ChannelDecomposition, spec, energy: float,
     herm = float(np.max(np.abs(veff - np.conj(np.swapaxes(veff, 1, 2)))))
     scale = float(np.max(np.abs(veff))) or 1.0
 
-    margin = 2 if order_r == 4 else 1
+    margin = order_r // 2
     h_r = decomp.r_grid.spacing
     v_env = np.asarray(spec.v_env(r), dtype=float)
     wr = decomp.r_grid.weights
@@ -643,31 +553,6 @@ def close_coupled_residuals(decomp: ChannelDecomposition, spec, energy: float,
         lhs = kin + (v_env - energy) * kap + coupled[m_idx]
         residuals[m_idx] = np.sqrt(float(np.sum(wr[sl] * np.abs(lhs[sl]) ** 2)))
     return CloseCoupledReport(residuals, herm / scale, energy)
-
-
-# ---------------------------------------------------------------------------
-# entanglement
-
-
-@dataclass(frozen=True)
-class SchmidtSpectrum:
-    """Nonincreasing Schmidt coefficients with purity sum sigma^4."""
-
-    values: np.ndarray
-    purity: float
-    norm_sq: float
-
-
-def schmidt_spectrum(state: Field2D) -> SchmidtSpectrum:
-    """Schmidt coefficients of Psi(x, R) under the quadrature weighting."""
-    wr = np.sqrt(state.grid.r.weights)
-    wx = np.sqrt(state.grid.x.weights)
-    mat = wr[:, None] * state.values * wx[None, :]
-    sig = np.linalg.svd(mat, compute_uv=False)
-    total = float(np.sum(sig**2))
-    if total == 0.0:
-        raise DegenerateInputError("zero state")
-    return SchmidtSpectrum(sig, float(np.sum(sig**4) / total**2), total)
 
 
 # ---------------------------------------------------------------------------

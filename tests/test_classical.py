@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
-from scipy.integrate import quad
 
 from chronolab import (
     Bilinear,
@@ -21,7 +20,6 @@ from chronolab import (
     TimeMap,
     TurningPointError,
     ZeroCoupling,
-    clock_action,
     clock_momentum,
     clock_time_map,
     compare_composite_reduced,
@@ -352,14 +350,6 @@ def test_time_map_round_trip(n, seed):
     t_span = tmap.span[1] - tmap.span[0]
     np.testing.assert_allclose(tmap.t_of_r(tmap.r_of_t(t_probe)), t_probe,
                                rtol=0, atol=1e-3 * t_span)
-
-
-def test_clock_action_against_quadrature():
-    grid = Grid1D(0.0, 1.5, 4001)
-    clock = ClockModel(Harmonic(2.0), 3.0, 4.0, grid)
-    w_end = clock_action(clock)[-1]
-    ref, _ = quad(lambda r: np.sqrt(2 * 3.0 * (4.0 - r * r)), 0.0, 1.5)
-    assert w_end == pytest.approx(ref, rel=1e-7)
 
 
 def test_time_map_validation():

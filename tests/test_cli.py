@@ -270,9 +270,9 @@ def test_jacobi_paths_minimizes_each_path_once(monkeypatch):
 
 
 def test_seed_override_lands_in_manifest(tmp_path):
-    cfg = write_config(tmp_path, FAST_CLOCK)
+    cfg = write_config(tmp_path, {**FAST_CLOCK, "seed": 7})
     out = tmp_path / "out"
-    assert main(["run", cfg, "--out", str(out), "--seed", "7"]) == 0
+    assert main(["run", cfg, "--out", str(out)]) == 0
     manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
     assert manifest["seed"] == 7
 

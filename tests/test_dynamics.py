@@ -333,7 +333,7 @@ def _clock_factor(state, spec, fine_spacing):
     p_lat = hbar * _discrete_wavenumber(e_total, fine_spacing, M, hbar)
     rel = r_sub.points - r_sub.points[0]
     wkb = WKBState(r_sub, p_lat * rel, np.full(r_sub.n, p_lat**-0.5),
-                   np.full(r_sub.n, p_lat), e_total, M, hbar)
+                   np.full(r_sub.n, p_lat), M, hbar)
     return wkb, TimeMap(r_sub, (M / p_lat) * rel)
 
 

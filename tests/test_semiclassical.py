@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.integrate import cumulative_trapezoid
 
 from chronolab import (
     ClockModel,
@@ -10,15 +11,19 @@ from chronolab import (
     Field1D,
     Grid1D,
     Harmonic,
+    WKBState,
     clock_time_map,
-    norm,
     perfect_clock,
-    polar_time,
     quantum_time,
-    wkb_breakdown_ratio,
-    wkb_environment,
 )
 from chronolab.errors import StationaryPointError
+
+
+def _wkb_state(clock: ClockModel) -> WKBState:
+    """WKB tables of a clock branch: W = cumulative integral of p, A = p^(-1/2)."""
+    p = clock.momentum_table()
+    w = cumulative_trapezoid(p, clock.r_grid.points, initial=0.0)
+    return WKBState(clock.r_grid, w, p ** (-0.5), p, clock.M)
 
 
 # ---------------------------------------------------------------------------
@@ -30,7 +35,6 @@ def test_perfect_clock_reads_linear_time():
     pc = perfect_clock(50.0, 2.0, grid)
     tmap = pc.time_map()
     np.testing.assert_allclose(tmap.times, 50.0 * grid.points / 2.0, rtol=1e-14)
-    assert pc.velocity == pytest.approx(0.04)
 
 
 def test_perfect_clock_chi_is_flat_plane_wave():
@@ -86,63 +90,25 @@ def test_quantum_time_rejects_stationary_chi():
 
 
 # ---------------------------------------------------------------------------
-# polar route
-
-
-def test_polar_time_with_flat_amplitude_is_classical():
-    grid = Grid1D(0.0, 4.0, 2001)
-    P, M = 2.0, 50.0
-    tau = polar_time(grid, np.ones(grid.n), P * grid.points, M)
-    np.testing.assert_allclose(tau.values.real, M * grid.points / P, rtol=1e-9)
-    assert tau.max_imag_fraction < 1e-12
-
-
-def test_polar_time_rejects_vanishing_denominator():
-    grid = Grid1D(0.0, 1.0, 101)
-    with pytest.raises(StationaryPointError):
-        polar_time(grid, np.ones(grid.n), np.zeros(grid.n), 1.0)
+# WKB clocks
 
 
 def test_both_routes_agree_on_a_wkb_clock():
+    # the quantum time of the WKB clock state against the classical time map
     grid = Grid1D(0.0, 1.0, 8001)
     clock = ClockModel(Harmonic(1.0), 500.0, 4.0, grid)
-    wkb = wkb_environment(clock)
     classical = clock_time_map(clock).times
-
-    via_chi = quantum_time(wkb.chi(), clock.M)
-    via_polar = polar_time(grid, wkb.amplitude, wkb.action, clock.M)
-    scale = classical[-1]
-    assert np.max(np.abs(via_chi.values.real - classical)) / scale < 1e-2
-    assert np.max(np.abs(via_polar.values.real - classical)) / scale < 1e-2
-    # the two quantum routes agree with each other more tightly
-    assert np.max(np.abs(via_chi.values - via_polar.values)) / scale < 1e-3
-
-
-# ---------------------------------------------------------------------------
-# WKB tables
+    via_chi = quantum_time(_wkb_state(clock).chi(), clock.M)
+    assert np.max(np.abs(via_chi.values.real - classical)) / classical[-1] < 1e-2
 
 
 def test_wkb_state_checks_its_own_consistency():
     grid = Grid1D(0.0, 1.0, 2001)
-    clock = ClockModel(Harmonic(1.0), 500.0, 4.0, grid)
-    wkb = wkb_environment(clock)
+    wkb = _wkb_state(ClockModel(Harmonic(1.0), 500.0, 4.0, grid))
     assert wkb.momentum_defect < 1e-4
-    np.testing.assert_allclose(wkb.amplitude, wkb.momentum ** -0.5, rtol=1e-14)
-    from chronolab import WKBState
     with pytest.raises(DegenerateInputError):
         # action table inconsistent with the momentum table
-        WKBState(grid, np.zeros(grid.n), wkb.amplitude, wkb.momentum, 4.0, 500.0)
-
-
-def test_breakdown_ratio_shrinks_with_clock_mass():
-    grid = Grid1D(0.0, 1.0, 2001)
-    tops = []
-    for M in (500.0, 2000.0):
-        ratio = wkb_breakdown_ratio(wkb_environment(ClockModel(Harmonic(1.0), M, 4.0, grid)))
-        tops.append(np.max(ratio))
-    # hbar p' / p^2 scales as M^(-1/2)
-    assert tops[0] / tops[1] == pytest.approx(2.0, rel=0.05)
-    assert tops[0] < 1e-2
+        WKBState(grid, np.zeros(grid.n), wkb.amplitude, wkb.momentum, 500.0)
 
 
 # ---------------------------------------------------------------------------
@@ -152,11 +118,8 @@ def test_breakdown_ratio_shrinks_with_clock_mass():
 def test_complex_map_collapse_and_guards():
     grid = Grid1D(0.0, 1.0, 101)
     real_map = ComplexTimeMap(grid, np.linspace(0.0, 2.0, 101) + 0j)
-    tm = real_map.as_real()
-    assert tm.span == (0.0, 2.0)
+    assert real_map.max_imag_fraction == 0.0
     skew = ComplexTimeMap(grid, np.linspace(0.0, 2.0, 101) + 0.1j)
     assert skew.max_imag_fraction == pytest.approx(0.05)
-    with pytest.raises(DegenerateInputError):
-        skew.as_real()
     with pytest.raises(DegenerateInputError):
         ComplexTimeMap(grid, np.full(101, np.nan + 0j))

@@ -18,25 +18,22 @@ from chronolab import (
     GridMismatchError,
     Harmonic,
     Linear,
+    NodeError,
     SystemSpec,
     WindowedPulse,
     ZeroCoupling,
     assemble_tise,
-    bo_surface,
     close_coupled_residuals,
     compute_back_reaction,
-    conditional_equation_residual,
     factorize_prescribed,
     factorize_selfconsistent,
     project_channels,
-    schmidt_spectrum,
-    solve_bo_states,
     solve_directed_state,
     solve_eigenpairs,
     solve_system_basis,
 )
 from chronolab.core import _apply_kinetic, _kinetic_coeffs
-from chronolab.stationary import _channel_residual, _transfer_scan
+from chronolab.stationary import WINDOW_THRESHOLD, _channel_residual, _transfer_scan
 
 
 @pytest.fixture(scope="module")
@@ -86,6 +83,9 @@ def test_system_basis_energies_and_orthonormality():
     np.testing.assert_allclose(basis.energies, 2.0 * (np.arange(4) + 0.5), rtol=1e-6)
     np.testing.assert_allclose(basis.gram(), np.eye(4), atol=1e-10)
     assert basis.stencil_order == 4
+    # sign convention: real and positive at the amplitude maximum
+    for s in basis.states:
+        assert s.values[np.argmax(np.abs(s.values))].real > 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -105,6 +105,28 @@ def test_prescribed_factorization_reconstructs_state(weak_pair):
     assert dropped < 1e-8
 
 
+@given(nr=st.integers(5, 40), nx=st.integers(3, 16), seed=st.integers(0, 2**32 - 1))
+def test_factorization_identity_for_random_node_free_chi(nr, nx, seed):
+    rng = np.random.default_rng(seed)
+    grid = Grid2D(Grid1D(-1.0, 1.0, nr), Grid1D(0.0, 2.0, nx))
+    state = Field2D(grid, rng.standard_normal((nr, nx)) + 1j * rng.standard_normal((nr, nx)))
+    # node-free: |chi| spans six decades, all far above the window threshold
+    phase = np.exp(2j * np.pi * rng.random(nr))
+    chi = Field1D(grid.r, 10.0 ** rng.uniform(-6.0, 0.0, nr) * phase)
+    fs = factorize_prescribed(state, chi)
+    assert fs.window == (0, nr - 1)
+    recon = fs.chi.values[:, None] * fs.psi.values
+    assert np.max(np.abs(recon - state.values)) <= 1e-12 * np.max(np.abs(state.values))
+
+    # one interior point below the threshold is a node of chi
+    j = int(rng.integers(1, nr - 1))
+    dipped = chi.values.copy()
+    dipped[j] = 0.5 * WINDOW_THRESHOLD * np.max(np.abs(np.delete(dipped, j))) * phase[j]
+    with pytest.raises(NodeError) as exc:
+        factorize_prescribed(state, Field1D(grid.r, dipped))
+    assert list(exc.value.locations) == [grid.r.points[j]]
+
+
 def test_prescribed_factorization_rejects_wrong_grid(weak_pair):
     spec, grid, pair = weak_pair
     other = Grid1D(-7.0, 7.0, 130)
@@ -119,8 +141,6 @@ def test_selfconsistent_factorization_recovers_total_energy(weak_pair):
     # the clock eigenvalue of the effective 1D problem is the composite energy
     assert trace.energies[-1] == pytest.approx(pair.energy, abs=1e-6)
     assert fs.u_s is not None
-    res = conditional_equation_residual(fs, spec, u_s=fs.u_s)
-    assert res < 1e-4
 
 
 def test_back_reaction_of_uncoupled_state_is_flat():
@@ -137,28 +157,6 @@ def test_back_reaction_of_uncoupled_state_is_flat():
     assert np.ptp(u.real) < 1e-8
     assert np.mean(u.real) == pytest.approx(1.0, rel=1e-4)
     assert np.max(np.abs(u.imag)) < 1e-10
-
-
-# ---------------------------------------------------------------------------
-# schmidt spectrum
-
-
-def test_schmidt_spectrum_orders_and_normalizes(weak_pair):
-    spec, grid, pair = weak_pair
-    sch = schmidt_spectrum(pair.state)
-    assert np.all(np.diff(sch.values) <= 1e-12)
-    assert sch.norm_sq == pytest.approx(1.0, rel=1e-10)
-    # weak coupling: almost a product state, but not exactly
-    assert 0.999 < sch.purity < 1.0
-
-
-def test_schmidt_product_state_is_pure():
-    g = Grid1D(-6.0, 6.0, 101)
-    gg = Grid2D(g, g)
-    a = np.exp(-g.points**2)
-    psi = Field2D(gg, np.outer(a, a))
-    sch = schmidt_spectrum(psi)
-    assert 1.0 - sch.purity < 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -193,30 +191,6 @@ def test_projection_rejects_foreign_basis(weak_pair):
     basis = solve_system_basis(spec.system, other, 2, order=4)
     with pytest.raises(GridMismatchError):
         project_channels(pair.state, basis)
-
-
-# ---------------------------------------------------------------------------
-# fixed-environment system states
-
-
-def test_bo_curve_matches_displaced_oscillator():
-    # bilinear coupling shifts the oscillator and lowers it by (lam R)^2 / 2k
-    grid = Grid1D(-7.0, 7.0, 128)
-    lam, k_sys = 0.15, 4.0
-    spec = CompositeSpec(2.0, 1.0, 1.0, Harmonic(2.0), Harmonic(k_sys), Bilinear(lam))
-    r = np.linspace(-3.0, 3.0, 41)
-    surf = bo_surface(spec, grid, r, k=2)
-    exact = np.sqrt(k_sys) / 2.0 - (lam * r) ** 2 / (2.0 * k_sys)
-    np.testing.assert_allclose(surf.energies[0], exact, atol=1e-4)
-
-
-def test_bo_states_sign_convention():
-    grid = Grid1D(-7.0, 7.0, 128)
-    spec = CompositeSpec(2.0, 1.0, 1.0, Harmonic(2.0), Harmonic(4.0), Bilinear(0.15))
-    states, vals = solve_bo_states(spec, grid, 0.5, 2)
-    for s in states:
-        peak = np.argmax(np.abs(s.values))
-        assert s.values[peak].real > 0.0
 
 
 # ---------------------------------------------------------------------------
