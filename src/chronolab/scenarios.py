@@ -302,19 +302,20 @@ def _run_jacobi_paths(p: JacobiPathsConfig, jobs: int) -> dict:
 def _run_emergence_scan(p: dynamics.EmergenceScanConfig, jobs: int) -> dict:
     report = dynamics.emergence_scan(p, jobs=jobs)
     rows = [
-        (r.scan_value, r.mv2, r.residual, r.rho, report.slope)
+        (r.scan_value, r.mv2, r.residual, r.rho, report.slope, report.residual_slope)
         for r in report.rows
     ]
     details = [
         (r.scan_value, r.v_mean, r.norm_spread, r.residual_out_of_span,
-         r.error if r.error else "")
+         r.fine_points, r.stride, r.error if r.error else "")
         for r in report.rows
     ]
     return {
         "emergence_scan": _table(
-            ("scan_value", "mv2", "residual", "rho", "slope_fit"), rows),
+            ("scan_value", "mv2", "residual", "rho", "slope_fit", "residual_slope"), rows),
         "scan_details": _table(
-            ("scan_value", "v_mean", "norm_spread", "residual_out_of_span", "error"),
+            ("scan_value", "v_mean", "norm_spread", "residual_out_of_span",
+             "fine_points", "stride", "error"),
             details),
     }
 

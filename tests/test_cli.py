@@ -67,7 +67,7 @@ def test_default_config_validates(name):
 DEFAULT_HASHES = {
     "beam-on-atom": "c9c78d9ea5bb76a1b53ec4ed013b5735e2a115a46ec7286ef0a77d26295b8459",
     "classical-emergence": "8efe575d3f1587e5954e8b1d78b8f0a659a7a97d82d9bf45f84edd2c29db7183",
-    "emergence-scan": "2ad5e926b8ed22146c4b7f6da0f9d7bf7e7e8b71ea7f3e2cbf556759c3c93232",
+    "emergence-scan": "e610f6388b9f487204aed9652435e9572f79bf2ae0cb6ec3482c9b0ccd27e149",
     "harmonic-clock-two-level": "4e0b9b53c2e97b139bd636070a427745b49906cdd956dfc5ed64d8b41cc7a257",
     "jacobi-paths": "6882e200532337bfce8f8212bf81155363e5fef58a0fa7e5162fe91ac4f9d6bc",
     "perfect-clock": "1c70c1b5fccb2c45ccaf564e4fd79589289ee53c4c089eb58d17eb9818351cba",

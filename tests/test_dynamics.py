@@ -22,7 +22,6 @@ from chronolab import (
     Harmonic,
     SystemSpec,
     TimeMap,
-    WKBState,
     compare_amplitudes_to_grid,
     conditional_from_composite,
     emergence_scan,
@@ -35,7 +34,7 @@ from chronolab import (
     tdse_residual,
 )
 from chronolab.core import _apply_kinetic, central_difference
-from chronolab.dynamics import BLOCK_STEPS, DirectedRunConfig, directed_run
+from chronolab.dynamics import BLOCK_STEPS, DirectedRunConfig, _lattice_clock, directed_run
 from chronolab.errors import BlowUpError, StabilityError
 
 
@@ -324,19 +323,6 @@ def test_grid_blow_up_names_the_first_bad_step(bad_step):
 # conditional states from directed composites
 
 
-def _clock_factor(state, spec, fine_spacing):
-    """The scan's lattice WKB clock factor and time map on the state's R grid."""
-    from chronolab.stationary import _discrete_wavenumber
-
-    M, hbar, e_total = spec.M, spec.hbar, spec.energy
-    r_sub = state.r_grid
-    p_lat = hbar * _discrete_wavenumber(e_total, fine_spacing, M, hbar)
-    rel = r_sub.points - r_sub.points[0]
-    wkb = WKBState(r_sub, p_lat * rel, np.full(r_sub.n, p_lat**-0.5),
-                   np.full(r_sub.n, p_lat), M, hbar)
-    return wkb, TimeMap(r_sub, (M / p_lat) * rel)
-
-
 def _conditional_x(state, wkb, spec):
     """The conditional in x space, as an oracle for conditional_from_composite.
 
@@ -419,7 +405,7 @@ def test_free_beam_conditional_carries_emergent_phase():
                          ZeroCoupling(),
                          energy=e_total, clock_energy=e_total)
     state = solve_directed_state(spec, basis, r_grid, e_total, 0, 1e-6, stride=4)
-    wkb, tmap = _clock_factor(state, spec, r_grid.spacing)
+    wkb, tmap = _lattice_clock(state, spec, r_grid.spacing)
     traj = conditional_from_composite(state, wkb, tmap, spec)
 
     assert np.ptp(traj.slice_norms()) < 1e-10
@@ -444,7 +430,7 @@ def test_channel_conditional_and_residual_match_x_space_on_a_pulse():
     cfg = DirectedRunConfig(slices=801)
     system, basis = cfg.system_basis()
     spec, r_grid, state, _ = directed_run(cfg, basis, 50.0)
-    wkb, tmap = _clock_factor(state, spec, r_grid.spacing)
+    wkb, tmap = _lattice_clock(state, spec, r_grid.spacing)
     drive = CouplingDrive(spec.v_int, tmap)
     traj = conditional_from_composite(state, wkb, tmap, spec)
     rep = tdse_residual(traj, system, drive=drive)
@@ -525,3 +511,19 @@ def test_emergence_scan_config_validation():
         emergence_scan(EmergenceScanConfig(kinetic_energies=(10.0, 40.0)))
     with pytest.raises(DegenerateInputError):
         emergence_scan(EmergenceScanConfig(kinetic_energies=(10.0, 40.0, 160.0)))
+
+
+def test_measured_residual_keeps_the_minus_one_exponent():
+    # with time read at the lattice group velocity no dispersion floor is
+    # left under the residual; read at p / M, the (k dR)^2 / 6 mismatch
+    # flattened the local slopes to about -0.95 above M v^2 = 1e3
+    energies = (15.0, 50.0, 150.0, 500.0, 1500.0)
+    report = emergence_scan(EmergenceScanConfig(kinetic_energies=energies))
+    assert all(r.error is None for r in report.rows)
+    assert [(r.fine_points, r.stride) for r in report.rows] == [
+        (4001, 1), (8001, 2), (16001, 4), (52001, 13), (152001, 38)]
+    mv2, residual = report.column("mv2"), report.column("residual")
+    local = np.diff(np.log(residual)) / np.diff(np.log(mv2))
+    above = local[mv2[:-1] >= 100.0]
+    assert above.size == 3
+    assert np.max(np.abs(above + 1.0)) < 0.005, local
