@@ -138,6 +138,10 @@ def _action_and_gradient(problem: PathProblem, nodes: np.ndarray):
     return w, g
 
 
+# a minimized path is accepted at an interior gradient max-norm below this times W
+PATH_GRADIENT_TOL = 1e-7
+
+
 def _straight_seed(q_start, q_end, segments):
     frac = np.linspace(0.0, 1.0, segments + 1)[:, None]
     return (1.0 - frac) * np.asarray(q_start, dtype=float) + frac * np.asarray(q_end, dtype=float)
@@ -174,7 +178,6 @@ def minimize_action_path(
     q_start,
     q_end,
     segments: int = 64,
-    tol_rel: float = 1e-7,
     max_iter: int = 50000,
     seed_nodes: np.ndarray | None = None,
 ) -> DiscretePath:
@@ -194,7 +197,7 @@ def minimize_action_path(
     zero Hessian is returned when a difference probe crosses the wall.
     `max_iter` counts trust-region iterations, rejected trial points
     included.  The path is accepted when the max-norm of the interior
-    gradient is below tol_rel * W.
+    gradient is below PATH_GRADIENT_TOL * W.
 
     Raises ForbiddenRegionError if the seed leaves the allowed region
     and ConvergenceError, with the gradient max and the action in its
@@ -239,14 +242,14 @@ def minimize_action_path(
 
     z = nodes[1:-1].ravel()
     res = sp_minimize(objective, z, jac=True, hess=hessian, method="trust-exact",
-                      options={"maxiter": max_iter, "gtol": 0.1 * tol_rel * abs(w0)})
+                      options={"maxiter": max_iter, "gtol": 0.1 * PATH_GRADIENT_TOL * abs(w0)})
     w, g = _action_and_gradient(problem, unpack(res.x))
     gmax = float(np.max(np.abs(g[1:-1]))) if segments > 2 else 0.0
-    if gmax < tol_rel * abs(w):
+    if gmax < PATH_GRADIENT_TOL * abs(w):
         return DiscretePath(problem, unpack(res.x))
     raise ConvergenceError(
         f"path minimization stalled at gradient max {gmax:.3e} "
-        f"(target {tol_rel * abs(w):.3e})",
+        f"(target {PATH_GRADIENT_TOL * abs(w):.3e})",
         trace={"gradient_max": gmax, "action": w},
     )
 
@@ -288,7 +291,7 @@ class EndpointReport:
     with the minimized base path the probes start from.
 
     The probe should match the analytic gradient of the discrete action
-    to second order in `delta` (envelope theorem: interior nodes are at
+    to second order in the probe step (envelope theorem: interior nodes are at
     a minimum).  The boundary-segment momentum differs from the analytic
     gradient by the midpoint-potential term of the outermost segment,
     which shrinks linearly with the segment length; in flat potential
@@ -301,7 +304,6 @@ class EndpointReport:
     fd_grad_start: np.ndarray
     analytic_start: np.ndarray
     momentum_start: np.ndarray
-    delta: float
     path: DiscretePath
 
     @property
@@ -327,7 +329,6 @@ def endpoint_momentum_check(
     q_end,
     segments: int = 64,
     delta: float = 1e-4,
-    **minimize_kwargs,
 ) -> EndpointReport:
     """Probe dW/dq at both endpoints by re-minimizing at displaced endpoints.
 
@@ -341,15 +342,14 @@ def endpoint_momentum_check(
     """
     q_start = np.asarray(q_start, dtype=float)
     q_end = np.asarray(q_end, dtype=float)
-    base = minimize_action_path(problem, q_start, q_end, segments, **minimize_kwargs)
+    base = minimize_action_path(problem, q_start, q_end, segments)
     p = path_momenta(base)
     _, g = _action_and_gradient(problem, base.nodes)
 
     def minimized_w(a, b):
         seed = base.nodes + np.linspace(0.0, 1.0, segments + 1)[:, None] * (b - q_end) \
             + np.linspace(1.0, 0.0, segments + 1)[:, None] * (a - q_start)
-        return path_action(minimize_action_path(problem, a, b, segments,
-                                                seed_nodes=seed, **minimize_kwargs))
+        return path_action(minimize_action_path(problem, a, b, segments, seed_nodes=seed))
 
     d = q_end.shape[0]
     fd_end = np.empty(d)
@@ -359,7 +359,7 @@ def endpoint_momentum_check(
         e[j] = delta
         fd_end[j] = (minimized_w(q_start, q_end + e) - minimized_w(q_start, q_end - e)) / (2 * delta)
         fd_start[j] = (minimized_w(q_start + e, q_end) - minimized_w(q_start - e, q_end)) / (2 * delta)
-    return EndpointReport(fd_end, g[-1], p[-1], fd_start, g[0], p[0], delta, base)
+    return EndpointReport(fd_end, g[-1], p[-1], fd_start, g[0], p[0], base)
 
 
 # ---------------------------------------------------------------------------
@@ -370,17 +370,16 @@ def endpoint_momentum_check(
 class Trajectory:
     """Sampled phase-space history over a parameter grid.
 
-    A single run has parameter (n,), positions and momenta (n, d), action
-    and energies (n,).  A run of L lanes puts the lane axis after the
-    sample axis: positions and momenta (n, L, d), action and energies
-    (n, L), parameter (n,) when the lanes share one grid and (n, L) when
-    each lane has its own.
+    A single run has parameter (n,), positions and momenta (n, d) and
+    energies (n,).  A run of L lanes puts the lane axis after the sample
+    axis: positions and momenta (n, L, d), energies (n, L), parameter
+    (n,) when the lanes share one grid and (n, L) when each lane has its
+    own.
     """
 
     parameter: np.ndarray
     positions: np.ndarray
     momenta: np.ndarray
-    action: np.ndarray  # accumulated integral of p . dq
     energies: np.ndarray
 
     @property
@@ -398,7 +397,7 @@ def _verlet(positions0, momenta0, masses, force, times):
     for lanes on one grid, and each lane steps by its own
     dt = times[i + 1] - times[i].  `force(q, i)` returns the (L, d) force
     at the lane states q on grid row i.  Returns positions and momenta
-    (n, L, d) and the accumulated action (n, L), the trapezoid of p . dq.
+    (n, L, d).
     """
     n = times.shape[0]
     q = np.empty((n,) + positions0.shape)
@@ -414,15 +413,7 @@ def _verlet(positions0, momenta0, masses, force, times):
         q[i + 1] = q[i] + dt[i] * p_half * inv_m
         f = force(q[i + 1], i + 1)
         p[i + 1] = p_half + half_dt[i] * f
-    # the action is formed in place after the step arrays are freed, so
-    # the peak holds two temporaries of the trajectory's size
-    del dt, half_dt
-    p_mid = p[:-1] + p[1:]
-    p_mid *= 0.5
-    p_mid *= np.diff(q, axis=0)
-    w = np.zeros(q.shape[:2])
-    np.cumsum(p_mid.sum(axis=-1), axis=0, out=w[1:])
-    return q, p, w
+    return q, p
 
 
 def integrate_composite(
@@ -463,12 +454,12 @@ def integrate_composite(
     n = steps
     for _ in range(max_halvings + 1):
         times = np.linspace(0.0, span, n + 1)
-        q, p, w = _verlet(start[:, [0, 2]], start[:, [1, 3]], masses, force, times[:, None])
+        q, p = _verlet(start[:, [0, 2]], start[:, [1, 3]], masses, force, times[:, None])
         r, x = q[..., 0], q[..., 1]
         e = (0.5 * p[..., 0] ** 2 / spec.M + 0.5 * p[..., 1] ** 2 / spec.m
              + spec.total_potential(x, r))
-        traj = Trajectory(times, q, p, w, e) if lanes else Trajectory(
-            times, q[:, 0], p[:, 0], w[:, 0], e[:, 0])
+        traj = Trajectory(times, q, p, e) if lanes else Trajectory(
+            times, q[:, 0], p[:, 0], e[:, 0])
         if traj.energy_drift <= drift_tol:
             return traj
         n *= 2
@@ -524,13 +515,13 @@ def integrate_driven_system(
         x = q[:, 0]
         return (-system.v_sys.derivative(x) - coupling.d_dx(x, r[i]))[:, None]
 
-    q, p, w = _verlet(x0, px0, np.array([system.m]), force, times)
+    q, p = _verlet(x0, px0, np.array([system.m]), force, times)
     x = q[..., 0]
     e = 0.5 * p[..., 0] ** 2 / system.m + system.v_sys(x)
     e = e + np.column_stack([d(x[:, j], times[:, j]) for j, d in enumerate(drives)])
     if lanes:
-        return Trajectory(t_grid, q, p, w, e)
-    return Trajectory(t_grid, q[:, 0], p[:, 0], w[:, 0], e[:, 0])
+        return Trajectory(t_grid, q, p, e)
+    return Trajectory(t_grid, q[:, 0], p[:, 0], e[:, 0])
 
 
 # ---------------------------------------------------------------------------
@@ -553,16 +544,10 @@ class ClockModel:
     def __post_init__(self):
         if self.M <= 0:
             raise DegenerateInputError(f"clock mass must be > 0, got {self.M}")
-        gap = self.E_c - np.asarray(self.v_env(self.r_grid.points), dtype=float)
-        if np.any(gap <= 0.0):
-            bad = self.r_grid.points[gap <= 0.0]
-            raise TurningPointError(
-                f"E_c - V <= 0 at {bad.size} grid points starting at R={bad[0]:.6g}",
-                locations=bad[:8],
-            )
+        self.momentum_table()  # TurningPointError where E_c <= V on the grid
 
     def momentum_table(self) -> np.ndarray:
-        return np.sqrt(2.0 * self.M * (self.E_c - np.asarray(self.v_env(self.r_grid.points), dtype=float)))
+        return clock_momentum(self, self.r_grid.points)
 
 
 def clock_momentum(clock: ClockModel, r):
@@ -572,7 +557,7 @@ def clock_momentum(clock: ClockModel, r):
     if np.any(gap <= 0.0):
         bad = np.atleast_1d(r)[np.atleast_1d(gap <= 0.0)]
         raise TurningPointError(
-            f"clock momentum undefined at R={bad[0]:.6g} (E_c <= V)", locations=bad[:8]
+            f"E_c - V <= 0 at {bad.size} points starting at R={bad[0]:.6g}", locations=bad[:8]
         )
     return np.sqrt(2.0 * clock.M * gap)
 

@@ -175,7 +175,7 @@ def run_command(args) -> int:
     if code == 0:
         suffix = ".csv" if args.format == "csv" else ".json"
         writer = write_csv if args.format == "csv" else write_json_table
-        t1 = time.perf_counter()
+        t1 = t2 = time.perf_counter()  # t2 restarts when the write stage does
         try:
             with warnings.catch_warnings(record=True) as caught:
                 warnings.simplefilter("always", RuntimeWarning)
@@ -202,7 +202,7 @@ def run_command(args) -> int:
             code = 3
         except OSError as exc:
             stages.append({"name": "write", "status": "failed",
-                           "seconds": time.perf_counter() - t1, "error": str(exc)})
+                           "seconds": time.perf_counter() - t2, "error": str(exc)})
             print(f"I/O error: {exc}", file=sys.stderr)
             code = 4
         except Exception as exc:  # a fault of the program: still leave a manifest

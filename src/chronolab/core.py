@@ -174,6 +174,8 @@ def central_difference(values: np.ndarray, h: float, deriv: int, order: int = 2)
     `deriv` is 1 or 2 and `order` (2 or 4) the stencil's accuracy; the
     result drops order // 2 rows at each end of the axis.
     """
+    if deriv not in (1, 2):
+        raise DegenerateInputError(f"central stencil derivative must be 1 or 2, got {deriv}")
     v = values
     if order == 2:
         if deriv == 1:

@@ -21,10 +21,9 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import cumulative_trapezoid
-from scipy.interpolate import CubicSpline
 from scipy.linalg import get_lapack_funcs
 
-from .classical import CouplingDrive, TimeMap
+from .classical import CouplingDrive, TimeMap, _loglog_slope
 from .core import (
     ChannelBasis,
     CompositeSpec,
@@ -303,7 +302,6 @@ def propagate_amplitudes(
 class TwoRouteReport:
     """Amplitude ODEs against grid projections of the same evolution."""
 
-    times: np.ndarray
     ode: AmplitudeSet
     projected: np.ndarray  # (nt, k) phase-corrected grid projections
     max_deviation: float
@@ -345,7 +343,7 @@ def compare_amplitudes_to_grid(
     proj = _project(basis, traj.values)  # (k, nt)
     proj = proj.T * np.exp(1j * basis.energies[None, :] * t[:, None] / system.hbar)
     deviation = float(np.max(np.abs(ode.amplitudes - proj)))
-    return TwoRouteReport(t, ode, proj, deviation, defect)
+    return TwoRouteReport(ode, proj, deviation, defect)
 
 
 # ---------------------------------------------------------------------------
@@ -431,7 +429,6 @@ class ResidualReport:
     out_of_span: float
     rho: float
     mv2: float
-    resampled: bool
 
 
 def tdse_residual(
@@ -442,12 +439,12 @@ def tdse_residual(
 ) -> ResidualReport:
     """Measure the TDSE residual and the correction-term ratio of a trajectory.
 
-    Needs at least 3 slices; non-uniform time samples are resampled by
-    cubic interpolation first.  The purely time-dependent part of the
-    back-reaction is removed by the phase transformation
-    a~ = a * exp(+(i/hbar) int Re U_S dt) before the residual operator
-    (which retains the -U_S term) is applied; the imaginary part of U_S
-    is not used.  rho uses M v^2 from the trajectory's clock metadata
+    Needs at least 3 slices on uniformly spaced times (steps within
+    1e-9 of their mean); DegenerateInputError otherwise.  The purely
+    time-dependent part of the back-reaction is removed by the phase
+    transformation a~ = a * exp(+(i/hbar) int Re U_S dt) before the
+    residual operator (which retains the -U_S term) is applied; the
+    imaginary part of U_S is not used.  rho uses M v^2 from the trajectory's clock metadata
     unless `mv2` is given.
 
     All of it is computed from the amplitudes.  The drive (a CouplingDrive
@@ -464,12 +461,8 @@ def tdse_residual(
     t, amps, u = traj.times, traj.amplitudes, traj.u_s
     diffs = np.diff(t)
     mean_dt = float(np.mean(diffs))
-    resampled = bool(np.max(np.abs(diffs - mean_dt)) > 1e-9 * mean_dt)
-    if resampled:
-        uniform = np.linspace(t[0], t[-1], t.size)
-        amps = CubicSpline(t, amps, axis=0)(uniform)
-        u = CubicSpline(t, u)(uniform)
-        t = uniform
+    if np.max(np.abs(diffs - mean_dt)) > 1e-9 * mean_dt:
+        raise DegenerateInputError("the time stencils need uniformly spaced slice times")
     dt = float(t[1] - t[0])
 
     if mv2 is None:
@@ -500,8 +493,7 @@ def tdse_residual(
     correction = (hbar * hbar / (2.0 * mv2)) * np.linalg.norm(central_difference(amps, dt, 2))
     if retained == 0.0:
         raise DegenerateInputError("trajectory is time-independent; no retained term")
-    return ResidualReport(float(residual), float(outside), float(correction / retained),
-                          mv2, resampled)
+    return ResidualReport(float(residual), float(outside), float(correction / retained), mv2)
 
 
 # ---------------------------------------------------------------------------
@@ -632,7 +624,6 @@ class EmergenceReport:
     rows: tuple
     slope: float
     residual_slope: float
-    config: EmergenceScanConfig
 
     def column(self, name: str) -> np.ndarray:
         return np.array([getattr(r, name) for r in self.rows])
@@ -725,9 +716,6 @@ def emergence_scan(
         raise DegenerateInputError(
             f"{len(good)} of {len(rows)} scan points succeeded, the slope fit needs 2: {failures}"
         )
-    lx = np.log([r.mv2 for r in good])
-
-    def fit(name: str) -> float:
-        return float(np.polyfit(lx, np.log([getattr(r, name) for r in good]), 1)[0])
-
-    return EmergenceReport(tuple(rows), fit("rho"), fit("residual"), cfg)
+    mv2 = [r.mv2 for r in good]
+    return EmergenceReport(tuple(rows), _loglog_slope(mv2, [r.rho for r in good]),
+                           _loglog_slope(mv2, [r.residual for r in good]))

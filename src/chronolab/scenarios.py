@@ -164,13 +164,12 @@ class BeamOnAtomConfig(dynamics.DirectedRunConfig):
 
 def _run_beam_on_atom(p: BeamOnAtomConfig, jobs: int) -> dict:
     _, basis = p.system_basis()
-    spec, _, state, _ = dynamics.directed_run(p, basis, p.kinetic_energy)
+    spec, r_grid, state, _ = dynamics.directed_run(p, basis, p.kinetic_energy)
     e_total = spec.energy
 
-    # the beam's own time axis: the free-clock map its tables are built from
+    # the beam's own time axis: its clock wave moves at the lattice group velocity
     r_sub = state.r_grid
-    clock = ClockModel(Constant(0.0), p.clock_mass, e_total, r_sub)
-    tmap = clock_time_map(clock)
+    _, tmap = dynamics._lattice_clock(state, spec, r_grid.spacing)
 
     pops = np.abs(state.amplitudes) ** 2
     pops /= pops[0].sum()  # entry slice defines the unit of population

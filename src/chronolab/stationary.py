@@ -11,11 +11,11 @@ Channel-space constructions use the product form of the coupling,
 strength * env(R) * sys(x): the coupling matrices on R row j are
 g(R_j) times the one (k, k) matrix of sys(x), with g = strength * env.
 
-Kinetic stencils are the 5-point (fourth-order) form per axis by
-default; operators can be built with per-axis order 2 where a downstream
-construction needs the 3-point form.  Residual evaluators take their
-stencil orders from the objects they test so operator and diagnostic
-stay consistent.
+The composite's kinetic stencil is the 5-point (fourth-order) form on
+both axes, COMPOSITE_ORDER; the Hamiltonian, the factorization's
+back-reaction and the close-coupled residual all use it.  Channel bases
+record their own x stencil order, and the directed-state recurrence is
+the 3-point form in R.
 """
 
 from __future__ import annotations
@@ -69,6 +69,9 @@ __all__ = [
 # relative amplitude below which chi is treated as absent
 WINDOW_THRESHOLD = 1e-8
 
+# kinetic stencil order of the composite Hamiltonian on both axes
+COMPOSITE_ORDER = 4
+
 
 # ---------------------------------------------------------------------------
 # kinetic matrices (coefficients from core)
@@ -85,13 +88,13 @@ def _kinetic_banded(n_interior: int, order: int, h: float, mass: float, hbar: fl
     return bands
 
 
-def _kinetic_sparse(n_interior: int, order: int, h: float, mass: float, hbar: float):
-    c0, c1, c2 = _kinetic_coeffs(order, h, mass, hbar)
+def _kinetic_sparse(n_interior: int, h: float, mass: float, hbar: float):
+    c0, c1, c2 = _kinetic_coeffs(COMPOSITE_ORDER, h, mass, hbar)
     diagonals = [np.full(n_interior, c0)]
     offsets = [0]
     diagonals += [np.full(n_interior - 1, c1)] * 2
     offsets += [1, -1]
-    if order == 4 and n_interior > 2:
+    if n_interior > 2:
         diagonals += [np.full(n_interior - 2, c2)] * 2
         offsets += [2, -2]
     return sparse.diags(diagonals, offsets, format="csr")
@@ -115,8 +118,6 @@ class Hamiltonian2D:
     m: float
     hbar: float
     v_table: np.ndarray  # (nR, nx)
-    order_r: int = 4
-    order_x: int = 4
 
     def __post_init__(self):
         self.v_table = np.asarray(self.v_table, dtype=float)
@@ -127,8 +128,8 @@ class Hamiltonian2D:
         if f.grid != self.grid:
             raise GridMismatchError("field grid does not match Hamiltonian grid")
         v = f.values
-        out = _apply_kinetic(v, 0, self.order_r, self.grid.r.spacing, self.M, self.hbar)
-        out += _apply_kinetic(v, 1, self.order_x, self.grid.x.spacing, self.m, self.hbar)
+        out = _apply_kinetic(v, 0, COMPOSITE_ORDER, self.grid.r.spacing, self.M, self.hbar)
+        out += _apply_kinetic(v, 1, COMPOSITE_ORDER, self.grid.x.spacing, self.m, self.hbar)
         pot = self.v_table * v
         pot[0, :] = 0.0
         pot[-1, :] = 0.0
@@ -151,14 +152,14 @@ class Hamiltonian2D:
     def to_sparse(self):
         """Interior-point sparse matrix (row-major, x fastest)."""
         nr, nx = self.grid.r.n - 2, self.grid.x.n - 2
-        kr = _kinetic_sparse(nr, self.order_r, self.grid.r.spacing, self.M, self.hbar)
-        kx = _kinetic_sparse(nx, self.order_x, self.grid.x.spacing, self.m, self.hbar)
+        kr = _kinetic_sparse(nr, self.grid.r.spacing, self.M, self.hbar)
+        kx = _kinetic_sparse(nx, self.grid.x.spacing, self.m, self.hbar)
         h = sparse.kron(kr, sparse.identity(nx)) + sparse.kron(sparse.identity(nr), kx)
         h = h + sparse.diags(self.v_table[1:-1, 1:-1].ravel())
         return h.tocsc()
 
 
-def assemble_tise(spec, grid: Grid2D, order_r: int = 4, order_x: int = 4) -> Hamiltonian2D:
+def assemble_tise(spec, grid: Grid2D) -> Hamiltonian2D:
     """Build the composite Hamiltonian for a CompositeSpec on a box grid."""
     r = grid.r.points[:, None]
     x = grid.x.points[None, :]
@@ -166,7 +167,7 @@ def assemble_tise(spec, grid: Grid2D, order_r: int = 4, order_x: int = 4) -> Ham
     v = np.broadcast_to(v, (grid.r.n, grid.x.n)).copy()
     if not np.all(np.isfinite(v)):
         raise DegenerateInputError("potential table contains non-finite values")
-    return Hamiltonian2D(grid, spec.M, spec.m, spec.hbar, v, order_r, order_x)
+    return Hamiltonian2D(grid, spec.M, spec.m, spec.hbar, v)
 
 
 # ---------------------------------------------------------------------------
@@ -281,7 +282,6 @@ class FactorizedState:
     psi: Field2D
     window: tuple
     mode: str
-    stencil_orders: tuple = (4, 4)
     u_s: Field1D | None = None
 
 
@@ -302,8 +302,7 @@ def _window_of(chi_values: np.ndarray, r_points: np.ndarray):
     return i0, i1
 
 
-def factorize_prescribed(state: Field2D, chi: Field1D,
-                         stencil_orders: tuple = (4, 4)) -> FactorizedState:
+def factorize_prescribed(state: Field2D, chi: Field1D) -> FactorizedState:
     """Split a composite field as chi * psi with a caller-supplied chi.
 
     psi = state / chi on the window where |chi| clears WINDOW_THRESHOLD
@@ -317,7 +316,7 @@ def factorize_prescribed(state: Field2D, chi: Field1D,
     chi_w = Field1D(sub, chi.values[i0:i1 + 1])
     grid_w = Grid2D(sub, state.grid.x)
     psi = Field2D(grid_w, state.values[i0:i1 + 1, :] / chi_w.values[:, None])
-    out = FactorizedState(chi_w, psi, (i0, i1), mode="prescribed", stencil_orders=stencil_orders)
+    out = FactorizedState(chi_w, psi, (i0, i1), mode="prescribed")
     _check_product(out, state)
     return out
 
@@ -342,12 +341,11 @@ def compute_back_reaction(fs: FactorizedState, spec) -> Field1D:
         - (hbar^2/2M) d^2/dR^2
 
     in psi, normalized by the slice weight (psi|psi).  The derivative
-    stencils match the orders recorded on the FactorizedState; the
-    order_r // 2 outermost slices at each end, which the R stencil does
-    not reach, are clipped.
+    stencils are COMPOSITE_ORDER on both axes; the COMPOSITE_ORDER // 2
+    outermost slices at each end, which the R stencil does not reach,
+    are clipped.
     """
-    order_r, order_x = fs.stencil_orders
-    margin = order_r // 2
+    margin = COMPOSITE_ORDER // 2
     nr = fs.psi.grid.r.n
     if nr < 2 * margin + 3:
         raise WindowError(f"window of {nr} slices too narrow for the R stencil")
@@ -355,12 +353,12 @@ def compute_back_reaction(fs: FactorizedState, spec) -> Field1D:
     psi = fs.psi.values
     sl = slice(margin, nr - margin)
     x, r = fs.psi.grid.x.points, fs.psi.grid.r.points
-    hs_psi = _apply_kinetic(psi, 1, order_x, fs.psi.grid.x.spacing, spec.m, spec.hbar)
+    hs_psi = _apply_kinetic(psi, 1, COMPOSITE_ORDER, fs.psi.grid.x.spacing, spec.m, spec.hbar)
     hs_psi += (np.asarray(spec.v_sys(x), dtype=float)[None, :]
                + np.asarray(spec.v_int(x[None, :], r[:, None]), dtype=float)) * psi
-    log_dchi = central_difference(fs.chi.values, h_r, 1, order_r) / fs.chi.values[sl]
-    dpsi = central_difference(psi, h_r, 1, order_r)
-    d2psi = central_difference(psi, h_r, 2, order_r)
+    log_dchi = central_difference(fs.chi.values, h_r, 1, COMPOSITE_ORDER) / fs.chi.values[sl]
+    dpsi = central_difference(psi, h_r, 1, COMPOSITE_ORDER)
+    d2psi = central_difference(psi, h_r, 2, COMPOSITE_ORDER)
 
     wx = fs.psi.grid.x.weights
     hbar, bigm = spec.hbar, spec.M
@@ -416,8 +414,7 @@ def factorize_selfconsistent(pair: EigenPair, spec) -> tuple[FactorizedState, It
                                    trace=IterationTrace(tuple(steps), tuple(energies)))
         # pad U_S onto the full grid: edge values continue outside the window
         i0, i1 = fs.window
-        order_r = fs.stencil_orders[0]
-        margin = order_r // 2
+        margin = COMPOSITE_ORDER // 2
         u_full = np.empty(r_grid.n)
         u_full[i0 + margin:i1 + 1 - margin] = u_s.values.real
         u_full[: i0 + margin] = u_s.values.real[0]
@@ -425,7 +422,7 @@ def factorize_selfconsistent(pair: EigenPair, spec) -> tuple[FactorizedState, It
 
         k_cand = min(10, r_grid.n - 2)
         vals, vecs = _solve_banded_eigen(v_env + u_full, r_grid, spec.M, spec.hbar,
-                                         k_cand, order_r)
+                                         k_cand, COMPOSITE_ORDER)
         cands = _embed_states(r_grid, vecs)
         w_r = r_grid.weights
         overlaps = [abs(np.sum(w_r * np.conj(c.values) * chi.values)) for c in cands]
@@ -514,23 +511,21 @@ def _coupling_factors(spec, basis: ChannelBasis, r_points: np.ndarray) -> tuple:
 class CloseCoupledReport:
     residuals: np.ndarray  # per channel
     hermiticity_defect: float
-    energy: float
 
 
-def close_coupled_residuals(decomp: ChannelDecomposition, spec, energy: float,
-                            order_r: int = 4) -> CloseCoupledReport:
+def close_coupled_residuals(decomp: ChannelDecomposition, spec,
+                            energy: float) -> CloseCoupledReport:
     """Residual of the coupled radial equations for each channel.
 
     || [-hbar^2/2M d^2/dR^2 + V_env - E] kappa_m
        + sum_n V_eff_mn(R) kappa_n ||  per channel m,
 
     with V_eff_mn(R) = <phi_m| H_S + V_I(., R) |phi_n> built from the
-    basis' own stencil order, and the R stencil matching `order_r`.
+    basis' own stencil order, and the R stencil at COMPOSITE_ORDER.
     The report carries the worst-case Hermiticity defect of V_eff.
     """
     basis = decomp.basis
     r = decomp.r_grid.points
-    k = len(basis)
     g, wmat = _coupling_factors(spec, basis, r)
 
     # system part of V_eff: <phi_m | H_S phi_n> with the basis stencil
@@ -540,19 +535,15 @@ def close_coupled_residuals(decomp: ChannelDecomposition, spec, energy: float,
     herm = float(np.max(np.abs(veff - np.conj(np.swapaxes(veff, 1, 2)))))
     scale = float(np.max(np.abs(veff))) or 1.0
 
-    margin = order_r // 2
-    h_r = decomp.r_grid.spacing
+    margin = COMPOSITE_ORDER // 2
     v_env = np.asarray(spec.v_env(r), dtype=float)
     wr = decomp.r_grid.weights
     sl = slice(margin, decomp.r_grid.n - margin)
-    residuals = np.empty(k)
-    coupled = np.einsum("rmn,nr->mr", veff, decomp.kappas)
-    for m_idx in range(k):
-        kap = decomp.kappas[m_idx]
-        kin = _apply_kinetic(kap, 0, order_r, h_r, spec.M, spec.hbar)
-        lhs = kin + (v_env - energy) * kap + coupled[m_idx]
-        residuals[m_idx] = np.sqrt(float(np.sum(wr[sl] * np.abs(lhs[sl]) ** 2)))
-    return CloseCoupledReport(residuals, herm / scale, energy)
+    kap = decomp.kappas  # (k, nR)
+    lhs = (_apply_kinetic(kap, 1, COMPOSITE_ORDER, decomp.r_grid.spacing, spec.M, spec.hbar)
+           + (v_env - energy) * kap + np.einsum("rmn,nr->mr", veff, kap))
+    residuals = np.sqrt(np.sum(wr[sl] * np.abs(lhs[:, sl]) ** 2, axis=1))
+    return CloseCoupledReport(residuals, herm / scale)
 
 
 # ---------------------------------------------------------------------------

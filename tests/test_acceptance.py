@@ -294,7 +294,7 @@ def test_criterion_09_close_coupled_residuals(weak_pair):
     for k in (2, 8):
         basis = solve_system_basis(spec.system, grid, k, order=4)
         dec = project_channels(pair.state, basis)
-        rep = close_coupled_residuals(dec, spec, pair.energy, order_r=4)
+        rep = close_coupled_residuals(dec, spec, pair.energy)
         worst[k] = float(rep.residuals.max())
         herm = max(herm, rep.hermiticity_defect)
     drop = worst[2] / worst[8]

@@ -243,7 +243,7 @@ def test_driven_system_matches_ramped_force_solution():
 
 def _same_trajectory(batch, lane, solo):
     # lane `lane` of a batched run against a run of that lane alone
-    for name in ("positions", "momenta", "action", "energies"):
+    for name in ("positions", "momenta", "energies"):
         np.testing.assert_array_equal(getattr(batch, name)[:, lane], getattr(solo, name))
 
 

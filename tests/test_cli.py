@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -13,8 +14,9 @@ import pytest
 
 import chronolab
 from chronolab.cli import _config_hash, load_config, main, validate_config
+from chronolab.dynamics import directed_run
 from chronolab.errors import ConfigError
-from chronolab.scenarios import SCENARIOS, config_schema, default_config, get_scenario
+from chronolab.scenarios import SCENARIOS, Table, config_schema, default_config, get_scenario
 
 BUILTINS = [
     "beam-on-atom",
@@ -118,6 +120,24 @@ def test_perfect_clock_tables_have_expected_shape():
     # coarse grid: finite-difference phase error only, still well bounded
     assert summary["max_rel_error"] < 1e-2
     assert summary["max_imag_fraction"] < 1e-6
+
+
+def test_beam_on_atom_time_runs_at_the_lattice_group_velocity():
+    # t = (r - r0) / v_g with v_g = hbar sin(k h) / (M h) on the fine grid
+    # of the directed solve, k its plane wave at the total energy
+    params = default_config("beam-on-atom")["parameters"]
+    cfg = get_scenario("beam-on-atom").config(**params)
+    _, basis = cfg.system_basis()
+    spec, r_grid, _, _ = directed_run(cfg, basis, cfg.kinetic_energy)
+    M, hbar, h = cfg.clock_mass, cfg.hbar, r_grid.spacing
+    k = np.arccos(1.0 - M * h * h * spec.energy / hbar**2) / h
+    v_g = hbar * np.sin(k * h) / (M * h)
+    table = SCENARIOS["beam-on-atom"].run(params)["channel_populations"]
+    r, t = np.array([row[:2] for row in table.rows]).T
+    np.testing.assert_allclose(t, (r - r[0]) / v_g, rtol=1e-12, atol=0.0)
+    # the continuum clock p / M runs faster by about (k h)^2 / 6
+    p = np.sqrt(2.0 * M * spec.energy)
+    assert (r[-1] - r[0]) * M / p < t[-1] * (1.0 - 1e-5)
 
 
 def test_load_config_builtin_name_gives_defaults():
@@ -449,6 +469,26 @@ def test_unwritable_output_dir_exits_4(tmp_path, capsys):
     cfg = write_config(tmp_path, FAST_CLOCK)
     assert main(["run", cfg, "--out", str(blocker)]) == 4
     assert "I/O error" in capsys.readouterr().err
+
+
+def test_failed_write_is_timed_from_its_own_start(tmp_path, capsys, monkeypatch):
+    def slow(p, jobs):
+        time.sleep(0.3)
+        return {"table": Table(("a",), ((1.0,),))}
+
+    def refusing(path, table):
+        raise OSError("no room for the table")
+
+    monkeypatch.setitem(SCENARIOS, "perfect-clock",
+                        dataclasses.replace(SCENARIOS["perfect-clock"], runner=slow))
+    monkeypatch.setattr("chronolab.cli.write_csv", refusing)
+    out = tmp_path / "out"
+    assert main(["run", write_config(tmp_path, FAST_CLOCK), "--out", str(out)]) == 4
+    assert "I/O error: no room for the table" in capsys.readouterr().err
+    manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
+    stages = {s["name"]: s for s in manifest["stages"]}
+    assert [stages[n]["status"] for n in ("compute", "write")] == ["ok", "failed"]
+    assert stages["write"]["seconds"] < stages["compute"]["seconds"]
 
 
 def test_output_dir_from_environment(tmp_path, monkeypatch):

@@ -117,6 +117,13 @@ def test_derivatives_second_order_on_sine():
     assert errs[0] / errs[1] == pytest.approx(4.0, rel=0.15)
 
 
+@pytest.mark.parametrize("deriv", [0, 3])
+@pytest.mark.parametrize("order", [2, 4])
+def test_central_difference_rejects_other_derivatives(deriv, order):
+    with pytest.raises(DegenerateInputError, match="derivative must be 1 or 2"):
+        central_difference(np.zeros(9), 0.1, deriv, order)
+
+
 # ---------------------------------------------------------------------------
 # potentials
 

@@ -5,7 +5,6 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 from scipy.integrate import cumulative_trapezoid
-from scipy.interpolate import CubicSpline
 
 from chronolab import (
     CompositeSpec,
@@ -346,17 +345,9 @@ def _tdse_residual_x(x_grid, order, t, psi, u, system, drive, mv2):
 
     Applies (H_S + V_I - Re U_S - i hbar d/dt) to the phase-transformed
     slices psi[it, ix] with the order-`order` x stencil and returns
-    (residual, rho, resampled, rows), rows being the interior residual
-    rows over the norm of the interior slices.
+    (residual, rho, rows), rows being the interior residual rows over the
+    norm of the interior slices.
     """
-    diffs = np.diff(t)
-    mean_dt = float(np.mean(diffs))
-    resampled = bool(np.max(np.abs(diffs - mean_dt)) > 1e-9 * mean_dt)
-    if resampled:
-        uniform = np.linspace(t[0], t[-1], t.size)
-        psi = CubicSpline(t, psi, axis=0)(uniform)
-        u = CubicSpline(t, u)(uniform)
-        t = uniform
     dt = float(t[1] - t[0])
     hbar = system.hbar
     x = x_grid.points
@@ -380,7 +371,7 @@ def _tdse_residual_x(x_grid, order, t, psi, u, system, drive, mv2):
     d1 = central_difference(psi, dt, 1)
     d2 = central_difference(psi, dt, 2)
     rho = (hbar * hbar / (2.0 * mv2)) * _norm(d2) / (hbar * _norm(d1))
-    return _norm(resid) / den, rho, resampled, resid / den
+    return _norm(resid) / den, rho, resid / den
 
 
 def _out_of_span(basis, rows):
@@ -440,9 +431,8 @@ def test_channel_conditional_and_residual_match_x_space_on_a_pulse():
     np.testing.assert_allclose(traj.slice_norms(),
                                np.sqrt(np.sum(wx * np.abs(psi) ** 2, axis=1)), rtol=1e-10)
     assert np.max(np.abs(traj.u_s - u_s)) <= 1e-10 * np.max(np.abs(u_s))
-    residual, rho, resampled, rows = _tdse_residual_x(
+    residual, rho, rows = _tdse_residual_x(
         basis.x_grid, basis.stencil_order, traj.times, psi, u_s, system, drive, rep.mv2)
-    assert not rep.resampled and not resampled
     assert rep.residual == pytest.approx(residual, rel=1e-10)
     assert rep.rho == pytest.approx(rho, rel=1e-10)
     # out of the span only channel truncation is left: the directed-solve level
@@ -452,11 +442,11 @@ def test_channel_conditional_and_residual_match_x_space_on_a_pulse():
     assert rep.out_of_span == pytest.approx(_out_of_span(basis, rows), rel=1e-6)
 
 
-@given(k=st.integers(1, 4), nt=st.integers(3, 40), uniform=st.booleans(),
+@given(k=st.integers(1, 4), nt=st.integers(3, 40),
        order=st.sampled_from([2, 4]), seed=st.integers(0, 2**32 - 1))
-@example(k=3, nt=25, uniform=True, order=2, seed=0)
-@example(k=2, nt=30, uniform=False, order=4, seed=1)
-def test_channel_residual_matches_x_space_on_random_trajectories(k, nt, uniform, order, seed):
+@example(k=3, nt=25, order=2, seed=0)
+@example(k=2, nt=30, order=4, seed=1)
+def test_channel_residual_matches_x_space_on_random_trajectories(k, nt, order, seed):
     # a random trajectory in the span of a basis that does not diagonalize
     # the system, under a random product drive: every block of the quadratic
     # form, the -Re(U_S) term and the phase transform all carry weight
@@ -466,7 +456,7 @@ def test_channel_residual_matches_x_space_on_random_trajectories(k, nt, uniform,
                                grid, k, order=order)
     system = SystemSpec(rng.uniform(0.5, 2.0), rng.uniform(0.5, 1.5),
                         Harmonic(rng.uniform(0.5, 6.0), rng.uniform(-0.5, 0.5)))
-    steps = np.full(nt - 1, 0.05) if uniform else rng.uniform(0.02, 0.08, nt - 1)
+    steps = np.full(nt - 1, 0.05)
     t = rng.uniform(-1.0, 1.0) + np.r_[0.0, np.cumsum(steps)]
     amps = rng.standard_normal((nt, k)) + 1j * rng.standard_normal((nt, k))
     u_s = rng.uniform(-3.0, 3.0, nt) + 1j * rng.uniform(-1.0, 1.0, nt)
@@ -481,9 +471,8 @@ def test_channel_residual_matches_x_space_on_random_trajectories(k, nt, uniform,
     rep = tdse_residual(traj, system, drive=drive, mv2=rng.uniform(10.0, 1e3))
 
     psi = amps @ basis.state_matrix()
-    residual, rho, resampled, rows = _tdse_residual_x(
+    residual, rho, rows = _tdse_residual_x(
         grid, order, t, psi, u_s, system, drive, rep.mv2)
-    assert rep.resampled == resampled == (not uniform)
     assert rep.residual == pytest.approx(residual, rel=1e-10)
     assert rep.rho == pytest.approx(rho, rel=1e-10)
     assert rep.out_of_span == pytest.approx(_out_of_span(basis, rows), rel=1e-10)
@@ -499,11 +488,13 @@ def test_stationary_superposition_has_no_residual():
     rep = tdse_residual(traj, system, mv2=100.0)
     assert rep.residual < 1e-5
     assert rep.out_of_span < 1e-10
-    assert not rep.resampled
 
     # the channel-space residual needs the product form of the drive
     with pytest.raises(TypeError, match="CouplingDrive"):
         tdse_residual(traj, system, drive=lambda x, tt: 0.0 * x, mv2=100.0)
+    # and its time stencils need uniformly spaced slices
+    with pytest.raises(DegenerateInputError, match="uniformly spaced"):
+        tdse_residual(ConditionalTrajectory(basis, t ** 1.5, amps), system, mv2=100.0)
 
 
 def test_emergence_scan_config_validation():

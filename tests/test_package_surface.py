@@ -2,8 +2,9 @@
 
 No linter is a dependency, so these checks walk each module's syntax
 tree: every module-level import is used in its module, every `__all__`
-entry is defined there, and the package exports exactly the union of
-its public modules' `__all__` lists.
+entry is defined there, the package exports exactly the union of its
+public modules' `__all__` lists, and every optional parameter of the
+package is passed by some call in the package or its tests.
 """
 
 import ast
@@ -70,3 +71,59 @@ def test_package_exports_the_union_of_module_all():
     exported = {name for name, value in vars(chronolab).items()
                 if not name.startswith("_") and not inspect.ismodule(value)}
     assert exported == union
+
+
+TEST_TREES = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
+              for path in sorted(SRC.parent.parent.joinpath("tests").glob("*.py"))}
+
+
+def _optional_parameters(tree) -> list:
+    """(callee name, parameter, position or None) of every parameter with a default.
+
+    Functions and methods count under their own name, `__init__` under
+    its class's name; a method's first parameter, `self`, is not a
+    position of its calls.
+    """
+    out = []
+
+    def visit(node, cls=None):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                visit(child, child.name)
+            elif isinstance(child, ast.FunctionDef):
+                a = child.args
+                positional = (a.posonlyargs + a.args)[cls is not None:]
+                callee = cls if child.name == "__init__" else child.name
+                for i, arg in enumerate(positional[len(positional) - len(a.defaults):],
+                                        len(positional) - len(a.defaults)):
+                    out.append((callee, arg.arg, i))
+                out.extend((callee, arg.arg, None)
+                           for arg, d in zip(a.kwonlyargs, a.kw_defaults) if d is not None)
+                visit(child)
+            else:
+                visit(child, cls)
+
+    visit(tree)
+    return out
+
+
+def _passes(call: ast.Call, name: str, position) -> bool:
+    if any(kw.arg is None or kw.arg == name for kw in call.keywords):
+        return True
+    if any(isinstance(arg, ast.Starred) for arg in call.args):
+        return True
+    return position is not None and len(call.args) > position
+
+
+def test_every_optional_parameter_has_a_caller():
+    calls = {}
+    for tree in (*TREES.values(), *TEST_TREES.values()):
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                f = node.func
+                name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+                calls.setdefault(name, []).append(node)
+    unset = [f"{stem}.{callee}({param})" for stem, tree in TREES.items()
+             for callee, param, position in _optional_parameters(tree)
+             if not any(_passes(c, param, position) for c in calls.get(callee, ()))]
+    assert not unset, f"optional parameters that no call in src/ or tests/ passes: {unset}"

@@ -169,7 +169,7 @@ def test_close_coupled_residual_drops_with_channels(weak_pair):
     for k in (2, 4):
         basis = solve_system_basis(spec.system, grid, k, order=4)
         dec = project_channels(pair.state, basis)
-        rep = close_coupled_residuals(dec, spec, pair.energy, order_r=4)
+        rep = close_coupled_residuals(dec, spec, pair.energy)
         worst[k] = float(rep.residuals.max())
         assert rep.hermiticity_defect < 1e-10
     assert worst[2] / worst[4] > 10.0
