@@ -1,15 +1,17 @@
 """Command line interface.
 
 Subcommands: run, list, validate, version.  A run takes a JSON config
-file (or the name of a builtin scenario, which runs its defaults),
-validates it against the scenario's schema, executes the pipeline, and
-writes one CSV (or JSON) file per output table plus a manifest.  The
-manifest is written even when a stage fails; it lists, not prints, the
-RuntimeWarnings of the compute stage.  Floats are serialized
-with 17 significant digits so a fixed config and seed regenerate
-byte-identical CSVs.
+file (or the name of a builtin scenario, which runs its defaults)
+through three stages, validate (schema, then cross-field checks),
+compute and write (one CSV or JSON file per output table), and writes a
+manifest even when a stage fails; `validate` is the first stage alone.
+`_stage` times each stage, lists (does not print) its RuntimeWarnings
+and classifies its exception through `FAILURES`: a stderr line, an exit
+code, and on the stage's record the message and the error's own fields
+under "detail".  Floats are serialized with 17 significant digits so a
+fixed config and seed regenerate byte-identical CSVs.
 
-Exit codes: 0 ok, 2 config error (schema or cross-field), 3
+Exit codes: 0 ok, 2 config error (unreadable, schema or cross-field), 3
 numerical/convergence error, 4 I/O error, 5 internal error.
 """
 
@@ -34,6 +36,15 @@ from .scenarios import SCENARIOS, Table, config_schema, default_config
 
 __all__ = ["main"]
 
+# (exception class, exit code, stderr label, whether the message leads with
+# the exception's class name); the first class that matches classifies it
+FAILURES = (
+    (ConfigError, 2, "config error", False),
+    (ChronolabError, 3, "numerical error", True),
+    (OSError, 4, "I/O error", False),
+    (Exception, 5, "internal error", True),
+)
+
 
 # ---------------------------------------------------------------------------
 # config handling
@@ -43,16 +54,14 @@ def load_config(arg: str) -> dict:
     """Read a config document from a file path or a builtin scenario name."""
     if arg in SCENARIOS:
         return default_config(arg)
-    path = Path(arg)
-    if not path.exists():
-        raise ConfigError(
-            f"no such config file or builtin scenario: {arg}", path="/"
-        )
-    raw = path.read_text(encoding="utf-8")
     try:
-        return json.loads(raw)
+        return json.loads(Path(arg).read_text(encoding="utf-8"))
+    except FileNotFoundError as exc:
+        raise ConfigError(f"no such config file or builtin scenario: {arg}", path="/") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}", path="/") from exc
+    except (OSError, UnicodeDecodeError) as exc:  # a directory, or not UTF-8
+        raise ConfigError(f"cannot read config: {exc}", path="/") from exc
 
 
 def validate_config(doc) -> tuple:
@@ -61,7 +70,8 @@ def validate_config(doc) -> tuple:
     Unknown keys anywhere are rejected; the first schema violation is
     reported with a JSON-pointer-style path into the document.  The
     merged parameters then build the scenario's parameter class, whose
-    cross-field checks report their own pointer.
+    cross-field checks report their own pointer.  Integer fields come
+    back as int: the schema also admits an integral float such as 101.0.
     """
     if not isinstance(doc, dict):
         raise ConfigError("config must be a JSON object", path="/")
@@ -78,24 +88,39 @@ def validate_config(doc) -> tuple:
         first = errors[0]
         pointer = "/" + "/".join(str(x) for x in first.absolute_path)
         raise ConfigError(first.message, path=pointer)
-    params = dict(SCENARIOS[name].defaults)
-    params.update(doc.get("parameters", {}))
-    SCENARIOS[name].config(**params)
+    scenario = SCENARIOS[name]
+    params = {**scenario.defaults, **doc.get("parameters", {})}
+    for key, prop in scenario.properties.items():
+        if prop.get("type") == "integer":
+            params[key] = int(params[key])
+    scenario.config(**params)
     return name, params
 
 
 # ---------------------------------------------------------------------------
-# table serialization
+# serialization
 
 
-def _cell(value) -> str:
+def _cell(value):
+    """A table cell as a JSON scalar: str, bool, int or float."""
     if isinstance(value, str):
         return value
     if isinstance(value, (bool, np.bool_)):
-        return str(bool(value))
+        return bool(value)
     if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return format(float(value), ".17g")
+        return int(value)
+    return float(value)
+
+
+def _detail(value):
+    """An error field (pointer, locations, trace, step) as plain JSON."""
+    if isinstance(value, np.ndarray):
+        value = value.tolist()
+    if isinstance(value, dict):
+        return {str(k): _detail(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_detail(v) for v in value]
+    return None if value is None else _cell(value)
 
 
 def write_csv(path: Path, table: Table) -> None:
@@ -103,22 +128,14 @@ def write_csv(path: Path, table: Table) -> None:
         writer = csv.writer(f, lineterminator="\n")
         writer.writerow(table.columns)
         for row in table.rows:
-            writer.writerow([_cell(v) for v in row])
+            writer.writerow([format(v, ".17g") if isinstance(v, float) else str(v)
+                             for v in map(_cell, row)])
 
 
 def write_json_table(path: Path, table: Table) -> None:
-    def plain(v):
-        if isinstance(v, str):
-            return v
-        if isinstance(v, (bool, np.bool_)):
-            return bool(v)
-        if isinstance(v, (int, np.integer)):
-            return int(v)
-        return float(v)
-
     doc = {
         "columns": list(table.columns),
-        "rows": [[plain(v) for v in row] for row in table.rows],
+        "rows": [[_cell(v) for v in row] for row in table.rows],
     }
     with open(path, "w", encoding="utf-8", newline="\n") as f:
         json.dump(doc, f, indent=1)
@@ -137,88 +154,75 @@ def _config_hash(doc, fallback: str) -> str:
     return hashlib.sha256(canon.encode("utf-8")).hexdigest()
 
 
-def run_command(args) -> int:
-    stages = []
-    outputs = []
-    code = 0
-    doc = None
-    name = "unknown"
-    params = {}
+def _stage(stages: list, name: str, fn) -> tuple:
+    """Run `fn()` as one stage; returns (exit code, its result or None).
 
+    Appends the stage's record to `stages`: its status and time, on
+    failure the error as FAILURES classifies it (also printed to stderr)
+    and a chronolab error's own fields under "detail", and the distinct
+    RuntimeWarnings it raised under "warnings"; other warnings are shown.
+    """
+    result = failure = None
     t0 = time.perf_counter()
-    try:
-        doc = load_config(args.config)
-        name, params = validate_config(doc)
-        stages.append({"name": "validate", "status": "ok",
-                       "seconds": time.perf_counter() - t0})
-    except ConfigError as exc:
-        stages.append({"name": "validate", "status": "failed",
-                       "seconds": time.perf_counter() - t0, "error": str(exc)})
-        print(f"config error: {exc}", file=sys.stderr)
-        code = 2
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", RuntimeWarning)
+        try:
+            result = fn()
+        except Exception as exc:  # a fault of the program too: still leave a manifest
+            failure = exc
+    record = {"name": name, "status": "ok" if failure is None else "failed",
+              "seconds": time.perf_counter() - t0}
+    code = 0
+    if failure is not None:
+        code, label, named = next(f[1:] for f in FAILURES if isinstance(failure, f[0]))
+        record["error"] = f"{type(failure).__name__}: {failure}" if named else str(failure)
+        print(f"{label}: {record['error']}", file=sys.stderr)
+        if isinstance(failure, ChronolabError) and vars(failure):
+            record["detail"] = _detail(vars(failure))
+    noted = {}
+    for w in caught:
+        if issubclass(w.category, RuntimeWarning):
+            noted[str(w.message), f"{Path(w.filename).name}:{w.lineno}"] = None
+        else:
+            warnings.showwarning(w.message, w.category, w.filename, w.lineno)
+    if noted:
+        record["warnings"] = [{"message": m, "location": loc} for m, loc in noted]
+    stages.append(record)
+    return code, result
 
-    seed = doc.get("seed", 0) if isinstance(doc, dict) else 0
-    out_dir = args.out
-    if out_dir is None and isinstance(doc, dict):
-        out_dir = doc.get("out")
-    if out_dir is None:
-        out_dir = os.environ.get("CHRONOLAB_OUT")
-    if out_dir is None:
-        out_dir = os.path.join("runs", name)
-    out_path = Path(out_dir)
+
+def run_command(args) -> int:
+    stages, outputs, doc = [], [], None
+
+    def validate():
+        nonlocal doc
+        doc = load_config(args.config)
+        return validate_config(doc)
+
+    code, checked = _stage(stages, "validate", validate)
+    name, params = checked or ("unknown", {})
+    given = doc if isinstance(doc, dict) else {}
+    seed = given.get("seed", 0)
+    out_path = Path(next(d for d in (args.out, given.get("out"), os.environ.get("CHRONOLAB_OUT"),
+                                     os.path.join("runs", name)) if isinstance(d, str)))
     try:
         out_path.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         print(f"I/O error: cannot create {out_path}: {exc}", file=sys.stderr)
         return 4
 
-    if code == 0:
-        suffix = ".csv" if args.format == "csv" else ".json"
+    def write():  # each table to <name>.<format>, listed once written
         writer = write_csv if args.format == "csv" else write_json_table
-        t1 = t2 = time.perf_counter()  # t2 restarts when the write stage does
-        try:
-            with warnings.catch_warnings(record=True) as caught:
-                warnings.simplefilter("always", RuntimeWarning)
-                tables = SCENARIOS[name].run(params, jobs=args.jobs)
-            stages.append({"name": "compute", "status": "ok",
-                           "seconds": time.perf_counter() - t1})
-            t2 = time.perf_counter()
-            for tname in sorted(tables):
-                fpath = out_path / (tname + suffix)
-                writer(fpath, tables[tname])
-                outputs.append(str(fpath))
-            stages.append({"name": "write", "status": "ok",
-                           "seconds": time.perf_counter() - t2})
-        except ConfigError as exc:
-            stages.append({"name": "compute", "status": "failed",
-                           "seconds": time.perf_counter() - t1, "error": str(exc)})
-            print(f"config error: {exc}", file=sys.stderr)
-            code = 2
-        except ChronolabError as exc:
-            stages.append({"name": "compute", "status": "failed",
-                           "seconds": time.perf_counter() - t1,
-                           "error": f"{type(exc).__name__}: {exc}"})
-            print(f"numerical error: {type(exc).__name__}: {exc}", file=sys.stderr)
-            code = 3
-        except OSError as exc:
-            stages.append({"name": "write", "status": "failed",
-                           "seconds": time.perf_counter() - t2, "error": str(exc)})
-            print(f"I/O error: {exc}", file=sys.stderr)
-            code = 4
-        except Exception as exc:  # a fault of the program: still leave a manifest
-            stages.append({"name": "compute", "status": "failed",
-                           "seconds": time.perf_counter() - t1,
-                           "error": f"{type(exc).__name__}: {exc}"})
-            print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
-            code = 5
-        noted = {}  # distinct RuntimeWarnings; other categories are shown
-        for w in caught:
-            if issubclass(w.category, RuntimeWarning):
-                noted[str(w.message), f"{Path(w.filename).name}:{w.lineno}"] = None
-            else:
-                warnings.showwarning(w.message, w.category, w.filename, w.lineno)
-        if noted:  # stages[1] is the stage that covers the compute call
-            stages[1]["warnings"] = [{"message": m, "location": loc} for m, loc in noted]
+        for tname in sorted(tables):
+            fpath = out_path / f"{tname}.{args.format}"
+            writer(fpath, tables[tname])
+            outputs.append(str(fpath))
+
+    if code == 0:
+        code, tables = _stage(stages, "compute",
+                              lambda: SCENARIOS[name].run(params, jobs=args.jobs))
+    if code == 0:
+        code, _ = _stage(stages, "write", write)
 
     manifest = {
         "artifact_version": __version__,
@@ -237,10 +241,8 @@ def run_command(args) -> int:
         return 4
 
     for st in stages:
-        line = f"[{st['name']}] {st['status']} ({st['seconds']:.3f} s)"
-        if st["status"] != "ok":
-            line += f": {st.get('error', '')}"
-        print(line)
+        error = f": {st['error']}" if "error" in st else ""
+        print(f"[{st['name']}] {st['status']} ({st['seconds']:.3f} s){error}")
     for f in outputs:
         print(f"wrote {f}")
     print(f"manifest: {out_path / 'manifest.json'}")
@@ -259,14 +261,10 @@ def list_command(args) -> int:
 
 
 def validate_command(args) -> int:
-    try:
-        doc = load_config(args.config)
-        name, _ = validate_config(doc)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    print(f"ok: {name}")
-    return 0
+    code, checked = _stage([], "validate", lambda: validate_config(load_config(args.config)))
+    if code == 0:
+        print(f"ok: {checked[0]}")
+    return code
 
 
 def main(argv=None) -> int:

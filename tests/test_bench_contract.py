@@ -60,3 +60,23 @@ def test_probes_read_the_grid_arguments():
     read = {name: _argument_keys(probe) for name, _, _, probe in SPANS.TIMED if probe}
     assert read["solve_directed_state"] == {"r_grid"}
     assert read["propagate_amplitudes"] == read["propagate_tdse"] == {"t_grid"}
+
+
+def test_a_run_looks_up_the_wrapped_stage_functions(tmp_path, monkeypatch):
+    # the benchmark swaps `cli.validate_config` and `cli.write_csv` for its
+    # wrappers after import, so a run must call them through the module
+    from chronolab import cli
+
+    calls = []
+    for attr in ("validate_config", "write_csv"):
+        def counted(*args, _fn=getattr(cli, attr), _attr=attr):
+            calls.append(_attr)
+            return _fn(*args)
+
+        monkeypatch.setattr(cli, attr, counted)
+    config = tmp_path / "config.json"
+    config.write_text('{"scenario": "perfect-clock", "parameters": {"points": 11}}',
+                      encoding="utf-8")
+    assert cli.main(["run", str(config), "--out", str(tmp_path / "out")]) == 0
+    # one validation, one CSV per table (perfect_clock, summary)
+    assert sorted(calls) == ["validate_config", "write_csv", "write_csv"]

@@ -1,21 +1,33 @@
 """Scenario registry and command-line driver, exercised through main()."""
 
+import contextlib
 import dataclasses
 import hashlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
+import jsonschema
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import chronolab
 from chronolab.cli import _config_hash, load_config, main, validate_config
 from chronolab.dynamics import directed_run
-from chronolab.errors import ConfigError
+from chronolab.errors import (
+    ConfigError,
+    ConvergenceError,
+    DegenerateInputError,
+    StabilityError,
+    TurningPointError,
+)
 from chronolab.scenarios import SCENARIOS, Table, config_schema, default_config, get_scenario
 
 BUILTINS = [
@@ -155,6 +167,52 @@ def test_load_config_invalid_json(tmp_path):
     path.write_text("{not json", encoding="utf-8")
     with pytest.raises(ConfigError):
         load_config(str(path))
+
+
+@pytest.mark.parametrize("kind", ["directory", "not-utf8"])
+def test_unreadable_config_exits_2(tmp_path, capsys, kind):
+    if kind == "directory":
+        cfg = tmp_path / "config.d"
+        cfg.mkdir()
+    else:  # Latin-1 bytes, not UTF-8
+        cfg = tmp_path / "latin1.json"
+        cfg.write_bytes('{"scenario": "perfect-clock", "out": "caf\u00e9"}'.encode("latin-1"))
+    with pytest.raises(ConfigError) as exc:
+        load_config(str(cfg))
+    assert exc.value.path == "/"
+    out = tmp_path / "out"
+    for argv in (["validate", str(cfg)], ["run", str(cfg), "--out", str(out)]):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: /: cannot read config")
+        assert "Traceback" not in err
+    manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
+    [stage] = manifest["stages"]
+    assert (stage["name"], stage["status"]) == ("validate", "failed")
+    assert stage["detail"] == {"path": "/"}
+
+
+@pytest.mark.parametrize("name", BUILTINS)
+def test_integer_fields_accept_integral_floats(name):
+    # jsonschema counts 101.0 as an integer; the runners need an int
+    defaults = SCENARIOS[name].defaults
+    keys = [k for k, prop in SCENARIOS[name].properties.items() if prop.get("type") == "integer"]
+    assert keys
+    for key in keys:
+        doc = {"scenario": name, "parameters": {key: float(defaults[key])}}
+        _, params = validate_config(doc)
+        assert params == defaults
+        assert type(params[key]) is int
+
+
+def test_integral_float_points_write_the_same_csvs(tmp_path):
+    outs = []
+    for points in (101, 101.0):
+        doc = {**FAST_CLOCK, "parameters": {**FAST_CLOCK["parameters"], "points": points}}
+        outs.append(tmp_path / f"out-{points!r}")
+        assert main(["run", write_config(tmp_path, doc), "--out", str(outs[-1])]) == 0
+    for fname in ("perfect_clock.csv", "summary.csv"):
+        assert (outs[0] / fname).read_bytes() == (outs[1] / fname).read_bytes()
 
 
 # ---------------------------------------------------------------------------
@@ -323,6 +381,8 @@ def test_schema_violation_exits_2_with_pointer(tmp_path, capsys):
                                   "parameters": {"points": 1}})
     assert main(["run", cfg, "--out", str(tmp_path / "out")]) == 2
     assert "/parameters/points" in capsys.readouterr().err
+    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text(encoding="utf-8"))
+    assert manifest["stages"][0]["detail"] == {"path": "/parameters/points"}
 
 
 # grid point counts below the 3 points a Grid1D needs
@@ -431,6 +491,98 @@ def test_internal_error_exits_5_with_manifest(tmp_path, capsys, monkeypatch):
     assert statuses == {"validate": "ok", "compute": "failed"}
 
 
+# an error raised by the runner: the exit code, the stderr line, and the
+# error's own fields as the manifest's "detail" holds them (None: no detail)
+FAILED_COMPUTE = [
+    (OSError("the tabulated potential is gone"), 4,
+     "I/O error: the tabulated potential is gone", None),
+    (DegenerateInputError("empty scan"), 3,
+     "numerical error: DegenerateInputError: empty scan", None),
+    (ConfigError("points do not fit", path="/parameters/points"), 2,
+     "config error: /parameters/points: points do not fit", {"path": "/parameters/points"}),
+    (TurningPointError("E_c - V <= 0", locations=np.array([0.5, 1.25])), 3,
+     "numerical error: TurningPointError: E_c - V <= 0", {"locations": [0.5, 1.25]}),
+    (ConvergenceError("stalled", trace={"gradient_max": np.float64(3.5e3), "action": 2.0,
+                                        "steps": np.arange(3)}), 3,
+     "numerical error: ConvergenceError: stalled",
+     {"trace": {"gradient_max": 3500.0, "action": 2.0, "steps": [0, 1, 2]}}),
+    (StabilityError("drift", suggested_step=np.float64(0.125)), 3,
+     "numerical error: StabilityError: drift", {"suggested_step": 0.125}),
+]
+
+
+@pytest.mark.parametrize("error, code, line, detail", FAILED_COMPUTE,
+                         ids=[type(e[0]).__name__ for e in FAILED_COMPUTE])
+def test_failed_compute_stage_records_its_error(tmp_path, capsys, monkeypatch,
+                                                error, code, line, detail):
+    def failing(p, jobs):
+        raise error
+
+    monkeypatch.setitem(SCENARIOS, "perfect-clock",
+                        dataclasses.replace(SCENARIOS["perfect-clock"], runner=failing))
+    out = tmp_path / "out"
+    assert main(["run", write_config(tmp_path, FAST_CLOCK), "--out", str(out)]) == code
+    err = capsys.readouterr().err
+    assert line in err.splitlines()
+    assert "Traceback" not in err
+    manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
+    # the failure is the compute stage's, and no write stage follows
+    assert [(s["name"], s["status"]) for s in manifest["stages"]] == [
+        ("validate", "ok"), ("compute", "failed")]
+    assert manifest["stages"][1]["error"] == line.split(": ", 1)[1]
+    assert manifest["stages"][1].get("detail") == detail
+    assert manifest["outputs"] == []
+
+
+def _parameter(schema: dict, cap: int, size: int):
+    """A strategy for one parameter, read off its schema; `size` items per array."""
+    if "enum" in schema:
+        return st.sampled_from(schema["enum"])
+    if "anyOf" in schema:
+        return st.one_of([_parameter(s, cap, size) for s in schema["anyOf"]])
+    if schema["type"] == "array":
+        n = max(size, schema["minItems"])
+        return st.lists(_parameter(schema["items"], cap, size), min_size=n, max_size=n)
+    if schema["type"] == "integer":  # also as an integral float, which the schema admits
+        ints = st.integers(schema["minimum"], cap)
+        return ints | ints.map(float)
+    return st.floats(schema.get("exclusiveMinimum", schema.get("minimum")), schema.get("maximum"),
+                     exclude_min="exclusiveMinimum" in schema,
+                     allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def _configs(draw, name: str, cap: int):
+    """Schema-valid configs of one scenario: any subset of its parameters,
+    every array of one drawn length, integers at most `cap`."""
+    size = draw(st.integers(1, 3))
+    optional = {k: _parameter(s, cap, size) for k, s in SCENARIOS[name].properties.items()}
+    return {"scenario": name, "parameters": draw(st.fixed_dictionaries({}, optional=optional))}
+
+
+@given(doc=_configs("perfect-clock", 2001) | _configs("jacobi-paths", 12))
+def test_schema_valid_configs_end_with_a_manifest_and_a_documented_code(doc):
+    jsonschema.validate(doc, config_schema(doc["scenario"]))
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg, out = Path(tmp) / "config.json", Path(tmp) / "out"
+        cfg.write_text(json.dumps(doc), encoding="utf-8")
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(["run", str(cfg), "--out", str(out)])
+            checked = main(["validate", str(cfg)])
+        manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
+    assert code in (0, 2, 3, 5)
+    assert "Traceback" not in err.getvalue()
+    stages = [(s["name"], s["status"]) for s in manifest["stages"]]
+    if code == 0:
+        assert stages == [("validate", "ok"), ("compute", "ok"), ("write", "ok")]
+    else:  # the last stage failed, and no stage ran after it
+        assert stages[-1][1] == "failed"
+        assert all(status == "ok" for _, status in stages[:-1])
+    # `validate` rejects exactly the configs whose run fails validation
+    assert (checked == 2) == (stages[0][1] == "failed")
+
+
 def test_degenerate_scan_fails_fast(tmp_path, capsys):
     # the scan insists on a >= 30x spread in clock kinetic energy and
     # checks that before any eigensolve starts
@@ -497,6 +649,18 @@ def test_output_dir_from_environment(tmp_path, monkeypatch):
     monkeypatch.setenv("CHRONOLAB_OUT", str(env_out))
     assert main(["run", cfg]) == 0
     assert (env_out / "manifest.json").exists()
+
+
+def test_out_that_is_not_a_string_is_a_config_error(tmp_path, capsys, monkeypatch):
+    # the schema rejects it, and the manifest goes where it would without it
+    cfg = write_config(tmp_path, {**FAST_CLOCK, "out": 5})
+    monkeypatch.setenv("CHRONOLAB_OUT", str(tmp_path / "from-env"))
+    assert main(["run", cfg]) == 2
+    err = capsys.readouterr().err
+    assert "config error: /out:" in err
+    assert "Traceback" not in err
+    manifest = json.loads((tmp_path / "from-env" / "manifest.json").read_text(encoding="utf-8"))
+    assert [(s["name"], s["status"]) for s in manifest["stages"]] == [("validate", "failed")]
 
 
 def test_config_out_beats_environment(tmp_path, monkeypatch):
