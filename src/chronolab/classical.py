@@ -201,7 +201,8 @@ def minimize_action_path(
 
     Raises ForbiddenRegionError if the seed leaves the allowed region
     and ConvergenceError, with the gradient max and the action in its
-    trace, if the iteration ends without meeting the gate.
+    trace, if the iteration ends without meeting the gate (without a
+    trace if it meets values the trust-region solver rejects).
     """
     q_start = np.asarray(q_start, dtype=float)
     q_end = np.asarray(q_end, dtype=float)
@@ -241,8 +242,11 @@ def minimize_action_path(
             return np.zeros((z.size, z.size))
 
     z = nodes[1:-1].ravel()
-    res = sp_minimize(objective, z, jac=True, hess=hessian, method="trust-exact",
-                      options={"maxiter": max_iter, "gtol": 0.1 * PATH_GRADIENT_TOL * abs(w0)})
+    try:  # trust-exact's linear algebra rejects non-finite gradients and Hessians
+        res = sp_minimize(objective, z, jac=True, hess=hessian, method="trust-exact",
+                          options={"maxiter": max_iter, "gtol": 0.1 * PATH_GRADIENT_TOL * abs(w0)})
+    except ValueError as exc:
+        raise ConvergenceError(f"path minimization met non-finite values: {exc}") from exc
     w, g = _action_and_gradient(problem, unpack(res.x))
     gmax = float(np.max(np.abs(g[1:-1]))) if segments > 2 else 0.0
     if gmax < PATH_GRADIENT_TOL * abs(w):
@@ -575,8 +579,11 @@ class TimeMap:
             raise DegenerateInputError("time table does not match grid")
         if np.any(np.diff(self.times) <= 0.0):
             raise DegenerateInputError("time map must be strictly increasing")
-        self._t_of_r = PchipInterpolator(self.r_grid.points, self.times)
-        self._r_of_t = PchipInterpolator(self.times, self.r_grid.points)
+        try:  # PCHIP rejects tables or slopes that are not finite
+            self._t_of_r = PchipInterpolator(self.r_grid.points, self.times)
+            self._r_of_t = PchipInterpolator(self.times, self.r_grid.points)
+        except ValueError as exc:
+            raise DegenerateInputError(f"time map cannot be interpolated both ways: {exc}") from exc
 
     @property
     def span(self) -> tuple[float, float]:

@@ -12,8 +12,10 @@ This module is the one home of the finite-difference stencils:
 `central_difference` (first and second derivatives, order 2 or 4, at the
 interior rows), the one-sided edges that `_d1` adds on top of it, and
 the kinetic-energy coefficients `_kinetic_coeffs` with their
-matrix-free application `_apply_kinetic`, from which the stationary
-module assembles its banded and sparse matrices.
+matrix-free application `_apply_kinetic` along one axis.  The stationary
+module tabulates the coefficients once as a banded kinetic table and
+derives the composite's sparse matrix from it; there is no matrix-free
+composite Hamiltonian.
 """
 
 from __future__ import annotations
@@ -380,9 +382,8 @@ class CompositeSpec:
     """Closed composite: heavy environment (mass M, coordinate R) plus system
     (mass m, coordinate x), with V(x,R) = v_env(R) + v_sys(x) + v_int(x,R).
 
-    `energy` is the composite eigenvalue E; `clock_energy` is the share
-    assigned to the environment when it is used as a clock.  Either may be
-    left unset until a solve determines it.
+    `energy` is the composite eigenvalue E; it may be left unset until a
+    solve determines it.
     """
 
     M: float
@@ -392,18 +393,12 @@ class CompositeSpec:
     v_sys: Potential
     v_int: Coupling
     energy: float | None = None
-    clock_energy: float | None = None
 
     def __post_init__(self):
         if self.M <= 0 or self.m <= 0:
             raise DegenerateInputError(f"masses must be > 0, got M={self.M}, m={self.m}")
         if self.hbar <= 0:
             raise DegenerateInputError(f"hbar must be > 0, got {self.hbar}")
-        if self.energy is not None and self.clock_energy is not None:
-            if self.clock_energy > self.energy + 1e-12 * max(1.0, abs(self.energy)):
-                raise DegenerateInputError(
-                    f"clock energy {self.clock_energy} exceeds total energy {self.energy}"
-                )
 
     @property
     def system(self) -> SystemSpec:

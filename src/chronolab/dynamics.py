@@ -577,7 +577,7 @@ def directed_run(cfg: DirectedRunConfig, basis: ChannelBasis, e_kin: float) -> t
     )
     spec = CompositeSpec(M, cfg.system_mass, hbar, Constant(0.0),
                          Harmonic(cfg.system_stiffness), coupling,
-                         energy=e_total, clock_energy=e_total)
+                         energy=e_total)
     state = solve_directed_state(spec, basis, r_grid, e_total, cfg.incoming,
                                  cfg.residual_tol, stride=stride)
     return spec, r_grid, state, v

@@ -1,11 +1,13 @@
 """Stationary quantum mechanics of the closed composite.
 
 The composite obeys a single time-independent Schroedinger equation on a
-2D box.  This module builds the grid Hamiltonian, solves for interior
-eigenpairs and for directed channel states, splits eigenstates into a
-clock factor chi(R) times a conditional factor psi(x, R), evaluates the
-back-reaction potential U_S(R), and provides fixed-R channel bases with
-the close-coupled residual.
+2D box.  This module builds that Hamiltonian once as one sparse matrix,
+derived from the banded kinetic tables (there is no matrix-free
+composite H), and solves it for interior eigenpairs.  It also solves for
+directed channel states, splits eigenstates into a clock factor chi(R)
+times a conditional factor psi(x, R), evaluates the back-reaction
+potential U_S(R), and provides fixed-R channel bases with the
+close-coupled residual.
 
 Channel-space constructions use the product form of the coupling,
 strength * env(R) * sys(x): the coupling matrices on R row j are
@@ -89,15 +91,10 @@ def _kinetic_banded(n_interior: int, order: int, h: float, mass: float, hbar: fl
 
 
 def _kinetic_sparse(n_interior: int, h: float, mass: float, hbar: float):
-    c0, c1, c2 = _kinetic_coeffs(COMPOSITE_ORDER, h, mass, hbar)
-    diagonals = [np.full(n_interior, c0)]
-    offsets = [0]
-    diagonals += [np.full(n_interior - 1, c1)] * 2
-    offsets += [1, -1]
-    if n_interior > 2:
-        diagonals += [np.full(n_interior - 2, c2)] * 2
-        offsets += [2, -2]
-    return sparse.diags(diagonals, offsets, format="csr")
+    """The interior kinetic matrix at COMPOSITE_ORDER, built from the banded table."""
+    bands = _kinetic_banded(n_interior, COMPOSITE_ORDER, h, mass, hbar)
+    upper = sparse.dia_matrix((bands, np.arange(len(bands))[::-1]), shape=(n_interior,) * 2)
+    return upper + sparse.triu(upper, 1).T
 
 
 # ---------------------------------------------------------------------------
@@ -106,57 +103,16 @@ def _kinetic_sparse(n_interior: int, h: float, mass: float, hbar: float):
 
 @dataclass(eq=False)
 class Hamiltonian2D:
-    """Matrix-free composite Hamiltonian on a Dirichlet box.
+    """The composite Hamiltonian on a Dirichlet box as one sparse matrix.
 
-    Acts on Field2D values stored as values[iR, ix].  The domain is the
-    open box: wall values are projected to zero on application, and
-    residual norms run over interior rows only.
+    `matrix` acts on the interior points of `grid` (row-major, x fastest).
+    `assemble_tise` derives it from the banded kinetic tables at
+    COMPOSITE_ORDER plus the potential diagonal; there is no matrix-free
+    composite H.
     """
 
     grid: Grid2D
-    M: float
-    m: float
-    hbar: float
-    v_table: np.ndarray  # (nR, nx)
-
-    def __post_init__(self):
-        self.v_table = np.asarray(self.v_table, dtype=float)
-        if self.v_table.shape != (self.grid.r.n, self.grid.x.n):
-            raise GridMismatchError("potential table does not match grid")
-
-    def apply(self, f: Field2D) -> Field2D:
-        if f.grid != self.grid:
-            raise GridMismatchError("field grid does not match Hamiltonian grid")
-        v = f.values
-        out = _apply_kinetic(v, 0, COMPOSITE_ORDER, self.grid.r.spacing, self.M, self.hbar)
-        out += _apply_kinetic(v, 1, COMPOSITE_ORDER, self.grid.x.spacing, self.m, self.hbar)
-        pot = self.v_table * v
-        pot[0, :] = 0.0
-        pot[-1, :] = 0.0
-        pot[:, 0] = 0.0
-        pot[:, -1] = 0.0
-        out += pot
-        return Field2D(self.grid, out)
-
-    def residual(self, f: Field2D, energy: float) -> float:
-        """||(H - E) f|| / ||f|| with the norm over interior rows."""
-        hf = self.apply(f).values - energy * f.values
-        w = self.grid.weights
-        inner = (slice(1, -1), slice(1, -1))
-        num = np.sqrt(float(np.sum(w[inner] * np.abs(hf[inner]) ** 2)))
-        den = np.sqrt(float(np.sum(w[inner] * np.abs(f.values[inner]) ** 2)))
-        if den == 0.0:
-            raise DegenerateInputError("zero field in residual")
-        return num / den
-
-    def to_sparse(self):
-        """Interior-point sparse matrix (row-major, x fastest)."""
-        nr, nx = self.grid.r.n - 2, self.grid.x.n - 2
-        kr = _kinetic_sparse(nr, self.grid.r.spacing, self.M, self.hbar)
-        kx = _kinetic_sparse(nx, self.grid.x.spacing, self.m, self.hbar)
-        h = sparse.kron(kr, sparse.identity(nx)) + sparse.kron(sparse.identity(nr), kx)
-        h = h + sparse.diags(self.v_table[1:-1, 1:-1].ravel())
-        return h.tocsc()
+    matrix: sparse.csc_matrix
 
 
 def assemble_tise(spec, grid: Grid2D) -> Hamiltonian2D:
@@ -164,10 +120,15 @@ def assemble_tise(spec, grid: Grid2D) -> Hamiltonian2D:
     r = grid.r.points[:, None]
     x = grid.x.points[None, :]
     v = np.asarray(spec.v_env(r) + spec.v_sys(x) + spec.v_int(x, r), dtype=float)
-    v = np.broadcast_to(v, (grid.r.n, grid.x.n)).copy()
+    v = np.broadcast_to(v, (grid.r.n, grid.x.n))
     if not np.all(np.isfinite(v)):
         raise DegenerateInputError("potential table contains non-finite values")
-    return Hamiltonian2D(grid, spec.M, spec.m, spec.hbar, v)
+    nr, nx = grid.r.n - 2, grid.x.n - 2
+    kr = _kinetic_sparse(nr, grid.r.spacing, spec.M, spec.hbar)
+    kx = _kinetic_sparse(nx, grid.x.spacing, spec.m, spec.hbar)
+    h = sparse.kron(kr, sparse.identity(nx)) + sparse.kron(sparse.identity(nr), kx)
+    h = h + sparse.diags(v[1:-1, 1:-1].ravel())
+    return Hamiltonian2D(grid, h.tocsc())
 
 
 # ---------------------------------------------------------------------------
@@ -183,35 +144,34 @@ class EigenPair:
     residual: float
 
 
-def solve_eigenpairs(
-    h: Hamiltonian2D,
-    e_target: float,
-    k: int,
-) -> list[EigenPair]:
+def solve_eigenpairs(h: Hamiltonian2D, e_target: float, k: int) -> list[EigenPair]:
     """The k eigenpairs nearest e_target via shift-invert Lanczos.
 
     Deterministic: the Krylov start vector is drawn from a generator
-    with the fixed seed 0.  Raises ConvergenceError if any returned pair
-    misses the residual bound 1e-8 * |E|.
+    with the fixed seed 0.  Each pair's residual is ||(H - E) psi|| /
+    ||psi|| over the interior points with the solved matrix itself (the
+    interior quadrature weights are uniform, so plain vector norms).
+    Raises ConvergenceError if any returned pair misses the residual
+    bound 1e-8 * |E|.
     """
     if k < 1:
         raise DegenerateInputError("need k >= 1")
-    a = h.to_sparse()
-    n = a.shape[0]
+    n = h.matrix.shape[0]
     if k >= n:
         raise DegenerateInputError(f"k={k} too large for {n} interior points")
     rng = np.random.default_rng(0)
     v0 = rng.standard_normal(n)
-    vals, vecs = eigsh(a, k=k, sigma=e_target, which="LM", v0=v0)
-    order = np.argsort(vals)
+    vals, vecs = eigsh(h.matrix, k=k, sigma=e_target, which="LM", v0=v0)
     pairs = []
-    for idx in order:
+    for idx in np.argsort(vals):
         full = np.zeros((h.grid.r.n, h.grid.x.n), dtype=complex)
         full[1:-1, 1:-1] = vecs[:, idx].reshape(h.grid.r.n - 2, h.grid.x.n - 2)
         f = Field2D(h.grid, full)
         f = Field2D(h.grid, full / norm(f))
-        res = h.residual(f, float(vals[idx]))
-        pairs.append(EigenPair(float(vals[idx]), f, res))
+        energy = float(vals[idx])
+        u = f.values[1:-1, 1:-1].ravel()
+        res = float(np.linalg.norm(h.matrix @ u - energy * u) / np.linalg.norm(u))
+        pairs.append(EigenPair(energy, f, res))
     bad = [p for p in pairs if p.residual > 1e-8 * max(abs(p.energy), 1e-300)]
     if bad:
         raise ConvergenceError(
@@ -427,11 +387,8 @@ def factorize_selfconsistent(pair: EigenPair, spec) -> tuple[FactorizedState, It
         w_r = r_grid.weights
         overlaps = [abs(np.sum(w_r * np.conj(c.values) * chi.values)) for c in cands]
         best = int(np.argmax(overlaps))
+        # gauge: _embed_states returns it real positive at the peak, unit norm
         new_chi = cands[best]
-        # gauge: real positive at the peak, unit norm (already normalized)
-        peak = int(np.argmax(np.abs(new_chi.values)))
-        phase = new_chi.values[peak] / abs(new_chi.values[peak])
-        new_chi = Field1D(r_grid, new_chi.values / phase)
 
         step = float(np.sqrt(np.sum(w_r * np.abs(new_chi.values - chi.values) ** 2)))
         steps.append(step)

@@ -52,7 +52,7 @@ def weak_pair():
     """Ground pair of the weakly coupled composite on the reference grid."""
     grid = Grid1D(-7.0, 7.0, 128)
     spec = CompositeSpec(2.0, 1.0, 1.0, Harmonic(2.0), Harmonic(4.0), Bilinear(0.15),
-                         energy=5.0, clock_energy=2.0)
+                         energy=5.0)
     h = assemble_tise(spec, Grid2D(grid, grid))
     pair = solve_eigenpairs(h, e_target=1.6, k=1)[0]
     return spec, grid, pair
@@ -191,7 +191,7 @@ def test_criterion_06_classical_emergence():
     M, ks, x0 = 100.0, 4.0, 0.5
     e_total = 2.5 + 0.5 * ks * x0**2
     spec = CompositeSpec(M, 1.0, 1.0, Constant(0.0), Harmonic(ks), ZeroCoupling(),
-                         energy=e_total, clock_energy=e_total)
+                         energy=e_total)
     traj = integrate_composite(spec, 0.0, np.sqrt(2 * M * 2.5), x0, 0.0,
                                span=2.0, steps=4000)
     p_comp = float(np.mean(traj.momenta[:, 0]))

@@ -358,6 +358,9 @@ def test_time_map_validation():
         TimeMap(grid, np.zeros(11))
     with pytest.raises(DegenerateInputError):
         TimeMap(grid, np.linspace(1.0, 0.0, 11))
+    # increasing, but the last time overflowed: no interpolant either way
+    with pytest.raises(DegenerateInputError, match="interpolated"):
+        TimeMap(Grid1D(0.0, 1.0, 3), np.array([0.0, 1e308, np.inf]))
 
 
 def test_energy_correction_formula():
@@ -402,6 +405,18 @@ def test_energy_lanes_match_single_energy_runs():
     assert rep.rows == tuple(solo)
     fit = np.polyfit(np.log([r.mv2 for r in solo]), np.log([r.deviation for r in solo]), 1)
     assert rep.slope == float(fit[0])
+
+
+def test_float_clock_energy_offset_matches_the_named_ones():
+    spec = CompositeSpec(100.0, 1.0, 1.0, Constant(), Harmonic(4.0), Bilinear(0.02))
+
+    def rows(offset):
+        return compare_composite_reduced(spec, [40.0, 160.0], 0.5, 0.0, t_span=1.0,
+                                         steps=2000, clock_energy_offset=offset).rows
+
+    e_sys0 = 0.5 * 4.0 * 0.5**2  # x0 = 0.5 at rest in the k = 4 well
+    assert rows(e_sys0) == rows("system")
+    assert rows(0.0) == rows("none")
 
 
 def test_compare_rejects_exhausted_clock():

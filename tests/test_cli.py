@@ -277,17 +277,32 @@ def test_rerun_is_byte_identical(tmp_path):
         assert (out_a / fname).read_bytes() == (out_b / fname).read_bytes()
 
 
-# sha256 of every CSV the two-route and fixed-energy-path scenarios write at
-# their defaults with one BLAS thread; a change that moves a digit updates
-# the hash and says so
+# sha256 of every CSV each built-in scenario writes at its defaults with one
+# BLAS thread; a change that moves a digit updates the hash and says so
 DEFAULT_CSV_HASHES = {
-    "jacobi-paths": {
-        "path.csv": "e13ead03be8bd318303e060a85fa0f3009961926f46b1e4bcf39cca7efdfb9ef",
-        "summary.csv": "671838bd5916dedb53c78d6932a2f5ed487a92387dd41aa5f5a81e519fb850ec",
+    "beam-on-atom": {
+        "channel_populations.csv": "7e16f1c6bbda584bccfeafdbee5409d858aba4057caafea6e939895983ccbb1a",
+        "summary.csv": "e1c42a72ec00eb9b828d1628674e18a81130a14f506813bb149adc484996fa69",
+    },
+    "classical-emergence": {
+        "classical_emergence.csv": "fdb572bb5f4d277337ad4ffb28999900cc475343f97216bcf14ad52534294e47",
+        "summary.csv": "30154ffb869b3729fc3696a21d41fed686449488a17b02f9af58cc7741e59aac",
+    },
+    "emergence-scan": {
+        "emergence_scan.csv": "21c5b912c1ebf046b244da7e8b369b473df72a479957d36a7e507b85ead1c129",
+        "scan_details.csv": "1a366ca960ea3ba1d6a0392de003d4629c554a1d61f455b28a907de330995d09",
     },
     "harmonic-clock-two-level": {
         "summary.csv": "23c25943f1483eb478c354c07a923201d4b7e9d1d403a819c944f8f33d906748",
         "two_level.csv": "5b5893d9c2c8ec7959ed3d19982934f3bc5dc182df1939f12821bf1f85d91e87",
+    },
+    "jacobi-paths": {
+        "path.csv": "e13ead03be8bd318303e060a85fa0f3009961926f46b1e4bcf39cca7efdfb9ef",
+        "summary.csv": "671838bd5916dedb53c78d6932a2f5ed487a92387dd41aa5f5a81e519fb850ec",
+    },
+    "perfect-clock": {
+        "perfect_clock.csv": "e2430f4f8fc9085036c6a27cfc095a29065cc26987c09697e5946d2eb3f93014",
+        "summary.csv": "0e60873abda57a51afa48815edb38b5f53b664afa4ef5b97d817bcb122d183b4",
     },
 }
 
@@ -571,7 +586,7 @@ def test_schema_valid_configs_end_with_a_manifest_and_a_documented_code(doc):
             code = main(["run", str(cfg), "--out", str(out)])
             checked = main(["validate", str(cfg)])
         manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
-    assert code in (0, 2, 3, 5)
+    assert code in (0, 2, 3)
     assert "Traceback" not in err.getvalue()
     stages = [(s["name"], s["status"]) for s in manifest["stages"]]
     if code == 0:
@@ -581,6 +596,30 @@ def test_schema_valid_configs_end_with_a_manifest_and_a_documented_code(doc):
         assert all(status == "ok" for _, status in stages[:-1])
     # `validate` rejects exactly the configs whose run fails validation
     assert (checked == 2) == (stages[0][1] == "failed")
+
+
+# configs whose numbers overflow inside scipy (PCHIP on the clock's time
+# table, trust-exact on the path), with the chronolab error that names it
+OVERFLOWING = [
+    ("perfect-clock", {"clock_mass": 6.3e307}, "DegenerateInputError: time map"),
+    ("perfect-clock", {"clock_mass": 5e-324, "points": 3}, "DegenerateInputError: time map"),
+    ("perfect-clock", {"momentum": 3.57e306, "points": 1921}, "DegenerateInputError: time map"),
+    ("jacobi-paths", {"masses": [3.6e307, 1.5e-125], "energy": 6.1e307,
+                      "q_start": [5.4e16, 1.4e-190], "segments": 10},
+     "ConvergenceError: path minimization"),
+    ("jacobi-paths", {"well": "harmonic", "segments": 8, "masses": [1.3e308, 2.2e16]},
+     "ConvergenceError: path minimization"),
+]
+
+
+@pytest.mark.parametrize("name, parameters, error", OVERFLOWING,
+                         ids=["-".join([name, *parameters]) for name, parameters, _ in OVERFLOWING])
+def test_overflow_inside_scipy_is_a_numerical_error(tmp_path, capsys, name, parameters, error):
+    cfg = write_config(tmp_path, {"scenario": name, "parameters": parameters})
+    assert main(["run", cfg, "--out", str(tmp_path / "out")]) == 3
+    err = capsys.readouterr().err
+    assert f"numerical error: {error}" in err
+    assert "Traceback" not in err
 
 
 def test_degenerate_scan_fails_fast(tmp_path, capsys):

@@ -195,11 +195,6 @@ def test_spec_validation():
         SystemSpec(-1.0, 1.0, Harmonic(1.0))
     with pytest.raises(DegenerateInputError):
         CompositeSpec(1.0, 1.0, 0.0, Constant(), Harmonic(1.0), ZeroCoupling())
-    with pytest.raises(DegenerateInputError):
-        CompositeSpec(
-            1.0, 1.0, 1.0, Constant(), Harmonic(1.0), ZeroCoupling(),
-            energy=1.0, clock_energy=2.0,
-        )
 
 
 def test_composite_spec_system_view():

@@ -32,7 +32,7 @@ from chronolab import (
     solve_system_basis,
     tdse_residual,
 )
-from chronolab.core import _apply_kinetic, central_difference
+from chronolab.core import _apply_kinetic, _kinetic_coeffs, central_difference
 from chronolab.dynamics import BLOCK_STEPS, DirectedRunConfig, _lattice_clock, directed_run
 from chronolab.errors import BlowUpError, StabilityError
 
@@ -113,6 +113,19 @@ def test_eigenstate_acquires_only_a_phase():
     traj = propagate_tdse(system, None, psi0, t)
     exact = psi0.values[None, :] * np.exp(-1j * eps0 * t)[:, None]
     assert np.max(np.abs(traj.values - exact)) < 1e-7
+
+
+def test_one_interior_point_steps_by_the_cayley_factor():
+    grid = Grid1D(0.0, 2.0, 3)
+    system = SystemSpec(2.0, 1.5, Harmonic(3.0))
+    t = np.array([0.0, 0.1, 0.3, 0.35])
+    traj = propagate_tdse(system, None, Field1D(grid, np.array([0.0, 0.8 + 0.6j, 0.0])), t)
+    # H on the one interior point x = 1: the kinetic diagonal plus V(1) = 1.5
+    h = _kinetic_coeffs(2, grid.spacing, system.m, system.hbar)[0] + 1.5
+    alpha = 1j * np.diff(t) / (2.0 * system.hbar)
+    expect = (0.8 + 0.6j) * np.cumprod(np.r_[1.0, (1 - alpha * h) / (1 + alpha * h)])
+    np.testing.assert_allclose(traj.values[:, 1], expect, rtol=1e-14)
+    assert np.all(traj.values[:, [0, 2]] == 0.0)
 
 
 def test_trajectory_slicing():
@@ -394,7 +407,7 @@ def test_free_beam_conditional_carries_emergent_phase():
     r_grid = Grid1D(0.0, 1.4, 8001)
     spec = CompositeSpec(M, 1.0, hbar, Constant(), Harmonic(4.0),
                          ZeroCoupling(),
-                         energy=e_total, clock_energy=e_total)
+                         energy=e_total)
     state = solve_directed_state(spec, basis, r_grid, e_total, 0, 1e-6, stride=4)
     wkb, tmap = _lattice_clock(state, spec, r_grid.spacing)
     traj = conditional_from_composite(state, wkb, tmap, spec)

@@ -41,7 +41,7 @@ def weak_pair():
     """Lowest eigenpair of a weakly coupled two-oscillator composite."""
     grid = Grid1D(-7.0, 7.0, 128)
     spec = CompositeSpec(2.0, 1.0, 1.0, Harmonic(2.0), Harmonic(4.0), Bilinear(0.15),
-                         energy=5.0, clock_energy=2.0)
+                         energy=5.0)
     h = assemble_tise(spec, Grid2D(grid, grid))
     pair = solve_eigenpairs(h, e_target=1.6, k=1)[0]
     return spec, grid, pair
@@ -212,7 +212,7 @@ def _directed_problem(coupling, slices=801, e_kin=50.0, v_env=None):
     stride = max(1, -(-n_min // (slices - 1)))
     r_grid = Grid1D(0.0, span, stride * (slices - 1) + 1)
     spec = CompositeSpec(M, 1.0, hbar, v_env or Constant(), Harmonic(4.0), coupling,
-                         energy=e_total, clock_energy=e_total)
+                         energy=e_total)
     return spec, basis, r_grid, stride
 
 
