@@ -5,13 +5,14 @@ principle over paths at fixed total energy, and time enters only as a
 readout of the heavy clock coordinate.  This module provides
 
 * discrete fixed-energy path minimization and the momenta it induces,
-* symplectic integration of the composite and of the reduced, driven
-  system,
+* fourth-order symplectic integration (Yoshida's triple jump of velocity
+  Verlet steps) of the composite and of the reduced, driven system,
 * the clock model p(R) = sqrt(2 M (E_c - V(R))) and the time map
   t(R) = M * integral dR' / p(R'),
 * the comparison pipeline that measures how well the reduced, time
   dependent description tracks the timeless composite as the clock
-  kinetic energy grows.
+  kinetic energy grows, reading the composite at clock time through a
+  cubic Hermite interpolant so that the read-out keeps the step's order.
 """
 
 from __future__ import annotations
@@ -394,13 +395,30 @@ class Trajectory:
         return float(np.max(np.abs(self.energies - e0) / scale))
 
 
-def _verlet(positions0, momenta0, masses, force, times):
-    """Velocity Verlet of L lanes stepped together.
+# Yoshida's triple jump: one fourth-order step of dt is three velocity
+# Verlet steps of w1 dt, w0 dt and w1 dt, with w0 = 1 - 2 w1 < 0
+_W1 = 1.0 / (2.0 - 2.0 ** (1.0 / 3.0))
+_W0 = 1.0 - 2.0 * _W1
+_DRIFTS = (_W1, _W0, _W1)
+_KICKS = (0.5 * _W1, 0.5 * (_W1 + _W0), 0.5 * (_W0 + _W1), 0.5 * _W1)
+# the step fractions at which the three drifts end and the force is read
+_STAGE_FRACTIONS = np.array([_W1, _W1 + _W0, 1.0])
 
-    `positions0` and `momenta0` are (L, d); `times` is (n, L), or (n, 1)
-    for lanes on one grid, and each lane steps by its own
-    dt = times[i + 1] - times[i].  `force(q, i)` returns the (L, d) force
-    at the lane states q on grid row i.  Returns positions and momenta
+
+def _verlet(positions0, momenta0, masses, gradient, times):
+    """Fourth-order symplectic step of L lanes stepped together.
+
+    Yoshida's composition of three kick-drift-kick velocity Verlet steps
+    of w1 dt, w0 dt and w1 dt, w1 = 1 / (2 - 2^(1/3)), w0 = 1 - 2 w1,
+    with the adjacent half kicks merged: three drifts and three force
+    evaluations per step.  `positions0` and `momenta0` are (L, d);
+    `times` is (n, L), or (n, 1) for lanes on one grid, and each lane
+    steps by its own dt = times[i + 1] - times[i].  `gradient(q, j)`
+    returns the (L, d) potential gradient, minus the force, at the lane
+    states q on stage j: j = 0 is times[0], and j = 1 + 3 i + s is the
+    end of drift s of step i, at times[i] + _STAGE_FRACTIONS[s] * dt:
+    0.35 dt past times[i + 1] for s = 0, 0.35 dt before times[i] for
+    s = 1, and times[i + 1] for s = 2.  Returns positions and momenta
     (n, L, d).
     """
     n = times.shape[0]
@@ -408,15 +426,18 @@ def _verlet(positions0, momenta0, masses, force, times):
     p = np.empty_like(q)
     q[0] = positions0
     p[0] = momenta0
-    dt = np.diff(times, axis=0)[:, :, None]
-    half_dt = 0.5 * dt
-    inv_m = 1.0 / masses
-    f = force(q[0], 0)
+    dt = np.diff(times, axis=0)[:, None, :, None]
+    kicks = dt * np.array(_KICKS)[:, None, None]  # (n - 1, 4, L, 1)
+    drifts = dt * np.array(_DRIFTS)[:, None, None] / masses  # (n - 1, 3, L, d)
+    g = gradient(q[0], 0)
     for i in range(n - 1):
-        p_half = p[i] + half_dt[i] * f
-        q[i + 1] = q[i] + dt[i] * p_half * inv_m
-        f = force(q[i + 1], i + 1)
-        p[i + 1] = p_half + half_dt[i] * f
+        qi, pi, kick, drift = q[i], p[i], kicks[i], drifts[i]
+        for s in range(3):
+            pi = pi - kick[s] * g
+            qi = qi + drift[s] * pi
+            g = gradient(qi, 1 + 3 * i + s)
+        q[i + 1] = qi
+        p[i + 1] = pi - kick[3] * g
     return q, p
 
 
@@ -431,16 +452,17 @@ def integrate_composite(
     drift_tol: float = 1e-6,
     max_halvings: int = 3,
 ) -> Trajectory:
-    """Leapfrog the closed composite (R, x) over the internal parameter.
+    """Step the closed composite (R, x) over the internal parameter.
 
-    The composite Hamiltonian is p_R^2/2M + p_x^2/2m + V(x, R).  With
-    scalar initial data the trajectory has positions and momenta
-    (steps + 1, 2), columns (R, x).  When any of r0, pr0, x0, px0 is an
-    (L,) array, the L initial states are integrated as lanes of one array
-    on one shared parameter grid, and positions and momenta are
-    (steps + 1, L, 2).  The step count doubles for the whole batch while
-    any lane's relative energy drift exceeds `drift_tol`; StabilityError
-    is raised when it still does after `max_halvings` doublings.
+    The composite Hamiltonian is p_R^2/2M + p_x^2/2m + V(x, R), stepped
+    with the fourth-order symplectic step of `_verlet`.  With scalar
+    initial data the trajectory has positions and momenta (steps + 1, 2),
+    columns (R, x).  When any of r0, pr0, x0, px0 is an (L,) array, the L
+    initial states are integrated as lanes of one array on one shared
+    parameter grid, and positions and momenta are (steps + 1, L, 2).  The
+    step count doubles for the whole batch while any lane's relative
+    energy drift exceeds `drift_tol`; StabilityError is raised when it
+    still does after `max_halvings` doublings.
     """
     start = np.stack(np.broadcast_arrays(*(np.asarray(v, dtype=float)
                                            for v in (r0, pr0, x0, px0))), axis=-1)
@@ -448,17 +470,17 @@ def integrate_composite(
     start = np.atleast_2d(start)
     masses = np.array([spec.M, spec.m])
 
-    def force(q, _i):
+    def gradient(q, _j):
         r, x = q[:, 0], q[:, 1]
-        f = np.empty_like(q)
-        f[:, 0] = -(spec.v_env.derivative(r) + spec.v_int.d_dr(x, r))
-        f[:, 1] = -(spec.v_sys.derivative(x) + spec.v_int.d_dx(x, r))
-        return f
+        g = np.empty_like(q)
+        g[:, 0] = spec.v_env.derivative(r) + spec.v_int.d_dr(x, r)
+        g[:, 1] = spec.v_sys.derivative(x) + spec.v_int.d_dx(x, r)
+        return g
 
     n = steps
     for _ in range(max_halvings + 1):
         times = np.linspace(0.0, span, n + 1)
-        q, p = _verlet(start[:, [0, 2]], start[:, [1, 3]], masses, force, times[:, None])
+        q, p = _verlet(start[:, [0, 2]], start[:, [1, 3]], masses, gradient, times[:, None])
         r, x = q[..., 0], q[..., 1]
         e = (0.5 * p[..., 0] ** 2 / spec.M + 0.5 * p[..., 1] ** 2 / spec.m
              + spec.total_potential(x, r))
@@ -491,16 +513,19 @@ def integrate_driven_system(
     px0,
     t_grid: np.ndarray,
 ) -> Trajectory:
-    """Leapfrog the 1D system under V_sys(x) + V_I(x, R(t)).
+    """Step the 1D system under V_sys(x) + V_I(x, R(t)), fourth order (`_verlet`).
 
     `drive` is one CouplingDrive with an (n,) `t_grid`, giving positions
     and momenta (n, 1).  For L lanes it is a sequence of L CouplingDrives
     that share one coupling, each with its own clock map, `t_grid` is
     (n, L) with one time column per lane, x0 and px0 are scalars or (L,)
     arrays, and positions and momenta are (n, L, 1).  R(t) is tabulated
-    once per lane before stepping; each step evaluates the coupling's
-    x-derivative on all lanes at once, and the energies are computed
-    after the loop with one drive call per lane.
+    once per lane before stepping, at the start and at the three force
+    stages of every step; the first and the last step read R up to
+    0.35 dt outside the time grid, through the clock map's PCHIP
+    extrapolation.  Each stage evaluates the coupling's x-derivative on
+    all lanes at once, and the energies are computed after the loop with
+    one drive call per lane.
     """
     t_grid = np.asarray(t_grid, dtype=float)
     lanes = t_grid.ndim == 2
@@ -511,15 +536,18 @@ def integrate_driven_system(
     coupling = drives[0].coupling
     if any(d.coupling != coupling for d in drives):
         raise DegenerateInputError("the lanes of a driven run must share one coupling")
-    r = np.column_stack([d.timemap.r_of_t(times[:, j]) for j, d in enumerate(drives)])
+    stages = times[:-1, None] + _STAGE_FRACTIONS[:, None] * np.diff(times, axis=0)[:, None]
+    stages[:, 2] = times[1:]
+    stages = np.concatenate([times[:1], stages.reshape(-1, len(drives))])
+    r = np.column_stack([d.timemap.r_of_t(stages[:, j]) for j, d in enumerate(drives)])
     x0, px0 = (np.broadcast_to(np.asarray(v, dtype=float), (len(drives),))[:, None]
                for v in (x0, px0))
 
-    def force(q, i):
+    def gradient(q, j):
         x = q[:, 0]
-        return (-system.v_sys.derivative(x) - coupling.d_dx(x, r[i]))[:, None]
+        return (system.v_sys.derivative(x) + coupling.d_dx(x, r[j]))[:, None]
 
-    q, p = _verlet(x0, px0, np.array([system.m]), force, times)
+    q, p = _verlet(x0, px0, np.array([system.m]), gradient, times)
     x = q[..., 0]
     e = 0.5 * p[..., 0] ** 2 / system.m + system.v_sys(x)
     e = e + np.column_stack([d(x[:, j], times[:, j]) for j, d in enumerate(drives)])
@@ -648,14 +676,26 @@ def _loglog_slope(x, y):
     return float(coeffs[0])
 
 
-def _composite_lane(spec, q, p, clock_energy, t_span, steps):
-    """Clock model and readouts of one composite lane.
+def _hermite(t, y, slopes, t_new):
+    """Cubic Hermite interpolant through the samples (t, y) with slopes dy/dt, at t_new."""
+    k = np.clip(np.searchsorted(t, t_new, side="right") - 1, 0, t.size - 2)
+    h = t[k + 1] - t[k]
+    s = (t_new - t[k]) / h
+    u = 1.0 - s
+    return (u * u * ((1.0 + 2.0 * s) * y[k] + s * h * slopes[k])
+            + s * s * ((3.0 - 2.0 * s) * y[k + 1] - u * h * slopes[k + 1]))
+
+
+def _composite_lane(spec, q, p, energy, clock_energy, t_span, steps):
+    """Clock model and readouts of the composite lane at scan energy `energy`.
 
     `q` and `p` are the lane's (n, 2) composite history, columns (R, x).
-    Returns the lane's drive, its time grid over the common window, the
-    composite system coordinate on that grid, the run averages of the
-    neglected term dp^2/2M and of the retained system energy, and the
-    mean clock velocity.
+    The system coordinate is re-read at clock time through a cubic
+    Hermite interpolant whose slopes dx/dt = (p_x / m) p_clock(R) / p_R
+    come from the same samples.  Returns the lane's drive, its time grid
+    over the common window, the composite system coordinate on that
+    grid, the run averages of the neglected term dp^2/2M and of the
+    retained system energy, and the mean clock velocity.
     """
     r_comp = q[:, 0]
     r_hi = float(np.max(r_comp))
@@ -666,22 +706,27 @@ def _composite_lane(spec, q, p, clock_energy, t_span, steps):
     t_grid = np.linspace(0.0, t_max, steps + 1)
 
     # composite system coordinate re-read against clock time
-    if np.any(np.diff(r_comp) <= 0.0):
-        raise TurningPointError("composite clock coordinate is not monotone on this run")
-    t_comp = np.asarray(tmap.t_of_r(np.clip(r_comp, r_grid.lo, r_grid.hi)), dtype=float)
-    x_comp = np.interp(t_grid, t_comp, q[:, 1])
+    if np.any(p[:, 0] <= 0.0) or np.any(np.diff(r_comp) <= 0.0):
+        raise TurningPointError("composite clock turns on this run: p_R <= 0 or R not increasing")
+    r_c = np.clip(r_comp, r_grid.lo, r_grid.hi)
+    t_comp = np.asarray(tmap.t_of_r(r_c), dtype=float)
+    if not np.all(np.isfinite(t_comp)):
+        raise DegenerateInputError(f"clock time t(R) is not finite at E={energy}")
+    p_clock = np.asarray(clock_momentum(clock, r_c), dtype=float)
+    dxdt = p[:, 1] / spec.m * p_clock / p[:, 0]
+    x_comp = _hermite(t_comp, q[:, 1], dxdt, t_grid)
+    if not np.all(np.isfinite(x_comp)):
+        raise DegenerateInputError(f"composite system coordinate is not finite at E={energy}")
 
     # neglected (dW_S/dR)^2/2M vs retained system energy, averaged
     # over the samples inside the common time window
     mask = t_comp <= t_max
-    p_r = p[:, 0][mask]
-    r_m = np.clip(r_comp[mask], r_grid.lo, r_grid.hi)
-    p_clock = np.asarray(clock_momentum(clock, r_m), dtype=float)
-    dp = p_r - p_clock
+    p_clock = p_clock[mask]
+    dp = p[:, 0][mask] - p_clock
     neglected_mean = float(np.mean(dp * dp / (2.0 * spec.M)))
     xs, pxs = q[:, 1][mask], p[:, 1][mask]
     e_s_inst = 0.5 * pxs**2 / spec.m + np.asarray(spec.v_sys(xs), dtype=float) \
-        + np.asarray(spec.v_int(xs, r_m), dtype=float)
+        + np.asarray(spec.v_int(xs, r_c[mask]), dtype=float)
     retained_mean = float(np.mean(np.abs(e_s_inst)))
     if retained_mean == 0.0:
         raise DegenerateInputError("retained system energy averages to zero")
@@ -722,7 +767,9 @@ def compare_composite_reduced(
     total_energies = np.asarray(total_energies, dtype=float)
     if total_energies.size < 1:
         raise DegenerateInputError("empty energy scan")
-    e_sys0 = float(0.5 * px0**2 / spec.m + spec.v_sys(x0))
+    e_sys0 = float(0.5 * np.square(px0) / spec.m + spec.v_sys(x0))
+    if not np.isfinite(e_sys0):
+        raise DegenerateInputError(f"initial system energy is not finite at x0={x0}, px0={px0}")
     if clock_energy_offset == "system":
         offset = e_sys0
     elif clock_energy_offset == "none":
@@ -742,24 +789,22 @@ def compare_composite_reduced(
     span = t_span * 1.1  # internal-parameter span; clock covers >= t_span
     comp = integrate_composite(spec, r0, pr0, x0, px0, span, steps)
 
-    lanes = [_composite_lane(spec, comp.positions[:, k], comp.momenta[:, k], e_total - offset,
-                             t_span, steps)
+    lanes = [_composite_lane(spec, comp.positions[:, k], comp.momenta[:, k], e_total,
+                             e_total - offset, t_span, steps)
              for k, e_total in enumerate(total_energies)]
     del comp  # the lane readouts are all the comparison needs from here on
     drives, t_grid, x_comp, neglected, retained, v_means = zip(*lanes)
     red = integrate_driven_system(spec.system, drives, x0, px0, np.column_stack(t_grid))
     deviation = np.max(np.abs(np.column_stack(x_comp) - red.positions[..., 0]), axis=0)
-
-    rows = []
-    for e_total, p_r0, dev, neg, ret, v_mean in zip(total_energies, pr0, deviation,
-                                                     neglected, retained, v_means):
-        v0 = float(p_r0) / spec.M
-        rows.append(EmergenceRow(float(e_total), spec.M * v0**2, float(dev), neg, ret,
-                                 neg / ret, e_sys0 / (2.0 * spec.M * v_mean**2)))
-
-    slope = (
-        _loglog_slope([r.mv2 for r in rows], [max(r.deviation, 1e-300) for r in rows])
-        if len(rows) >= 2
-        else float("nan")
-    )
+    neglected, retained, v_means = (np.array(v) for v in (neglected, retained, v_means))
+    mv2 = spec.M * (pr0 / spec.M) ** 2
+    bad = ~(np.isfinite(deviation) & np.isfinite(mv2) & (mv2 > 0.0))
+    if np.any(bad):
+        raise DegenerateInputError(
+            f"deviation or M v^2 is not finite and positive at E={total_energies[bad][0]}")
+    columns = (total_energies, mv2, deviation, neglected, retained, neglected / retained,
+               e_sys0 / (2.0 * spec.M * v_means**2))
+    rows = [EmergenceRow(*map(float, row)) for row in zip(*columns)]
+    slope = (_loglog_slope(mv2, np.maximum(deviation, 1e-300)) if len(rows) >= 2
+             else float("nan"))
     return ClassicalEmergenceReport(tuple(rows), slope)

@@ -201,7 +201,7 @@ class ClassicalEmergenceConfig:
     # two points at least: the slope is fitted across them
     energies: tuple = param((20.0, 60.0, 200.0, 600.0, 2000.0), array(POSITIVE, 2))
     t_span: float = param(4.0, POSITIVE)
-    steps: int = param(12000, INT2)
+    steps: int = param(1500, INT2)
     clock_energy_offset: str | float = param(
         "none", {"anyOf": [{"enum": ["system", "none"]}, {"type": "number"}]})
 

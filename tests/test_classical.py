@@ -34,6 +34,7 @@ from chronolab import (
 )
 from chronolab import classical
 from chronolab.errors import ConvergenceError, StabilityError
+from chronolab.scenarios import SCENARIOS, default_config
 
 
 def _free_problem(energy=2.0, masses=(1.0, 1.0)):
@@ -216,29 +217,39 @@ def test_composite_energy_conservation_and_harmonic_motion():
     np.testing.assert_allclose(traj.positions[:, 0], 0.2 * traj.parameter, atol=1e-10)
 
 
-def test_verlet_error_scales_second_order():
+def test_composite_error_scales_fourth_order():
     spec = CompositeSpec(50.0, 1.0, 1.0, Constant(), Harmonic(4.0), ZeroCoupling())
     errs = []
-    for steps in (1000, 2000):
+    for steps in (100, 200):
         # loose drift_tol keeps the integrator from refining on its own
         traj = integrate_composite(spec, 0.0, 10.0, 0.5, 0.0, span=6.0, steps=steps,
                                    drift_tol=1e-3)
         errs.append(np.max(np.abs(traj.positions[:, 1] - 0.5 * np.cos(2.0 * traj.parameter))))
-    assert errs[0] / errs[1] == pytest.approx(4.0, rel=0.2)
+    assert errs[0] / errs[1] == pytest.approx(16.0, rel=0.2)
+
+
+def _ramped_force_run(t, lam=0.3, v=2.0, k=4.0, x0=0.5):
+    # V_I = lam * x * R with R = v t: a linearly ramped force on the
+    # oscillator; returns the driven run's x and the exact solution
+    grid = Grid1D(0.0, 20.0, 2001)
+    drive = CouplingDrive(Bilinear(lam), TimeMap(grid, grid.points / v))
+    traj = integrate_driven_system(SystemSpec(1.0, 1.0, Harmonic(k)), drive, x0, 0.0, t)
+    w = np.sqrt(k)
+    exact = x0 * np.cos(w * t) + lam * v / (k * w) * np.sin(w * t) - lam * v / k * t
+    return traj.positions[:, 0], exact
 
 
 def test_driven_system_matches_ramped_force_solution():
-    # V_I = lam * x * R with R = v t: a linearly ramped force on the oscillator
-    lam, v, k, x0 = 0.3, 2.0, 4.0, 0.5
-    grid = Grid1D(0.0, 20.0, 2001)
-    tmap = TimeMap(grid, grid.points / v)
-    drive = CouplingDrive(Bilinear(lam), tmap)
-    system = SystemSpec(1.0, 1.0, Harmonic(k))
-    t = np.linspace(0.0, 3.0, 6000)
-    traj = integrate_driven_system(system, drive, x0, 0.0, t)
-    w = np.sqrt(k)
-    exact = x0 * np.cos(w * t) + lam * v / (k * w) * np.sin(w * t) - lam * v / k * t
-    np.testing.assert_allclose(traj.positions[:, 0], exact, atol=2e-6)
+    x, exact = _ramped_force_run(np.linspace(0.0, 3.0, 6000))
+    np.testing.assert_allclose(x, exact, atol=2e-6)
+
+
+def test_driven_system_error_scales_fourth_order():
+    # the force reads R(t) at each stage's own time, inside the step and
+    # 0.35 dt outside it; a clock read at any other time breaks the order
+    errs = [np.max(np.abs(np.subtract(*_ramped_force_run(np.linspace(0.0, 3.0, steps + 1)))))
+            for steps in (100, 200)]
+    assert errs[0] / errs[1] == pytest.approx(16.0, rel=0.2)
 
 
 def _same_trajectory(batch, lane, solo):
@@ -276,28 +287,30 @@ def test_driven_lanes_must_share_one_coupling():
 
 
 def test_composite_batch_refines_every_lane_together():
-    # lane 0 needs 500 -> 4000 steps for a 1e-6 drift, lane 1 passes at 500
+    # lane 0 drifts 5.3e-6 at 100 steps and needs 200 for a 1e-6 drift,
+    # lane 1 passes at 100 (7.9e-8)
     spec = CompositeSpec(50.0, 1.0, 1.0, Constant(), Harmonic(4.0), ZeroCoupling())
     x0s = np.array([0.5, 0.05])
-    batch = integrate_composite(spec, 0.0, 10.0, x0s, 0.0, span=6.0, steps=500)
-    assert batch.parameter.size - 1 == 4000
-    assert batch.positions.shape == (4001, 2, 2)
+    batch = integrate_composite(spec, 0.0, 10.0, x0s, 0.0, span=6.0, steps=100)
+    assert batch.parameter.size - 1 == 200
+    assert batch.positions.shape == (201, 2, 2)
     assert batch.energy_drift <= 1e-6
-    alone = integrate_composite(spec, 0.0, 10.0, x0s[1], 0.0, span=6.0, steps=500)
-    assert alone.parameter.size - 1 == 500
+    alone = integrate_composite(spec, 0.0, 10.0, x0s[1], 0.0, span=6.0, steps=100)
+    assert alone.parameter.size - 1 == 100
     # on the refined grid each lane is the run of that lane alone
     for j, x0 in enumerate(x0s):
         _same_trajectory(batch, j, integrate_composite(spec, 0.0, 10.0, x0, 0.0,
-                                                       span=6.0, steps=4000))
+                                                       span=6.0, steps=200))
 
 
 def test_composite_batch_reports_exhausted_refinement():
+    # 25 -> 50 -> 100 steps, and lane 0 still drifts 5.3e-6 at 100
     spec = CompositeSpec(50.0, 1.0, 1.0, Constant(), Harmonic(4.0), ZeroCoupling())
     with pytest.raises(StabilityError) as info:
         integrate_composite(spec, 0.0, 10.0, np.array([0.5, 0.05]), 0.0, span=6.0,
-                            steps=500, max_halvings=2)
+                            steps=25, max_halvings=2)
     assert info.value.suggested_step > 0.0
-    assert info.value.suggested_step < 6.0 / 2000
+    assert info.value.suggested_step < 6.0 / 100
 
 
 # ---------------------------------------------------------------------------
@@ -405,6 +418,14 @@ def test_energy_lanes_match_single_energy_runs():
     assert rep.rows == tuple(solo)
     fit = np.polyfit(np.log([r.mv2 for r in solo]), np.log([r.deviation for r in solo]), 1)
     assert rep.slope == float(fit[0])
+
+
+def test_default_emergence_deviations_match_a_four_times_finer_run():
+    params = default_config("classical-emergence")["parameters"]
+    runs = [SCENARIOS["classical-emergence"].run({**params, "steps": steps})["classical_emergence"]
+            for steps in (params["steps"], 4 * params["steps"])]
+    dev = [np.array([row[t.columns.index("deviation")] for row in t.rows]) for t in runs]
+    np.testing.assert_allclose(dev[0], dev[1], rtol=1e-5, atol=0.0)
 
 
 def test_float_clock_energy_offset_matches_the_named_ones():

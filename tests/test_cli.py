@@ -1,6 +1,7 @@
 """Scenario registry and command-line driver, exercised through main()."""
 
 import contextlib
+import csv
 import dataclasses
 import hashlib
 import io
@@ -80,7 +81,7 @@ def test_default_config_validates(name):
 # sha256 of each builtin's default config document
 DEFAULT_HASHES = {
     "beam-on-atom": "c9c78d9ea5bb76a1b53ec4ed013b5735e2a115a46ec7286ef0a77d26295b8459",
-    "classical-emergence": "8efe575d3f1587e5954e8b1d78b8f0a659a7a97d82d9bf45f84edd2c29db7183",
+    "classical-emergence": "1c08aded604e62b14749b6876b360a4f34fa728fa70cbb9a4a37c4e6cd0fab39",
     "emergence-scan": "e610f6388b9f487204aed9652435e9572f79bf2ae0cb6ec3482c9b0ccd27e149",
     "harmonic-clock-two-level": "4e0b9b53c2e97b139bd636070a427745b49906cdd956dfc5ed64d8b41cc7a257",
     "jacobi-paths": "6882e200532337bfce8f8212bf81155363e5fef58a0fa7e5162fe91ac4f9d6bc",
@@ -285,8 +286,8 @@ DEFAULT_CSV_HASHES = {
         "summary.csv": "e1c42a72ec00eb9b828d1628674e18a81130a14f506813bb149adc484996fa69",
     },
     "classical-emergence": {
-        "classical_emergence.csv": "fdb572bb5f4d277337ad4ffb28999900cc475343f97216bcf14ad52534294e47",
-        "summary.csv": "30154ffb869b3729fc3696a21d41fed686449488a17b02f9af58cc7741e59aac",
+        "classical_emergence.csv": "6a571ac1c3564690f37690ced6c7733efc1d8158d6aad8c7f3502ae8e30cbbae",
+        "summary.csv": "97547fb294d8eb1761a6d7008d09b9a15219f2f8a1089acdb82d016776f927cd",
     },
     "emergence-scan": {
         "emergence_scan.csv": "21c5b912c1ebf046b244da7e8b369b473df72a479957d36a7e507b85ead1c129",
@@ -567,16 +568,22 @@ def _parameter(schema: dict, cap: int, size: int):
 
 
 @st.composite
-def _configs(draw, name: str, cap: int):
-    """Schema-valid configs of one scenario: any subset of its parameters,
-    every array of one drawn length, integers at most `cap`."""
+def _configs(draw, name: str, cap: int, required: tuple = ()):
+    """Schema-valid configs of one scenario: the `required` parameters and
+    any subset of the others, every array of one drawn length, integers at
+    most `cap`."""
     size = draw(st.integers(1, 3))
     optional = {k: _parameter(s, cap, size) for k, s in SCENARIOS[name].properties.items()}
-    return {"scenario": name, "parameters": draw(st.fixed_dictionaries({}, optional=optional))}
+    drawn = {k: optional.pop(k) for k in required}
+    return {"scenario": name, "parameters": draw(st.fixed_dictionaries(drawn, optional=optional))}
 
 
-@given(doc=_configs("perfect-clock", 2001) | _configs("jacobi-paths", 12))
-def test_schema_valid_configs_end_with_a_manifest_and_a_documented_code(doc):
+def _run_under_contract(doc: dict) -> tuple:
+    """Run and validate one schema-valid config, and check the run contract:
+    a manifest, an exit code in {0, 2, 3}, no traceback, stages that stop
+    at the first failure, and `validate` failing exactly where the run's
+    validation does.  Returns the exit code and the written CSVs as
+    {stem: rows}."""
     jsonschema.validate(doc, config_schema(doc["scenario"]))
     err = io.StringIO()
     with tempfile.TemporaryDirectory() as tmp:
@@ -586,6 +593,8 @@ def test_schema_valid_configs_end_with_a_manifest_and_a_documented_code(doc):
             code = main(["run", str(cfg), "--out", str(out)])
             checked = main(["validate", str(cfg)])
         manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
+        tables = {p.stem: list(csv.DictReader(p.read_text(encoding="utf-8").splitlines()))
+                  for p in out.glob("*.csv")}
     assert code in (0, 2, 3)
     assert "Traceback" not in err.getvalue()
     stages = [(s["name"], s["status"]) for s in manifest["stages"]]
@@ -596,10 +605,26 @@ def test_schema_valid_configs_end_with_a_manifest_and_a_documented_code(doc):
         assert all(status == "ok" for _, status in stages[:-1])
     # `validate` rejects exactly the configs whose run fails validation
     assert (checked == 2) == (stages[0][1] == "failed")
+    return code, tables
+
+
+@given(doc=_configs("perfect-clock", 2001) | _configs("jacobi-paths", 12))
+def test_schema_valid_configs_end_with_a_manifest_and_a_documented_code(doc):
+    _run_under_contract(doc)
+
+
+# `steps` is always drawn and capped, so that every run fits the deadline
+@given(doc=_configs("classical-emergence", 200, required=("steps",)))
+def test_schema_valid_classical_configs_end_with_finite_results(doc):
+    code, tables = _run_under_contract(doc)
+    if code == 0:
+        assert np.isfinite(float(tables["summary"][0]["slope"]))
+        assert all(np.isfinite(float(r["deviation"])) for r in tables["classical_emergence"])
 
 
 # configs whose numbers overflow inside scipy (PCHIP on the clock's time
-# table, trust-exact on the path), with the chronolab error that names it
+# table, trust-exact on the path) or in the system's launch energy, with
+# the chronolab error that names it
 OVERFLOWING = [
     ("perfect-clock", {"clock_mass": 6.3e307}, "DegenerateInputError: time map"),
     ("perfect-clock", {"clock_mass": 5e-324, "points": 3}, "DegenerateInputError: time map"),
@@ -609,6 +634,9 @@ OVERFLOWING = [
      "ConvergenceError: path minimization"),
     ("jacobi-paths", {"well": "harmonic", "segments": 8, "masses": [1.3e308, 2.2e16]},
      "ConvergenceError: path minimization"),
+    ("classical-emergence", {"px0": 1e200}, "DegenerateInputError: initial system energy"),
+    ("classical-emergence", {"energies": [1e300, 2e300]},
+     "DegenerateInputError: clock time t(R) is not finite at E=1e+300"),
 ]
 
 
