@@ -462,7 +462,8 @@ def integrate_composite(
     parameter grid, and positions and momenta are (steps + 1, L, 2).  The
     step count doubles for the whole batch while any lane's relative
     energy drift exceeds `drift_tol`; StabilityError is raised when it
-    still does after `max_halvings` doublings.
+    still does after `max_halvings` doublings, and at once, with no
+    suggested step, when the drift is not finite: the run overflowed.
     """
     start = np.stack(np.broadcast_arrays(*(np.asarray(v, dtype=float)
                                            for v in (r0, pr0, x0, px0))), axis=-1)
@@ -486,8 +487,11 @@ def integrate_composite(
              + spec.total_potential(x, r))
         traj = Trajectory(times, q, p, e) if lanes else Trajectory(
             times, q[:, 0], p[:, 0], e[:, 0])
-        if traj.energy_drift <= drift_tol:
+        drift = traj.energy_drift
+        if drift <= drift_tol:
             return traj
+        if not np.isfinite(drift):
+            raise StabilityError(f"energy drift is {drift} at {n} steps: the run overflows")
         n *= 2
     raise StabilityError(
         f"energy drift {traj.energy_drift:.3e} > {drift_tol:.1e} after {max_halvings} halvings",
@@ -497,13 +501,21 @@ def integrate_composite(
 
 @dataclass(frozen=True)
 class CouplingDrive:
-    """Coupling V_I(x, R) read through a clock map R(t)."""
+    """Coupling V_I(x, R) = g(R) sys(x) read through a clock map R(t).
+
+    Read along the clock, the drive is a time profile times one fixed
+    function of x.  Calling the drive gives the profile
+    g(t) = strength * env(R(t)) at array times, with the shape of t;
+    `coupling.sys` gives sys(x).  Both quantum propagators, the driven
+    classical run and the TDSE residual read it in that product form.
+    """
 
     coupling: Coupling
     timemap: "TimeMap"
 
-    def __call__(self, x, t):
-        return self.coupling(x, self.timemap.r_of_t(t))
+    def __call__(self, t):
+        t = np.asarray(t, dtype=float)
+        return np.broadcast_to(self.coupling.profile(self.timemap.r_of_t(t)), t.shape)
 
 
 def integrate_driven_system(
@@ -513,19 +525,20 @@ def integrate_driven_system(
     px0,
     t_grid: np.ndarray,
 ) -> Trajectory:
-    """Step the 1D system under V_sys(x) + V_I(x, R(t)), fourth order (`_verlet`).
+    """Step the 1D system under V_sys(x) + g(t) sys(x), fourth order (`_verlet`).
 
     `drive` is one CouplingDrive with an (n,) `t_grid`, giving positions
     and momenta (n, 1).  For L lanes it is a sequence of L CouplingDrives
-    that share one coupling, each with its own clock map, `t_grid` is
-    (n, L) with one time column per lane, x0 and px0 are scalars or (L,)
-    arrays, and positions and momenta are (n, L, 1).  R(t) is tabulated
-    once per lane before stepping, at the start and at the three force
-    stages of every step; the first and the last step read R up to
-    0.35 dt outside the time grid, through the clock map's PCHIP
-    extrapolation.  Each stage evaluates the coupling's x-derivative on
-    all lanes at once, and the energies are computed after the loop with
-    one drive call per lane.
+    that share one sys(x), each with its own profile g(t) (clock map,
+    envelope and strength), `t_grid` is (n, L) with one time column per
+    lane, x0 and px0 are scalars or (L,) arrays, and positions and
+    momenta are (n, L, 1).  Each lane's profile is tabulated once before
+    stepping, at the start and at the three force stages of every step;
+    the first and the last step read the clock up to 0.35 dt outside the
+    time grid, through the clock map's PCHIP extrapolation.  Each stage
+    evaluates sys'(x) on all lanes at once, and the energies are
+    computed after the loop from the profile at the grid times, which
+    are every third stage.
     """
     t_grid = np.asarray(t_grid, dtype=float)
     lanes = t_grid.ndim == 2
@@ -533,24 +546,23 @@ def integrate_driven_system(
     times = t_grid if lanes else t_grid[:, None]
     if times.shape[1] != len(drives):
         raise DegenerateInputError(f"{len(drives)} drives for {times.shape[1]} time columns")
-    coupling = drives[0].coupling
-    if any(d.coupling != coupling for d in drives):
-        raise DegenerateInputError("the lanes of a driven run must share one coupling")
+    sys = drives[0].coupling.sys
+    if any(d.coupling.sys != sys for d in drives):
+        raise DegenerateInputError("the lanes of a driven run must share one sys(x)")
     stages = times[:-1, None] + _STAGE_FRACTIONS[:, None] * np.diff(times, axis=0)[:, None]
     stages[:, 2] = times[1:]
     stages = np.concatenate([times[:1], stages.reshape(-1, len(drives))])
-    r = np.column_stack([d.timemap.r_of_t(stages[:, j]) for j, d in enumerate(drives)])
+    g = np.column_stack([d(stages[:, j]) for j, d in enumerate(drives)])
     x0, px0 = (np.broadcast_to(np.asarray(v, dtype=float), (len(drives),))[:, None]
                for v in (x0, px0))
 
     def gradient(q, j):
         x = q[:, 0]
-        return (system.v_sys.derivative(x) + coupling.d_dx(x, r[j]))[:, None]
+        return (system.v_sys.derivative(x) + g[j] * sys.derivative(x))[:, None]
 
     q, p = _verlet(x0, px0, np.array([system.m]), gradient, times)
     x = q[..., 0]
-    e = 0.5 * p[..., 0] ** 2 / system.m + system.v_sys(x)
-    e = e + np.column_stack([d(x[:, j], times[:, j]) for j, d in enumerate(drives)])
+    e = 0.5 * p[..., 0] ** 2 / system.m + system.v_sys(x) + g[::3] * sys(x)
     if lanes:
         return Trajectory(t_grid, q, p, e)
     return Trajectory(t_grid, q[:, 0], p[:, 0], e[:, 0])

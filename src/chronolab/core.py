@@ -324,9 +324,9 @@ class Coupling:
     """V_I(x, R) = strength * sys(x) * env(R), a product of two 1D potentials.
 
     The system sees the clock only through env(R): read along a clock map
-    R(t), the coupling is the drive strength * env(R(t)) * sys(x).  The
-    stationary solves use the same split, as the profile g(R) =
-    strength * env(R) times the matrix elements of sys(x).
+    R(t), the coupling is the drive strength * env(R(t)) * sys(x).  Every
+    reader uses that split: the profile g(R) = strength * env(R)
+    (`profile`) times sys(x) or its matrix elements.
     """
 
     env: Potential
@@ -335,6 +335,10 @@ class Coupling:
 
     def __call__(self, x, r):
         return (self.strength * self.sys(x)) * self.env(r)
+
+    def profile(self, r):
+        """g(R) = strength * env(R), the factor that multiplies sys(x)."""
+        return self.strength * np.asarray(self.env(r), dtype=float)
 
     def d_dx(self, x, r):
         return (self.strength * self.sys.derivative(x)) * self.env(r)

@@ -1,14 +1,16 @@
 """Reduced time-dependent quantum mechanics.
 
 Once the heavy clock supplies a time variable, the system obeys a TDSE
-with the coupling read as a drive V_I(x, t).  This module propagates
-that equation on the grid (Crank-Nicolson) and in a channel basis
-(interaction-picture amplitude ODEs), builds conditional wavefunctions
-from composite states, measures how well they satisfy the TDSE and how
-large the leading correction term is, and runs the clock-energy scan
-that turns the correction's 1/(M v^2) scaling into a fitted exponent.
-Both propagators evaluate the drive once per block of BLOCK_STEPS time
-steps, so a drive takes array times that broadcast against x.
+with the coupling read as a drive V_I(x, t) = g(t) sys(x), a
+CouplingDrive: its profile g(t) = strength * env(R(t)) times one fixed
+function of x.  This module propagates that equation on the grid
+(Crank-Nicolson) and in a channel basis (interaction-picture amplitude
+ODEs), builds conditional wavefunctions from composite states, measures
+how well they satisfy the TDSE and how large the leading correction
+term is, and runs the clock-energy scan that turns the correction's
+1/(M v^2) scaling into a fitted exponent.  Every reader takes the drive
+in that product form: one profile call on all the times it needs, and
+sys(x) or its matrix elements W = <phi_m|sys|phi_n>.
 
 Phase convention: psi(x,t) = sum_n a_n(t) phi_n(x) exp(-i eps_n t/hbar),
 so grid-to-amplitude comparisons multiply projections by
@@ -50,8 +52,8 @@ from .semiclassical import WKBState
 from .stationary import (
     DirectedState,
     _coupling_factors,
+    _coupling_matrix,
     _discrete_wavenumber,
-    _matrix_elements,
     _project,
     _span_gram,
     _system_action,
@@ -78,10 +80,9 @@ __all__ = [
     "emergence_scan",
 ]
 
-# time steps per block of drive evaluations in the propagators.  A block's
-# largest table is the (u, k, nx) product inside its RK4 stage matrices, u
-# <= 3 * steps distinct stage times: under 8 MB at k = 2 and nx = 321,
-# whatever the length of the run
+# time steps per block of Crank-Nicolson diagonals: a block's two tables,
+# the diagonals and off-diagonals of its steps' tridiagonal matrices, are
+# under 1.4 MB each at nx = 321, whatever the length of the run
 BLOCK_STEPS = 256
 
 
@@ -89,6 +90,16 @@ def _blocks(t: np.ndarray):
     """(start, stop) step ranges of at most BLOCK_STEPS steps covering t."""
     for start in range(0, t.size - 1, BLOCK_STEPS):
         yield start, min(start + BLOCK_STEPS, t.size - 1)
+
+
+def _drive_parts(drive, times) -> tuple:
+    """(profile g at `times`, coupling) of a CouplingDrive; g = 0 and
+    ZeroCoupling for None.  Any other drive raises TypeError."""
+    if drive is None:
+        return np.zeros(np.shape(times)), ZeroCoupling()
+    if not isinstance(drive, CouplingDrive):
+        raise TypeError("a drive must be a CouplingDrive (or None)")
+    return np.asarray(drive(times), dtype=float), drive.coupling
 
 
 # ---------------------------------------------------------------------------
@@ -118,8 +129,9 @@ class WavefunctionTrajectory:
             raise DegenerateInputError("need at least 2 strictly increasing times")
 
     def slice_norms(self) -> np.ndarray:
-        w = self.x_grid.weights
-        return np.sqrt(np.sum(w * np.abs(self.values) ** 2, axis=1))
+        # |psi|^2 summed over the (re, im) pairs of the real view
+        re_im = self.values.view(float).reshape(self.values.shape + (2,))
+        return np.sqrt(np.einsum("txc,txc,x->t", re_im, re_im, self.x_grid.weights))
 
     @property
     def norm_drift(self) -> float:
@@ -142,16 +154,16 @@ def propagate_tdse(
 ) -> WavefunctionTrajectory:
     """Crank-Nicolson propagation of the driven system TDSE.
 
-    The drive (or None) is evaluated at the step midpoints, which keeps
-    the stepping second order in the step for time-dependent drives.
-    `drive(x, t)` is called once per block of BLOCK_STEPS steps, with x
-    as a (1, nx) row and t as a (steps, 1) column of midpoints, and must
-    return an array that broadcasts to (steps, nx); CouplingDrive does.
-    Walls are Dirichlet.  Each step is one tridiagonal LAPACK solve
-    (gtsv) on the block's diagonals, formed before its steps; the
-    stepping is exactly norm-conserving for real potentials.  The first
-    step whose solve fails or whose amplitudes are not finite raises
-    BlowUpError naming it.
+    The drive (a CouplingDrive or None) is g(t) sys(x), read at the step
+    midpoints, which keeps the stepping second order in the step for
+    time-dependent drives: one profile call on all the midpoints.  Walls
+    are Dirichlet.  With alpha = i dt / (2 hbar), each step is
+    u <- 2 (1 + alpha H)^-1 u - u, the same Cayley factor as
+    (1 + alpha H)^-1 (1 - alpha H) u: one tridiagonal LAPACK solve
+    (gtsv) and one update, on diagonals formed per block of BLOCK_STEPS
+    steps before its steps.  The stepping is exactly norm-conserving for
+    real potentials.  The first step whose solve fails or whose
+    amplitudes are not finite raises BlowUpError naming it.
     """
     t = np.asarray(t_grid, dtype=float)
     if t.size < 2 or np.any(np.diff(t) <= 0.0):
@@ -159,37 +171,29 @@ def propagate_tdse(
     grid = psi0.grid
     x = grid.points
     hbar = system.hbar
+    g, coupling = _drive_parts(drive, 0.5 * (t[:-1] + t[1:]))
     c0, c1, _ = _kinetic_coeffs(2, grid.spacing, system.m, hbar)
-    v_static = np.asarray(system.v_sys(x), dtype=float)
-    dtaus = np.diff(t).astype(complex)
-    gtsv, = get_lapack_funcs(("gtsv",), (dtaus,))
+    h_static = c0 + np.asarray(system.v_sys(x), dtype=float)[1:-1]
+    sys_x = np.asarray(coupling.sys(x), dtype=float)[1:-1]
+    alpha = 1j * (np.diff(t) / (2.0 * hbar))
+    gtsv, = get_lapack_funcs(("gtsv",), (alpha,))
     out = np.zeros((t.size, grid.n), dtype=complex)
     out[0, 1:-1] = psi0.values[1:-1]
     for start, stop in _blocks(t):
-        v = v_static
-        if drive is not None:
-            tm = 0.5 * (t[start:stop] + t[start + 1:stop + 1])
-            v = v_static + np.asarray(drive(x[None, :], tm[:, None]), dtype=float)
-        v = np.broadcast_to(v, (stop - start, grid.n))
-        h_diag = c0 + v[:, 1:-1].astype(complex)
-        alpha = 1j * dtaus[start:stop] / (2.0 * hbar)
-        diag = 1.0 + alpha[:, None] * h_diag
-        off = np.repeat((alpha * c1)[:, None], grid.n - 3, axis=1)
+        a = alpha[start:stop, None]
+        diag = 1.0 + a * (h_static + g[start:stop, None] * sys_x)
+        off = np.repeat(a * c1, grid.n - 3, axis=1)
         info, failed = 0, stop
         for j, i in enumerate(range(start, stop)):
             u = out[i, 1:-1]
-            hu = h_diag[j] * u
-            hu[:-1] += c1 * u[1:]
-            hu[1:] += c1 * u[:-1]
-            rhs = u - alpha[j] * hu
-            if rhs.size == 1:  # one interior point: gtsv needs two
-                unew = rhs / diag[j]
+            if u.size == 1:  # one interior point: gtsv needs two
+                y = u / diag[j]
             else:
-                _, _, _, unew, info = gtsv(off[j], diag[j], off[j], rhs, overwrite_b=True)
+                _, _, _, y, info = gtsv(off[j], diag[j], off[j], u)
                 if info != 0:
                     failed = i
                     break
-            out[i + 1, 1:-1] = unew
+            np.subtract(y + y, u, out=out[i + 1, 1:-1])
         # the first non-finite row, or the failed solve, names the step
         bad = np.flatnonzero(~np.all(np.isfinite(out[start + 1:failed + 1]), axis=1))
         if bad.size:
@@ -234,17 +238,19 @@ def propagate_amplitudes(
     t_grid,
     hbar: float = 1.0,
 ) -> AmplitudeSet:
-    """RK4 on i hbar da_m/dt = sum_n V_mn(t) a_n exp(i (eps_m - eps_n) t / hbar).
+    """RK4 on i hbar da_m/dt = sum_n g(t) W_mn a_n exp(i (eps_m - eps_n) t / hbar).
 
-    The stage times of step i are t[i], t[i] + dt/2 and t[i] + dt with
-    dt = t[i+1] - t[i].  `drive(x, t)` (or None) is called once per block
-    of BLOCK_STEPS steps, with x as a (1, nx) row and t as a (u, 1)
-    column of the block's distinct stage times, and must return an array
-    that broadcasts to (u, nx); CouplingDrive does.  The drive, its
-    matrix elements and their phase factors are formed once per distinct
-    time and indexed into the block's (steps, 3, k, k) drive matrices
-    before its steps are taken, so where t[i] + dt equals t[i+1] the
-    last stage of step i and the first of step i+1 share one evaluation.
+    The drive (a CouplingDrive or None) is g(t) sys(x); W =
+    <phi_m|sys|phi_n> is formed once (`_coupling_matrix`) and the
+    profile once, in one call on the distinct stage times.  The stage
+    times of step i are t[i], t[i] + dt/2 and t[i+1] with
+    dt = t[i+1] - t[i], so the last stage of step i and the first of
+    step i+1 share one evaluation.  With
+    A(t) = -(i/hbar) g(t) W * exp(i deps t / hbar) the step is linear,
+    a <- P a with P = I + dt/6 (K1 + 2 K2 + 2 K3 + K4), K1 = A(t),
+    K2 = A(t + dt/2) (I + dt/2 K1), K3 = A(t + dt/2) (I + dt/2 K2) and
+    K4 = A(t + dt) (I + dt K3); the (steps, k, k) step matrices are built
+    in one batch, and the steps are a loop of k x k mat-vecs.
     Non-finite amplitudes raise BlowUpError.  A Hermitian drive
     conserves total population; a drift that is not within 1e-6 raises
     StabilityError suggesting a smaller step.
@@ -257,33 +263,26 @@ def propagate_amplitudes(
     if a0.shape != (k,):
         raise GridMismatchError(f"a0 must have {k} entries")
     eps = basis.energies
+    dt = np.diff(t)
+    stage_t = np.stack([t[:-1], t[:-1] + 0.5 * dt, t[1:]], axis=1)
+    times, where = np.unique(stage_t, return_inverse=True)
+    g, coupling = _drive_parts(drive, times)
+    deps = eps[:, None] - eps[None, :]
+    a = (((-1j / hbar) * g[:, None, None]) * _coupling_matrix(basis, coupling)
+         * np.exp(1j * deps * times[:, None, None] / hbar))
+    a = a[where.reshape(stage_t.shape)]
+    a1, a2, a4 = a[:, 0], a[:, 1], a[:, 2]
+    h = dt[:, None, None]
+    eye = np.eye(k)
+    k2 = a2 @ (eye + (0.5 * h) * a1)
+    k3 = a2 @ (eye + (0.5 * h) * k2)
+    k4 = a4 @ (eye + h * k3)
+    p = eye + (h / 6.0) * (a1 + 2.0 * k2 + 2.0 * k3 + k4)
+
     out = np.empty((t.size, k), dtype=complex)
     out[0] = a0
-
-    if drive is None:
-        out[:] = a0[None, :]
-        return AmplitudeSet(t, out, eps)
-
-    deps = eps[:, None] - eps[None, :]
-    x = basis.x_grid.points
-    for start, stop in _blocks(t):
-        ti = t[start:stop]
-        dts = t[start + 1:stop + 1] - ti
-        stage_t = np.stack([ti, ti + 0.5 * dts, ti + dts], axis=1)
-        times, where = np.unique(stage_t, return_inverse=True)
-        v = np.broadcast_to(
-            np.asarray(drive(x[None, :], times[:, None]), dtype=float),
-            times.shape + x.shape)
-        m = _matrix_elements(basis, v) * np.exp(1j * deps * times[:, None, None] / hbar)
-        m = m[where.reshape(stage_t.shape)]
-        for j, dt in enumerate(dts):
-            m1, m2, m4 = m[j]
-            a = out[start + j]
-            k1 = (-1j / hbar) * (m1 @ a)
-            k2 = (-1j / hbar) * (m2 @ (a + 0.5 * dt * k1))
-            k3 = (-1j / hbar) * (m2 @ (a + 0.5 * dt * k2))
-            k4 = (-1j / hbar) * (m4 @ (a + dt * k3))
-            out[start + j + 1] = a + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    for i in range(t.size - 1):
+        out[i + 1] = p[i] @ out[i]
 
     bad = np.flatnonzero(~np.all(np.isfinite(out), axis=1))
     if bad.size:
@@ -319,10 +318,8 @@ def compare_amplitudes_to_grid(
 
     psi0 must live in the basis span (representation defect below
     1e-6); projections of the grid evolution are corrected by
-    exp(+i eps_m t / hbar) before comparison.  `drive(x, t)` (or None)
-    must take array times that broadcast against x, as both
-    propagators call it once per block of BLOCK_STEPS steps;
-    CouplingDrive does.
+    exp(+i eps_m t / hbar) before comparison.  The drive is a
+    CouplingDrive or None, as both propagators require.
     """
     if psi0.grid != basis.x_grid:
         raise GridMismatchError("psi0 grid does not match basis grid")
@@ -454,8 +451,6 @@ def tdse_residual(
     `_span_gram`: a quadratic form in (c, a~, g a~) with the Gram matrix of
     (phi, d, e).  `rho` is a ratio of amplitude norms.
     """
-    if drive is not None and not isinstance(drive, CouplingDrive):
-        raise TypeError("the drive of a channel-space residual must be a CouplingDrive")
     if traj.times.size < 3:
         raise DegenerateInputError("need at least 3 slices for time stencils")
     t, amps, u = traj.times, traj.amplitudes, traj.u_s
@@ -474,9 +469,8 @@ def tdse_residual(
 
     hbar = system.hbar
     k = len(traj.basis)
-    cpl, r = (ZeroCoupling(), t) if drive is None else (drive.coupling, drive.timemap.r_of_t(t))
-    g = np.asarray(cpl.strength * cpl.env(r), dtype=float)
-    hs, w, gram = _span_gram(system, traj.basis, cpl.sys(traj.basis.x_grid.points))
+    g, coupling = _drive_parts(drive, t)
+    hs, w, gram = _span_gram(system, traj.basis, coupling)
 
     tamps = amps * np.exp((1j / hbar) * cumulative_trapezoid(u.real, t, initial=0.0))[:, None]
     inner, g = tamps[1:-1], g[1:-1, None]

@@ -134,17 +134,12 @@ def _run_two_level(p: TwoLevelConfig, jobs: int) -> dict:
     rep = dynamics.compare_amplitudes_to_grid(system, basis, drive, psi0, t)
 
     stride = max(1, p.output_stride)
-    rows = []
-    for i in range(0, t.size, stride):
-        a = rep.ode.amplitudes[i]
-        g = rep.projected[i]
-        rows.append((
-            t[i],
-            a[0].real, a[0].imag, a[1].real, a[1].imag,
-            float(np.abs(a[0]) ** 2), float(np.abs(a[1]) ** 2),
-            float(np.abs(g[0]) ** 2), float(np.abs(g[1]) ** 2),
-            float(np.max(np.abs(a - g))),
-        ))
+    a = rep.ode.amplitudes[::stride]
+    g = rep.projected[::stride]
+    rows = np.column_stack([
+        t[::stride], a[:, 0].real, a[:, 0].imag, a[:, 1].real, a[:, 1].imag,
+        np.abs(a) ** 2, np.abs(g) ** 2, np.max(np.abs(a - g), axis=1),
+    ]).tolist()
     summary = [(rep.max_deviation, rep.basis_defect, rep.ode.population_drift)]
     return {
         "two_level": _table(

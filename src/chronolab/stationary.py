@@ -448,20 +448,20 @@ def project_channels(state: Field2D, basis: ChannelBasis) -> ChannelDecompositio
     return ChannelDecomposition(basis, state.grid.r, kappas, 1.0 - captured / total)
 
 
-def _matrix_elements(basis: ChannelBasis, v_x: np.ndarray) -> np.ndarray:
-    """<phi_m | v | phi_n> by quadrature for v sampled on the basis grid.
+def _coupling_matrix(basis: ChannelBasis, coupling) -> np.ndarray:
+    """W = <phi_m | sys | phi_n> by quadrature, (k, k), for the coupling g(R) sys(x).
 
-    v_x is (..., nx), one potential per row; the result is (..., k, k).
+    The one formula for W: the directed recurrence, both channel-space
+    residuals and the amplitude propagator read it.
     """
     mat = basis.state_matrix()
-    return (np.conj(mat) * (basis.x_grid.weights * v_x)[..., None, :]) @ mat.T
+    sys_x = np.asarray(coupling.sys(basis.x_grid.points), dtype=float)
+    return (np.conj(mat) * (basis.x_grid.weights * sys_x)) @ mat.T
 
 
 def _coupling_factors(spec, basis: ChannelBasis, r_points: np.ndarray) -> tuple:
-    """(g(R), <phi_m | sys | phi_n>) of the coupling strength * env(R) * sys(x)."""
-    c = spec.v_int
-    g = np.asarray(c.strength * c.env(r_points), dtype=float)
-    return g, _matrix_elements(basis, np.asarray(c.sys(basis.x_grid.points), dtype=float))
+    """(g(R), W) of the coupling g(R) sys(x), g = strength * env."""
+    return spec.v_int.profile(r_points), _coupling_matrix(basis, spec.v_int)
 
 
 @dataclass(frozen=True)
@@ -688,18 +688,19 @@ def _transfer_scan(seed: np.ndarray, diag: np.ndarray, w: np.ndarray,
     return rows[:n]
 
 
-def _span_gram(system, basis: ChannelBasis, sys_x) -> tuple:
-    """hs = <phi_m|H_S phi_n> at the basis stencil, hh = <phi_m|h phi_n> for
-    h(x) = sys_x, and the 3k x 3k Gram matrix of (phi_n, d_n, e_n) over the
-    interior x columns, d_n = H_S phi_n - sum_m hs_mn phi_m and
-    e_n = h phi_n - sum_m hh_mn phi_m being the out-of-span parts."""
+def _span_gram(system, basis: ChannelBasis, coupling) -> tuple:
+    """hs = <phi_m|H_S phi_n> at the basis stencil, W (`_coupling_matrix`) of
+    the coupling's sys(x) = h(x), and the 3k x 3k Gram matrix of
+    (phi_n, d_n, e_n) over the interior x columns, d_n = H_S phi_n -
+    sum_m hs_mn phi_m and e_n = h phi_n - sum_m W_mn phi_m being the
+    out-of-span parts."""
     mat = basis.state_matrix()
     hs_phi = _system_action(system, basis)
-    h_phi = np.asarray(sys_x, dtype=float) * mat
+    h_phi = np.asarray(coupling.sys(basis.x_grid.points), dtype=float) * mat
     hs = _project(basis, hs_phi)
-    hh = _project(basis, h_phi)
-    vecs = np.concatenate([mat, hs_phi - hs.T @ mat, h_phi - hh.T @ mat])[:, 1:-1]
-    return hs, hh, (np.conj(vecs) * basis.x_grid.weights[1:-1]) @ vecs.T
+    w = _coupling_matrix(basis, coupling)
+    vecs = np.concatenate([mat, hs_phi - hs.T @ mat, h_phi - w.T @ mat])[:, 1:-1]
+    return hs, w, (np.conj(vecs) * basis.x_grid.weights[1:-1]) @ vecs.T
 
 
 def _channel_residual(spec, basis: ChannelBasis, r_grid: Grid1D, energy: float,
@@ -721,7 +722,7 @@ def _channel_residual(spec, basis: ChannelBasis, r_grid: Grid1D, energy: float,
     per row does not grow with the x grid.
     """
     k = len(basis)
-    hs, hh, gram = _span_gram(spec, basis, spec.v_int.sys(basis.x_grid.points))
+    hs, w, gram = _span_gram(spec, basis, spec.v_int)
     _, c1, _ = _kinetic_coeffs(2, r_grid.spacing, spec.M, spec.hbar)
     v_env = np.asarray(spec.v_env(r_grid.points), dtype=float)
     wr = r_grid.weights
@@ -735,7 +736,7 @@ def _channel_residual(spec, basis: ChannelBasis, r_grid: Grid1D, energy: float,
         y = np.empty((b - a, 3 * k), dtype=complex)
         # the R stencil as a difference of differences: c0 = -2 c1
         y[:, :k] = (c1 * ((kappas[a + 1:b + 1] - kap) - (kap - kappas[a - 1:b - 1]))
-                    + (v_env[a:b, None] - energy) * kap + kap @ hs.T + g * (kap @ hh.T))
+                    + (v_env[a:b, None] - energy) * kap + kap @ hs.T + g * (kap @ w.T))
         y[:, k:2 * k] = kap
         y[:, 2 * k:] = g * kap
         num2 += float(wr[a:b] @ np.sum(np.conj(y) * (y @ gram.T), axis=1).real)

@@ -16,12 +16,16 @@ from chronolab import (
     ClockModel,
     CompositeSpec,
     Constant,
+    Coupling,
+    CouplingDrive,
     Field1D,
     Grid1D,
     Grid2D,
     Harmonic,
+    Linear,
     PathProblem,
     SystemSpec,
+    TimeMap,
     ZeroCoupling,
     assemble_tise,
     clock_momentum,
@@ -167,7 +171,9 @@ def test_criterion_05_two_route_equivalence():
     lam, x, w = 0.3, grid.points, grid.weights
     c = float(np.sum(w * basis.states[0].values.real * x * basis.states[1].values.real))
     t = np.linspace(0.0, 6.0, 3001)
-    amps = propagate_amplitudes(degenerate, lambda xx, tt: lam * xx, [1.0, 0.0], t)
+    drive = CouplingDrive(Coupling(Constant(1.0), Linear(1.0), lam),
+                          TimeMap(Grid1D(0.0, 6.0, 3), np.linspace(0.0, 6.0, 3)))
+    amps = propagate_amplitudes(degenerate, drive, [1.0, 0.0], t)
     rabi_err = np.max(np.abs(amps.populations()[:, 1] - np.sin(lam * c * t) ** 2))
     elapsed = time.perf_counter() - t0
     print(f"criterion 5: channel deviation {summary['max_deviation']:.3e} "

@@ -10,15 +10,18 @@ from chronolab import (
     ClockModel,
     CompositeSpec,
     Constant,
+    Coupling,
     CouplingDrive,
     DegenerateInputError,
     ForbiddenRegionError,
     Grid1D,
     Harmonic,
+    Linear,
     PathProblem,
     SystemSpec,
     TimeMap,
     TurningPointError,
+    WindowedPulse,
     ZeroCoupling,
     clock_momentum,
     clock_time_map,
@@ -209,7 +212,7 @@ def test_endpoint_momentum_gap_shrinks_with_segments():
 
 def test_composite_energy_conservation_and_harmonic_motion():
     spec = CompositeSpec(50.0, 1.0, 1.0, Constant(), Harmonic(4.0), ZeroCoupling())
-    traj = integrate_composite(spec, 0.0, 10.0, 0.5, 0.0, span=6.0, steps=8000)
+    traj = integrate_composite(spec, 0.0, 10.0, 0.5, 0.0, span=6.0, steps=500)
     assert traj.energy_drift < 1e-6
     # uncoupled system: x(t) = x0 cos(w t), R(t) = v t
     w = 2.0
@@ -266,9 +269,9 @@ def test_driven_lanes_match_solo_runs_and_the_ramped_force_solution():
     speeds, x0s, t_ends = (2.0, 3.0), (0.5, -0.3), (3.0, 2.5)
     drives = [CouplingDrive(Bilinear(lam), TimeMap(grid, grid.points / v)) for v in speeds]
     system = SystemSpec(1.0, 1.0, Harmonic(k))
-    t = np.column_stack([np.linspace(0.0, t_end, 6000) for t_end in t_ends])
+    t = np.column_stack([np.linspace(0.0, t_end, 600) for t_end in t_ends])
     batch = integrate_driven_system(system, drives, np.array(x0s), 0.0, t)
-    assert batch.positions.shape == (6000, 2, 1)
+    assert batch.positions.shape == (600, 2, 1)
     w = np.sqrt(k)
     for j, (drive, v, x0) in enumerate(zip(drives, speeds, x0s)):
         _same_trajectory(batch, j, integrate_driven_system(system, drive, x0, 0.0, t[:, j]))
@@ -277,12 +280,33 @@ def test_driven_lanes_match_solo_runs_and_the_ramped_force_solution():
         np.testing.assert_allclose(batch.positions[:, j, 0], exact, atol=2e-6)
 
 
-def test_driven_lanes_must_share_one_coupling():
+def test_driven_lanes_with_different_pulses_match_solo_runs():
+    # lanes share only sys(x) = x: each has its own clock and its own
+    # pulse centre, width and strength, so its own profile g(t)
+    grid = Grid1D(0.0, 20.0, 2001)
+    pulses = [WindowedPulse(0.3, 2.0, 0.5, Linear(1.0)),
+              WindowedPulse(-0.8, 3.5, 1.2, Linear(1.0)),
+              WindowedPulse(1.5, 1.0, 0.3, Linear(1.0))]
+    speeds, x0s = (2.0, 3.0, 1.5), (0.5, -0.3, 0.1)
+    drives = [CouplingDrive(c, TimeMap(grid, grid.points / v)) for c, v in zip(pulses, speeds)]
+    system = SystemSpec(1.0, 1.0, Harmonic(4.0))
+    t = np.column_stack([np.linspace(0.0, t_end, 400) for t_end in (3.0, 2.5, 2.0)])
+    batch = integrate_driven_system(system, drives, np.array(x0s), 0.0, t)
+    for j, (drive, x0) in enumerate(zip(drives, x0s)):
+        solo = integrate_driven_system(system, drive, x0, 0.0, t[:, j])
+        _same_trajectory(batch, j, solo)
+        # the pulse acts: the lane leaves the undriven oscillator
+        free = x0 * np.cos(2.0 * t[:, j])
+        assert np.max(np.abs(solo.positions[:, 0] - free)) > 1e-3
+
+
+def test_driven_lanes_must_share_one_sys():
     grid = Grid1D(0.0, 20.0, 2001)
     tmap = TimeMap(grid, grid.points / 2.0)
-    drives = [CouplingDrive(Bilinear(0.3), tmap), CouplingDrive(Bilinear(0.4), tmap)]
+    drives = [CouplingDrive(Bilinear(0.3), tmap),
+              CouplingDrive(Coupling(Linear(1.0), Harmonic(1.0), 0.3), tmap)]
     t = np.column_stack([np.linspace(0.0, 1.0, 11)] * 2)
-    with pytest.raises(DegenerateInputError):
+    with pytest.raises(DegenerateInputError, match="share one sys"):
         integrate_driven_system(SystemSpec(1.0, 1.0, Harmonic(4.0)), drives, 0.5, 0.0, t)
 
 
@@ -311,6 +335,23 @@ def test_composite_batch_reports_exhausted_refinement():
                             steps=25, max_halvings=2)
     assert info.value.suggested_step > 0.0
     assert info.value.suggested_step < 6.0 / 100
+
+
+def test_overflowing_launch_fails_at_once(monkeypatch):
+    # p_R = 1e200 overflows the energy at the launch: no step size helps,
+    # so the first batch raises, with no suggested step
+    verlet, calls = classical._verlet, []
+
+    def counted(*args):
+        calls.append(args)
+        return verlet(*args)
+
+    monkeypatch.setattr(classical, "_verlet", counted)
+    spec = CompositeSpec(50.0, 1.0, 1.0, Constant(), Harmonic(4.0), ZeroCoupling())
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(StabilityError) as info:
+        integrate_composite(spec, 0.0, 1e200, 0.5, 0.0, span=6.0, steps=100)
+    assert len(calls) == 1
+    assert info.value.suggested_step is None
 
 
 # ---------------------------------------------------------------------------
@@ -388,7 +429,7 @@ def test_energy_correction_formula():
 
 def test_tuned_clock_makes_reduced_run_exact():
     spec = CompositeSpec(100.0, 1.0, 1.0, Constant(), Harmonic(4.0), ZeroCoupling())
-    rep = compare_composite_reduced(spec, [80.0], 0.5, 0.0, t_span=3.0, steps=8000,
+    rep = compare_composite_reduced(spec, [80.0], 0.5, 0.0, t_span=3.0, steps=1000,
                                     clock_energy_offset="system")
     # without coupling the tuned clock reproduces composite time exactly;
     # what is left is resampling error of the comparison itself
@@ -398,7 +439,7 @@ def test_tuned_clock_makes_reduced_run_exact():
 def test_untuned_clock_deviation_shrinks_with_clock_energy():
     spec = CompositeSpec(100.0, 1.0, 1.0, Constant(), Harmonic(4.0), Bilinear(0.02))
     rep = compare_composite_reduced(spec, [40.0, 160.0, 640.0], 0.5, 0.0,
-                                    t_span=3.0, steps=6000, clock_energy_offset="none")
+                                    t_span=3.0, steps=1000, clock_energy_offset="none")
     dev = rep.column("deviation")
     assert dev[0] > dev[1] > dev[2]
     assert -1.5 < rep.slope < -0.5
@@ -410,9 +451,9 @@ def test_untuned_clock_deviation_shrinks_with_clock_energy():
 def test_energy_lanes_match_single_energy_runs():
     spec = CompositeSpec(100.0, 1.0, 1.0, Constant(), Harmonic(4.0), Bilinear(0.02))
     energies = [40.0, 160.0, 640.0]
-    rep = compare_composite_reduced(spec, energies, 0.5, 0.0, t_span=3.0, steps=6000,
+    rep = compare_composite_reduced(spec, energies, 0.5, 0.0, t_span=3.0, steps=1000,
                                     clock_energy_offset="none")
-    solo = [compare_composite_reduced(spec, [e], 0.5, 0.0, t_span=3.0, steps=6000,
+    solo = [compare_composite_reduced(spec, [e], 0.5, 0.0, t_span=3.0, steps=1000,
                                       clock_energy_offset="none").rows[0]
             for e in energies]
     assert rep.rows == tuple(solo)

@@ -283,19 +283,19 @@ def test_rerun_is_byte_identical(tmp_path):
 DEFAULT_CSV_HASHES = {
     "beam-on-atom": {
         "channel_populations.csv": "7e16f1c6bbda584bccfeafdbee5409d858aba4057caafea6e939895983ccbb1a",
-        "summary.csv": "e1c42a72ec00eb9b828d1628674e18a81130a14f506813bb149adc484996fa69",
+        "summary.csv": "045abf2174be5bb2163b04f29b18f9f29308213e7caa1eb20d674d354f5d5573",
     },
     "classical-emergence": {
         "classical_emergence.csv": "6a571ac1c3564690f37690ced6c7733efc1d8158d6aad8c7f3502ae8e30cbbae",
         "summary.csv": "97547fb294d8eb1761a6d7008d09b9a15219f2f8a1089acdb82d016776f927cd",
     },
     "emergence-scan": {
-        "emergence_scan.csv": "21c5b912c1ebf046b244da7e8b369b473df72a479957d36a7e507b85ead1c129",
-        "scan_details.csv": "1a366ca960ea3ba1d6a0392de003d4629c554a1d61f455b28a907de330995d09",
+        "emergence_scan.csv": "e1836412a9821de434dbb21a0921e1c2374518ce45592daa91a0072b79b33120",
+        "scan_details.csv": "a329c9212372c11d2649488e6ea3bdd47e38687a4ee3a02b90f9394b77741c52",
     },
     "harmonic-clock-two-level": {
-        "summary.csv": "23c25943f1483eb478c354c07a923201d4b7e9d1d403a819c944f8f33d906748",
-        "two_level.csv": "5b5893d9c2c8ec7959ed3d19982934f3bc5dc182df1939f12821bf1f85d91e87",
+        "summary.csv": "50421b25d2b447b7f6e2872141672090c902fd59ba46a359231a2ac44500060a",
+        "two_level.csv": "911ea7652ecb2489af43adeccaafec1360ad8dbbd93caa07206e629b6f6079d9",
     },
     "jacobi-paths": {
         "path.csv": "e13ead03be8bd318303e060a85fa0f3009961926f46b1e4bcf39cca7efdfb9ef",

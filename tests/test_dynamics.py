@@ -1,5 +1,7 @@
 """Time propagation: grid TDSE, amplitude ODEs, conditional states, scans."""
 
+from dataclasses import dataclass, field
+
 import numpy as np
 import pytest
 from hypothesis import example, given
@@ -19,6 +21,8 @@ from chronolab import (
     GaussianWell,
     Grid1D,
     Harmonic,
+    Linear,
+    Potential,
     SystemSpec,
     TimeMap,
     compare_amplitudes_to_grid,
@@ -35,6 +39,22 @@ from chronolab import (
 from chronolab.core import _apply_kinetic, _kinetic_coeffs, central_difference
 from chronolab.dynamics import BLOCK_STEPS, DirectedRunConfig, _lattice_clock, directed_run
 from chronolab.errors import BlowUpError, StabilityError
+
+
+@dataclass(frozen=True)
+class _Func(Potential):
+    """A potential given by any array function of its coordinate."""
+
+    f: object
+
+    def __call__(self, q):
+        return self.f(np.asarray(q, dtype=float))
+
+
+def _clock(t0, t1):
+    """A clock map that reads R = t on [t0, t1], up to rounding."""
+    grid = Grid1D(t0, t1, 3)
+    return TimeMap(grid, grid.points)
 
 
 def _packet(grid, center=0.0, width=1.0, k0=0.0):
@@ -61,16 +81,15 @@ def test_cn_conserves_norm_for_random_real_potentials(nx, steps, scale, seed):
     # for any real potential, smooth or not, static or time-dependent
     rng = np.random.default_rng(seed)
     grid = Grid1D(-5.0, 5.0, nx)
-    system = SystemSpec(1.0, 1.0, Constant())
     v_static, v_wave = scale * rng.standard_normal((2, nx))
+    system = SystemSpec(1.0, 1.0, _Func(lambda x: v_static))
     omega = rng.uniform(0.0, 20.0)
-
-    def drive(x, t):
-        return v_static + np.cos(omega * t) * v_wave
 
     psi0 = rng.standard_normal(nx) + 1j * rng.standard_normal(nx)
     psi0[[0, -1]] = 0.0
     t = np.cumsum(np.r_[0.0, rng.uniform(1e-3, 0.1, steps)])
+    drive = CouplingDrive(Coupling(_Func(lambda r: np.cos(omega * r)), _Func(lambda x: v_wave)),
+                          _clock(t[0], t[-1]))
     traj = propagate_tdse(system, drive, Field1D(grid, psi0), t)
     norms = traj.slice_norms()
     assert np.max(np.abs(norms - norms[0])) <= 1e-12 * norms[0]
@@ -153,7 +172,8 @@ def test_rabi_oscillation_in_degenerate_limit():
     w = grid.weights
     c = float(np.sum(w * basis.states[0].values.real * x * basis.states[1].values.real))
     t = np.linspace(0.0, 6.0, 3001)
-    amps = propagate_amplitudes(degenerate, lambda xx, tt: lam * xx, [1.0, 0.0], t)
+    drive = CouplingDrive(Coupling(Constant(1.0), Linear(1.0), lam), _clock(0.0, 6.0))
+    amps = propagate_amplitudes(degenerate, drive, [1.0, 0.0], t)
     pops = amps.populations()
     np.testing.assert_allclose(pops[:, 1], np.sin(lam * c * t) ** 2, atol=1e-6)
     assert amps.population_drift < 1e-9
@@ -171,8 +191,9 @@ def test_amplitude_stepper_flags_instability():
     grid = Grid1D(-8.0, 8.0, 161)
     basis = solve_system_basis(SystemSpec(1.0, 1.0, Harmonic(4.0)), grid, 2, order=2)
     coarse = np.linspace(0.0, 20.0, 21)
+    drive = CouplingDrive(Coupling(Constant(1.0), Linear(1.0), 40.0), _clock(0.0, 20.0))
     with pytest.raises(StabilityError) as exc:
-        propagate_amplitudes(basis, lambda x, t: 40.0 * x, [1.0, 0.0], coarse)
+        propagate_amplitudes(basis, drive, [1.0, 0.0], coarse)
     assert exc.value.suggested_step < 1.0
 
 
@@ -205,66 +226,66 @@ def test_two_route_comparison_rejects_out_of_span_state():
 
 
 def _rk4_per_sample(basis, drive, a0, t, hbar):
-    """RK4 with the drive and its matrix elements evaluated at each stage."""
+    """RK4 with the profile, the stage matrices and the step matrix formed
+    step by step: A(t) = -(i/hbar) g(t) W exp(i deps t / hbar) at the
+    three stage times, then a <- P a with P = I + dt/6 (K1 + 2 K2 + 2 K3 + K4)."""
     deps = basis.energies[:, None] - basis.energies[None, :]
     x = basis.x_grid.points
     w = basis.x_grid.weights
     mat = basis.state_matrix()
+    wmat = (np.conj(mat) * (w * np.asarray(drive.coupling.sys(x), dtype=float))) @ mat.T
+    eye = np.eye(len(basis))
     out = np.empty((t.size, len(basis)), dtype=complex)
     out[0] = a0
 
-    def rhs(time, a):
-        v = (np.conj(mat) * (w * np.asarray(drive(x, time), dtype=float))) @ mat.T
-        return (-1j / hbar) * ((v * np.exp(1j * deps * time / hbar)) @ a)
+    def a_of(time):
+        return ((-1j / hbar) * drive(time)) * wmat * np.exp(1j * deps * time / hbar)
 
     for i in range(t.size - 1):
         dt = t[i + 1] - t[i]
-        a = out[i]
-        k1 = rhs(t[i], a)
-        k2 = rhs(t[i] + 0.5 * dt, a + 0.5 * dt * k1)
-        k3 = rhs(t[i] + 0.5 * dt, a + 0.5 * dt * k2)
-        k4 = rhs(t[i] + dt, a + dt * k3)
-        out[i + 1] = a + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        a1, a2, a4 = a_of(t[i]), a_of(t[i] + 0.5 * dt), a_of(t[i + 1])
+        k2 = a2 @ (eye + (0.5 * dt) * a1)
+        k3 = a2 @ (eye + (0.5 * dt) * k2)
+        k4 = a4 @ (eye + dt * k3)
+        out[i + 1] = (eye + (dt / 6.0) * (a1 + 2.0 * k2 + 2.0 * k3 + k4)) @ out[i]
     return out
 
 
 def _cn_per_sample(system, drive, psi0, t):
-    """Crank-Nicolson with the drive evaluated at each midpoint, banded solves."""
+    """Crank-Nicolson with the profile read at each midpoint: a banded
+    solve y = (1 + alpha H)^-1 u, then u <- 2 y - u."""
     from scipy.linalg import solve_banded
     from chronolab.core import _kinetic_coeffs
 
     grid = psi0.grid
     x = grid.points
     c0, c1, _ = _kinetic_coeffs(2, grid.spacing, system.m, system.hbar)
-    v_static = np.asarray(system.v_sys(x), dtype=float)
+    h_static = c0 + np.asarray(system.v_sys(x), dtype=float)[1:-1]
+    sys_x = np.asarray(drive.coupling.sys(x), dtype=float)[1:-1]
     out = np.zeros((t.size, grid.n), dtype=complex)
     out[0, 1:-1] = psi0.values[1:-1]
     ab = np.zeros((3, grid.n - 2), dtype=complex)
-    for i, dtau in enumerate(np.diff(t).astype(complex)):
+    for i, dt in enumerate(np.diff(t)):
         u = out[i, 1:-1]
-        tm = 0.5 * (t[i] + t[i + 1])
-        vm = np.asarray(v_static + np.asarray(drive(x, tm), dtype=float), dtype=complex)[1:-1]
-        alpha = 1j * dtau / (2.0 * system.hbar)
-        hu = (c0 + vm) * u
-        hu[:-1] += c1 * u[1:]
-        hu[1:] += c1 * u[:-1]
+        g = drive(0.5 * (t[i] + t[i + 1]))
+        alpha = 1j * (dt / (2.0 * system.hbar))
         ab[0, 1:] = alpha * c1
-        ab[1, :] = 1.0 + alpha * (c0 + vm)
+        ab[1, :] = 1.0 + alpha * (h_static + g * sys_x)
         ab[2, :-1] = alpha * c1
-        out[i + 1, 1:-1] = solve_banded((1, 1), ab, u - alpha * hu)
+        y = solve_banded((1, 1), ab, u)
+        out[i + 1, 1:-1] = (y + y) - u
     return out
 
 
-class _RecordingDrive:
-    """A drive that keeps a copy of every time table it is called with."""
+@dataclass(frozen=True)
+class _RecordingDrive(CouplingDrive):
+    """A drive that keeps a copy of every time table its profile is called with."""
 
-    def __init__(self, drive):
-        self.drive = drive
-        self.times = []
+    times: list = field(default_factory=list)
 
-    def __call__(self, x, t):
+    def __call__(self, t):
         self.times.append(np.array(t))
-        return self.drive(x, t)
+        return super().__call__(t)
 
 
 def test_block_propagators_match_per_sample_steppers_bit_for_bit():
@@ -277,9 +298,9 @@ def test_block_propagators_match_per_sample_steppers_bit_for_bit():
     tmap = TimeMap(tmap.r_grid, tmap.times - 0.5 * tmap.span[1])  # the pulse at t = 0
     drive = CouplingDrive(WindowedPulse(0.2, 0.0, 0.8, Linear(1.0)), tmap)
 
-    # more than two blocks with a partial last one; the steps shrink into
-    # t = 0 and grow out of it by factors of 3 to 10, where t[i] + dt need
-    # not round to t[i+1], and are non-uniform elsewhere
+    # more than two Crank-Nicolson blocks with a partial last one; the steps
+    # shrink into t = 0 and grow out of it by factors of 3 to 10, where
+    # t[i] + dt need not round to t[i+1], and are non-uniform elsewhere
     rng = np.random.default_rng(7)
     steps = 2 * BLOCK_STEPS + 37
     near = 1e-8 * np.cumprod(rng.uniform(3.0, 10.0, 8))
@@ -290,31 +311,40 @@ def test_block_propagators_match_per_sample_steppers_bit_for_bit():
     a0 = np.array([0.6, 0.8j])
     psi0 = basis.states[0]
 
-    recorded = _RecordingDrive(drive)
+    recorded = _RecordingDrive(drive.coupling, drive.timemap)
     amps = propagate_amplitudes(basis, recorded, a0, t, hbar=system.hbar)
     assert np.array_equal(amps.amplitudes, _rk4_per_sample(basis, drive, a0, t, system.hbar))
-    # one call per block, on the block's distinct stage times, as a column
-    stages = np.stack([t[:-1], t[:-1] + 0.5 * dt, t[:-1] + dt], axis=1)
-    blocks = [stages[s:s + BLOCK_STEPS] for s in range(0, steps, BLOCK_STEPS)]
-    assert len(recorded.times) == len(blocks) == 3
-    for times, block in zip(recorded.times, blocks):
-        assert times.ndim == 2 and times.shape[1] == 1
-        assert np.unique(times).size == times.size
-        assert np.array_equal(np.sort(times[:, 0]), np.unique(block))
+    # one profile call, on the distinct stage times; the last stage of a
+    # step is the first of the next
+    stages = np.stack([t[:-1], t[:-1] + 0.5 * dt, t[1:]], axis=1)
+    [times] = recorded.times
+    assert np.array_equal(times, np.unique(stages))
+    assert times.size == 2 * steps + 1
 
-    recorded = _RecordingDrive(drive)
+    recorded = _RecordingDrive(drive.coupling, drive.timemap)
     traj = propagate_tdse(system, recorded, psi0, t)
     assert np.array_equal(traj.values, _cn_per_sample(system, drive, psi0, t))
-    assert [r.shape for r in recorded.times] == [(BLOCK_STEPS, 1)] * 2 + [(37, 1)]
-    assert np.array_equal(np.concatenate(recorded.times)[:, 0], 0.5 * (t[:-1] + t[1:]))
+    [times] = recorded.times
+    assert np.array_equal(times, 0.5 * (t[:-1] + t[1:]))
+
+
+def test_propagators_take_only_a_coupling_drive():
+    grid = Grid1D(-8.0, 8.0, 161)
+    system = SystemSpec(1.0, 1.0, Harmonic(4.0))
+    basis = solve_system_basis(system, grid, 2, order=2)
+    t = np.linspace(0.0, 1.0, 11)
+    with pytest.raises(TypeError, match="CouplingDrive"):
+        propagate_amplitudes(basis, lambda x, tt: 0.1 * x, [1.0, 0.0], t)
+    with pytest.raises(TypeError, match="CouplingDrive"):
+        propagate_tdse(system, lambda x, tt: 0.1 * x, basis.states[0], t)
 
 
 def test_amplitude_blow_up_is_not_a_silent_nan():
     grid = Grid1D(-8.0, 8.0, 161)
     basis = solve_system_basis(SystemSpec(1.0, 1.0, Harmonic(4.0)), grid, 2, order=2)
+    drive = CouplingDrive(Coupling(Constant(1.0), Linear(1.0), 1e300), _clock(0.0, 20.0))
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(BlowUpError):
-        propagate_amplitudes(basis, lambda x, t: 1e300 * x, [1.0, 0.0],
-                             np.linspace(0.0, 20.0, 21))
+        propagate_amplitudes(basis, drive, [1.0, 0.0], np.linspace(0.0, 20.0, 21))
 
 
 @pytest.mark.parametrize("bad_step", [0, 300])
@@ -323,9 +353,9 @@ def test_grid_blow_up_names_the_first_bad_step(bad_step):
     system = SystemSpec(1.0, 1.0, Harmonic(4.0))
     t = np.linspace(0.0, 5.49, 2 * BLOCK_STEPS + 38)  # 549 steps; step 300 is inside block 2
     t_bad = 0.5 * (t[bad_step] + t[bad_step + 1])
-
-    def drive(x, tm):
-        return np.where(tm >= t_bad, np.nan, 0.1 * x)
+    # NaN from half a step before t_bad: the clock reads R = t only to rounding
+    nan_from = _Func(lambda r: np.where(r >= t_bad - 0.5 * (t[1] - t[0]), np.nan, 1.0))
+    drive = CouplingDrive(Coupling(nan_from, Linear(0.1)), _clock(t[0], t[-1]))
 
     with pytest.raises(BlowUpError, match=rf"at step {bad_step} "):
         propagate_tdse(system, drive, _packet(grid), t)
@@ -370,7 +400,8 @@ def _tdse_residual_x(x_grid, order, t, psi, u, system, drive, mv2):
     resid = np.asarray(system.v_sys(x), dtype=float)[None, :] * inner
     resid += _apply_kinetic(inner, 1, order, x_grid.spacing, system.m, hbar)
     if drive is not None:
-        v_drive = np.asarray(drive(x[None, :], t[:, None]), dtype=float)
+        r = drive.timemap.r_of_t(t)
+        v_drive = np.asarray(drive.coupling(x[None, :], r[:, None]), dtype=float)
         resid += np.broadcast_to(v_drive, tpsi.shape)[1:-1] * inner
     resid -= u.real[1:-1, None] * inner
     resid -= 1j * hbar * central_difference(tpsi, dt, 1)
