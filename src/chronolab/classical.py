@@ -8,11 +8,12 @@ readout of the heavy clock coordinate.  This module provides
 * fourth-order symplectic integration (Yoshida's triple jump of velocity
   Verlet steps) of the composite and of the reduced, driven system,
 * the clock model p(R) = sqrt(2 M (E_c - V(R))) and the time map
-  t(R) = M * integral dR' / p(R'),
+  t(R) = M * integral dR' / p(R'), read both ways through a cubic
+  Hermite interpolant whose slopes are the clock's rate dt/dR = M / p,
 * the comparison pipeline that measures how well the reduced, time
   dependent description tracks the timeless composite as the clock
-  kinetic energy grows, reading the composite at clock time through a
-  cubic Hermite interpolant so that the read-out keeps the step's order.
+  kinetic energy grows, reading the composite at clock time through the
+  same interpolant so that the read-out keeps the step's order.
 """
 
 from __future__ import annotations
@@ -20,11 +21,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid
-from scipy.interpolate import PchipInterpolator
 from scipy.optimize import minimize as sp_minimize
 
-from .core import Coupling, Grid1D, Potential, SystemSpec
+from .core import Coupling, Grid1D, Potential, SystemSpec, _cumulative_trapezoid
 from .errors import (
     ConvergenceError,
     DegenerateInputError,
@@ -461,9 +460,10 @@ def integrate_composite(
     initial states are integrated as lanes of one array on one shared
     parameter grid, and positions and momenta are (steps + 1, L, 2).  The
     step count doubles for the whole batch while any lane's relative
-    energy drift exceeds `drift_tol`; StabilityError is raised when it
-    still does after `max_halvings` doublings, and at once, with no
-    suggested step, when the drift is not finite: the run overflowed.
+    energy drift exceeds `drift_tol` or is not finite; StabilityError is
+    raised when it still does after `max_halvings` doublings, and at
+    once, with no suggested step, when a lane's launch energy is not
+    finite: no step size can help a launch that overflows.
     """
     start = np.stack(np.broadcast_arrays(*(np.asarray(v, dtype=float)
                                            for v in (r0, pr0, x0, px0))), axis=-1)
@@ -487,11 +487,10 @@ def integrate_composite(
              + spec.total_potential(x, r))
         traj = Trajectory(times, q, p, e) if lanes else Trajectory(
             times, q[:, 0], p[:, 0], e[:, 0])
-        drift = traj.energy_drift
-        if drift <= drift_tol:
+        if not np.all(np.isfinite(e[0])):
+            raise StabilityError("the launch energy is not finite: the run overflows")
+        if traj.energy_drift <= drift_tol:
             return traj
-        if not np.isfinite(drift):
-            raise StabilityError(f"energy drift is {drift} at {n} steps: the run overflows")
         n *= 2
     raise StabilityError(
         f"energy drift {traj.energy_drift:.3e} > {drift_tol:.1e} after {max_halvings} halvings",
@@ -535,10 +534,10 @@ def integrate_driven_system(
     momenta are (n, L, 1).  Each lane's profile is tabulated once before
     stepping, at the start and at the three force stages of every step;
     the first and the last step read the clock up to 0.35 dt outside the
-    time grid, through the clock map's PCHIP extrapolation.  Each stage
-    evaluates sys'(x) on all lanes at once, and the energies are
-    computed after the loop from the profile at the grid times, which
-    are every third stage.
+    time grid, on the end cubics of the clock map's Hermite read-out.
+    Each stage evaluates sys'(x) on all lanes at once, and the energies
+    are computed after the loop from the profile at the grid times,
+    which are every third stage.
     """
     t_grid = np.asarray(t_grid, dtype=float)
     lanes = t_grid.ndim == 2
@@ -606,41 +605,65 @@ def clock_momentum(clock: ClockModel, r):
     return np.sqrt(2.0 * clock.M * gap)
 
 
+def _hermite(t, y, slopes, t_new):
+    """Cubic Hermite interpolant through the samples (t, y) with slopes dy/dt, at t_new.
+
+    Exact at the nodes; beyond the first and the last node it continues
+    the end cubic."""
+    k = np.clip(np.searchsorted(t, t_new, side="right") - 1, 0, t.size - 2)
+    h = t[k + 1] - t[k]
+    s = (t_new - t[k]) / h
+    u = 1.0 - s
+    return (u * u * ((1.0 + 2.0 * s) * y[k] + s * h * slopes[k])
+            + s * s * ((3.0 - 2.0 * s) * y[k + 1] - u * h * slopes[k + 1]))
+
+
 @dataclass(eq=False)
 class TimeMap:
-    """Strictly increasing map between clock readings R and time t."""
+    """Strictly increasing map between clock readings R and time t.
+
+    `times` is t at the grid nodes and `rates` the clock's own rate
+    dt/dR there.  Both directions are cubic Hermite interpolants
+    (`_hermite`) through the table: t(R) with slopes `rates`, R(t) with
+    slopes 1 / `rates`.  Both are exact at the nodes and fourth order
+    between them; outside the table each continues its end cubic.
+    """
 
     r_grid: Grid1D
     times: np.ndarray
+    rates: np.ndarray
 
     def __post_init__(self):
         self.times = np.asarray(self.times, dtype=float)
-        if self.times.shape != (self.r_grid.n,):
-            raise DegenerateInputError("time table does not match grid")
+        self.rates = np.asarray(self.rates, dtype=float)
+        if self.times.shape != (self.r_grid.n,) or self.rates.shape != (self.r_grid.n,):
+            raise DegenerateInputError("time or rate table does not match grid")
         if np.any(np.diff(self.times) <= 0.0):
             raise DegenerateInputError("time map must be strictly increasing")
-        try:  # PCHIP rejects tables or slopes that are not finite
-            self._t_of_r = PchipInterpolator(self.r_grid.points, self.times)
-            self._r_of_t = PchipInterpolator(self.times, self.r_grid.points)
-        except ValueError as exc:
-            raise DegenerateInputError(f"time map cannot be interpolated both ways: {exc}") from exc
+        with np.errstate(divide="ignore", over="ignore"):
+            self._inverse_rates = 1.0 / self.rates
+        table = np.concatenate([self.times, self.rates, self._inverse_rates])
+        if not (np.all(np.isfinite(table)) and np.all(self.rates > 0.0)):
+            raise DegenerateInputError(
+                "time map cannot be interpolated both ways: it needs finite times and "
+                "finite, positive rates dt/dR with a finite inverse")
 
     @property
     def span(self) -> tuple[float, float]:
         return float(self.times[0]), float(self.times[-1])
 
     def t_of_r(self, r):
-        return self._t_of_r(r)
+        return _hermite(self.r_grid.points, self.times, self.rates, r)
 
     def r_of_t(self, t):
-        return self._r_of_t(t)
+        return _hermite(self.times, self.r_grid.points, self._inverse_rates, t)
 
 
 def clock_time_map(clock: ClockModel) -> TimeMap:
-    """t(R) = M * cumulative integral of dR'/p(R') from the grid start."""
-    p = clock.momentum_table()
-    t = cumulative_trapezoid(clock.M / p, clock.r_grid.points, initial=0.0)
-    return TimeMap(clock.r_grid, t)
+    """t(R) = M * cumulative trapezoid integral of dR'/p(R') from the grid
+    start, with the rate dt/dR = M / p of the integrand."""
+    rate = clock.M / clock.momentum_table()
+    return TimeMap(clock.r_grid, _cumulative_trapezoid(rate, clock.r_grid.points), rate)
 
 
 def energy_correction(e_system: float, M: float, v: float) -> float:
@@ -688,16 +711,6 @@ def _loglog_slope(x, y):
     return float(coeffs[0])
 
 
-def _hermite(t, y, slopes, t_new):
-    """Cubic Hermite interpolant through the samples (t, y) with slopes dy/dt, at t_new."""
-    k = np.clip(np.searchsorted(t, t_new, side="right") - 1, 0, t.size - 2)
-    h = t[k + 1] - t[k]
-    s = (t_new - t[k]) / h
-    u = 1.0 - s
-    return (u * u * ((1.0 + 2.0 * s) * y[k] + s * h * slopes[k])
-            + s * s * ((3.0 - 2.0 * s) * y[k + 1] - u * h * slopes[k + 1]))
-
-
 def _composite_lane(spec, q, p, energy, clock_energy, t_span, steps):
     """Clock model and readouts of the composite lane at scan energy `energy`.
 
@@ -714,17 +727,16 @@ def _composite_lane(spec, q, p, energy, clock_energy, t_span, steps):
     r_grid = Grid1D(r_comp[0], r_hi, 4001)
     clock = ClockModel(spec.v_env, spec.M, clock_energy, r_grid)
     tmap = clock_time_map(clock)
-    t_max = min(tmap.span[1], float(tmap.t_of_r(r_hi)), t_span)
+    t_max = min(tmap.span[1], t_span)
     t_grid = np.linspace(0.0, t_max, steps + 1)
 
     # composite system coordinate re-read against clock time
     if np.any(p[:, 0] <= 0.0) or np.any(np.diff(r_comp) <= 0.0):
         raise TurningPointError("composite clock turns on this run: p_R <= 0 or R not increasing")
-    r_c = np.clip(r_comp, r_grid.lo, r_grid.hi)
-    t_comp = np.asarray(tmap.t_of_r(r_c), dtype=float)
+    t_comp = tmap.t_of_r(r_comp)
     if not np.all(np.isfinite(t_comp)):
         raise DegenerateInputError(f"clock time t(R) is not finite at E={energy}")
-    p_clock = np.asarray(clock_momentum(clock, r_c), dtype=float)
+    p_clock = np.asarray(clock_momentum(clock, r_comp), dtype=float)
     dxdt = p[:, 1] / spec.m * p_clock / p[:, 0]
     x_comp = _hermite(t_comp, q[:, 1], dxdt, t_grid)
     if not np.all(np.isfinite(x_comp)):
@@ -738,7 +750,7 @@ def _composite_lane(spec, q, p, energy, clock_energy, t_span, steps):
     neglected_mean = float(np.mean(dp * dp / (2.0 * spec.M)))
     xs, pxs = q[:, 1][mask], p[:, 1][mask]
     e_s_inst = 0.5 * pxs**2 / spec.m + np.asarray(spec.v_sys(xs), dtype=float) \
-        + np.asarray(spec.v_int(xs, r_c[mask]), dtype=float)
+        + np.asarray(spec.v_int(xs, r_comp[mask]), dtype=float)
     retained_mean = float(np.mean(np.abs(e_s_inst)))
     if retained_mean == 0.0:
         raise DegenerateInputError("retained system energy averages to zero")

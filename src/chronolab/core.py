@@ -2,7 +2,8 @@
 
 Everything downstream works on uniform 1D grids and on 2D fields stored
 row-major with the system coordinate x varying fastest: ``values[iR, ix]``.
-Integrals are trapezoid sums.
+Integrals are trapezoid sums; `_cumulative_trapezoid` is the one running
+sum: the classical and the quantum clock time, and the back-reaction phase.
 
 A coupling V_I(x, R) is one product form, `Coupling(env, sys, strength)`
 = strength * sys(x) * env(R); `Bilinear`, `WindowedPulse` and
@@ -200,6 +201,11 @@ def _d1(values: np.ndarray, h: float) -> np.ndarray:
     out[0] = (-3.0 * v[0] + 4.0 * v[1] - v[2]) / (2.0 * h)
     out[-1] = (3.0 * v[-1] - 4.0 * v[-2] + v[-3]) / (2.0 * h)
     return out
+
+
+def _cumulative_trapezoid(y: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Running trapezoid integral of the samples y over x, 0 at x[0]."""
+    return np.concatenate([[0.0], np.cumsum(np.diff(x) * (y[1:] + y[:-1]) / 2.0)])
 
 
 def _kinetic_coeffs(order: int, h: float, mass: float, hbar: float):

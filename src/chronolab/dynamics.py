@@ -22,7 +22,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid
 from scipy.linalg import get_lapack_funcs
 
 from .classical import CouplingDrive, TimeMap, _loglog_slope
@@ -37,6 +36,7 @@ from .core import (
     SystemSpec,
     WindowedPulse,
     ZeroCoupling,
+    _cumulative_trapezoid,
     _kinetic_coeffs,
     central_difference,
 )
@@ -92,6 +92,15 @@ def _blocks(t: np.ndarray):
         yield start, min(start + BLOCK_STEPS, t.size - 1)
 
 
+def _time_axis(times) -> np.ndarray:
+    """`times` as a float array; DegenerateInputError unless it holds at
+    least 2 strictly increasing times."""
+    t = np.asarray(times, dtype=float)
+    if t.size < 2 or np.any(np.diff(t) <= 0.0):
+        raise DegenerateInputError("need at least 2 strictly increasing times")
+    return t
+
+
 def _drive_parts(drive, times) -> tuple:
     """(profile g at `times`, coupling) of a CouplingDrive; g = 0 and
     ZeroCoupling for None.  Any other drive raises TypeError."""
@@ -125,8 +134,7 @@ class WavefunctionTrajectory:
                 f"trajectory shape {self.values.shape} does not match "
                 f"({self.times.size}, {self.x_grid.n})"
             )
-        if self.times.size < 2 or np.any(np.diff(self.times) <= 0.0):
-            raise DegenerateInputError("need at least 2 strictly increasing times")
+        _time_axis(self.times)
 
     def slice_norms(self) -> np.ndarray:
         # |psi|^2 summed over the (re, im) pairs of the real view
@@ -165,9 +173,7 @@ def propagate_tdse(
     real potentials.  The first step whose solve fails or whose
     amplitudes are not finite raises BlowUpError naming it.
     """
-    t = np.asarray(t_grid, dtype=float)
-    if t.size < 2 or np.any(np.diff(t) <= 0.0):
-        raise DegenerateInputError("need at least 2 strictly increasing times")
+    t = _time_axis(t_grid)
     grid = psi0.grid
     x = grid.points
     hbar = system.hbar
@@ -255,9 +261,7 @@ def propagate_amplitudes(
     conserves total population; a drift that is not within 1e-6 raises
     StabilityError suggesting a smaller step.
     """
-    t = np.asarray(t_grid, dtype=float)
-    if t.size < 2 or np.any(np.diff(t) <= 0.0):
-        raise DegenerateInputError("need at least 2 strictly increasing times")
+    t = _time_axis(t_grid)
     a0 = np.asarray(a0, dtype=complex)
     k = len(basis)
     if a0.shape != (k,):
@@ -367,8 +371,7 @@ class ConditionalTrajectory:
         self.u_s = np.zeros(n, complex) if self.u_s is None else np.asarray(self.u_s, complex)
         if self.amplitudes.shape != (n, len(self.basis)) or self.u_s.shape != (n,):
             raise GridMismatchError("amplitude or u_s table does not match the time axis")
-        if n < 2 or np.any(np.diff(self.times) <= 0.0):
-            raise DegenerateInputError("need at least 2 strictly increasing times")
+        _time_axis(self.times)
 
     def slice_norms(self) -> np.ndarray:
         return np.sqrt(np.sum(np.abs(self.amplitudes) ** 2, axis=1))
@@ -472,7 +475,7 @@ def tdse_residual(
     g, coupling = _drive_parts(drive, t)
     hs, w, gram = _span_gram(system, traj.basis, coupling)
 
-    tamps = amps * np.exp((1j / hbar) * cumulative_trapezoid(u.real, t, initial=0.0))[:, None]
+    tamps = amps * np.exp((1j / hbar) * _cumulative_trapezoid(u.real, t))[:, None]
     inner, g = tamps[1:-1], g[1:-1, None]
     c = (inner @ hs.T + g * (inner @ w.T) - u.real[1:-1, None] * inner
          - 1j * hbar * central_difference(tamps, dt, 1))
@@ -634,7 +637,8 @@ def _lattice_clock(state: DirectedState, spec: CompositeSpec, fine_spacing: floa
     has momentum hbar k.  On that lattice the clock moves at the group
     velocity v_g = hbar sin(k h) / (M h), below hbar k / M by about
     (k h)^2 / 6; time read at hbar k / M would carry that mismatch into
-    the TDSE residual as a floor, so t = (R - R_0) / v_g.
+    the TDSE residual as a floor, so t = (R - R_0) / v_g, at the rate
+    dt/dR = 1 / v_g.
     """
     M, hbar = spec.M, spec.hbar
     k = _discrete_wavenumber(spec.energy, fine_spacing, M, hbar)
@@ -644,7 +648,7 @@ def _lattice_clock(state: DirectedState, spec: CompositeSpec, fine_spacing: floa
     rel = r_sub.points - r_sub.points[0]
     wkb = WKBState(r_sub, p_lat * rel, np.full(r_sub.n, p_lat ** -0.5),
                    np.full(r_sub.n, p_lat), M, hbar)
-    return wkb, TimeMap(r_sub, rel / v_g)
+    return wkb, TimeMap(r_sub, rel / v_g, np.full(r_sub.n, 1.0 / v_g))
 
 
 def _scan_point(cfg: EmergenceScanConfig, system: SystemSpec, basis: ChannelBasis,

@@ -17,10 +17,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid
 
 from .classical import TimeMap
-from .core import Field1D, Grid1D, _d1
+from .core import Field1D, Grid1D, _cumulative_trapezoid, _d1
 from .errors import DegenerateInputError, StationaryPointError
 
 __all__ = [
@@ -115,7 +114,7 @@ def quantum_time(chi: Field1D, M: float, hbar: float = 1.0) -> ComplexTimeMap:
             locations=bad[:8],
         )
     integrand = chi.values / dchi
-    tau = (1j * M / hbar) * cumulative_trapezoid(integrand, chi.grid.points, initial=0.0)
+    tau = (1j * M / hbar) * _cumulative_trapezoid(integrand, chi.grid.points)
     return ComplexTimeMap(chi.grid, tau)
 
 
@@ -134,8 +133,9 @@ class PerfectClock:
         return Field1D(self.r_grid, pref * np.exp(1j * self.P * self.r_grid.points / self.hbar))
 
     def time_map(self) -> TimeMap:
-        """t(R) = M (R - R_min) / P."""
-        return TimeMap(self.r_grid, self.M * (self.r_grid.points - self.r_grid.lo) / self.P)
+        """t(R) = M (R - R_min) / P, at the rate dt/dR = M / P."""
+        return TimeMap(self.r_grid, self.M * (self.r_grid.points - self.r_grid.lo) / self.P,
+                       np.full(self.r_grid.n, self.M / self.P))
 
 
 def perfect_clock(M: float, P: float, r_grid: Grid1D, hbar: float = 1.0) -> PerfectClock:

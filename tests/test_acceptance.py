@@ -172,7 +172,7 @@ def test_criterion_05_two_route_equivalence():
     c = float(np.sum(w * basis.states[0].values.real * x * basis.states[1].values.real))
     t = np.linspace(0.0, 6.0, 3001)
     drive = CouplingDrive(Coupling(Constant(1.0), Linear(1.0), lam),
-                          TimeMap(Grid1D(0.0, 6.0, 3), np.linspace(0.0, 6.0, 3)))
+                          TimeMap(Grid1D(0.0, 6.0, 3), np.linspace(0.0, 6.0, 3), np.ones(3)))
     amps = propagate_amplitudes(degenerate, drive, [1.0, 0.0], t)
     rabi_err = np.max(np.abs(amps.populations()[:, 1] - np.sin(lam * c * t) ** 2))
     elapsed = time.perf_counter() - t0

@@ -231,11 +231,16 @@ def test_composite_error_scales_fourth_order():
     assert errs[0] / errs[1] == pytest.approx(16.0, rel=0.2)
 
 
+def _free_clock(grid, v):
+    # a clock that runs at speed v: t = R / v, at the rate dt/dR = 1 / v
+    return TimeMap(grid, grid.points / v, np.full(grid.n, 1.0 / v))
+
+
 def _ramped_force_run(t, lam=0.3, v=2.0, k=4.0, x0=0.5):
     # V_I = lam * x * R with R = v t: a linearly ramped force on the
     # oscillator; returns the driven run's x and the exact solution
     grid = Grid1D(0.0, 20.0, 2001)
-    drive = CouplingDrive(Bilinear(lam), TimeMap(grid, grid.points / v))
+    drive = CouplingDrive(Bilinear(lam), _free_clock(grid, v))
     traj = integrate_driven_system(SystemSpec(1.0, 1.0, Harmonic(k)), drive, x0, 0.0, t)
     w = np.sqrt(k)
     exact = x0 * np.cos(w * t) + lam * v / (k * w) * np.sin(w * t) - lam * v / k * t
@@ -267,7 +272,7 @@ def test_driven_lanes_match_solo_runs_and_the_ramped_force_solution():
     lam, k = 0.3, 4.0
     grid = Grid1D(0.0, 20.0, 2001)
     speeds, x0s, t_ends = (2.0, 3.0), (0.5, -0.3), (3.0, 2.5)
-    drives = [CouplingDrive(Bilinear(lam), TimeMap(grid, grid.points / v)) for v in speeds]
+    drives = [CouplingDrive(Bilinear(lam), _free_clock(grid, v)) for v in speeds]
     system = SystemSpec(1.0, 1.0, Harmonic(k))
     t = np.column_stack([np.linspace(0.0, t_end, 600) for t_end in t_ends])
     batch = integrate_driven_system(system, drives, np.array(x0s), 0.0, t)
@@ -288,7 +293,7 @@ def test_driven_lanes_with_different_pulses_match_solo_runs():
               WindowedPulse(-0.8, 3.5, 1.2, Linear(1.0)),
               WindowedPulse(1.5, 1.0, 0.3, Linear(1.0))]
     speeds, x0s = (2.0, 3.0, 1.5), (0.5, -0.3, 0.1)
-    drives = [CouplingDrive(c, TimeMap(grid, grid.points / v)) for c, v in zip(pulses, speeds)]
+    drives = [CouplingDrive(c, _free_clock(grid, v)) for c, v in zip(pulses, speeds)]
     system = SystemSpec(1.0, 1.0, Harmonic(4.0))
     t = np.column_stack([np.linspace(0.0, t_end, 400) for t_end in (3.0, 2.5, 2.0)])
     batch = integrate_driven_system(system, drives, np.array(x0s), 0.0, t)
@@ -302,7 +307,7 @@ def test_driven_lanes_with_different_pulses_match_solo_runs():
 
 def test_driven_lanes_must_share_one_sys():
     grid = Grid1D(0.0, 20.0, 2001)
-    tmap = TimeMap(grid, grid.points / 2.0)
+    tmap = _free_clock(grid, 2.0)
     drives = [CouplingDrive(Bilinear(0.3), tmap),
               CouplingDrive(Coupling(Linear(1.0), Harmonic(1.0), 0.3), tmap)]
     t = np.column_stack([np.linspace(0.0, 1.0, 11)] * 2)
@@ -354,6 +359,18 @@ def test_overflowing_launch_fails_at_once(monkeypatch):
     assert info.value.suggested_step is None
 
 
+def test_finite_launch_that_overflows_is_refined():
+    # omega dt = 2.9 at 1,500 steps over span 4.4 is beyond the step's
+    # stability limit: the run overflows from a finite launch energy, and
+    # three doublings bring the drift under 1e-2
+    spec = CompositeSpec(100.0, 1.0, 1.0, Constant(0.0), Harmonic(1e6), Bilinear(0.02))
+    with np.errstate(over="ignore", invalid="ignore"):
+        traj = integrate_composite(spec, 0.0, np.sqrt(2e4), 0.5, 0.0, span=4.4, steps=1500,
+                                   drift_tol=1e-2)
+    assert traj.parameter.size - 1 == 12000
+    assert traj.energy_drift <= 1e-2
+
+
 # ---------------------------------------------------------------------------
 # the clock
 
@@ -387,8 +404,9 @@ def test_free_clock_time_is_linear():
 def test_time_map_round_trip(n, seed):
     # a smooth, strictly increasing t(R): a drifting clock whose rate wobbles
     # by up to 90% over at most 3 periods, at least 16 points per period;
-    # between the nodes the two PCHIP interpolants are inverse to within
-    # about 1e-4 of the time span there
+    # between the nodes the two Hermite read-outs, with the clock's own
+    # rate as their slopes, are inverse to within about 1e-5 of the time
+    # span there
     rng = np.random.default_rng(seed)
     lo, span = rng.uniform(-5.0, 5.0), rng.uniform(0.1, 10.0)
     grid = Grid1D(lo, lo + span, n)
@@ -397,7 +415,8 @@ def test_time_map_round_trip(n, seed):
     waves = rng.uniform(0.5, 3.0)
     k = 2.0 * np.pi * waves / span
     rel = grid.points - lo
-    tmap = TimeMap(grid, rate * (rel + wobble / k * np.sin(k * rel)))
+    tmap = TimeMap(grid, rate * (rel + wobble / k * np.sin(k * rel)),
+                   rate * (1.0 + wobble * np.cos(k * rel)))
     # at the nodes both interpolants are exact
     np.testing.assert_allclose(tmap.r_of_t(tmap.times), grid.points, rtol=0, atol=1e-12 * span)
     t_probe = np.sort(rng.uniform(*tmap.span, 50))
@@ -408,13 +427,48 @@ def test_time_map_round_trip(n, seed):
 
 def test_time_map_validation():
     grid = Grid1D(0.0, 1.0, 11)
+    times, rates = grid.points, np.ones(11)
     with pytest.raises(DegenerateInputError):
-        TimeMap(grid, np.zeros(11))
+        TimeMap(grid, np.zeros(11), rates)
     with pytest.raises(DegenerateInputError):
-        TimeMap(grid, np.linspace(1.0, 0.0, 11))
+        TimeMap(grid, np.linspace(1.0, 0.0, 11), rates)
+    with pytest.raises(DegenerateInputError, match="rate table"):
+        TimeMap(grid, times, np.ones(10))
     # increasing, but the last time overflowed: no interpolant either way
     with pytest.raises(DegenerateInputError, match="interpolated"):
-        TimeMap(Grid1D(0.0, 1.0, 3), np.array([0.0, 1e308, np.inf]))
+        TimeMap(Grid1D(0.0, 1.0, 3), np.array([0.0, 1e308, np.inf]), np.ones(3))
+    # a rate that is not finite and positive, or whose inverse overflows,
+    # gives no slope for one of the two directions
+    for bad in (0.0, -1.0, np.nan, np.inf, 1e-310):
+        with pytest.raises(DegenerateInputError, match="interpolated"):
+            TimeMap(grid, times, np.where(np.arange(11) == 5, bad, 1.0))
+
+
+def test_time_map_error_scales_fourth_order():
+    # with the clock's own rate as the slopes, doubling the nodes cuts the
+    # error of both read-outs 16x; slopes estimated from the table would
+    # make them third order, 8x
+    rate, wobble, k = 2.0, 0.5, 2.0 * np.pi * 1.5 / 4.0
+
+    def t_exact(r):
+        return rate * (r + wobble / k * np.sin(k * r))
+
+    def r_exact(t):  # Newton on t(R) = t; the rate is at least 1
+        r = t / rate
+        for _ in range(40):
+            r = r - (t_exact(r) - t) / (rate * (1.0 + wobble * np.cos(k * r)))
+        return r
+
+    r_probe = np.linspace(0.0, 4.0, 20001)
+    t_probe = np.linspace(0.0, t_exact(4.0), 20001)
+    errs = []
+    for n in (101, 201):
+        grid = Grid1D(0.0, 4.0, n)
+        tmap = TimeMap(grid, t_exact(grid.points),
+                       rate * (1.0 + wobble * np.cos(k * grid.points)))
+        errs.append([np.max(np.abs(tmap.t_of_r(r_probe) - t_exact(r_probe))),
+                     np.max(np.abs(tmap.r_of_t(t_probe) - r_exact(t_probe)))])
+    np.testing.assert_allclose(np.divide(*errs), 16.0, rtol=0.2)
 
 
 def test_energy_correction_formula():

@@ -286,16 +286,16 @@ DEFAULT_CSV_HASHES = {
         "summary.csv": "045abf2174be5bb2163b04f29b18f9f29308213e7caa1eb20d674d354f5d5573",
     },
     "classical-emergence": {
-        "classical_emergence.csv": "6a571ac1c3564690f37690ced6c7733efc1d8158d6aad8c7f3502ae8e30cbbae",
-        "summary.csv": "97547fb294d8eb1761a6d7008d09b9a15219f2f8a1089acdb82d016776f927cd",
+        "classical_emergence.csv": "af65d189a7c98bc9385af4dc8e64b42d0d146ec8e5294285a44deefc247d89b5",
+        "summary.csv": "2a3f2c939e4210f86aa03498c467fa3b20328139be0a2256e7fd7e670961eead",
     },
     "emergence-scan": {
         "emergence_scan.csv": "e1836412a9821de434dbb21a0921e1c2374518ce45592daa91a0072b79b33120",
         "scan_details.csv": "a329c9212372c11d2649488e6ea3bdd47e38687a4ee3a02b90f9394b77741c52",
     },
     "harmonic-clock-two-level": {
-        "summary.csv": "50421b25d2b447b7f6e2872141672090c902fd59ba46a359231a2ac44500060a",
-        "two_level.csv": "911ea7652ecb2489af43adeccaafec1360ad8dbbd93caa07206e629b6f6079d9",
+        "summary.csv": "8a2fc6a622a3b21a5a10f1d8590587d07c2a24101f03cf9df04e988b9ee3db64",
+        "two_level.csv": "3e44c3380819b7e741290d67f12a02b4e5a87f5a3e3ac4e7e45e3be89856ab31",
     },
     "jacobi-paths": {
         "path.csv": "e13ead03be8bd318303e060a85fa0f3009961926f46b1e4bcf39cca7efdfb9ef",
@@ -622,21 +622,18 @@ def test_schema_valid_classical_configs_end_with_finite_results(doc):
         assert all(np.isfinite(float(r["deviation"])) for r in tables["classical_emergence"])
 
 
-# configs whose numbers overflow inside scipy (PCHIP on the clock's time
-# table, trust-exact on the path) or in the system's launch energy, with
-# the chronolab error that names it
+# configs whose numbers overflow inside scipy (trust-exact on the path),
+# in the clock's time or rate table, or in the system's launch energy,
+# with the chronolab error that names it
 OVERFLOWING = [
     ("perfect-clock", {"clock_mass": 6.3e307}, "DegenerateInputError: time map"),
     ("perfect-clock", {"clock_mass": 5e-324, "points": 3}, "DegenerateInputError: time map"),
-    ("perfect-clock", {"momentum": 3.57e306, "points": 1921}, "DegenerateInputError: time map"),
     ("jacobi-paths", {"masses": [3.6e307, 1.5e-125], "energy": 6.1e307,
                       "q_start": [5.4e16, 1.4e-190], "segments": 10},
      "ConvergenceError: path minimization"),
     ("jacobi-paths", {"well": "harmonic", "segments": 8, "masses": [1.3e308, 2.2e16]},
      "ConvergenceError: path minimization"),
     ("classical-emergence", {"px0": 1e200}, "DegenerateInputError: initial system energy"),
-    ("classical-emergence", {"energies": [1e300, 2e300]},
-     "DegenerateInputError: clock time t(R) is not finite at E=1e+300"),
 ]
 
 
@@ -648,6 +645,29 @@ def test_overflow_inside_scipy_is_a_numerical_error(tmp_path, capsys, name, para
     err = capsys.readouterr().err
     assert f"numerical error: {error}" in err
     assert "Traceback" not in err
+
+
+# clocks at the edge of the float range whose time and rate tables are
+# finite: the read-out takes its slopes from the rate table as given, and
+# estimates none from differences that could overflow
+EXTREME_CLOCKS = [
+    ("perfect-clock", {"momentum": 3.57e306, "points": 1921}),
+    ("classical-emergence", {"energies": [1e300, 2e300]}),
+]
+
+
+@pytest.mark.parametrize("name, parameters", EXTREME_CLOCKS,
+                         ids=["-".join([name, *parameters]) for name, parameters in EXTREME_CLOCKS])
+def test_extreme_but_finite_clocks_end_with_finite_outputs(tmp_path, capsys, name, parameters):
+    cfg = write_config(tmp_path, {"scenario": name, "parameters": parameters})
+    out = tmp_path / "out"
+    assert main(["run", cfg, "--out", str(out)]) == 0
+    assert "Traceback" not in capsys.readouterr().err
+    tables = list(out.glob("*.csv"))
+    assert len(tables) == 2
+    for path in tables:
+        rows = list(csv.reader(path.read_text(encoding="utf-8").splitlines()))[1:]
+        assert np.all(np.isfinite(np.array(rows, dtype=float)))
 
 
 def test_degenerate_scan_fails_fast(tmp_path, capsys):
@@ -758,3 +778,15 @@ def test_module_entry_point():
     proc = _run_child("version")
     assert proc.returncode == 0
     assert proc.stdout.strip() == chronolab.__version__
+
+
+def test_start_up_loads_no_scipy_interpolation_or_quadrature():
+    # the time map's slopes are the clock's own rate and the running
+    # integrals one numpy sum, so importing the CLI needs neither subpackage
+    src = str(Path(chronolab.__file__).resolve().parents[1])
+    code = ("import sys, chronolab.cli; print(sorted(m for m in sys.modules "
+            "if m.split('.')[:2] in (['scipy', 'interpolate'], ['scipy', 'integrate'])))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          check=False, env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

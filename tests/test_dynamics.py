@@ -54,7 +54,7 @@ class _Func(Potential):
 def _clock(t0, t1):
     """A clock map that reads R = t on [t0, t1], up to rounding."""
     grid = Grid1D(t0, t1, 3)
-    return TimeMap(grid, grid.points)
+    return TimeMap(grid, grid.points, np.ones(3))
 
 
 def _packet(grid, center=0.0, width=1.0, k0=0.0):
@@ -295,7 +295,7 @@ def test_block_propagators_match_per_sample_steppers_bit_for_bit():
     system = SystemSpec(1.0, 0.9, Harmonic(4.0))
     basis = solve_system_basis(system, grid, 2, order=2)
     tmap = clock_time_map(ClockModel(Harmonic(1.0), 80.0, 10.0, Grid1D(-3.5, 3.5, 2001)))
-    tmap = TimeMap(tmap.r_grid, tmap.times - 0.5 * tmap.span[1])  # the pulse at t = 0
+    tmap = TimeMap(tmap.r_grid, tmap.times - 0.5 * tmap.span[1], tmap.rates)  # pulse at t = 0
     drive = CouplingDrive(WindowedPulse(0.2, 0.0, 0.8, Linear(1.0)), tmap)
 
     # more than two Crank-Nicolson blocks with a partial last one; the steps
@@ -506,7 +506,8 @@ def test_channel_residual_matches_x_space_on_random_trajectories(k, nt, order, s
     u_s = rng.uniform(-3.0, 3.0, nt) + 1j * rng.uniform(-1.0, 1.0, nt)
     r_map = Grid1D(0.0, 1.0, 40)
     s = r_map.points
-    tmap = TimeMap(r_map, t[0] - 0.1 + (t[-1] - t[0] + 0.2) * (s + 0.5 * s * s) / 1.5)
+    scale = (t[-1] - t[0] + 0.2) / 1.5
+    tmap = TimeMap(r_map, t[0] - 0.1 + scale * (s + 0.5 * s * s), scale * (1.0 + s))
     coupling = Coupling(GaussianWell(-1.0, rng.uniform(0.1, 0.5), rng.uniform(0.0, 1.0)),
                         Harmonic(rng.uniform(0.5, 2.0), rng.uniform(-1.0, 1.0)),
                         rng.uniform(-2.0, 2.0))
