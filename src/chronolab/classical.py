@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import minimize as sp_minimize
 
-from .core import Coupling, Grid1D, Potential, SystemSpec, _cumulative_trapezoid
+from .core import Coupling, Grid1D, Potential, SystemSpec, _cumulative_trapezoid, _loglog_slope
 from .errors import (
     ConvergenceError,
     DegenerateInputError,
@@ -461,15 +461,23 @@ def integrate_composite(
     parameter grid, and positions and momenta are (steps + 1, L, 2).  The
     step count doubles for the whole batch while any lane's relative
     energy drift exceeds `drift_tol` or is not finite; StabilityError is
-    raised when it still does after `max_halvings` doublings, and at
-    once, with no suggested step, when a lane's launch energy is not
-    finite: no step size can help a launch that overflows.
+    raised when it still does after `max_halvings` doublings, and before
+    the first step, with no suggested step, when a lane's launch energy
+    is not finite: no step size can help a launch that overflows.
     """
     start = np.stack(np.broadcast_arrays(*(np.asarray(v, dtype=float)
                                            for v in (r0, pr0, x0, px0))), axis=-1)
     lanes = start.ndim == 2
     start = np.atleast_2d(start)
+    q0, p0 = start[:, [0, 2]], start[:, [1, 3]]
     masses = np.array([spec.M, spec.m])
+
+    def energy(q, p):
+        return (0.5 * p[..., 0] ** 2 / spec.M + 0.5 * p[..., 1] ** 2 / spec.m
+                + spec.total_potential(q[..., 1], q[..., 0]))
+
+    if not np.all(np.isfinite(energy(q0, p0))):
+        raise StabilityError("the launch energy is not finite: the run overflows")
 
     def gradient(q, _j):
         r, x = q[:, 0], q[:, 1]
@@ -481,14 +489,10 @@ def integrate_composite(
     n = steps
     for _ in range(max_halvings + 1):
         times = np.linspace(0.0, span, n + 1)
-        q, p = _verlet(start[:, [0, 2]], start[:, [1, 3]], masses, gradient, times[:, None])
-        r, x = q[..., 0], q[..., 1]
-        e = (0.5 * p[..., 0] ** 2 / spec.M + 0.5 * p[..., 1] ** 2 / spec.m
-             + spec.total_potential(x, r))
+        q, p = _verlet(q0, p0, masses, gradient, times[:, None])
+        e = energy(q, p)
         traj = Trajectory(times, q, p, e) if lanes else Trajectory(
             times, q[:, 0], p[:, 0], e[:, 0])
-        if not np.all(np.isfinite(e[0])):
-            raise StabilityError("the launch energy is not finite: the run overflows")
         if traj.energy_drift <= drift_tol:
             return traj
         n *= 2
@@ -704,13 +708,6 @@ class ClassicalEmergenceReport:
         return np.array([getattr(r, name) for r in self.rows])
 
 
-def _loglog_slope(x, y):
-    x = np.log(np.asarray(x, dtype=float))
-    y = np.log(np.asarray(y, dtype=float))
-    coeffs = np.polyfit(x, y, 1)
-    return float(coeffs[0])
-
-
 def _composite_lane(spec, q, p, energy, clock_energy, t_span, steps):
     """Clock model and readouts of the composite lane at scan energy `energy`.
 
@@ -723,16 +720,15 @@ def _composite_lane(spec, q, p, energy, clock_energy, t_span, steps):
     retained system energy, and the mean clock velocity.
     """
     r_comp = q[:, 0]
-    r_hi = float(np.max(r_comp))
-    r_grid = Grid1D(r_comp[0], r_hi, 4001)
+    if np.any(p[:, 0] <= 0.0) or np.any(np.diff(r_comp) <= 0.0):
+        raise TurningPointError("composite clock turns on this run: p_R <= 0 or R not increasing")
+    r_grid = Grid1D(r_comp[0], float(np.max(r_comp)), 4001)
     clock = ClockModel(spec.v_env, spec.M, clock_energy, r_grid)
     tmap = clock_time_map(clock)
     t_max = min(tmap.span[1], t_span)
     t_grid = np.linspace(0.0, t_max, steps + 1)
 
     # composite system coordinate re-read against clock time
-    if np.any(p[:, 0] <= 0.0) or np.any(np.diff(r_comp) <= 0.0):
-        raise TurningPointError("composite clock turns on this run: p_R <= 0 or R not increasing")
     t_comp = tmap.t_of_r(r_comp)
     if not np.all(np.isfinite(t_comp)):
         raise DegenerateInputError(f"clock time t(R) is not finite at E={energy}")

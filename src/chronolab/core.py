@@ -11,12 +11,18 @@ A coupling V_I(x, R) is one product form, `Coupling(env, sys, strength)`
 
 This module is the one home of the finite-difference stencils:
 `central_difference` (first and second derivatives, order 2 or 4, at the
-interior rows), the one-sided edges that `_d1` adds on top of it, and
-the kinetic-energy coefficients `_kinetic_coeffs` with their
-matrix-free application `_apply_kinetic` along one axis.  The stationary
-module tabulates the coefficients once as a banded kinetic table and
-derives the composite's sparse matrix from it; there is no matrix-free
+interior rows), the one-sided edges that `_d1` adds on top of it, the
+kinetic-energy coefficients `_kinetic_coeffs` with their matrix-free
+application `_apply_kinetic` along the last axis, and the order-2
+lattice's dispersion `_discrete_wavenumber`.  The stationary module
+tabulates the coefficients once as a banded kinetic table and derives
+the composite's sparse matrix from it; there is no matrix-free
 composite Hamiltonian.
+
+It is also the one home of a `ChannelBasis`'s channel space:
+`_channel_operators` builds H_s, W (`_coupling_matrix`) and the Gram
+matrix of the out-of-span parts; `_gram_form` is the one quadratic form
+and `_span_norms` the norms that the directed and the TDSE residual take.
 """
 
 from __future__ import annotations
@@ -26,7 +32,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DegenerateInputError, GridMismatchError
+from .errors import DegenerateInputError, GridMismatchError, TurningPointError
 
 __all__ = [
     "Grid1D",
@@ -218,25 +224,41 @@ def _kinetic_coeffs(order: int, h: float, mass: float, hbar: float):
     raise DegenerateInputError(f"kinetic stencil order must be 2 or 4, got {order}")
 
 
-def _apply_kinetic(values: np.ndarray, axis: int, order: int, h: float, mass: float,
+def _discrete_wavenumber(energy_kin: float, h: float, mass: float, hbar: float) -> float:
+    """Wavenumber of the order-2 lattice plane wave at kinetic energy e:
+    the dispersion of the 3-point stencil of `_kinetic_coeffs`."""
+    c = 1.0 - mass * h * h * energy_kin / (hbar * hbar)
+    if not -1.0 < c < 1.0:
+        raise TurningPointError(
+            f"no open lattice mode at kinetic energy {energy_kin:.6g} with spacing {h:.3g}"
+        )
+    return float(np.arccos(c) / h)
+
+
+def _apply_kinetic(values: np.ndarray, order: int, h: float, mass: float,
                    hbar: float) -> np.ndarray:
-    """Apply the kinetic operator along one axis.
+    """Apply the kinetic operator along the last axis.
 
     The wall points are forced to zero and the stencil sees zero ghosts
     beyond them, which keeps the operator exactly symmetric (the
     Dirichlet box).
     """
-    v = np.moveaxis(values, axis, 0)
     c0, c1, c2 = _kinetic_coeffs(order, h, mass, hbar)
     pad = 2
-    z = np.zeros((v.shape[0] + 2 * pad,) + v.shape[1:], dtype=v.dtype)
-    z[pad + 1:-pad - 1] = v[1:-1]  # walls forced to zero
-    out = c0 * z[pad:-pad] + c1 * (z[pad - 1:-pad - 1] + z[pad + 1:-pad + 1])
+    z = np.zeros(values.shape[:-1] + (values.shape[-1] + 2 * pad,), dtype=values.dtype)
+    z[..., pad + 1:-pad - 1] = values[..., 1:-1]  # walls forced to zero
+    out = c0 * z[..., pad:-pad] + c1 * (z[..., pad - 1:-pad - 1] + z[..., pad + 1:-pad + 1])
     if c2 != 0.0:
-        out += c2 * (z[pad - 2:-pad - 2] + z[pad + 2:])
-    out[0] = 0.0
-    out[-1] = 0.0
-    return np.moveaxis(out, 0, axis)
+        out += c2 * (z[..., pad - 2:-pad - 2] + z[..., pad + 2:])
+    out[..., 0] = 0.0
+    out[..., -1] = 0.0
+    return out
+
+
+def _loglog_slope(x, y) -> float:
+    """Least-squares slope of log y against log x."""
+    coeffs = np.polyfit(np.log(np.asarray(x, dtype=float)), np.log(np.asarray(y, dtype=float)), 1)
+    return float(coeffs[0])
 
 
 # ---------------------------------------------------------------------------
@@ -454,10 +476,63 @@ class ChannelBasis:
         return len(self.states)
 
     def gram(self) -> np.ndarray:
-        w = self.x_grid.weights
-        mat = np.array([s.values for s in self.states])
-        return (mat * w) @ np.conj(mat).T
+        mat = self.state_matrix()
+        return (mat * self.x_grid.weights) @ np.conj(mat).T
 
     def state_matrix(self) -> np.ndarray:
         """(k, nx) array of state values."""
         return np.array([s.values for s in self.states])
+
+
+# ---------------------------------------------------------------------------
+# channel space
+
+
+def _project(basis: ChannelBasis, values: np.ndarray) -> np.ndarray:
+    """<phi_m | values> over the last axis of `values`, (k, ...) by quadrature."""
+    return (np.conj(basis.state_matrix()) * basis.x_grid.weights) @ values.T
+
+
+def _coupling_matrix(basis: ChannelBasis, sys: Potential) -> np.ndarray:
+    """W = <phi_m | sys | phi_n> by quadrature, (k, k), for the x factor
+    `sys` of a coupling g(R) sys(x): the one formula for W."""
+    mat = basis.state_matrix()
+    sys_x = np.asarray(sys(basis.x_grid.points), dtype=float)
+    return (np.conj(mat) * (basis.x_grid.weights * sys_x)) @ mat.T
+
+
+def _channel_operators(system, basis: ChannelBasis, sys: Potential) -> tuple:
+    """(hs, W, gram) of a system (SystemSpec or CompositeSpec) and a coupling g(R) sys(x).
+
+    hs = <phi_m|H_S phi_n> at the basis stencil, W from `_coupling_matrix`
+    and gram the 3k x 3k Gram matrix over the interior x columns of
+    (phi_n, d_n, e_n), where d_n = H_S phi_n - sum_m hs_mn phi_m and
+    e_n = sys phi_n - sum_m W_mn phi_m are the parts outside the span."""
+    mat = basis.state_matrix()
+    x = basis.x_grid.points
+    hs_phi = (_apply_kinetic(mat, basis.stencil_order, basis.x_grid.spacing, system.m,
+                             system.hbar)
+              + np.asarray(system.v_sys(x), dtype=float) * mat)
+    sys_phi = np.asarray(sys(x), dtype=float) * mat
+    hs = _project(basis, hs_phi)
+    w = _coupling_matrix(basis, sys)
+    vecs = np.concatenate([mat, hs_phi - hs.T @ mat, sys_phi - w.T @ mat])[:, 1:-1]
+    return hs, w, (np.conj(vecs) * basis.x_grid.weights[1:-1]) @ vecs.T
+
+
+def _gram_form(v: np.ndarray, block: np.ndarray, weights: np.ndarray) -> float:
+    """sum_i weights_i v_i^H block v_i over the rows v_i of v: the squared
+    norm of the fields whose coefficients on vectors of Gram matrix `block`
+    are the rows."""
+    return float(weights @ np.sum(np.conj(v) * (v @ block.T), axis=1).real)
+
+
+def _span_norms(y: np.ndarray, gram: np.ndarray, weights: np.ndarray) -> tuple:
+    """Squared norms of the rows sum_m c_m phi_m + sum_n a_n (d_n + g e_n),
+    each given as y = (c, a, g a), a (rows, 3k) table, with the `gram` of
+    `_channel_operators`, summed with `weights`.
+
+    Returns (rows, field), the second for sum_n a_n phi_n.  The rows'
+    part outside the span is the (d, e) block, y[:, k:] with gram[k:, k:]."""
+    k = y.shape[1] // 3
+    return _gram_form(y, gram, weights), _gram_form(y[:, k:2 * k], gram[:k, :k], weights)

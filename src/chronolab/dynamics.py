@@ -10,7 +10,8 @@ how well they satisfy the TDSE and how large the leading correction
 term is, and runs the clock-energy scan that turns the correction's
 1/(M v^2) scaling into a fitted exponent.  Every reader takes the drive
 in that product form: one profile call on all the times it needs, and
-sys(x) or its matrix elements W = <phi_m|sys|phi_n>.
+sys(x) or its matrix elements W = <phi_m|sys|phi_n>.  The channel space
+(H_s, W, the span norm) is `core`'s.
 
 Phase convention: psi(x,t) = sum_n a_n(t) phi_n(x) exp(-i eps_n t/hbar),
 so grid-to-amplitude comparisons multiply projections by
@@ -24,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import get_lapack_funcs
 
-from .classical import CouplingDrive, TimeMap, _loglog_slope
+from .classical import CouplingDrive, TimeMap
 from .core import (
     ChannelBasis,
     CompositeSpec,
@@ -36,8 +37,15 @@ from .core import (
     SystemSpec,
     WindowedPulse,
     ZeroCoupling,
+    _channel_operators,
+    _coupling_matrix,
     _cumulative_trapezoid,
+    _discrete_wavenumber,
+    _gram_form,
     _kinetic_coeffs,
+    _loglog_slope,
+    _project,
+    _span_norms,
     central_difference,
 )
 from .errors import (
@@ -49,17 +57,7 @@ from .errors import (
 )
 from .params import FRACTION, GRID, INDEX, INT2, NUMBER, POSITIVE, array, param, require
 from .semiclassical import WKBState
-from .stationary import (
-    DirectedState,
-    _coupling_factors,
-    _coupling_matrix,
-    _discrete_wavenumber,
-    _project,
-    _span_gram,
-    _system_action,
-    solve_directed_state,
-    solve_system_basis,
-)
+from .stationary import DirectedState, solve_directed_state, solve_system_basis
 
 __all__ = [
     "WavefunctionTrajectory",
@@ -272,7 +270,7 @@ def propagate_amplitudes(
     times, where = np.unique(stage_t, return_inverse=True)
     g, coupling = _drive_parts(drive, times)
     deps = eps[:, None] - eps[None, :]
-    a = (((-1j / hbar) * g[:, None, None]) * _coupling_matrix(basis, coupling)
+    a = (((-1j / hbar) * g[:, None, None]) * _coupling_matrix(basis, coupling.sys)
          * np.exp(1j * deps * times[:, None, None] / hbar))
     a = a[where.reshape(stage_t.shape)]
     a1, a2, a4 = a[:, 0], a[:, 1], a[:, 2]
@@ -353,16 +351,14 @@ def compare_amplitudes_to_grid(
 
 @dataclass(eq=False)
 class ConditionalTrajectory:
-    """Conditional state psi(x, t_j) = sum_n amplitudes[j, n] phi_n(x), its
-    back-reaction samples u_s (zero if not given), and the clock mass and
-    mean velocity that give the M v^2 of the TDSE correction term."""
+    """Conditional state psi(x, t_j) = sum_n amplitudes[j, n] phi_n(x) and
+    its back-reaction samples u_s (zero if not given).  The M v^2 of the
+    TDSE correction term is the caller's: `tdse_residual` takes it."""
 
     basis: ChannelBasis
     times: np.ndarray
     amplitudes: np.ndarray
     u_s: np.ndarray | None = None
-    clock_mass: float | None = None
-    v_mean: float | None = None
 
     def __post_init__(self):
         self.times = np.asarray(self.times, dtype=float)
@@ -402,11 +398,10 @@ def conditional_from_composite(
     weight = np.sum(np.abs(amps) ** 2, axis=1)
     if np.any(weight <= 0.0):
         raise DegenerateInputError("conditional slice with zero weight")
-    hs = _project(basis, _system_action(spec, basis))
-    g, w = _coupling_factors(spec, basis, state.r_grid.points)
+    hs, w, _ = _channel_operators(spec, basis, spec.v_int.sys)
+    g = spec.v_int.profile(state.r_grid.points)
     u_s = np.sum(np.conj(amps) * (amps @ hs.T + g[:, None] * (amps @ w.T)), axis=1) / weight
-    v_clock = wkb.momentum / wkb.M
-    return ConditionalTrajectory(basis, tmap.times, amps, u_s, wkb.M, float(np.mean(v_clock)))
+    return ConditionalTrajectory(basis, tmap.times, amps, u_s)
 
 
 # ---------------------------------------------------------------------------
@@ -435,7 +430,8 @@ def tdse_residual(
     traj: ConditionalTrajectory,
     system: SystemSpec,
     drive: CouplingDrive | None = None,
-    mv2: float | None = None,
+    *,
+    mv2: float,
 ) -> ResidualReport:
     """Measure the TDSE residual and the correction-term ratio of a trajectory.
 
@@ -444,15 +440,14 @@ def tdse_residual(
     time-dependent part of the back-reaction is removed by the phase
     transformation a~ = a * exp(+(i/hbar) int Re U_S dt) before the
     residual operator (which retains the -U_S term) is applied; the
-    imaginary part of U_S is not used.  rho uses M v^2 from the trajectory's clock metadata
-    unless `mv2` is given.
+    imaginary part of U_S is not used.  rho uses the clock's M v^2, `mv2`.
 
     All of it is computed from the amplitudes.  The drive (a CouplingDrive
     or None) is g(t) sys(x), g = strength * env(R(t)).  Row j of the
-    residual is sum_m c_jm phi_m + sum_n a~_jn (d_n + g_j e_n), with
-    c = H_s a~ + g W a~ - Re(U_S) a~ - i hbar D_t a~ and d_n, e_n as in
-    `_span_gram`: a quadratic form in (c, a~, g a~) with the Gram matrix of
-    (phi, d, e).  `rho` is a ratio of amplitude norms.
+    residual is the row (c_j, a~_j, g_j a~_j) of `_span_norms`, the
+    directed residual's norm, with c = H_s a~ + g W a~ - Re(U_S) a~ -
+    i hbar D_t a~; `out_of_span` is its (d, e) block.  `rho` is a ratio
+    of amplitude norms.
     """
     if traj.times.size < 3:
         raise DegenerateInputError("need at least 3 slices for time stencils")
@@ -463,28 +458,23 @@ def tdse_residual(
         raise DegenerateInputError("the time stencils need uniformly spaced slice times")
     dt = float(t[1] - t[0])
 
-    if mv2 is None:
-        if traj.clock_mass is None or traj.v_mean is None:
-            raise DegenerateInputError(
-                "no clock metadata on the trajectory; pass mv2 explicitly"
-            )
-        mv2 = float(traj.clock_mass * traj.v_mean**2)
-
     hbar = system.hbar
     k = len(traj.basis)
     g, coupling = _drive_parts(drive, t)
-    hs, w, gram = _span_gram(system, traj.basis, coupling)
+    hs, w, gram = _channel_operators(system, traj.basis, coupling.sys)
 
     tamps = amps * np.exp((1j / hbar) * _cumulative_trapezoid(u.real, t))[:, None]
     inner, g = tamps[1:-1], g[1:-1, None]
     c = (inner @ hs.T + g * (inner @ w.T) - u.real[1:-1, None] * inner
          - 1j * hbar * central_difference(tamps, dt, 1))
     y = np.concatenate([c, inner, g * inner], axis=1)
-    den2 = np.vdot(inner, inner @ gram[:k, :k].T).real  # summed over rows
+    ones = np.ones(len(inner))
+    total2, den2 = _span_norms(y, gram, ones)
     if den2 == 0.0:
         raise DegenerateInputError("trajectory is zero on the interior slices")
-    residual = np.sqrt(max(np.vdot(y, y @ gram.T).real, 0.0) / den2)
-    outside = np.sqrt(max(np.vdot(y[:, k:], y[:, k:] @ gram[k:, k:].T).real, 0.0) / den2)
+    outside2 = _gram_form(y[:, k:], gram[k:, k:], ones)
+    residual = np.sqrt(max(total2, 0.0) / den2)
+    outside = np.sqrt(max(outside2, 0.0) / den2)
 
     retained = hbar * np.linalg.norm(central_difference(amps, dt, 1))
     correction = (hbar * hbar / (2.0 * mv2)) * np.linalg.norm(central_difference(amps, dt, 2))
@@ -656,13 +646,15 @@ def _scan_point(cfg: EmergenceScanConfig, system: SystemSpec, basis: ChannelBasi
     spec, r_grid, state, v = directed_run(cfg, basis, e_kin)
     wkb, tmap = _lattice_clock(state, spec, r_grid.spacing)
     traj = conditional_from_composite(state, wkb, tmap, spec)
-    report = tdse_residual(traj, system, drive=CouplingDrive(spec.v_int, tmap))
+    v_mean = float(np.mean(wkb.momentum / wkb.M))
+    report = tdse_residual(traj, system, drive=CouplingDrive(spec.v_int, tmap),
+                           mv2=float(wkb.M * v_mean**2))
 
     norms = traj.slice_norms()
     spread = float((norms.max() - norms.min()) / norms.mean())
     stride = (r_grid.n - 1) // (state.r_grid.n - 1)
     return QuantumEmergenceRow(e_kin, spec.M * v * v, report.residual, report.rho,
-                               float(traj.v_mean), spread, report.out_of_span,
+                               v_mean, spread, report.out_of_span,
                                r_grid.n, stride)
 
 

@@ -1,9 +1,8 @@
 """Exception types shared across the package.
 
 Every failure mode that callers are expected to branch on gets its own
-class; generic misuse (wrong types, bad shapes) raises the plain
-ValueError-derived classes below so that `except ChronolabError` catches
-everything we raise deliberately.
+class.  All of them derive from `ChronolabError`, an `Exception`, so
+that `except ChronolabError` catches everything we raise deliberately.
 """
 
 from __future__ import annotations
@@ -40,28 +39,24 @@ class ForbiddenRegionError(ChronolabError):
     """A path or grid point lies in the classically forbidden region E <= V."""
 
 
-class TurningPointError(ChronolabError):
+class _LocatedError(ChronolabError):
+    """An error at grid points, which `locations` lists."""
+
+    def __init__(self, message: str, locations=None):
+        super().__init__(message)
+        self.locations = list(locations) if locations is not None else []
+
+
+class TurningPointError(_LocatedError):
     """Clock momentum vanishes: the requested point is at or past a turning point."""
 
-    def __init__(self, message: str, locations=None):
-        super().__init__(message)
-        self.locations = list(locations) if locations is not None else []
 
-
-class StationaryPointError(ChronolabError):
+class StationaryPointError(_LocatedError):
     """dchi/dR vanishes somewhere, so the time integrand is singular."""
 
-    def __init__(self, message: str, locations=None):
-        super().__init__(message)
-        self.locations = list(locations) if locations is not None else []
 
-
-class NodeError(ChronolabError):
+class NodeError(_LocatedError):
     """chi has an interior node, so division by chi is ill-defined."""
-
-    def __init__(self, message: str, locations=None):
-        super().__init__(message)
-        self.locations = list(locations) if locations is not None else []
 
 
 class WindowError(ChronolabError):

@@ -206,7 +206,6 @@ def _run_classical_emergence(p: ClassicalEmergenceConfig, jobs: int) -> dict:
         p.clock_mass, p.system_mass, 1.0,
         Constant(0.0), Harmonic(p.system_stiffness),
         Bilinear(p.coupling),
-        energy=max(p.energies),
     )
     report = compare_composite_reduced(
         spec, p.energies, p.x0, p.px0, p.t_span,

@@ -12,6 +12,7 @@ close-coupled residual.
 Channel-space constructions use the product form of the coupling,
 strength * env(R) * sys(x): the coupling matrices on R row j are
 g(R_j) times the one (k, k) matrix of sys(x), with g = strength * env.
+H_s, W and the directed residual's norm come from `core`'s channel space.
 
 The composite's kinetic stencil is the 5-point (fourth-order) form on
 both axes, COMPOSITE_ORDER; the Hamiltonian, the factorization's
@@ -37,7 +38,12 @@ from .core import (
     Grid1D,
     Grid2D,
     _apply_kinetic,
+    _channel_operators,
+    _coupling_matrix,
+    _discrete_wavenumber,
     _kinetic_coeffs,
+    _project,
+    _span_norms,
     central_difference,
     norm,
 )
@@ -313,7 +319,7 @@ def compute_back_reaction(fs: FactorizedState, spec) -> Field1D:
     psi = fs.psi.values
     sl = slice(margin, nr - margin)
     x, r = fs.psi.grid.x.points, fs.psi.grid.r.points
-    hs_psi = _apply_kinetic(psi, 1, COMPOSITE_ORDER, fs.psi.grid.x.spacing, spec.m, spec.hbar)
+    hs_psi = _apply_kinetic(psi, COMPOSITE_ORDER, fs.psi.grid.x.spacing, spec.m, spec.hbar)
     hs_psi += (np.asarray(spec.v_sys(x), dtype=float)[None, :]
                + np.asarray(spec.v_int(x[None, :], r[:, None]), dtype=float)) * psi
     log_dchi = central_difference(fs.chi.values, h_r, 1, COMPOSITE_ORDER) / fs.chi.values[sl]
@@ -419,18 +425,6 @@ class ChannelDecomposition:
     defect: float
 
 
-def _project(basis: ChannelBasis, values: np.ndarray) -> np.ndarray:
-    """<phi_m | values> over the last axis of `values`, (k, ...) by quadrature."""
-    return (np.conj(basis.state_matrix()) * basis.x_grid.weights) @ values.T
-
-
-def _system_action(spec, basis: ChannelBasis) -> np.ndarray:
-    """H_S phi_n on the basis grid with the basis stencil, (k, nx)."""
-    mat = basis.state_matrix()
-    kin = _apply_kinetic(mat, 1, basis.stencil_order, basis.x_grid.spacing, spec.m, spec.hbar)
-    return kin + np.asarray(spec.v_sys(basis.x_grid.points), dtype=float) * mat
-
-
 def project_channels(state: Field2D, basis: ChannelBasis) -> ChannelDecomposition:
     """kappa_n(R) = <phi_n | Psi(., R)> with the completeness defect.
 
@@ -446,22 +440,6 @@ def project_channels(state: Field2D, basis: ChannelBasis) -> ChannelDecompositio
         raise DegenerateInputError("zero state")
     captured = float(np.sum(wr * np.sum(np.abs(kappas) ** 2, axis=0)))
     return ChannelDecomposition(basis, state.grid.r, kappas, 1.0 - captured / total)
-
-
-def _coupling_matrix(basis: ChannelBasis, coupling) -> np.ndarray:
-    """W = <phi_m | sys | phi_n> by quadrature, (k, k), for the coupling g(R) sys(x).
-
-    The one formula for W: the directed recurrence, both channel-space
-    residuals and the amplitude propagator read it.
-    """
-    mat = basis.state_matrix()
-    sys_x = np.asarray(coupling.sys(basis.x_grid.points), dtype=float)
-    return (np.conj(mat) * (basis.x_grid.weights * sys_x)) @ mat.T
-
-
-def _coupling_factors(spec, basis: ChannelBasis, r_points: np.ndarray) -> tuple:
-    """(g(R), W) of the coupling g(R) sys(x), g = strength * env."""
-    return spec.v_int.profile(r_points), _coupling_matrix(basis, spec.v_int)
 
 
 @dataclass(frozen=True)
@@ -483,11 +461,8 @@ def close_coupled_residuals(decomp: ChannelDecomposition, spec,
     """
     basis = decomp.basis
     r = decomp.r_grid.points
-    g, wmat = _coupling_factors(spec, basis, r)
-
-    # system part of V_eff: <phi_m | H_S phi_n> with the basis stencil
-    hmat = _project(basis, _system_action(spec, basis))  # (k, k)
-    veff = g[:, None, None] * wmat[None, :, :] + hmat[None, :, :]
+    hmat, wmat, _ = _channel_operators(spec, basis, spec.v_int.sys)
+    veff = spec.v_int.profile(r)[:, None, None] * wmat[None, :, :] + hmat[None, :, :]
 
     herm = float(np.max(np.abs(veff - np.conj(np.swapaxes(veff, 1, 2)))))
     scale = float(np.max(np.abs(veff))) or 1.0
@@ -497,7 +472,7 @@ def close_coupled_residuals(decomp: ChannelDecomposition, spec,
     wr = decomp.r_grid.weights
     sl = slice(margin, decomp.r_grid.n - margin)
     kap = decomp.kappas  # (k, nR)
-    lhs = (_apply_kinetic(kap, 1, COMPOSITE_ORDER, decomp.r_grid.spacing, spec.M, spec.hbar)
+    lhs = (_apply_kinetic(kap, COMPOSITE_ORDER, decomp.r_grid.spacing, spec.M, spec.hbar)
            + (v_env - energy) * kap + np.einsum("rmn,nr->mr", veff, kap))
     residuals = np.sqrt(np.sum(wr[sl] * np.abs(lhs[:, sl]) ** 2, axis=1))
     return CloseCoupledReport(residuals, herm / scale)
@@ -505,16 +480,6 @@ def close_coupled_residuals(decomp: ChannelDecomposition, spec,
 
 # ---------------------------------------------------------------------------
 # directed channel states
-
-
-def _discrete_wavenumber(energy_kin: float, h: float, mass: float, hbar: float) -> float:
-    """Wavenumber of the order-2 lattice plane wave at kinetic energy e."""
-    c = 1.0 - mass * h * h * energy_kin / (hbar * hbar)
-    if not -1.0 < c < 1.0:
-        raise TurningPointError(
-            f"no open lattice mode at kinetic energy {energy_kin:.6g} with spacing {h:.3g}"
-        )
-    return float(np.arccos(c) / h)
 
 
 @dataclass(eq=False)
@@ -584,8 +549,8 @@ def solve_directed_state(
             raise TurningPointError(f"channel {n} closed at the entry edge (E - eps - V <= 0)")
 
     # the coupling on row j is g(R_j) w: no (nR, k, k) table is formed
-    g_of_r, w = _coupling_factors(spec, basis, r)
-    w = _real_if_exact(w)
+    g_of_r = spec.v_int.profile(r)
+    w = _real_if_exact(_coupling_matrix(basis, spec.v_int.sys))
     entry = g_of_r[:2, None, None] * w
     flat_tol = residual_tol * abs(energy)
     v_step = float(np.max(np.abs(v_env[:2] - v_env[0])))
@@ -688,41 +653,17 @@ def _transfer_scan(seed: np.ndarray, diag: np.ndarray, w: np.ndarray,
     return rows[:n]
 
 
-def _span_gram(system, basis: ChannelBasis, coupling) -> tuple:
-    """hs = <phi_m|H_S phi_n> at the basis stencil, W (`_coupling_matrix`) of
-    the coupling's sys(x) = h(x), and the 3k x 3k Gram matrix of
-    (phi_n, d_n, e_n) over the interior x columns, d_n = H_S phi_n -
-    sum_m hs_mn phi_m and e_n = h phi_n - sum_m W_mn phi_m being the
-    out-of-span parts."""
-    mat = basis.state_matrix()
-    hs_phi = _system_action(system, basis)
-    h_phi = np.asarray(coupling.sys(basis.x_grid.points), dtype=float) * mat
-    hs = _project(basis, hs_phi)
-    w = _coupling_matrix(basis, coupling)
-    vecs = np.concatenate([mat, hs_phi - hs.T @ mat, h_phi - w.T @ mat])[:, 1:-1]
-    return hs, w, (np.conj(vecs) * basis.x_grid.weights[1:-1]) @ vecs.T
-
-
 def _channel_residual(spec, basis: ChannelBasis, r_grid: Grid1D, energy: float,
                       kappas: np.ndarray, g_of_r: np.ndarray, block: int = 8192) -> float:
-    """Interior residual of the channel-sum field psi = sum_n kappa_n phi_n,
-    ||(H - E) psi|| / ||psi|| with H at order 2 in R and the basis order
-    in x, over interior rows and columns, computed in channel space.
-
-    The coupling is g(R) h(x) with h = spec.v_int.sys.  With d_n and e_n
-    the out-of-span parts of H_S phi_n and h phi_n (`_span_gram`), the
-    interior row j of (H - E) psi is exactly
-
-        sum_m c_jm phi_m + sum_n kappa_jn d_n + g(R_j) sum_n kappa_jn e_n,
-
-    c_j being the close-coupled residual of row j, so its squared norm
-    is a quadratic form in y_j = (c_j, kappa_j, g(R_j) kappa_j) with the
-    Gram matrix of (phi, d, e) over the interior x columns.
-    Rows are taken in blocks so no (n, 3k) array is held, and the cost
-    per row does not grow with the x grid.
+    """Interior residual ||(H - E) psi|| / ||psi|| of the channel-sum field
+    psi = sum_n kappa_n phi_n, H at order 2 in R and the basis order in x,
+    computed in channel space: interior row j of (H - E) psi is the row
+    y_j = (c_j, kappa_j, g(R_j) kappa_j) of `_span_norms`, c_j being the
+    close-coupled residual of row j.  Rows are taken in blocks so no
+    (n, 3k) array is held, and the cost per row does not grow with the x grid.
     """
     k = len(basis)
-    hs, w, gram = _span_gram(spec, basis, spec.v_int)
+    hs, w, gram = _channel_operators(spec, basis, spec.v_int.sys)
     _, c1, _ = _kinetic_coeffs(2, r_grid.spacing, spec.M, spec.hbar)
     v_env = np.asarray(spec.v_env(r_grid.points), dtype=float)
     wr = r_grid.weights
@@ -739,8 +680,9 @@ def _channel_residual(spec, basis: ChannelBasis, r_grid: Grid1D, energy: float,
                     + (v_env[a:b, None] - energy) * kap + kap @ hs.T + g * (kap @ w.T))
         y[:, k:2 * k] = kap
         y[:, 2 * k:] = g * kap
-        num2 += float(wr[a:b] @ np.sum(np.conj(y) * (y @ gram.T), axis=1).real)
-        den2 += float(wr[a:b] @ np.sum(np.conj(kap) * (kap @ gram[:k, :k].T), axis=1).real)
+        total2, field2 = _span_norms(y, gram, wr[a:b])
+        num2 += total2
+        den2 += field2
     if den2 == 0.0:
         raise DegenerateInputError("directed state has no interior weight")
     return float(np.sqrt(max(num2, 0.0) / den2))

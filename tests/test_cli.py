@@ -290,8 +290,8 @@ DEFAULT_CSV_HASHES = {
         "summary.csv": "2a3f2c939e4210f86aa03498c467fa3b20328139be0a2256e7fd7e670961eead",
     },
     "emergence-scan": {
-        "emergence_scan.csv": "e1836412a9821de434dbb21a0921e1c2374518ce45592daa91a0072b79b33120",
-        "scan_details.csv": "a329c9212372c11d2649488e6ea3bdd47e38687a4ee3a02b90f9394b77741c52",
+        "emergence_scan.csv": "b7ca8046b7e60a4dfb5a6fc5e5edfc2eb9135ec9f2e77153309d5b084fd7a39f",
+        "scan_details.csv": "8b25af6cce06af288308f9a9e2d6de8d212387f7f06b14c15aa4cba32925fc27",
     },
     "harmonic-clock-two-level": {
         "summary.csv": "8a2fc6a622a3b21a5a10f1d8590587d07c2a24101f03cf9df04e988b9ee3db64",
@@ -644,6 +644,17 @@ def test_overflow_inside_scipy_is_a_numerical_error(tmp_path, capsys, name, para
     assert main(["run", cfg, "--out", str(tmp_path / "out")]) == 3
     err = capsys.readouterr().err
     assert f"numerical error: {error}" in err
+    assert "Traceback" not in err
+
+
+def test_a_clock_that_never_moves_is_named(tmp_path, capsys):
+    # at t_span 5e-324 the composite clock stays at R = 0: the error names
+    # the clock, not the empty R grid a time map would be built on
+    cfg = write_config(tmp_path, {"scenario": "classical-emergence",
+                                  "parameters": {"t_span": 5e-324}})
+    assert main(["run", cfg, "--out", str(tmp_path / "out")]) == 3
+    err = capsys.readouterr().err
+    assert "numerical error: TurningPointError: composite clock turns" in err
     assert "Traceback" not in err
 
 

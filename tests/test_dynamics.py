@@ -375,7 +375,7 @@ def _conditional_x(state, wkb, spec):
     x_grid = field.grid.x
     x, r = x_grid.points, field.grid.r.points
     psi = field.values / wkb.chi().values[:, None]
-    hs = _apply_kinetic(psi, 1, state.basis.stencil_order, x_grid.spacing, spec.m, spec.hbar)
+    hs = _apply_kinetic(psi, state.basis.stencil_order, x_grid.spacing, spec.m, spec.hbar)
     hs += (np.asarray(spec.v_sys(x), dtype=float)[None, :]
            + np.asarray(spec.v_int(x[None, :], r[:, None]), dtype=float)) * psi
     wx = x_grid.weights
@@ -398,7 +398,7 @@ def _tdse_residual_x(x_grid, order, t, psi, u, system, drive, mv2):
     tpsi = psi * phase[:, None]
     inner = tpsi[1:-1]
     resid = np.asarray(system.v_sys(x), dtype=float)[None, :] * inner
-    resid += _apply_kinetic(inner, 1, order, x_grid.spacing, system.m, hbar)
+    resid += _apply_kinetic(inner, order, x_grid.spacing, system.m, hbar)
     if drive is not None:
         r = drive.timemap.r_of_t(t)
         v_drive = np.asarray(drive.coupling(x[None, :], r[:, None]), dtype=float)
@@ -468,7 +468,7 @@ def test_channel_conditional_and_residual_match_x_space_on_a_pulse():
     wkb, tmap = _lattice_clock(state, spec, r_grid.spacing)
     drive = CouplingDrive(spec.v_int, tmap)
     traj = conditional_from_composite(state, wkb, tmap, spec)
-    rep = tdse_residual(traj, system, drive=drive)
+    rep = tdse_residual(traj, system, drive=drive, mv2=2.0 * 50.0)
 
     psi, u_s = _conditional_x(state, wkb, spec)
     wx = basis.x_grid.weights

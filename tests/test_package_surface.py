@@ -3,8 +3,9 @@
 No linter is a dependency, so these checks walk each module's syntax
 tree: every module-level import is used in its module, every `__all__`
 entry is defined there, the package exports exactly the union of its
-public modules' `__all__` lists, and every optional parameter of the
-package is passed by some call in the package or its tests.
+public modules' `__all__` lists, private names cross module lines only
+out of `core`, and every optional parameter of the package is passed by
+some call in the package or its tests.
 """
 
 import ast
@@ -73,6 +74,31 @@ def test_package_exports_the_union_of_module_all():
     assert exported == union
 
 
+def test_private_names_are_imported_only_from_core():
+    """`from .m import _name` appears only with m = core.
+
+    `core` owns what several modules share (grids, stencils, the channel
+    space); every other module's private names stay its own.  Only
+    import statements are checked: an attribute read through an imported
+    module, such as `dynamics._lattice_clock` in `scenarios`, is out of
+    this test's scope.
+    """
+    crossing = []
+    for stem, tree in TREES.items():
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.ImportFrom):
+                continue
+            module = node.module or ""
+            if node.level == 0:
+                if not module.startswith("chronolab."):
+                    continue
+                module = module.split(".", 1)[1]
+            crossing += [f"{stem}.py:{node.lineno} {module}.{alias.name}" for alias in node.names
+                         if alias.name.startswith("_") and not alias.name.startswith("__")
+                         and module != "core"]
+    assert not crossing, f"private names imported from a module other than core: {crossing}"
+
+
 TEST_TREES = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
               for path in sorted(SRC.parent.parent.joinpath("tests").glob("*.py"))}
 
@@ -81,7 +107,8 @@ def _optional_parameters(tree) -> list:
     """(callee name, parameter, position or None) of every parameter with a default.
 
     Functions and methods count under their own name, `__init__` under
-    its class's name; a method's first parameter, `self`, is not a
+    its class's name (and, through `_subclasses`, those of the classes
+    that inherit it); a method's first parameter, `self`, is not a
     position of its calls.
     """
     out = []
@@ -107,6 +134,18 @@ def _optional_parameters(tree) -> list:
     return out
 
 
+def _subclasses(tree, name: str) -> set:
+    """`name` and the names of the module's classes that derive from it."""
+    classes = [node for node in ast.walk(tree) if isinstance(node, ast.ClassDef)]
+    names, grown = {name}, True
+    while grown:
+        derived = {c.name for c in classes
+                   if any(isinstance(b, ast.Name) and b.id in names for b in c.bases)}
+        grown = not derived <= names
+        names |= derived
+    return names
+
+
 def _passes(call: ast.Call, name: str, position) -> bool:
     if any(kw.arg is None or kw.arg == name for kw in call.keywords):
         return True
@@ -125,5 +164,6 @@ def test_every_optional_parameter_has_a_caller():
                 calls.setdefault(name, []).append(node)
     unset = [f"{stem}.{callee}({param})" for stem, tree in TREES.items()
              for callee, param, position in _optional_parameters(tree)
-             if not any(_passes(c, param, position) for c in calls.get(callee, ()))]
+             if not any(_passes(c, param, position) for name in _subclasses(tree, callee)
+                        for c in calls.get(name, ()))]
     assert not unset, f"optional parameters that no call in src/ or tests/ passes: {unset}"

@@ -33,7 +33,12 @@ from chronolab import (
     solve_system_basis,
 )
 from chronolab.core import _apply_kinetic, _kinetic_coeffs
-from chronolab.stationary import WINDOW_THRESHOLD, _channel_residual, _transfer_scan
+from chronolab.stationary import (
+    WINDOW_THRESHOLD,
+    _channel_residual,
+    _kinetic_banded,
+    _transfer_scan,
+)
 
 
 @pytest.fixture(scope="module")
@@ -293,7 +298,7 @@ def _directed_residual(spec, basis, r_grid, energy, kappas, block=2048):
         psi = kappas[a - 1:b + 1] @ mat  # one halo row each side
         mid = psi[1:-1]
         lhs = c0 * mid + c1 * (psi[:-2] + psi[2:])
-        lhs += _apply_kinetic(mid, 1, basis.stencil_order, basis.x_grid.spacing,
+        lhs += _apply_kinetic(mid, basis.stencil_order, basis.x_grid.spacing,
                               spec.m, spec.hbar)
         rows = r_grid.points[a:b]
         v = v_sys_x[None, :] + np.asarray(spec.v_env(rows), dtype=float)[:, None] \
@@ -303,6 +308,27 @@ def _directed_residual(spec, basis, r_grid, energy, kappas, block=2048):
         num2 += float(np.sum(w * np.abs(lhs[:, 1:-1]) ** 2))
         den2 += float(np.sum(w * np.abs(mid[:, 1:-1]) ** 2))
     return float(np.sqrt(num2 / den2))
+
+
+@pytest.mark.parametrize("order", [2, 4])
+@pytest.mark.parametrize("seed", range(3))
+def test_kinetic_table_and_stencil_are_one_operator(order, seed):
+    # the banded table (eigensolves, the composite matrix) and the stencil
+    # (channel operators, back-reaction) are one interior Dirichlet matrix
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(5, 40))
+    h, mass, hbar = rng.uniform(0.01, 1.0), rng.uniform(0.1, 10.0), rng.uniform(0.5, 2.0)
+    values = rng.standard_normal((3, n)) + 1j * rng.standard_normal((3, n))
+    bands = _kinetic_banded(n - 2, order, h, mass, hbar)
+    dense = np.diag(bands[-1])
+    for d in range(1, len(bands)):
+        upper = np.diag(bands[-1 - d, d:], d)
+        dense += upper + upper.T
+    out = _apply_kinetic(values, order, h, mass, hbar)
+    expected = values[:, 1:-1] @ dense.T
+    assert np.all(out[:, [0, -1]] == 0.0)
+    np.testing.assert_allclose(out[:, 1:-1], expected, rtol=1e-13,
+                               atol=1e-13 * np.max(np.abs(expected)))
 
 
 def _hermitian(rng, shape, scale):
