@@ -112,6 +112,18 @@ def _speed_factor(problem: PathProblem, points: np.ndarray) -> np.ndarray:
     return np.sqrt(2.0 * gap)
 
 
+def _segments(problem: PathProblem, nodes: np.ndarray) -> tuple:
+    """(dq, mids, lengths, f) of each segment of a polyline: its step, its
+    midpoint, its length L = sqrt(dq . A . dq) and the speed factor f at
+    its midpoint.  Raises on a zero-length segment."""
+    dq = nodes[1:] - nodes[:-1]
+    mids = 0.5 * (nodes[1:] + nodes[:-1])
+    lengths = np.sqrt(np.einsum("sd,d,sd->s", dq, problem.masses, dq))
+    if np.any(lengths == 0.0):
+        raise DegenerateInputError("zero-length path segment")
+    return dq, mids, lengths, _speed_factor(problem, mids)
+
+
 def _action_and_gradient(problem: PathProblem, nodes: np.ndarray):
     """Discrete abbreviated action W and its gradient w.r.t. interior nodes.
 
@@ -119,12 +131,7 @@ def _action_and_gradient(problem: PathProblem, nodes: np.ndarray):
     f evaluated at the segment midpoint.
     """
     a = problem.masses
-    dq = nodes[1:] - nodes[:-1]
-    mids = 0.5 * (nodes[1:] + nodes[:-1])
-    lengths = np.sqrt(np.einsum("sd,d,sd->s", dq, a, dq))
-    if np.any(lengths == 0.0):
-        raise DegenerateInputError("zero-length path segment")
-    f = _speed_factor(problem, mids)
+    dq, mids, lengths, f = _segments(problem, nodes)
     w = float(np.sum(f * lengths))
 
     # dW/dq_i collects: endpoint terms f * A dq / L and midpoint terms
@@ -263,27 +270,24 @@ def path_action(path: DiscretePath) -> float:
     return w
 
 
+def _momenta_at_midpoints(path: DiscretePath) -> tuple:
+    """(p, mids): the momenta of `path_momenta` and the segment midpoints."""
+    dq, mids, lengths, f = _segments(path.problem, path.nodes)
+    return f[:, None] * (dq * path.problem.masses) / lengths[:, None], mids
+
+
 def path_momenta(path: DiscretePath) -> np.ndarray:
     """Per-segment momenta p = f (dq.A.dq)^(-1/2) A dq, shape (N, d).
 
     By construction each segment satisfies the energy constraint
     (1/2) p . A^(-1) . p + V(mid) = E to rounding.
     """
-    problem = path.problem
-    a = problem.masses
-    dq = path.nodes[1:] - path.nodes[:-1]
-    mids = 0.5 * (path.nodes[1:] + path.nodes[:-1])
-    lengths = np.sqrt(np.einsum("sd,d,sd->s", dq, a, dq))
-    if np.any(lengths == 0.0):
-        raise DegenerateInputError("zero-length path segment")
-    f = _speed_factor(problem, mids)
-    return f[:, None] * (dq * a) / lengths[:, None]
+    return _momenta_at_midpoints(path)[0]
 
 
 def constraint_residuals(path: DiscretePath) -> np.ndarray:
     """|SUM p^2/2m + V(mid) - E| per segment."""
-    p = path_momenta(path)
-    mids = 0.5 * (path.nodes[1:] + path.nodes[:-1])
+    p, mids = _momenta_at_midpoints(path)
     v = np.asarray(path.problem.potential(mids), dtype=float)
     kin = 0.5 * np.einsum("sd,d->s", p * p, 1.0 / path.problem.masses)
     return np.abs(kin + v - path.problem.energy)

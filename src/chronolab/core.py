@@ -19,8 +19,10 @@ tabulates the coefficients once as a banded kinetic table and derives
 the composite's sparse matrix from it; there is no matrix-free
 composite Hamiltonian.
 
-It is also the one home of a `ChannelBasis`'s channel space:
-`_channel_operators` builds H_s, W (`_coupling_matrix`) and the Gram
+It is also the one home of a `ChannelBasis`'s channel space.  A basis
+is its (k, nx) table of states, and every channel-space reader takes
+that table as it is: `_project`, `_coupling_matrix`, the basis' own
+Gram check, and `_channel_operators`, which builds H_s, W and the Gram
 matrix of the out-of-span parts; `_gram_form` is the one quadratic form
 and `_span_norms` the norms that the directed and the TDSE residual take.
 """
@@ -215,8 +217,16 @@ def _cumulative_trapezoid(y: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 
 def _kinetic_coeffs(order: int, h: float, mass: float, hbar: float):
-    """Coefficients of -hbar^2/(2 mass) d^2/dq^2 as (diag, off1, off2)."""
-    pref = hbar * hbar / (2.0 * mass * h * h)
+    """Coefficients of -hbar^2/(2 mass) d^2/dq^2 as (diag, off1, off2).
+
+    Raises DegenerateInputError when the prefactor hbar^2/(2 mass h^2) is
+    not finite, as when 2 mass h^2 underflows to zero."""
+    den = 2.0 * mass * h * h
+    pref = hbar * hbar / den if den > 0.0 else np.inf
+    if not np.isfinite(pref):
+        raise DegenerateInputError(
+            f"kinetic prefactor hbar^2/(2 m h^2) is not finite at m={mass:.3g}, h={h:.3g}"
+        )
     if order == 2:
         return 2.0 * pref, -1.0 * pref, 0.0
     if order == 4:
@@ -333,6 +343,8 @@ class GaussianWell(Potential):
     def __post_init__(self):
         if self.width <= 0:
             raise DegenerateInputError(f"gaussian well width must be > 0, got {self.width}")
+        if not np.isfinite(self.width * self.width):
+            raise DegenerateInputError(f"gaussian well width {self.width} has no finite square")
 
     def __call__(self, q):
         d = np.asarray(q) - self.center
@@ -414,8 +426,8 @@ class CompositeSpec:
     """Closed composite: heavy environment (mass M, coordinate R) plus system
     (mass m, coordinate x), with V(x,R) = v_env(R) + v_sys(x) + v_int(x,R).
 
-    `energy` is the composite eigenvalue E; it may be left unset until a
-    solve determines it.
+    The spec holds no energy: a solve takes E as its argument and the
+    state it returns carries it.
     """
 
     M: float
@@ -424,7 +436,6 @@ class CompositeSpec:
     v_env: Potential
     v_sys: Potential
     v_int: Coupling
-    energy: float | None = None
 
     def __post_init__(self):
         if self.M <= 0 or self.m <= 0:
@@ -448,40 +459,37 @@ ORTHONORMALITY_TOL = 1e-8
 class ChannelBasis:
     """Orthonormal system states with their energies.
 
+    `states` is the one table of the basis: a complex (k, nx) array whose
+    row n is phi_n on `x_grid`, the k rows matching the k `energies`.
     `stencil_order` records which kinetic stencil produced the states so
     residual evaluators can stay consistent with them.
     """
 
     x_grid: Grid1D
-    states: tuple
+    states: np.ndarray
     energies: np.ndarray
     stencil_order: int = 2
 
     def __post_init__(self):
-        self.states = tuple(self.states)
+        self.states = np.asarray(self.states, dtype=complex)
         self.energies = np.asarray(self.energies, dtype=float)
-        if len(self.states) != self.energies.shape[0]:
-            raise GridMismatchError("state count does not match energy count")
-        for s in self.states:
-            if s.grid != self.x_grid:
-                raise GridMismatchError("basis state grid differs from basis grid")
+        if self.states.shape != (self.energies.shape[0], self.x_grid.n):
+            raise GridMismatchError(
+                f"state table {self.states.shape} does not match "
+                f"({self.energies.shape[0]} energies, {self.x_grid.n} grid points)"
+            )
         g = self.gram()
-        defect = float(np.max(np.abs(g - np.eye(len(self.states)))))
+        defect = float(np.max(np.abs(g - np.eye(len(self)))))
         if defect > ORTHONORMALITY_TOL:
             raise DegenerateInputError(
                 f"basis not orthonormal: max defect {defect:.3e} > {ORTHONORMALITY_TOL:.1e}"
             )
 
     def __len__(self):
-        return len(self.states)
+        return self.states.shape[0]
 
     def gram(self) -> np.ndarray:
-        mat = self.state_matrix()
-        return (mat * self.x_grid.weights) @ np.conj(mat).T
-
-    def state_matrix(self) -> np.ndarray:
-        """(k, nx) array of state values."""
-        return np.array([s.values for s in self.states])
+        return (self.states * self.x_grid.weights) @ np.conj(self.states).T
 
 
 # ---------------------------------------------------------------------------
@@ -490,15 +498,14 @@ class ChannelBasis:
 
 def _project(basis: ChannelBasis, values: np.ndarray) -> np.ndarray:
     """<phi_m | values> over the last axis of `values`, (k, ...) by quadrature."""
-    return (np.conj(basis.state_matrix()) * basis.x_grid.weights) @ values.T
+    return (np.conj(basis.states) * basis.x_grid.weights) @ values.T
 
 
 def _coupling_matrix(basis: ChannelBasis, sys: Potential) -> np.ndarray:
     """W = <phi_m | sys | phi_n> by quadrature, (k, k), for the x factor
     `sys` of a coupling g(R) sys(x): the one formula for W."""
-    mat = basis.state_matrix()
     sys_x = np.asarray(sys(basis.x_grid.points), dtype=float)
-    return (np.conj(mat) * (basis.x_grid.weights * sys_x)) @ mat.T
+    return (np.conj(basis.states) * (basis.x_grid.weights * sys_x)) @ basis.states.T
 
 
 def _channel_operators(system, basis: ChannelBasis, sys: Potential) -> tuple:
@@ -508,7 +515,7 @@ def _channel_operators(system, basis: ChannelBasis, sys: Potential) -> tuple:
     and gram the 3k x 3k Gram matrix over the interior x columns of
     (phi_n, d_n, e_n), where d_n = H_S phi_n - sum_m hs_mn phi_m and
     e_n = sys phi_n - sum_m W_mn phi_m are the parts outside the span."""
-    mat = basis.state_matrix()
+    mat = basis.states
     x = basis.x_grid.points
     hs_phi = (_apply_kinetic(mat, basis.stencil_order, basis.x_grid.spacing, system.m,
                              system.hbar)

@@ -72,11 +72,17 @@ __all__ = [
     "tdse_residual",
     "DirectedRunConfig",
     "directed_run",
+    "lattice_clock",
     "EmergenceScanConfig",
     "QuantumEmergenceRow",
     "EmergenceReport",
     "emergence_scan",
 ]
+
+# largest fine R grid a directed solve allocates: it holds about 240 bytes
+# per row at 6 channels (310 MiB at 1 M rows, measured), so 1e7 rows is
+# about 2.4 GB; the M v^2 = 3e4 run at a 0.01 phase step needs 6 M rows
+MAX_FINE_ROWS = 10_000_000
 
 # time steps per block of Crank-Nicolson diagonals: a block's two tables,
 # the diagonals and off-diagonals of its steps' tridiagonal matrices, are
@@ -497,7 +503,7 @@ class DirectedRunConfig:
     (the pulse center and width are fixed fractions of the duration);
     only the clock gets heavier and faster.  `max_phase_per_step` bounds
     k * dR on the fine R grid of the solve.  The scan reads time at the
-    lattice group velocity (`_lattice_clock`), so dispersion does not
+    lattice group velocity (`lattice_clock`), so dispersion does not
     enter the measured residual at first order, and the bound only sets
     how well the lattice resolves the clock wave and the pulse: the local
     residual slopes above M v^2 = 100 move by under 2e-4 between 0.01
@@ -540,9 +546,11 @@ def directed_run(cfg: DirectedRunConfig, basis: ChannelBasis, e_kin: float) -> t
     [0, v * duration] on a fine grid of stride * (slices - 1) + 1
     points, with the smallest stride that keeps k_max * dR at or below
     `max_phase_per_step`; the returned state keeps every stride-th row.
+    A grid of more than MAX_FINE_ROWS points is refused with
+    DegenerateInputError before anything is allocated.
     On that grid the clock wave moves at the lattice group velocity,
     which is below p / M by a fraction (k dR)^2 / 6: a clock read off
-    this state must use it (`_lattice_clock` does).
+    this state must use it (`lattice_clock` does).
     Returns (spec, fine R grid, directed state, v).
     """
     M, hbar = cfg.clock_mass, cfg.hbar
@@ -552,9 +560,18 @@ def directed_run(cfg: DirectedRunConfig, basis: ChannelBasis, e_kin: float) -> t
     e_total = e_kin + eps0
 
     k_max = float(np.sqrt(2.0 * M * e_total)) / hbar
-    n_min = int(np.ceil(span * k_max / cfg.max_phase_per_step))
-    stride = max(1, -(-n_min // (cfg.slices - 1)))  # ceil division
-    r_grid = Grid1D(0.0, span, stride * (cfg.slices - 1) + 1)
+    n_min = np.ceil(span * k_max / cfg.max_phase_per_step)
+    # in floats, so an overflowing (inf or nan) grid is refused before it is
+    # sized; the ceiling of the quotient is exact while both counts are below 2^53
+    stride = np.maximum(1.0, np.ceil(n_min / (cfg.slices - 1)))
+    rows = stride * (cfg.slices - 1) + 1
+    if not rows <= MAX_FINE_ROWS:
+        raise DegenerateInputError(
+            f"the directed solve needs {rows:.4g} fine R rows, above the bound of "
+            f"{MAX_FINE_ROWS:.0e}"
+        )
+    stride = int(stride)
+    r_grid = Grid1D(0.0, span, int(rows))
 
     coupling = WindowedPulse(
         cfg.pulse_amplitude,
@@ -563,8 +580,7 @@ def directed_run(cfg: DirectedRunConfig, basis: ChannelBasis, e_kin: float) -> t
         Linear(1.0),
     )
     spec = CompositeSpec(M, cfg.system_mass, hbar, Constant(0.0),
-                         Harmonic(cfg.system_stiffness), coupling,
-                         energy=e_total)
+                         Harmonic(cfg.system_stiffness), coupling)
     state = solve_directed_state(spec, basis, r_grid, e_total, cfg.incoming,
                                  cfg.residual_tol, stride=stride)
     return spec, r_grid, state, v
@@ -616,7 +632,7 @@ class EmergenceReport:
         return np.array([getattr(r, name) for r in self.rows])
 
 
-def _lattice_clock(state: DirectedState, spec: CompositeSpec, fine_spacing: float) -> tuple:
+def lattice_clock(state: DirectedState, spec: CompositeSpec, fine_spacing: float) -> tuple:
     """The free clock of a directed state on its R grid: (WKB factor, time map).
 
     Both come from the order-2 lattice of the solve grid (spacing
@@ -631,7 +647,7 @@ def _lattice_clock(state: DirectedState, spec: CompositeSpec, fine_spacing: floa
     dt/dR = 1 / v_g.
     """
     M, hbar = spec.M, spec.hbar
-    k = _discrete_wavenumber(spec.energy, fine_spacing, M, hbar)
+    k = _discrete_wavenumber(state.energy, fine_spacing, M, hbar)
     p_lat = hbar * k
     v_g = hbar * np.sin(k * fine_spacing) / (M * fine_spacing)
     r_sub = state.r_grid
@@ -644,7 +660,7 @@ def _lattice_clock(state: DirectedState, spec: CompositeSpec, fine_spacing: floa
 def _scan_point(cfg: EmergenceScanConfig, system: SystemSpec, basis: ChannelBasis,
                 e_kin: float) -> QuantumEmergenceRow:
     spec, r_grid, state, v = directed_run(cfg, basis, e_kin)
-    wkb, tmap = _lattice_clock(state, spec, r_grid.spacing)
+    wkb, tmap = lattice_clock(state, spec, r_grid.spacing)
     traj = conditional_from_composite(state, wkb, tmap, spec)
     v_mean = float(np.mean(wkb.momentum / wkb.M))
     report = tdse_residual(traj, system, drive=CouplingDrive(spec.v_int, tmap),

@@ -87,7 +87,7 @@ def _run_perfect_clock(p: PerfectClockConfig, jobs: int) -> dict:
         (r, t.real, t.imag, e, d)
         for r, t, e, d in zip(r_grid.points, tau.values, exact, err)
     ]
-    rel = err[1:] / np.abs(exact[1:]) if r_grid.n > 1 else np.zeros(1)
+    rel = err[1:] / np.abs(exact[1:])
     summary = [(float(np.max(err)), float(np.max(rel)), float(tau.max_imag_fraction))]
     return {
         "perfect_clock": _table(("r", "re_tau", "im_tau", "exact_t", "abs_error"), rows),
@@ -130,10 +130,10 @@ def _run_two_level(p: TwoLevelConfig, jobs: int) -> dict:
     pulse = WindowedPulse(p.pulse_amplitude, p.pulse_center, p.pulse_width, Linear(1.0))
     drive = CouplingDrive(pulse, tmap)
 
-    psi0 = Field1D(x_grid, basis.states[0].values)
+    psi0 = Field1D(x_grid, basis.states[0])
     rep = dynamics.compare_amplitudes_to_grid(system, basis, drive, psi0, t)
 
-    stride = max(1, p.output_stride)
+    stride = p.output_stride
     a = rep.ode.amplitudes[::stride]
     g = rep.projected[::stride]
     rows = np.column_stack([
@@ -160,22 +160,20 @@ class BeamOnAtomConfig(dynamics.DirectedRunConfig):
 def _run_beam_on_atom(p: BeamOnAtomConfig, jobs: int) -> dict:
     _, basis = p.system_basis()
     spec, r_grid, state, _ = dynamics.directed_run(p, basis, p.kinetic_energy)
-    e_total = spec.energy
 
     # the beam's own time axis: its clock wave moves at the lattice group velocity
     r_sub = state.r_grid
-    _, tmap = dynamics._lattice_clock(state, spec, r_grid.spacing)
+    _, tmap = dynamics.lattice_clock(state, spec, r_grid.spacing)
 
     pops = np.abs(state.amplitudes) ** 2
     pops /= pops[0].sum()  # entry slice defines the unit of population
 
-    out_stride = max(1, p.output_stride)
-    idx = range(0, r_sub.n, out_stride)
+    idx = range(0, r_sub.n, p.output_stride)
     pop_cols = [f"pop_{n}" for n in range(len(basis))]
     rows = [
         (r_sub.points[i], tmap.times[i], *pops[i]) for i in idx
     ]
-    summary = [(state.residual, float(e_total), p.incoming,
+    summary = [(state.residual, float(state.energy), p.incoming,
                 *pops[0], *pops[-1])]
     sum_cols = (["residual", "energy", "incoming"]
                 + [f"entry_{c}" for c in pop_cols] + [f"exit_{c}" for c in pop_cols])

@@ -168,16 +168,16 @@ def solve_eigenpairs(h: Hamiltonian2D, e_target: float, k: int) -> list[EigenPai
     rng = np.random.default_rng(0)
     v0 = rng.standard_normal(n)
     vals, vecs = eigsh(h.matrix, k=k, sigma=e_target, which="LM", v0=v0)
-    pairs = []
-    for idx in np.argsort(vals):
-        full = np.zeros((h.grid.r.n, h.grid.x.n), dtype=complex)
-        full[1:-1, 1:-1] = vecs[:, idx].reshape(h.grid.r.n - 2, h.grid.x.n - 2)
-        f = Field2D(h.grid, full)
-        f = Field2D(h.grid, full / norm(f))
-        energy = float(vals[idx])
-        u = f.values[1:-1, 1:-1].ravel()
-        res = float(np.linalg.norm(h.matrix @ u - energy * u) / np.linalg.norm(u))
-        pairs.append(EigenPair(energy, f, res))
+    order = np.argsort(vals)
+    vals = vals[order]
+    nr, nx = h.grid.r.n, h.grid.x.n
+    full = np.zeros((k, nr, nx), dtype=complex)
+    full[:, 1:-1, 1:-1] = vecs[:, order].T.reshape(k, nr - 2, nx - 2)
+    full /= np.sqrt(np.sum(h.grid.weights * np.conj(full) * full, axis=(1, 2)).real)[:, None, None]
+    u = full[:, 1:-1, 1:-1].reshape(k, -1)
+    res = (np.linalg.norm((h.matrix @ u.T).T - vals[:, None] * u, axis=1)
+           / np.linalg.norm(u, axis=1))
+    pairs = [EigenPair(float(e), Field2D(h.grid, f), float(r)) for e, f, r in zip(vals, full, res)]
     bad = [p for p in pairs if p.residual > 1e-8 * max(abs(p.energy), 1e-300)]
     if bad:
         raise ConvergenceError(
@@ -197,25 +197,25 @@ def _solve_banded_eigen(v_diag: np.ndarray, grid: Grid1D, mass: float, hbar: flo
     n_int = grid.n - 2
     if k > n_int:
         raise DegenerateInputError(f"k={k} exceeds interior size {n_int}")
-    bands = _kinetic_banded(n_int, order, grid.spacing, mass, hbar).copy()
+    bands = _kinetic_banded(n_int, order, grid.spacing, mass, hbar)
     bands[-1] += v_diag[1:-1]
-    vals, vecs = eig_banded(bands, lower=False, select="i", select_range=(0, k - 1))
-    return vals, vecs
+    if not np.all(np.isfinite(bands)):
+        raise DegenerateInputError("band table contains non-finite values")
+    try:
+        return eig_banded(bands, lower=False, select="i", select_range=(0, k - 1))
+    except np.linalg.LinAlgError as exc:  # e.g. a band table near the underflow range
+        raise ConvergenceError(f"banded eigensolve did not converge: {exc}") from exc
 
 
-def _embed_states(grid: Grid1D, vecs: np.ndarray) -> list[Field1D]:
-    states = []
-    for j in range(vecs.shape[1]):
-        full = np.zeros(grid.n, dtype=complex)
-        full[1:-1] = vecs[:, j]
-        f = Field1D(grid, full)
-        f = Field1D(grid, full / norm(f))
-        # sign fixed: real positive at the amplitude maximum
-        i = int(np.argmax(np.abs(f.values)))
-        if f.values[i].real < 0:
-            f = Field1D(grid, -f.values)
-        states.append(f)
-    return states
+def _embed_states(grid: Grid1D, vecs: np.ndarray) -> np.ndarray:
+    """The (k, n) table of the k interior eigenvectors `vecs[:, j]` on the
+    full grid: zero walls, each row of unit quadrature norm and real
+    positive at its amplitude maximum."""
+    table = np.zeros((vecs.shape[1], grid.n), dtype=complex)
+    table[:, 1:-1] = vecs.T
+    table /= np.sqrt(np.sum(grid.weights * np.conj(table) * table, axis=1).real)[:, None]
+    peak = table[np.arange(table.shape[0]), np.argmax(np.abs(table), axis=1)]
+    return np.where((peak.real < 0)[:, None], -table, table)
 
 
 def solve_system_basis(system, x_grid: Grid1D, k: int, order: int = 2) -> ChannelBasis:
@@ -226,8 +226,7 @@ def solve_system_basis(system, x_grid: Grid1D, k: int, order: int = 2) -> Channe
     """
     v = np.asarray(system.v_sys(x_grid.points), dtype=float)
     vals, vecs = _solve_banded_eigen(v, x_grid, system.m, system.hbar, k, order)
-    states = _embed_states(x_grid, vecs)
-    return ChannelBasis(x_grid, states, vals, stencil_order=order)
+    return ChannelBasis(x_grid, _embed_states(x_grid, vecs), vals, stencil_order=order)
 
 
 # ---------------------------------------------------------------------------
@@ -391,10 +390,9 @@ def factorize_selfconsistent(pair: EigenPair, spec) -> tuple[FactorizedState, It
                                          k_cand, COMPOSITE_ORDER)
         cands = _embed_states(r_grid, vecs)
         w_r = r_grid.weights
-        overlaps = [abs(np.sum(w_r * np.conj(c.values) * chi.values)) for c in cands]
-        best = int(np.argmax(overlaps))
+        best = int(np.argmax(np.abs(np.conj(cands) @ (w_r * chi.values))))
         # gauge: _embed_states returns it real positive at the peak, unit norm
-        new_chi = cands[best]
+        new_chi = Field1D(r_grid, cands[best])
 
         step = float(np.sqrt(np.sum(w_r * np.abs(new_chi.values - chi.values) ** 2)))
         steps.append(step)
@@ -494,7 +492,7 @@ class DirectedState:
     residual: float
 
     def field(self) -> Field2D:
-        values = self.amplitudes @ self.basis.state_matrix()
+        values = self.amplitudes @ self.basis.states
         return Field2D(Grid2D(self.r_grid, self.basis.x_grid), values)
 
 

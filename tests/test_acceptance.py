@@ -55,8 +55,7 @@ from chronolab.scenarios import SCENARIOS, default_config
 def weak_pair():
     """Ground pair of the weakly coupled composite on the reference grid."""
     grid = Grid1D(-7.0, 7.0, 128)
-    spec = CompositeSpec(2.0, 1.0, 1.0, Harmonic(2.0), Harmonic(4.0), Bilinear(0.15),
-                         energy=5.0)
+    spec = CompositeSpec(2.0, 1.0, 1.0, Harmonic(2.0), Harmonic(4.0), Bilinear(0.15))
     h = assemble_tise(spec, Grid2D(grid, grid))
     pair = solve_eigenpairs(h, e_target=1.6, k=1)[0]
     return spec, grid, pair
@@ -169,7 +168,7 @@ def test_criterion_05_two_route_equivalence():
     basis = solve_system_basis(SystemSpec(1.0, 1.0, Harmonic(1.0)), grid, 2, order=2)
     degenerate = ChannelBasis(grid, basis.states, np.zeros(2), basis.stencil_order)
     lam, x, w = 0.3, grid.points, grid.weights
-    c = float(np.sum(w * basis.states[0].values.real * x * basis.states[1].values.real))
+    c = float(np.sum(w * basis.states[0].real * x * basis.states[1].real))
     t = np.linspace(0.0, 6.0, 3001)
     drive = CouplingDrive(Coupling(Constant(1.0), Linear(1.0), lam),
                           TimeMap(Grid1D(0.0, 6.0, 3), np.linspace(0.0, 6.0, 3), np.ones(3)))
@@ -196,8 +195,7 @@ def test_criterion_06_classical_emergence():
     # into power at the beam velocity, is the shifted system energy
     M, ks, x0 = 100.0, 4.0, 0.5
     e_total = 2.5 + 0.5 * ks * x0**2
-    spec = CompositeSpec(M, 1.0, 1.0, Constant(0.0), Harmonic(ks), ZeroCoupling(),
-                         energy=e_total)
+    spec = CompositeSpec(M, 1.0, 1.0, Constant(0.0), Harmonic(ks), ZeroCoupling())
     traj = integrate_composite(spec, 0.0, np.sqrt(2 * M * 2.5), x0, 0.0,
                                span=2.0, steps=4000)
     p_comp = float(np.mean(traj.momenta[:, 0]))

@@ -141,15 +141,15 @@ def test_beam_on_atom_time_runs_at_the_lattice_group_velocity():
     params = default_config("beam-on-atom")["parameters"]
     cfg = get_scenario("beam-on-atom").config(**params)
     _, basis = cfg.system_basis()
-    spec, r_grid, _, _ = directed_run(cfg, basis, cfg.kinetic_energy)
+    _, r_grid, state, _ = directed_run(cfg, basis, cfg.kinetic_energy)
     M, hbar, h = cfg.clock_mass, cfg.hbar, r_grid.spacing
-    k = np.arccos(1.0 - M * h * h * spec.energy / hbar**2) / h
+    k = np.arccos(1.0 - M * h * h * state.energy / hbar**2) / h
     v_g = hbar * np.sin(k * h) / (M * h)
     table = SCENARIOS["beam-on-atom"].run(params)["channel_populations"]
     r, t = np.array([row[:2] for row in table.rows]).T
     np.testing.assert_allclose(t, (r - r[0]) / v_g, rtol=1e-12, atol=0.0)
     # the continuum clock p / M runs faster by about (k h)^2 / 6
-    p = np.sqrt(2.0 * M * spec.energy)
+    p = np.sqrt(2.0 * M * state.energy)
     assert (r[-1] - r[0]) * M / p < t[-1] * (1.0 - 1e-5)
 
 
@@ -608,7 +608,10 @@ def _run_under_contract(doc: dict) -> tuple:
     return code, tables
 
 
-@given(doc=_configs("perfect-clock", 2001) | _configs("jacobi-paths", 12))
+# the two-level grids and step count are always drawn, so that every run is small
+@given(doc=_configs("perfect-clock", 2001) | _configs("jacobi-paths", 12)
+       | _configs("harmonic-clock-two-level", 201,
+                  required=("clock_points", "x_points", "time_steps")))
 def test_schema_valid_configs_end_with_a_manifest_and_a_documented_code(doc):
     _run_under_contract(doc)
 
@@ -622,9 +625,10 @@ def test_schema_valid_classical_configs_end_with_finite_results(doc):
         assert all(np.isfinite(float(r["deviation"])) for r in tables["classical_emergence"])
 
 
-# configs whose numbers overflow inside scipy (trust-exact on the path),
-# in the clock's time or rate table, or in the system's launch energy,
-# with the chronolab error that names it
+# configs whose numbers overflow inside scipy (trust-exact on the path,
+# the banded eigensolve of the system), in the clock's time or rate table,
+# in the system's launch energy, kinetic prefactor or pulse width, with
+# the chronolab error that names it
 OVERFLOWING = [
     ("perfect-clock", {"clock_mass": 6.3e307}, "DegenerateInputError: time map"),
     ("perfect-clock", {"clock_mass": 5e-324, "points": 3}, "DegenerateInputError: time map"),
@@ -634,6 +638,17 @@ OVERFLOWING = [
     ("jacobi-paths", {"well": "harmonic", "segments": 8, "masses": [1.3e308, 2.2e16]},
      "ConvergenceError: path minimization"),
     ("classical-emergence", {"px0": 1e200}, "DegenerateInputError: initial system energy"),
+    ("harmonic-clock-two-level", {"x_half": 1e154}, "DegenerateInputError: band table"),
+    ("harmonic-clock-two-level", {"system_mass": 5e-324},
+     "DegenerateInputError: kinetic prefactor"),
+    ("harmonic-clock-two-level", {"pulse_width": 1.4e154},
+     "DegenerateInputError: gaussian well width"),
+    # the scan solves its basis once, outside the per-point error rows
+    ("emergence-scan", {"x_half": 1e154}, "DegenerateInputError: band table"),
+    # a band table near the underflow range, where LAPACK's banded solver fails
+    ("harmonic-clock-two-level", {"system_mass": 5.231975621026697e+299,
+                                  "system_stiffness": 5e-324},
+     "ConvergenceError: banded eigensolve did not converge"),
 ]
 
 
@@ -645,6 +660,36 @@ def test_overflow_inside_scipy_is_a_numerical_error(tmp_path, capsys, name, para
     err = capsys.readouterr().err
     assert f"numerical error: {error}" in err
     assert "Traceback" not in err
+
+
+# directed fine grids past the row bound, with the row count they would need
+HUGE_GRIDS = [
+    ({"kinetic_energy": 1e9}, "2e+11"),
+    ({"max_phase_per_step": 1e-12}, "2.02e+14"),
+    ({"clock_mass": 5e-324, "kinetic_energy": 1e-10}, "inf"),  # the clock speed overflows
+]
+
+
+@pytest.mark.parametrize("parameters, rows", HUGE_GRIDS,
+                         ids=["-".join(parameters) for parameters, _ in HUGE_GRIDS])
+def test_a_directed_grid_past_the_bound_is_refused(tmp_path, capsys, parameters, rows):
+    # refused with the count, before any allocation
+    cfg = write_config(tmp_path, {"scenario": "beam-on-atom", "parameters": parameters})
+    assert main(["run", cfg, "--out", str(tmp_path / "out")]) == 3
+    err = capsys.readouterr().err
+    assert (f"numerical error: DegenerateInputError: the directed solve needs {rows} "
+            "fine R rows, above the bound of 1e+07") in err
+    assert "Traceback" not in err
+
+
+def test_a_scan_point_past_the_grid_bound_is_an_error_row(tmp_path):
+    cfg = write_config(tmp_path, {"scenario": "emergence-scan",
+                                  "parameters": {"kinetic_energies": [15.0, 50.0, 1e9]}})
+    out = tmp_path / "out"
+    assert main(["run", cfg, "--out", str(out)]) == 0
+    rows = list(csv.DictReader((out / "scan_details.csv").read_text(encoding="utf-8").splitlines()))
+    assert [r["error"] for r in rows[:2]] == ["", ""]
+    assert rows[2]["error"].startswith("DegenerateInputError: the directed solve needs 1e+11")
 
 
 def test_a_clock_that_never_moves_is_named(tmp_path, capsys):

@@ -213,21 +213,24 @@ def _analytic_ho_basis(grid: Grid1D, k: float):
     g0 = ho_ground(grid, 1.0, k)
     w = np.sqrt(k)
     g1 = np.sqrt(2.0 * w) * x * g0  # first excited via the raising operator
-    states = (Field1D(grid, g0), Field1D(grid, g1))
-    return ChannelBasis(grid, states, np.array([0.5, 1.5]) * w)
+    return ChannelBasis(grid, np.array([g0, g1]), np.array([0.5, 1.5]) * w)
 
 
 def test_channel_basis_orthonormal():
     basis = _analytic_ho_basis(Grid1D(-9.0, 9.0, 601), 1.0)
     assert len(basis) == 2
     np.testing.assert_allclose(basis.gram(), np.eye(2), atol=1e-10)
-    assert basis.state_matrix().shape == (2, 601)
+    assert basis.states.shape == (2, 601)
+    assert basis.states.dtype == complex
 
 
 def test_channel_basis_rejects_skewed_states():
     grid = Grid1D(-9.0, 9.0, 301)
-    g0 = Field1D(grid, ho_ground(grid, 1.0, 1.0))
+    g0 = ho_ground(grid, 1.0, 1.0)
     with pytest.raises(DegenerateInputError):
-        ChannelBasis(grid, (g0, g0), np.array([0.5, 1.5]))
+        ChannelBasis(grid, np.array([g0, g0]), np.array([0.5, 1.5]))
+    # one row per energy, one column per grid point
     with pytest.raises(GridMismatchError):
-        ChannelBasis(grid, (g0,), np.array([0.5, 1.5]))
+        ChannelBasis(grid, g0[None, :], np.array([0.5, 1.5]))
+    with pytest.raises(GridMismatchError):
+        ChannelBasis(grid, g0[None, 1:], np.array([0.5]))

@@ -37,7 +37,7 @@ from chronolab import (
     tdse_residual,
 )
 from chronolab.core import _apply_kinetic, _kinetic_coeffs, central_difference
-from chronolab.dynamics import BLOCK_STEPS, DirectedRunConfig, _lattice_clock, directed_run
+from chronolab.dynamics import BLOCK_STEPS, DirectedRunConfig, directed_run, lattice_clock
 from chronolab.errors import BlowUpError, StabilityError
 
 
@@ -126,7 +126,7 @@ def test_eigenstate_acquires_only_a_phase():
     grid = Grid1D(-9.0, 9.0, 901)
     system = SystemSpec(1.0, 1.0, Harmonic(1.0))
     basis = solve_system_basis(system, grid, 1, order=2)
-    psi0 = basis.states[0]
+    psi0 = Field1D(grid, basis.states[0])
     eps0 = float(basis.energies[0])
     t = np.linspace(0.0, 3.0, 3001)
     traj = propagate_tdse(system, None, psi0, t)
@@ -170,7 +170,7 @@ def test_rabi_oscillation_in_degenerate_limit():
     lam = 0.3
     x = grid.points
     w = grid.weights
-    c = float(np.sum(w * basis.states[0].values.real * x * basis.states[1].values.real))
+    c = float(np.sum(w * basis.states[0].real * x * basis.states[1].real))
     t = np.linspace(0.0, 6.0, 3001)
     drive = CouplingDrive(Coupling(Constant(1.0), Linear(1.0), lam), _clock(0.0, 6.0))
     amps = propagate_amplitudes(degenerate, drive, [1.0, 0.0], t)
@@ -207,7 +207,7 @@ def test_two_route_comparison_close_on_two_level_drive():
     tmap = clock_time_map(clock)
     drive = CouplingDrive(WindowedPulse(0.2, 0.0, 0.8, Linear(1.0)), tmap)
     t = np.linspace(0.0, 0.9 * tmap.span[1], 2001)
-    rep = compare_amplitudes_to_grid(system, basis, drive, basis.states[0], t)
+    rep = compare_amplitudes_to_grid(system, basis, drive, Field1D(grid, basis.states[0]), t)
     assert rep.basis_defect < 1e-6
     assert rep.max_deviation < 5e-3
 
@@ -232,7 +232,7 @@ def _rk4_per_sample(basis, drive, a0, t, hbar):
     deps = basis.energies[:, None] - basis.energies[None, :]
     x = basis.x_grid.points
     w = basis.x_grid.weights
-    mat = basis.state_matrix()
+    mat = basis.states
     wmat = (np.conj(mat) * (w * np.asarray(drive.coupling.sys(x), dtype=float))) @ mat.T
     eye = np.eye(len(basis))
     out = np.empty((t.size, len(basis)), dtype=complex)
@@ -309,7 +309,7 @@ def test_block_propagators_match_per_sample_steppers_bit_for_bit():
     dt = np.diff(t)
     assert t.size == steps + 1 and np.any(t[:-1] + dt != t[1:])
     a0 = np.array([0.6, 0.8j])
-    psi0 = basis.states[0]
+    psi0 = Field1D(grid, basis.states[0])
 
     recorded = _RecordingDrive(drive.coupling, drive.timemap)
     amps = propagate_amplitudes(basis, recorded, a0, t, hbar=system.hbar)
@@ -336,7 +336,7 @@ def test_propagators_take_only_a_coupling_drive():
     with pytest.raises(TypeError, match="CouplingDrive"):
         propagate_amplitudes(basis, lambda x, tt: 0.1 * x, [1.0, 0.0], t)
     with pytest.raises(TypeError, match="CouplingDrive"):
-        propagate_tdse(system, lambda x, tt: 0.1 * x, basis.states[0], t)
+        propagate_tdse(system, lambda x, tt: 0.1 * x, Field1D(grid, basis.states[0]), t)
 
 
 def test_amplitude_blow_up_is_not_a_silent_nan():
@@ -420,7 +420,7 @@ def _tdse_residual_x(x_grid, order, t, psi, u, system, drive, mv2):
 
 def _out_of_span(basis, rows):
     """Interior norm of rows minus their projection on the basis span."""
-    mat = basis.state_matrix()
+    mat = basis.states
     w = basis.x_grid.weights
     perp = rows - ((np.conj(mat) * w) @ rows.T).T @ mat
     return float(np.sqrt(np.sum(w[1:-1] * np.abs(perp[:, 1:-1]) ** 2)))
@@ -436,11 +436,9 @@ def test_free_beam_conditional_carries_emergent_phase():
     eps0 = float(basis.energies[0])
     e_total = 50.0 + eps0
     r_grid = Grid1D(0.0, 1.4, 8001)
-    spec = CompositeSpec(M, 1.0, hbar, Constant(), Harmonic(4.0),
-                         ZeroCoupling(),
-                         energy=e_total)
+    spec = CompositeSpec(M, 1.0, hbar, Constant(), Harmonic(4.0), ZeroCoupling())
     state = solve_directed_state(spec, basis, r_grid, e_total, 0, 1e-6, stride=4)
-    wkb, tmap = _lattice_clock(state, spec, r_grid.spacing)
+    wkb, tmap = lattice_clock(state, spec, r_grid.spacing)
     traj = conditional_from_composite(state, wkb, tmap, spec)
 
     assert np.ptp(traj.slice_norms()) < 1e-10
@@ -465,7 +463,7 @@ def test_channel_conditional_and_residual_match_x_space_on_a_pulse():
     cfg = DirectedRunConfig(slices=801)
     system, basis = cfg.system_basis()
     spec, r_grid, state, _ = directed_run(cfg, basis, 50.0)
-    wkb, tmap = _lattice_clock(state, spec, r_grid.spacing)
+    wkb, tmap = lattice_clock(state, spec, r_grid.spacing)
     drive = CouplingDrive(spec.v_int, tmap)
     traj = conditional_from_composite(state, wkb, tmap, spec)
     rep = tdse_residual(traj, system, drive=drive, mv2=2.0 * 50.0)
@@ -515,7 +513,7 @@ def test_channel_residual_matches_x_space_on_random_trajectories(k, nt, order, s
     traj = ConditionalTrajectory(basis, t, amps, u_s)
     rep = tdse_residual(traj, system, drive=drive, mv2=rng.uniform(10.0, 1e3))
 
-    psi = amps @ basis.state_matrix()
+    psi = amps @ basis.states
     residual, rho, rows = _tdse_residual_x(
         grid, order, t, psi, u_s, system, drive, rep.mv2)
     assert rep.residual == pytest.approx(residual, rel=1e-10)

@@ -4,7 +4,7 @@ No linter is a dependency, so these checks walk each module's syntax
 tree: every module-level import is used in its module, every `__all__`
 entry is defined there, the package exports exactly the union of its
 public modules' `__all__` lists, private names cross module lines only
-out of `core`, and every optional parameter of the package is passed by
+out of `core` (by import or by attribute read), and every optional parameter of the package is passed by
 some call in the package or its tests.
 """
 
@@ -74,29 +74,48 @@ def test_package_exports_the_union_of_module_all():
     assert exported == union
 
 
+def _module_names(tree) -> dict:
+    """local name -> module stem, for each package module that a
+    module-level import binds as a module (`from . import m`,
+    `from chronolab import m`, `import chronolab.m as x`)."""
+    out = {}
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and (
+                (node.level and not node.module) or (not node.level and node.module == "chronolab")):
+            out.update((a.asname or a.name, a.name) for a in node.names if a.name in TREES)
+        elif isinstance(node, ast.Import):
+            out.update((a.asname, a.name.split(".", 1)[1]) for a in node.names
+                       if a.asname and a.name.startswith("chronolab."))
+    return out
+
+
+def _private(name: str) -> bool:
+    return name.startswith("_") and not name.startswith("__")
+
+
 def test_private_names_are_imported_only_from_core():
-    """`from .m import _name` appears only with m = core.
+    """`from .m import _name` and a read `m._name` through an imported
+    module appear only with m = core.
 
     `core` owns what several modules share (grids, stencils, the channel
-    space); every other module's private names stay its own.  Only
-    import statements are checked: an attribute read through an imported
-    module, such as `dynamics._lattice_clock` in `scenarios`, is out of
-    this test's scope.
+    space); every other module's private names stay its own.
     """
     crossing = []
     for stem, tree in TREES.items():
+        modules = _module_names(tree)
         for node in ast.walk(tree):
-            if not isinstance(node, ast.ImportFrom):
-                continue
-            module = node.module or ""
-            if node.level == 0:
-                if not module.startswith("chronolab."):
-                    continue
-                module = module.split(".", 1)[1]
-            crossing += [f"{stem}.py:{node.lineno} {module}.{alias.name}" for alias in node.names
-                         if alias.name.startswith("_") and not alias.name.startswith("__")
-                         and module != "core"]
-    assert not crossing, f"private names imported from a module other than core: {crossing}"
+            if isinstance(node, ast.ImportFrom):
+                module = node.module or ""
+                if node.level == 0:
+                    if not module.startswith("chronolab."):
+                        continue
+                    module = module.split(".", 1)[1]
+                crossing += [f"{stem}.py:{node.lineno} {module}.{alias.name}"
+                             for alias in node.names if _private(alias.name) and module != "core"]
+            elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                  and modules.get(node.value.id, "core") != "core" and _private(node.attr)):
+                crossing.append(f"{stem}.py:{node.lineno} {modules[node.value.id]}.{node.attr}")
+    assert not crossing, f"private names read from a module other than core: {crossing}"
 
 
 TEST_TREES = {path.stem: ast.parse(path.read_text(encoding="utf-8"))

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
+from scipy.sparse.linalg import eigsh
 
 from chronolab import (
     Bilinear,
@@ -32,10 +33,11 @@ from chronolab import (
     solve_eigenpairs,
     solve_system_basis,
 )
-from chronolab.core import _apply_kinetic, _kinetic_coeffs
+from chronolab.core import _apply_kinetic, _kinetic_coeffs, norm
 from chronolab.stationary import (
     WINDOW_THRESHOLD,
     _channel_residual,
+    _embed_states,
     _kinetic_banded,
     _transfer_scan,
 )
@@ -45,8 +47,7 @@ from chronolab.stationary import (
 def weak_pair():
     """Lowest eigenpair of a weakly coupled two-oscillator composite."""
     grid = Grid1D(-7.0, 7.0, 128)
-    spec = CompositeSpec(2.0, 1.0, 1.0, Harmonic(2.0), Harmonic(4.0), Bilinear(0.15),
-                         energy=5.0)
+    spec = CompositeSpec(2.0, 1.0, 1.0, Harmonic(2.0), Harmonic(4.0), Bilinear(0.15))
     h = assemble_tise(spec, Grid2D(grid, grid))
     pair = solve_eigenpairs(h, e_target=1.6, k=1)[0]
     return spec, grid, pair
@@ -82,6 +83,41 @@ def test_eigensolve_is_deterministic():
         assert np.array_equal(pa.state.values, pb.state.values)
 
 
+def test_eigenpairs_match_the_per_pair_loop():
+    # the pairs as they were formed one at a time: the same fields to the
+    # bit, and residuals to rounding (the norms sum in another order)
+    grid2 = Grid2D(Grid1D(-7.0, 7.0, 40), Grid1D(-7.0, 7.0, 48))
+    spec = CompositeSpec(2.0, 1.0, 1.0, Harmonic(2.0), Harmonic(4.0), Bilinear(0.15))
+    h = assemble_tise(spec, grid2)
+    pairs = solve_eigenpairs(h, e_target=1.6, k=3)
+    v0 = np.random.default_rng(0).standard_normal(h.matrix.shape[0])
+    vals, vecs = eigsh(h.matrix, k=3, sigma=1.6, which="LM", v0=v0)
+    for pair, idx in zip(pairs, np.argsort(vals)):
+        full = np.zeros((40, 48), dtype=complex)
+        full[1:-1, 1:-1] = vecs[:, idx].reshape(38, 46)
+        f = Field2D(grid2, full)
+        f = Field2D(grid2, full / norm(f))
+        u = f.values[1:-1, 1:-1].ravel()
+        res = np.linalg.norm(h.matrix @ u - vals[idx] * u) / np.linalg.norm(u)
+        assert pair.energy == vals[idx]
+        assert np.array_equal(pair.state.values, f.values)
+        assert pair.residual == pytest.approx(res, rel=64 * np.finfo(float).eps)
+
+
+def test_embedded_states_match_the_per_row_loop(rng):
+    # random interior vectors, so that both signs meet the gauge
+    grid = Grid1D(-3.0, 2.0, 161)
+    vecs = rng.standard_normal((159, 5))
+    rows = []
+    for j in range(5):
+        full = np.zeros(161, dtype=complex)
+        full[1:-1] = vecs[:, j]
+        f = Field1D(grid, full / norm(Field1D(grid, full)))
+        i = int(np.argmax(np.abs(f.values)))
+        rows.append(-f.values if f.values[i].real < 0 else f.values)
+    assert np.array_equal(_embed_states(grid, vecs), np.array(rows))
+
+
 def test_system_basis_energies_and_orthonormality():
     grid = Grid1D(-8.0, 8.0, 801)
     basis = solve_system_basis(SystemSpec(1.0, 1.0, Harmonic(4.0)), grid, 4, order=4)
@@ -90,7 +126,7 @@ def test_system_basis_energies_and_orthonormality():
     assert basis.stencil_order == 4
     # sign convention: real and positive at the amplitude maximum
     for s in basis.states:
-        assert s.values[np.argmax(np.abs(s.values))].real > 0.0
+        assert s[np.argmax(np.abs(s))].real > 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -203,7 +239,8 @@ def test_projection_rejects_foreign_basis(weak_pair):
 
 
 def _directed_problem(coupling, slices=801, e_kin=50.0, v_env=None):
-    """(spec, basis, fine R grid, stride) of a beam crossing a harmonic system."""
+    """(spec, basis, fine R grid, stride, total energy) of a beam crossing a
+    harmonic system."""
     M, hbar = 200.0, 1.0
     x_grid = Grid1D(-8.0, 8.0, 161)
     system = SystemSpec(1.0, hbar, Harmonic(4.0))
@@ -216,14 +253,13 @@ def _directed_problem(coupling, slices=801, e_kin=50.0, v_env=None):
     n_min = int(np.ceil(span * k_max / 0.02))
     stride = max(1, -(-n_min // (slices - 1)))
     r_grid = Grid1D(0.0, span, stride * (slices - 1) + 1)
-    spec = CompositeSpec(M, 1.0, hbar, v_env or Constant(), Harmonic(4.0), coupling,
-                         energy=e_total)
-    return spec, basis, r_grid, stride
+    spec = CompositeSpec(M, 1.0, hbar, v_env or Constant(), Harmonic(4.0), coupling)
+    return spec, basis, r_grid, stride, e_total
 
 
 def _directed_setup(coupling, slices=801, e_kin=50.0, v_env=None):
-    spec, basis, r_grid, stride = _directed_problem(coupling, slices, e_kin, v_env)
-    pair = solve_directed_state(spec, basis, r_grid, spec.energy, 0, 1e-6, stride=stride)
+    spec, basis, r_grid, stride, energy = _directed_problem(coupling, slices, e_kin, v_env)
+    pair = solve_directed_state(spec, basis, r_grid, energy, 0, 1e-6, stride=stride)
     return basis, pair
 
 
@@ -231,8 +267,7 @@ def test_directed_free_beam_keeps_its_channel():
     basis, pair = _directed_setup(ZeroCoupling())
     assert pair.residual < 1e-6
     wx = basis.x_grid.weights
-    mat = basis.state_matrix()
-    amps = (np.conj(mat) * wx) @ pair.field().values.T
+    amps = (np.conj(basis.states) * wx) @ pair.field().values.T
     pops = np.abs(amps) ** 2
     # no coupling: the incoming channel rides through untouched
     assert np.ptp(pops[0]) / np.max(pops[0]) < 1e-8
@@ -245,8 +280,7 @@ def test_directed_pulse_transfers_population():
     basis, pair = _directed_setup(pulse)
     assert pair.residual < 1e-6
     wx = basis.x_grid.weights
-    mat = basis.state_matrix()
-    amps = (np.conj(mat) * wx) @ pair.field().values.T
+    amps = (np.conj(basis.states) * wx) @ pair.field().values.T
     pops = np.abs(amps) ** 2
     pops /= pops[:, 0].sum()
     # the pulse moves some population up, mostly to the adjacent channel
@@ -284,7 +318,7 @@ def _directed_residual(spec, basis, r_grid, energy, kappas, block=2048):
     composite H - E with the order-2 R stencil (wall rows taken as they
     stand) and the basis stencil in x, over interior rows and columns.
     """
-    mat = basis.state_matrix()
+    mat = basis.states
     x = basis.x_grid.points
     v_sys_x = np.asarray(spec.v_sys(x), dtype=float)
     c0, c1, _ = _kinetic_coeffs(2, r_grid.spacing, spec.M, spec.hbar)
@@ -355,15 +389,15 @@ def test_transfer_scan_matches_sequential_recurrence(n, k, seed):
 
 def test_channel_residual_matches_x_space_residual():
     pulse = WindowedPulse(0.3, 0.7, 0.08, Linear(1.0))
-    spec, basis, r_grid, stride = _directed_problem(pulse, slices=4001, e_kin=15.0)
+    spec, basis, r_grid, stride, energy = _directed_problem(pulse, slices=4001, e_kin=15.0)
     assert stride == 1
-    pair = solve_directed_state(spec, basis, r_grid, spec.energy, 0, 1e-6)
+    pair = solve_directed_state(spec, basis, r_grid, energy, 0, 1e-6)
     kappas = pair.amplitudes
     g_r = pulse.strength * pulse.env(r_grid.points)
 
     def both(kap):
-        return (_channel_residual(spec, basis, r_grid, spec.energy, kap, g_r, block=1000),
-                _directed_residual(spec, basis, r_grid, spec.energy, kap))
+        return (_channel_residual(spec, basis, r_grid, energy, kap, g_r, block=1000),
+                _directed_residual(spec, basis, r_grid, energy, kap))
 
     chan, xspace = both(kappas)
     assert chan < 1e-6 and xspace < 1e-6
