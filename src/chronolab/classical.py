@@ -21,7 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize as sp_minimize
 
 from .core import Coupling, Grid1D, Potential, SystemSpec, _cumulative_trapezoid, _loglog_slope
 from .errors import (
@@ -178,6 +177,19 @@ def _coloured_hessian(grad, z: np.ndarray, d: int, step: float) -> np.ndarray:
                 hess[j + offset, :, j, k] = dg[j + offset]
     hess = hess.reshape(m * d, m * d)
     return 0.5 * (hess + hess.T)
+
+
+def sp_minimize(*args, **kwargs):
+    """scipy.optimize.minimize, imported on the first path minimization.
+
+    scipy.optimize pulls in scipy.special, scipy.fft and scipy.spatial, so
+    importing it here keeps it out of every start-up.  The name stays a
+    module attribute because the bench times the minimizer by wrapping
+    it; the ROADMAP item "One timing and health record" removes it.
+    """
+    from scipy.optimize import minimize
+
+    return minimize(*args, **kwargs)
 
 
 def minimize_action_path(

@@ -23,7 +23,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import get_lapack_funcs
 
 from .classical import CouplingDrive, TimeMap
 from .core import (
@@ -177,6 +176,8 @@ def propagate_tdse(
     real potentials.  The first step whose solve fails or whose
     amplitudes are not finite raises BlowUpError naming it.
     """
+    from scipy.linalg import get_lapack_funcs
+
     t = _time_axis(t_grid)
     grid = psi0.grid
     x = grid.points

@@ -27,9 +27,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-import scipy.sparse as sparse
-from scipy.linalg import eig_banded
-from scipy.sparse.linalg import eigsh
 
 from .core import (
     ChannelBasis,
@@ -98,6 +95,8 @@ def _kinetic_banded(n_interior: int, order: int, h: float, mass: float, hbar: fl
 
 def _kinetic_sparse(n_interior: int, h: float, mass: float, hbar: float):
     """The interior kinetic matrix at COMPOSITE_ORDER, built from the banded table."""
+    import scipy.sparse as sparse
+
     bands = _kinetic_banded(n_interior, COMPOSITE_ORDER, h, mass, hbar)
     upper = sparse.dia_matrix((bands, np.arange(len(bands))[::-1]), shape=(n_interior,) * 2)
     return upper + sparse.triu(upper, 1).T
@@ -111,18 +110,21 @@ def _kinetic_sparse(n_interior: int, h: float, mass: float, hbar: float):
 class Hamiltonian2D:
     """The composite Hamiltonian on a Dirichlet box as one sparse matrix.
 
-    `matrix` acts on the interior points of `grid` (row-major, x fastest).
-    `assemble_tise` derives it from the banded kinetic tables at
-    COMPOSITE_ORDER plus the potential diagonal; there is no matrix-free
-    composite H.
+    `matrix`, a scipy.sparse.csc_matrix, acts on the interior points of
+    `grid` (row-major, x fastest).  `assemble_tise` derives it from the
+    banded kinetic tables at COMPOSITE_ORDER plus the potential diagonal;
+    there is no matrix-free composite H.  scipy.sparse is imported where
+    the matrix is built, so the annotation is a string.
     """
 
     grid: Grid2D
-    matrix: sparse.csc_matrix
+    matrix: "scipy.sparse.csc_matrix"
 
 
 def assemble_tise(spec, grid: Grid2D) -> Hamiltonian2D:
     """Build the composite Hamiltonian for a CompositeSpec on a box grid."""
+    import scipy.sparse as sparse
+
     r = grid.r.points[:, None]
     x = grid.x.points[None, :]
     v = np.asarray(spec.v_env(r) + spec.v_sys(x) + spec.v_int(x, r), dtype=float)
@@ -160,6 +162,8 @@ def solve_eigenpairs(h: Hamiltonian2D, e_target: float, k: int) -> list[EigenPai
     Raises ConvergenceError if any returned pair misses the residual
     bound 1e-8 * |E|.
     """
+    from scipy.sparse.linalg import eigsh
+
     if k < 1:
         raise DegenerateInputError("need k >= 1")
     n = h.matrix.shape[0]
@@ -194,6 +198,8 @@ def solve_eigenpairs(h: Hamiltonian2D, e_target: float, k: int) -> list[EigenPai
 def _solve_banded_eigen(v_diag: np.ndarray, grid: Grid1D, mass: float, hbar: float,
                         k: int, order: int):
     """Lowest k interior eigenpairs of -hbar^2/2m d^2 + diag(v)."""
+    from scipy.linalg import eig_banded
+
     n_int = grid.n - 2
     if k > n_int:
         raise DegenerateInputError(f"k={k} exceeds interior size {n_int}")

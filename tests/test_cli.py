@@ -308,8 +308,8 @@ DEFAULT_CSV_HASHES = {
 }
 
 
-def _run_child(*args: str) -> subprocess.CompletedProcess:
-    """`python -m chronolab.cli *args` in a child with one BLAS thread.
+def _run_python(*args: str) -> subprocess.CompletedProcess:
+    """`python *args` in a fresh interpreter with one BLAS thread.
 
     The child imports the same chronolab as this test.  A threaded GEMM
     sums in another order than a single thread and can move the last bit
@@ -318,10 +318,15 @@ def _run_child(*args: str) -> subprocess.CompletedProcess:
     src = str(Path(chronolab.__file__).resolve().parents[1])
     one = {k: "1" for k in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
     return subprocess.run(
-        [sys.executable, "-m", "chronolab.cli", *args],
+        [sys.executable, *args],
         capture_output=True, text=True, check=False,
         env={**os.environ, "PYTHONPATH": src, **one},
     )
+
+
+def _run_child(*args: str) -> subprocess.CompletedProcess:
+    """`python -m chronolab.cli *args` in a child with one BLAS thread."""
+    return _run_python("-m", "chronolab.cli", *args)
 
 
 @pytest.mark.parametrize("name", sorted(DEFAULT_CSV_HASHES))
@@ -476,6 +481,54 @@ CROSS_FIELD = [
     ("perfect-clock", {"r_min": 5, "r_max": 1}, "/parameters/r_max"),
     ("classical-emergence", {"energies": [200]}, "/parameters/energies"),
 ]
+
+
+# a few values for each end, so that r_min = r_max and both orders all occur
+_ENDS = st.sampled_from((-1.0, 0.0, 2.0, 4.0))
+
+
+def _vector(items):
+    return st.integers(1, 3).flatmap(lambda n: st.lists(items, min_size=n, max_size=n))
+
+
+@st.composite
+def _cross_field_configs(draw):
+    """perfect-clock and jacobi-paths configs near their cross-field checks:
+    the ends drawn from a few values, each array at its own length."""
+    if draw(st.booleans()):
+        optional = {"r_min": _ENDS, "r_max": _ENDS}
+        return {"scenario": "perfect-clock",
+                "parameters": draw(st.fixed_dictionaries({}, optional=optional))}
+    coordinate = _vector(st.sampled_from((0.0, 0.5, 1.0)))
+    optional = {"q_start": coordinate, "q_end": coordinate, "center": coordinate,
+                "masses": _vector(st.sampled_from((1.0, 2.5))),
+                "well": st.sampled_from(("none", "harmonic"))}
+    return {"scenario": "jacobi-paths",
+            "parameters": draw(st.fixed_dictionaries({}, optional=optional))}
+
+
+def _cross_field_violations(doc: dict) -> set:
+    """The parameters whose cross-field check the config fails."""
+    p = {**default_config(doc["scenario"])["parameters"], **doc["parameters"]}
+    if doc["scenario"] == "perfect-clock":
+        return {"r_max"} if p["r_min"] >= p["r_max"] else set()
+    sized = ("q_end", "masses", "center") if p["well"] == "harmonic" else ("q_end", "masses")
+    return {k for k in sized if len(p[k]) != len(p["q_start"])}
+
+
+@given(doc=_cross_field_configs())
+def test_validate_fails_exactly_on_a_cross_field_violation(doc):
+    jsonschema.validate(doc, config_schema(doc["scenario"]))
+    violated = _cross_field_violations(doc)
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = Path(tmp) / "config.json"
+        cfg.write_text(json.dumps(doc), encoding="utf-8")
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(["validate", str(cfg)])
+    assert code == (2 if violated else 0)
+    if violated:
+        assert any(f"/parameters/{k}:" in err.getvalue() for k in violated)
 
 
 @pytest.mark.parametrize("name, params, pointer", CROSS_FIELD)
@@ -836,13 +889,49 @@ def test_module_entry_point():
     assert proc.stdout.strip() == chronolab.__version__
 
 
-def test_start_up_loads_no_scipy_interpolation_or_quadrature():
-    # the time map's slopes are the clock's own rate and the running
-    # integrals one numpy sum, so importing the CLI needs neither subpackage
-    src = str(Path(chronolab.__file__).resolve().parents[1])
-    code = ("import sys, chronolab.cli; print(sorted(m for m in sys.modules "
-            "if m.split('.')[:2] in (['scipy', 'interpolate'], ['scipy', 'integrate'])))")
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          check=False, env={**os.environ, "PYTHONPATH": src})
+# the scipy modules a child has loaded, as a Python expression
+SCIPY_LOADED = "sorted(m for m in sys.modules if m.startswith('scipy'))"
+
+
+def test_start_up_and_validation_load_no_scipy():
+    # each scipy subpackage is imported inside the function that calls it,
+    # so importing the CLI and validating a config need numpy and
+    # jsonschema only
+    code = ("import json, sys\n"
+            "from chronolab.cli import validate_config\n"
+            "from chronolab.scenarios import SCENARIOS, default_config\n"
+            f"loaded = [{SCIPY_LOADED}]\n"
+            "for name in sorted(SCENARIOS):\n"
+            "    validate_config(default_config(name))\n"
+            f"loaded.append({SCIPY_LOADED})\n"
+            "print(json.dumps(loaded))")
+    proc = _run_python("-c", code)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    after_import, after_validation = json.loads(proc.stdout)
+    assert after_import == []
+    assert after_validation == []
+
+
+@pytest.mark.parametrize("name", ["classical-emergence", "perfect-clock"])
+def test_runs_without_a_scipy_layer_load_no_scipy(tmp_path, name):
+    code = ("import json, sys\n"
+            "from chronolab.cli import main\n"
+            f"code = main(['run', {name!r}, '--out', {str(tmp_path / 'out')!r}])\n"
+            f"print(json.dumps([code, {SCIPY_LOADED}]))")
+    proc = _run_python("-c", code)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) == [0, []]
+
+
+def test_threaded_scan_in_a_fresh_interpreter_matches_one_job(tmp_path):
+    # criterion 10 runs in this process, where the test modules have
+    # already imported scipy; here the run makes the first scipy import
+    # itself, with the scan's thread pool in use
+    written = {}
+    for jobs in ("1", "2"):
+        out = tmp_path / jobs
+        proc = _run_child("run", "emergence-scan", "--out", str(out), "--jobs", jobs)
+        assert proc.returncode == 0, proc.stderr
+        written[jobs] = {p.name: p.read_bytes() for p in out.glob("*.csv")}
+    assert sorted(written["1"]) == ["emergence_scan.csv", "scan_details.csv"]
+    assert written["2"] == written["1"]

@@ -4,8 +4,9 @@ No linter is a dependency, so these checks walk each module's syntax
 tree: every module-level import is used in its module, every `__all__`
 entry is defined there, the package exports exactly the union of its
 public modules' `__all__` lists, private names cross module lines only
-out of `core` (by import or by attribute read), and every optional parameter of the package is passed by
-some call in the package or its tests.
+out of `core` (by import or by attribute read), no scipy import runs
+when a module is imported, and every optional parameter of the package
+is passed by some call in the package or its tests.
 """
 
 import ast
@@ -116,6 +117,30 @@ def test_private_names_are_imported_only_from_core():
                   and modules.get(node.value.id, "core") != "core" and _private(node.attr)):
                 crossing.append(f"{stem}.py:{node.lineno} {modules[node.value.id]}.{node.attr}")
     assert not crossing, f"private names read from a module other than core: {crossing}"
+
+
+def _import_time_imports(node):
+    """The import statements that run when the module is imported: all of
+    them but those inside a function body."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        if isinstance(child, (ast.Import, ast.ImportFrom)):
+            yield child
+        yield from _import_time_imports(child)
+
+
+def test_scipy_is_imported_only_inside_functions():
+    """scipy loads where a layer first needs it, never at start-up."""
+    eager = []
+    for stem, tree in TREES.items():
+        for node in _import_time_imports(tree):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            else:
+                modules = [node.module or ""] if node.level == 0 else []
+            eager += [f"{stem}.py:{node.lineno} {m}" for m in modules if m.split(".")[0] == "scipy"]
+    assert not eager, f"scipy imported at module level: {eager}"
 
 
 TEST_TREES = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
