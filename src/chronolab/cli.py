@@ -21,13 +21,14 @@ import argparse
 import csv
 import hashlib
 import json
+import math
+import operator
 import os
 import sys
 import time
 import warnings
 from pathlib import Path
 
-import jsonschema
 import numpy as np
 
 from . import __version__
@@ -64,11 +65,70 @@ def load_config(arg: str) -> dict:
         raise ConfigError(f"cannot read config: {exc}", path="/") from exc
 
 
+# bound keyword -> (whether a number breaks the bound, jsonschema's words)
+_BOUNDS = {"minimum": (operator.lt, "less than the minimum"),
+           "exclusiveMinimum": (operator.le, "less than or equal to the minimum"),
+           "maximum": (operator.gt, "greater than the maximum")}
+
+
+def _schema_errors(value, schema: dict, path: tuple = ()):
+    """Yield (path, message) for each way `value` breaks `schema`.
+
+    Reads the JSON Schema keywords that `config_schema` emits, in the
+    schema's own order and with jsonschema's wording, and raises
+    ValueError on any other keyword.  A number must also be finite: JSON
+    (RFC 8259, section 6) has no NaN or Infinity, though Python's reader
+    accepts them and every bound compares False against NaN.
+    """
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    obj = value if isinstance(value, dict) else {}
+    for key, arg in schema.items():
+        if key == "type":
+            if arg in ("number", "integer") and isinstance(value, float) and not math.isfinite(value):
+                yield path, f"{value!r} is not a finite number"
+            elif not {"object": isinstance(value, dict), "array": isinstance(value, list),
+                      "string": isinstance(value, str), "number": number,
+                      "integer": number and (isinstance(value, int) or value.is_integer())}[arg]:
+                yield path, f"{value!r} is not of type {arg!r}"
+        elif key == "const":
+            if value != arg:
+                yield path, f"{arg!r} was expected"
+        elif key == "enum":
+            if value not in arg:
+                yield path, f"{value!r} is not one of {arg!r}"
+        elif key == "anyOf":
+            if all(any(_schema_errors(value, sub, path)) for sub in arg):
+                yield path, f"{value!r} is not valid under any of the given schemas"
+        elif key in _BOUNDS:
+            if number and _BOUNDS[key][0](value, arg):
+                yield path, f"{value!r} is {_BOUNDS[key][1]} of {arg!r}"
+        elif key == "minItems":
+            if isinstance(value, list) and len(value) < arg:
+                yield path, f"{value!r} {'should be non-empty' if arg == 1 else 'is too short'}"
+        elif key == "items":
+            for index, item in enumerate(value if isinstance(value, list) else ()):
+                yield from _schema_errors(item, arg, path + (index,))
+        elif key == "properties":
+            for name in [name for name in arg if name in obj]:
+                yield from _schema_errors(obj[name], arg[name], path + (name,))
+        elif key == "required":
+            for name in [name for name in arg if isinstance(value, dict) and name not in value]:
+                yield path, f"{name!r} is a required property"
+        elif key == "additionalProperties" and arg is False:
+            extras = sorted(obj.keys() - schema.get("properties", {}).keys(), key=str)
+            if extras:
+                yield path, ("Additional properties are not allowed (%s %s unexpected)"
+                             % (", ".join(map(repr, extras)), "was" if len(extras) == 1 else "were"))
+        else:
+            raise ValueError(f"unsupported schema keyword {key!r}: {arg!r}")
+
+
 def validate_config(doc) -> tuple:
     """Check a config document; returns (scenario, merged parameters).
 
-    Unknown keys anywhere are rejected; the first schema violation is
-    reported with a JSON-pointer-style path into the document.  The
+    Unknown keys anywhere are rejected, and so is a number that is not
+    finite; the first schema violation, in jsonschema's order and words,
+    is reported with a JSON-pointer-style path into the document.  The
     merged parameters then build the scenario's parameter class, whose
     cross-field checks report their own pointer.  Integer fields come
     back as int: the schema also admits an integral float such as 101.0.
@@ -81,13 +141,10 @@ def validate_config(doc) -> tuple:
     if not isinstance(name, str):
         raise ConfigError("'scenario' must be a string", path="/scenario")
     schema = config_schema(name)  # rejects unknown scenario names
-    validator = jsonschema.Draft202012Validator(schema)
-    errors = sorted(validator.iter_errors(doc),
-                    key=lambda e: [str(x) for x in e.absolute_path])
+    errors = sorted(_schema_errors(doc, schema), key=lambda e: [str(x) for x in e[0]])
     if errors:
-        first = errors[0]
-        pointer = "/" + "/".join(str(x) for x in first.absolute_path)
-        raise ConfigError(first.message, path=pointer)
+        path, message = errors[0]
+        raise ConfigError(message, path="/" + "/".join(str(x) for x in path))
     scenario = SCENARIOS[name]
     params = {**scenario.defaults, **doc.get("parameters", {})}
     for key, prop in scenario.properties.items():

@@ -1,7 +1,7 @@
 """Experiment parameters as frozen-dataclass fields.
 
 Each parameter is declared once, as a field carrying its default and, in
-its metadata, its jsonschema bounds; the scenario registry derives
+its metadata, its JSON Schema bounds; the scenario registry derives
 defaults and config schema from the fields.  Constraints that tie fields
 together are checked in the class's __post_init__ through `require`, so
 `chronolab validate` and `chronolab run` reject the same configs.
@@ -23,7 +23,7 @@ FRACTION = {"type": "number", "exclusiveMinimum": 0, "maximum": 1}
 
 
 def param(default, schema: dict):
-    """A parameter field: its default and its jsonschema."""
+    """A parameter field: its default and its JSON Schema."""
     return field(default=default, metadata={"schema": schema})
 
 

@@ -332,7 +332,7 @@ class Scenario:
 
     @property
     def properties(self) -> dict:
-        """jsonschema of the parameter block, from the fields' metadata."""
+        """JSON Schema of the parameter block, from the fields' metadata."""
         return {f.name: f.metadata["schema"] for f in fields(self.config)}
 
     def run(self, params: dict, jobs: int = 1) -> dict:
@@ -369,7 +369,7 @@ def get_scenario(name: str) -> Scenario:
 
 
 def config_schema(name: str) -> dict:
-    """Full jsonschema for one scenario's run config."""
+    """Full JSON Schema for one scenario's run config."""
     sc = get_scenario(name)
     return {
         "type": "object",

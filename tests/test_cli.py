@@ -6,6 +6,7 @@ import dataclasses
 import hashlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -16,11 +17,11 @@ from pathlib import Path
 import jsonschema
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import chronolab
-from chronolab.cli import _config_hash, load_config, main, validate_config
+from chronolab.cli import _config_hash, _schema_errors, load_config, main, validate_config
 from chronolab.dynamics import directed_run
 from chronolab.errors import (
     ConfigError,
@@ -114,6 +115,187 @@ def test_missing_scenario_key():
     with pytest.raises(ConfigError) as exc:
         validate_config({"parameters": {}})
     assert exc.value.path == "/scenario"
+
+
+# ---------------------------------------------------------------------------
+# the schema reader, with jsonschema as its oracle
+
+
+def _subschemas(schema: dict):
+    """`schema` and every schema under it: properties, items, anyOf branches."""
+    yield schema
+    below = [*schema.get("properties", {}).values(), *schema.get("anyOf", ())]
+    for sub in below + ([schema["items"]] if "items" in schema else []):
+        yield from _subschemas(sub)
+
+
+@pytest.mark.parametrize("name", BUILTINS)
+def test_schema_reader_reads_every_keyword_of_the_schemas(name):
+    for node in _subschemas(config_schema(name)):
+        # the reader reads each keyword of a node whatever the value, and
+        # raises on a keyword or a type name that it does not know
+        list(_schema_errors(None, node))
+        # const and enum compare with ==, which is JSON Schema's equality
+        # for strings (not for true against 1)
+        assert all(isinstance(v, str) for v in [*node.get("enum", ()), node.get("const", "")])
+
+
+def test_schema_reader_refuses_a_keyword_it_does_not_read():
+    with pytest.raises(ValueError, match="multipleOf"):
+        list(_schema_errors(4, {"type": "integer", "multipleOf": 3}))
+
+
+def _first_error(errors) -> tuple | None:
+    """(pointer, message) of the first (path, message) pair under the
+    order validate_config reports in, or None."""
+    errors = sorted(errors, key=lambda e: [str(x) for x in e[0]])
+    return ("/" + "/".join(str(x) for x in errors[0][0]), errors[0][1]) if errors else None
+
+
+# a value of every JSON kind, numbers finite and integral floats among them
+_ANY_VALUE = st.one_of(
+    st.none(), st.booleans(), st.integers(-2, 300), st.integers(-2, 300).map(float),
+    st.sampled_from((0.5, 1e-300, 1e300, -7.25)), st.sampled_from(("", "none", "system", "x")),
+    st.lists(st.integers(-1, 3) | st.sampled_from((0.5, True, "a")), max_size=3),
+    st.dictionaries(st.sampled_from(("a", "points")), st.integers(0, 3), max_size=2))
+# numbers at and around the schemas' bounds (minima 0 to 3, maximum 1)
+_NEAR_BOUNDS = st.sampled_from((-1, 0, 0.0, -0.5, 0.5, 1, 1.0, 1.5, 2, 2.5, 3, 3.0))
+
+
+@st.composite
+def _mutated_configs(draw):
+    """(name, config): a builtin's default config with one to four of:
+    a parameter or an array item replaced by any value or by a number near
+    the bounds, an array cut short, a key added at the top or among the
+    parameters, a top-level entry replaced or dropped, and another
+    builtin's scenario, which `name`'s schema rejects by its const."""
+    name = draw(st.sampled_from(BUILTINS))
+    doc = default_config(name)
+    keys = sorted(SCENARIOS[name].properties)
+    arrays = [k for k in keys if SCENARIOS[name].properties[k].get("type") == "array"]
+    for _ in range(draw(st.integers(1, 4))):
+        params = doc["parameters"] if isinstance(doc.get("parameters"), dict) else {}
+        kind = draw(st.sampled_from(("value", "number", "item", "short", "extra", "top",
+                                     "drop", "scenario")))
+        if kind in ("value", "number"):
+            params[draw(st.sampled_from(keys))] = draw(_ANY_VALUE if kind == "value" else _NEAR_BOUNDS)
+        elif kind in ("item", "short") and arrays:
+            items = params.setdefault(draw(st.sampled_from(arrays)), [])
+            at = draw(st.integers(0, len(items))) if isinstance(items, list) else None
+            if kind == "item" and at is not None and at < len(items):
+                items[at] = draw(_ANY_VALUE | _NEAR_BOUNDS)
+            elif at is not None:
+                del items[at:]
+        elif kind == "extra":
+            where = draw(st.sampled_from((doc, params)))
+            where[draw(st.sampled_from(("tilt", "0", "aa", "zz")))] = draw(_ANY_VALUE)
+        elif kind == "top":
+            doc[draw(st.sampled_from(("seed", "out", "parameters")))] = draw(_ANY_VALUE)
+        elif kind == "drop":
+            doc.pop(draw(st.sampled_from(("scenario", "seed", "parameters"))), None)
+        elif kind == "scenario":
+            doc["scenario"] = draw(st.sampled_from(BUILTINS))
+    return name, doc
+
+
+@settings(max_examples=400)
+@given(case=_mutated_configs())
+def test_schema_reader_reports_the_first_error_jsonschema_reports(case):
+    name, doc = case
+    schema = config_schema(name)
+    expected = _first_error((e.absolute_path, e.message)
+                            for e in jsonschema.Draft202012Validator(schema).iter_errors(doc))
+    assert _first_error(_schema_errors(doc, schema)) == expected
+    if doc.get("scenario") == name and expected is not None:
+        with pytest.raises(ConfigError) as exc:
+            validate_config(doc)
+        assert (exc.value.path, exc.value.args[0]) == expected
+
+
+# one config per wording, with the pointer and message validate_config reports
+WORDINGS = [
+    ("perfect-clock", {"parameters": {"tilt": 1}},
+     "/parameters", "Additional properties are not allowed ('tilt' was unexpected)"),
+    ("perfect-clock", {"parameters": {"tilt": 1, "bend": 2}, "extra": 0},
+     "/", "Additional properties are not allowed ('extra' was unexpected)"),
+    ("perfect-clock", {"parameters": {"tilt": 1, "bend": 2}},
+     "/parameters", "Additional properties are not allowed ('bend', 'tilt' were unexpected)"),
+    ("perfect-clock", {"parameters": {"points": 1}},
+     "/parameters/points", "1 is less than the minimum of 3"),
+    ("perfect-clock", {"parameters": {"clock_mass": 0}},
+     "/parameters/clock_mass", "0 is less than or equal to the minimum of 0"),
+    ("harmonic-clock-two-level", {"parameters": {"duration_fraction": 1.5}},
+     "/parameters/duration_fraction", "1.5 is greater than the maximum of 1"),
+    ("perfect-clock", {"parameters": {"points": 10.5}},
+     "/parameters/points", "10.5 is not of type 'integer'"),
+    ("perfect-clock", {"parameters": {"clock_mass": True}},
+     "/parameters/clock_mass", "True is not of type 'number'"),
+    ("perfect-clock", {"parameters": [], "seed": -1, "out": 3},
+     "/out", "3 is not of type 'string'"),
+    ("perfect-clock", {"parameters": [], "seed": -1},
+     "/parameters", "[] is not of type 'object'"),
+    ("perfect-clock", {"seed": -1}, "/seed", "-1 is less than the minimum of 0"),
+    ("jacobi-paths", {"parameters": {"masses": []}}, "/parameters/masses", "[] should be non-empty"),
+    ("jacobi-paths", {"parameters": {"masses": 1.0}},
+     "/parameters/masses", "1.0 is not of type 'array'"),
+    ("jacobi-paths", {"parameters": {"masses": [1.0, "2"]}},
+     "/parameters/masses/1", "'2' is not of type 'number'"),
+    ("jacobi-paths", {"parameters": {"well": "box"}},
+     "/parameters/well", "'box' is not one of ['none', 'harmonic']"),
+    ("classical-emergence", {"parameters": {"energies": [20.0]}},
+     "/parameters/energies", "[20.0] is too short"),
+    ("classical-emergence", {"parameters": {"clock_energy_offset": "clock"}},
+     "/parameters/clock_energy_offset", "'clock' is not valid under any of the given schemas"),
+]
+
+
+@pytest.mark.parametrize("name, doc, pointer, message", WORDINGS)
+def test_each_wording_is_the_one_jsonschema_reports(name, doc, pointer, message):
+    doc = {"scenario": name, **doc}
+    errors = jsonschema.Draft202012Validator(config_schema(name)).iter_errors(doc)
+    assert _first_error((e.absolute_path, e.message) for e in errors) == (pointer, message)
+    with pytest.raises(ConfigError) as exc:
+        validate_config(doc)
+    assert (exc.value.path, exc.value.args[0]) == (pointer, message)
+
+
+def _number_slots(name: str):
+    """(pointer, setter) of the top-level seed and of each number in the
+    parameters of `name`'s default config: a scalar, or an array's first item."""
+    yield "/seed", lambda doc, v: doc.__setitem__("seed", v)
+    for key, schema in SCENARIOS[name].properties.items():
+        item = schema.get("items", schema)
+        if {"number", "integer"} & {s.get("type") for s in item.get("anyOf", [item])}:
+            if "items" in schema:
+                yield f"/parameters/{key}/0", lambda doc, v, k=key: doc["parameters"][k].__setitem__(0, v)
+            else:
+                yield f"/parameters/{key}", lambda doc, v, k=key: doc["parameters"].__setitem__(k, v)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("name", BUILTINS)
+def test_a_number_that_is_not_finite_is_a_config_error(name, value):
+    slots = list(_number_slots(name))
+    assert len(slots) > 1
+    for pointer, put in slots:
+        doc = default_config(name)
+        put(doc, value)
+        with pytest.raises(ConfigError) as exc:
+            validate_config(doc)
+        assert exc.value.path == pointer
+        assert exc.value.args[0] in (f"{value!r} is not a finite number",
+                                     f"{value!r} is not valid under any of the given schemas")
+
+
+@pytest.mark.parametrize("key", ["pulse_amplitude", "pulse_center_fraction"])
+def test_a_nan_scan_parameter_exits_2_before_the_scan(tmp_path, capsys, key):
+    # Python's json reads NaN; before the check the scan ran and wrote NaN tables
+    cfg = write_config(tmp_path, {"scenario": "emergence-scan", "parameters": {key: math.nan}})
+    assert "NaN" in Path(cfg).read_text(encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["run", cfg, "--out", str(out)]) == 2
+    assert f"/parameters/{key}: nan is not a finite number" in capsys.readouterr().err
+    assert not list(out.glob("*.csv"))
 
 
 def test_partial_parameters_merge_with_defaults():
@@ -891,19 +1073,22 @@ def test_module_entry_point():
 
 # the scipy modules a child has loaded, as a Python expression
 SCIPY_LOADED = "sorted(m for m in sys.modules if m.startswith('scipy'))"
+# jsonschema and the packages it brings, none of which validation needs
+SCHEMA_LIBS = ("jsonschema", "referencing", "rpds", "attrs")
 
 
 def test_start_up_and_validation_load_no_scipy():
     # each scipy subpackage is imported inside the function that calls it,
-    # so importing the CLI and validating a config need numpy and
-    # jsonschema only
+    # and the CLI reads the config schemas itself, so importing the CLI and
+    # validating a config need numpy alone
+    loaded = f"{SCIPY_LOADED} + sorted(m for m in sys.modules if m.split('.')[0] in {SCHEMA_LIBS})"
     code = ("import json, sys\n"
             "from chronolab.cli import validate_config\n"
             "from chronolab.scenarios import SCENARIOS, default_config\n"
-            f"loaded = [{SCIPY_LOADED}]\n"
+            f"loaded = [{loaded}]\n"
             "for name in sorted(SCENARIOS):\n"
             "    validate_config(default_config(name))\n"
-            f"loaded.append({SCIPY_LOADED})\n"
+            f"loaded.append({loaded})\n"
             "print(json.dumps(loaded))")
     proc = _run_python("-c", code)
     assert proc.returncode == 0, proc.stderr

@@ -5,8 +5,9 @@ tree: every module-level import is used in its module, every `__all__`
 entry is defined there, the package exports exactly the union of its
 public modules' `__all__` lists, private names cross module lines only
 out of `core` (by import or by attribute read), no scipy import runs
-when a module is imported, and every optional parameter of the package
-is passed by some call in the package or its tests.
+when a module is imported, no module imports jsonschema, and every
+optional parameter of the package is passed by some call in the package
+or its tests.
 """
 
 import ast
@@ -130,17 +131,32 @@ def _import_time_imports(node):
         yield from _import_time_imports(child)
 
 
-def test_scipy_is_imported_only_inside_functions():
-    """scipy loads where a layer first needs it, never at start-up."""
-    eager = []
-    for stem, tree in TREES.items():
-        for node in _import_time_imports(tree):
+def _imports_of(package: str, imports) -> list:
+    """"<stem>.py:<line> <module>" for each of `imports`, {stem: import
+    nodes}, that names a module of the absolute `package`."""
+    found = []
+    for stem, nodes in imports.items():
+        for node in nodes:
             if isinstance(node, ast.Import):
                 modules = [alias.name for alias in node.names]
             else:
                 modules = [node.module or ""] if node.level == 0 else []
-            eager += [f"{stem}.py:{node.lineno} {m}" for m in modules if m.split(".")[0] == "scipy"]
+            found += [f"{stem}.py:{node.lineno} {m}" for m in modules if m.split(".")[0] == package]
+    return found
+
+
+def test_scipy_is_imported_only_inside_functions():
+    """scipy loads where a layer first needs it, never at start-up."""
+    eager = _imports_of("scipy", {stem: _import_time_imports(tree) for stem, tree in TREES.items()})
     assert not eager, f"scipy imported at module level: {eager}"
+
+
+def test_no_module_imports_jsonschema():
+    """The CLI reads the config schemas itself; jsonschema is a test oracle only."""
+    found = _imports_of("jsonschema", {
+        stem: [n for n in ast.walk(tree) if isinstance(n, (ast.Import, ast.ImportFrom))]
+        for stem, tree in TREES.items()})
+    assert not found, f"jsonschema imported: {found}"
 
 
 TEST_TREES = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
