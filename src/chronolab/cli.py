@@ -63,12 +63,23 @@ def load_config(arg: str) -> dict:
         raise ConfigError(f"config is not valid JSON: {exc}", path="/") from exc
     except (OSError, UnicodeDecodeError) as exc:  # a directory, or not UTF-8
         raise ConfigError(f"cannot read config: {exc}", path="/") from exc
+    except ValueError as exc:  # an integer literal past Python's 4,300-digit limit
+        raise ConfigError(f"config holds a number too long to read: {exc}", path="/") from exc
 
 
 # bound keyword -> (whether a number breaks the bound, jsonschema's words)
 _BOUNDS = {"minimum": (operator.lt, "less than the minimum"),
            "exclusiveMinimum": (operator.le, "less than or equal to the minimum"),
            "maximum": (operator.gt, "greater than the maximum")}
+
+
+def _finite(number) -> bool:
+    """Whether a number has a finite float: NaN and +-inf have none, nor
+    has an int beyond the float range."""
+    try:
+        return math.isfinite(number)
+    except OverflowError:
+        return False
 
 
 def _schema_errors(value, schema: dict, path: tuple = ()):
@@ -78,14 +89,17 @@ def _schema_errors(value, schema: dict, path: tuple = ()):
     schema's own order and with jsonschema's wording, and raises
     ValueError on any other keyword.  A number must also be finite: JSON
     (RFC 8259, section 6) has no NaN or Infinity, though Python's reader
-    accepts them and every bound compares False against NaN.
+    accepts them and every bound compares False against NaN; and an
+    integer must have a float, which one past about 1.8e308 has not.
     """
     number = isinstance(value, (int, float)) and not isinstance(value, bool)
     obj = value if isinstance(value, dict) else {}
     for key, arg in schema.items():
         if key == "type":
-            if arg in ("number", "integer") and isinstance(value, float) and not math.isfinite(value):
-                yield path, f"{value!r} is not a finite number"
+            if arg in ("number", "integer") and number and not _finite(value):
+                shown = repr(value) if isinstance(value, float) else (
+                    f"an integer of {value.bit_length()} bits")
+                yield path, f"{shown} is not a finite number"
             elif not {"object": isinstance(value, dict), "array": isinstance(value, list),
                       "string": isinstance(value, str), "number": number,
                       "integer": number and (isinstance(value, int) or value.is_integer())}[arg]:

@@ -384,15 +384,15 @@ def conditional_from_composite(
     state: DirectedState,
     wkb: WKBState,
     tmap: TimeMap,
-    spec: CompositeSpec,
 ) -> ConditionalTrajectory:
     """Conditional system state psi(x, t(R)) = Psi(x, R) / chi_WKB(R).
 
     It lies in the channel span with the directed state: a = kappa / chi,
     a (slices, k) table, norms as they come out of the division.  Each
     slice carries u_s = a^H (H_s + g(R) W) a / |a|^2 with
-    H_s = <phi_m|H_S phi_n>, W = <phi_m|sys|phi_n> and g = strength * env;
-    the O(1/M) derivative terms of the full back-reaction are omitted
+    H_s = <phi_m|H_S phi_n>, W = <phi_m|sys|phi_n> and g = strength * env,
+    all of the composite the state was solved for (`state.spec`); the
+    O(1/M) derivative terms of the full back-reaction are omitted
     because slices may be strided in R (the factorization has them).
     """
     if wkb.r_grid != state.r_grid:
@@ -400,7 +400,7 @@ def conditional_from_composite(
     if tmap.r_grid != state.r_grid:
         raise GridMismatchError("time map grid does not match the state's R axis")
 
-    basis = state.basis
+    basis, spec = state.basis, state.spec
     amps = state.amplitudes / wkb.chi().values[:, None]
     weight = np.sum(np.abs(amps) ** 2, axis=1)
     if np.any(weight <= 0.0):
@@ -533,11 +533,11 @@ class DirectedRunConfig:
         require(self.incoming < self.channels, "incoming",
                 f"incoming channel {self.incoming} is outside the {self.channels} channels")
 
-    def system_basis(self) -> tuple:
-        """The harmonic system and its lowest `channels` order-2 eigenstates."""
+    def system_basis(self) -> ChannelBasis:
+        """The lowest `channels` order-2 eigenstates of the harmonic system."""
         x_grid = Grid1D(-self.x_half, self.x_half, self.x_points)
         system = SystemSpec(self.system_mass, self.hbar, Harmonic(self.system_stiffness))
-        return system, solve_system_basis(system, x_grid, self.channels, order=2)
+        return solve_system_basis(system, x_grid, self.channels, order=2)
 
 
 def directed_run(cfg: DirectedRunConfig, basis: ChannelBasis, e_kin: float) -> tuple:
@@ -546,13 +546,14 @@ def directed_run(cfg: DirectedRunConfig, basis: ChannelBasis, e_kin: float) -> t
     The clock enters in channel `incoming` and crosses R in
     [0, v * duration] on a fine grid of stride * (slices - 1) + 1
     points, with the smallest stride that keeps k_max * dR at or below
-    `max_phase_per_step`; the returned state keeps every stride-th row.
-    A grid of more than MAX_FINE_ROWS points is refused with
-    DegenerateInputError before anything is allocated.
+    `max_phase_per_step`; the returned state keeps every stride-th row,
+    and carries the composite and the stride, so its fine grid needs no
+    second copy.  A grid of more than MAX_FINE_ROWS points is refused
+    with DegenerateInputError before anything is allocated.
     On that grid the clock wave moves at the lattice group velocity,
     which is below p / M by a fraction (k dR)^2 / 6: a clock read off
     this state must use it (`lattice_clock` does).
-    Returns (spec, fine R grid, directed state, v).
+    Returns (directed state, v).
     """
     M, hbar = cfg.clock_mass, cfg.hbar
     eps0 = float(basis.energies[cfg.incoming])
@@ -584,15 +585,25 @@ def directed_run(cfg: DirectedRunConfig, basis: ChannelBasis, e_kin: float) -> t
                          Harmonic(cfg.system_stiffness), coupling)
     state = solve_directed_state(spec, basis, r_grid, e_total, cfg.incoming,
                                  cfg.residual_tol, stride=stride)
-    return spec, r_grid, state, v
+    return state, v
 
 
 @dataclass(frozen=True)
 class EmergenceScanConfig(DirectedRunConfig):
     """Standard heavy-clock scan: the directed run repeated at increasing
-    clock kinetic energy."""
+    clock kinetic energy, over at least 3 points spanning at least 30x,
+    so that the slope fit has a range to read."""
 
     kinetic_energies: tuple = param((15.0, 50.0, 150.0, 500.0), array(POSITIVE, 3))
+
+    def __post_init__(self):
+        super().__post_init__()
+        energies = self.kinetic_energies
+        require(len(energies) >= 3, "kinetic_energies",
+                f"the scan needs at least 3 points, got {len(energies)}")
+        lo, hi = min(energies), max(energies)
+        require(hi >= 30.0 * lo, "kinetic_energies",
+                f"scan span {hi / lo:.1f}x is below the required 30x")
 
 
 @dataclass(frozen=True)
@@ -606,7 +617,7 @@ class QuantumEmergenceRow:
     1/(M v^2) law holds on either axis up to that term, and the 2 E_kin
     axis stays.
     `fine_points` and `stride` are the directed solve's fine R grid and
-    the step between the rows it keeps."""
+    the step between the rows it keeps, as the state carries them."""
 
     scan_value: float
     mv2: float
@@ -633,11 +644,12 @@ class EmergenceReport:
         return np.array([getattr(r, name) for r in self.rows])
 
 
-def lattice_clock(state: DirectedState, spec: CompositeSpec, fine_spacing: float) -> tuple:
+def lattice_clock(state: DirectedState) -> tuple:
     """The free clock of a directed state on its R grid: (WKB factor, time map).
 
-    Both come from the order-2 lattice of the solve grid (spacing
-    `fine_spacing`) at the total energy.  The composite channels carry
+    Both come from the order-2 lattice the state was solved on (spacing
+    `state.fine_spacing`, the clock mass of `state.spec`) at the total
+    energy.  The composite channels carry
     its discrete wavenumber k, and dividing by the continuum sqrt(2ME)
     phase would leave a spurious drift growing with E^2 h^2 that buries
     the physical correction at the top of the scan; so the WKB factor
@@ -647,7 +659,8 @@ def lattice_clock(state: DirectedState, spec: CompositeSpec, fine_spacing: float
     the TDSE residual as a floor, so t = (R - R_0) / v_g, at the rate
     dt/dR = 1 / v_g.
     """
-    M, hbar = spec.M, spec.hbar
+    M, hbar = state.spec.M, state.spec.hbar
+    fine_spacing = state.fine_spacing
     k = _discrete_wavenumber(state.energy, fine_spacing, M, hbar)
     p_lat = hbar * k
     v_g = hbar * np.sin(k * fine_spacing) / (M * fine_spacing)
@@ -658,21 +671,21 @@ def lattice_clock(state: DirectedState, spec: CompositeSpec, fine_spacing: float
     return wkb, TimeMap(r_sub, rel / v_g, np.full(r_sub.n, 1.0 / v_g))
 
 
-def _scan_point(cfg: EmergenceScanConfig, system: SystemSpec, basis: ChannelBasis,
+def _scan_point(cfg: EmergenceScanConfig, basis: ChannelBasis,
                 e_kin: float) -> QuantumEmergenceRow:
-    spec, r_grid, state, v = directed_run(cfg, basis, e_kin)
-    wkb, tmap = lattice_clock(state, spec, r_grid.spacing)
-    traj = conditional_from_composite(state, wkb, tmap, spec)
+    state, v = directed_run(cfg, basis, e_kin)
+    spec = state.spec
+    wkb, tmap = lattice_clock(state)
+    traj = conditional_from_composite(state, wkb, tmap)
     v_mean = float(np.mean(wkb.momentum / wkb.M))
-    report = tdse_residual(traj, system, drive=CouplingDrive(spec.v_int, tmap),
+    report = tdse_residual(traj, spec.system, drive=CouplingDrive(spec.v_int, tmap),
                            mv2=float(wkb.M * v_mean**2))
 
     norms = traj.slice_norms()
     spread = float((norms.max() - norms.min()) / norms.mean())
-    stride = (r_grid.n - 1) // (state.r_grid.n - 1)
     return QuantumEmergenceRow(e_kin, spec.M * v * v, report.residual, report.rho,
                                v_mean, spread, report.out_of_span,
-                               r_grid.n, stride)
+                               state.fine_points, state.stride)
 
 
 def emergence_scan(
@@ -691,19 +704,11 @@ def emergence_scan(
     the config.
     """
     cfg = config if config is not None else EmergenceScanConfig()
-    if len(cfg.kinetic_energies) < 3:
-        raise DegenerateInputError("scan needs at least 3 points")
-    lo, hi = min(cfg.kinetic_energies), max(cfg.kinetic_energies)
-    if hi < 30.0 * lo:
-        raise DegenerateInputError(
-            f"scan span {hi / lo:.1f}x is below the required 30x"
-        )
-
-    system, basis = cfg.system_basis()
+    basis = cfg.system_basis()
 
     def one(e_kin: float) -> QuantumEmergenceRow:
         try:
-            return _scan_point(cfg, system, basis, e_kin)
+            return _scan_point(cfg, basis, e_kin)
         except ChronolabError as exc:
             return QuantumEmergenceRow(e_kin, 2.0 * e_kin, *[float("nan")] * 7,
                                        f"{type(exc).__name__}: {exc}")

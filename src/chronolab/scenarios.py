@@ -158,12 +158,12 @@ class BeamOnAtomConfig(dynamics.DirectedRunConfig):
 
 
 def _run_beam_on_atom(p: BeamOnAtomConfig, jobs: int) -> dict:
-    _, basis = p.system_basis()
-    spec, r_grid, state, _ = dynamics.directed_run(p, basis, p.kinetic_energy)
+    basis = p.system_basis()
+    state, _ = dynamics.directed_run(p, basis, p.kinetic_energy)
 
     # the beam's own time axis: its clock wave moves at the lattice group velocity
     r_sub = state.r_grid
-    _, tmap = dynamics.lattice_clock(state, spec, r_grid.spacing)
+    _, tmap = dynamics.lattice_clock(state)
 
     pops = np.abs(state.amplitudes) ** 2
     pops /= pops[0].sum()  # entry slice defines the unit of population

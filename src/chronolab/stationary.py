@@ -30,6 +30,7 @@ import numpy as np
 
 from .core import (
     ChannelBasis,
+    CompositeSpec,
     Field1D,
     Field2D,
     Grid1D,
@@ -489,13 +490,30 @@ def close_coupled_residuals(decomp: ChannelDecomposition, spec,
 @dataclass(eq=False)
 class DirectedState:
     """Directed state Psi(x, R_j) = sum_n amplitudes[j, n] phi_n(x) of unit
-    quadrature norm, with the solve's relative interior residual."""
+    quadrature norm, with the solve's relative interior residual.
 
+    The state carries what it was solved for and on: the composite `spec`
+    and the `stride` between the rows kept on `r_grid`, so the fine R
+    lattice of the solve is the one with `fine_points` points, step
+    `fine_spacing`, on the same span."""
+
+    spec: CompositeSpec
     basis: ChannelBasis
     r_grid: Grid1D
+    stride: int
     amplitudes: np.ndarray  # (nR, k)
     energy: float
     residual: float
+
+    @property
+    def fine_points(self) -> int:
+        return (self.r_grid.n - 1) * self.stride + 1
+
+    @property
+    def fine_spacing(self) -> float:
+        """The fine grid's `spacing`, bit for bit: the same span over the
+        same integer count of steps."""
+        return (self.r_grid.hi - self.r_grid.lo) / ((self.r_grid.n - 1) * self.stride)
 
     def field(self) -> Field2D:
         values = self.amplitudes @ self.basis.states
@@ -529,15 +547,16 @@ def solve_directed_state(
     norm, evaluated in channel space (`_channel_residual`) at a cost per
     R row that does not grow with the x grid.  The state is returned as
     its channel amplitudes kappa_n(R) on every stride-th R row, scaled to
-    unit norm; the (R, x) field is never formed.  (n - 1) must be
-    divisible by stride.
+    unit norm, with `spec` and `stride`; the (R, x) field is never
+    formed.  (n - 1) must be divisible by stride.
 
     Preconditions, checked: every basis channel must be open at the
     entry edge (TurningPointError otherwise), and V_env and the channel
     coupling must be flat there, since the seed is a free incoming wave:
     on the first two rows neither |V_env(R_j) - V_env(R_0)| nor the
     largest coupling matrix element may exceed residual_tol * |E|
-    (DegenerateInputError otherwise).
+    (DegenerateInputError otherwise).  A residual above residual_tol * |E|,
+    or one that is not finite, raises ConvergenceError.
     """
     r = r_grid.points
     h = r_grid.spacing
@@ -573,7 +592,8 @@ def solve_directed_state(
     diag = pref * (v_env[:, None] - energy + eps[None, :])
     kappas = _transfer_scan(seed, diag, w, pref * g_of_r)
     res = _channel_residual(spec, basis, r_grid, energy, kappas, g_of_r)
-    if res > residual_tol * max(abs(energy), 1e-300):
+    # an overflowing recurrence leaves a residual of inf or nan, which no tolerance admits
+    if not (math.isfinite(res) and res <= residual_tol * max(abs(energy), 1e-300)):
         raise ConvergenceError(
             f"directed state residual {res:.3e} exceeds {residual_tol:.1e} * |E|",
             trace={"residual": res, "energy": energy},
@@ -584,7 +604,7 @@ def solve_directed_state(
     if total == 0.0:
         raise DegenerateInputError("directed state vanished")
     sub = r_grid if stride == 1 else Grid1D(r_grid.lo, r_grid.hi, (r_grid.n - 1) // stride + 1)
-    return DirectedState(basis, sub, kappas[::stride] / total, energy, res)
+    return DirectedState(spec, basis, sub, stride, kappas[::stride] / total, energy, res)
 
 
 def _real_if_exact(a: np.ndarray) -> np.ndarray:

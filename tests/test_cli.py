@@ -287,6 +287,57 @@ def test_a_number_that_is_not_finite_is_a_config_error(name, value):
                                      f"{value!r} is not valid under any of the given schemas")
 
 
+@pytest.mark.parametrize("name", BUILTINS)
+def test_an_integer_beyond_the_float_range_is_a_config_error(name):
+    # a JSON integer has no size limit, but every parameter is read as a float
+    for value in (10**400, -(10**400)):
+        for pointer, put in _number_slots(name):
+            doc = default_config(name)
+            put(doc, value)
+            with pytest.raises(ConfigError) as exc:
+                validate_config(doc)
+            assert exc.value.path == pointer
+            assert exc.value.args[0] in ("an integer of 1329 bits is not a finite number",
+                                         f"{value!r} is not valid under any of the given schemas")
+    # the largest integer a float holds is still a number
+    assert not list(_schema_errors(int(sys.float_info.max), {"type": "number"}))
+
+
+def _validate_and_run(tmp_path, text: str) -> tuple:
+    """Exit codes of `validate` and `run` on a config file holding `text`,
+    their stderr, and the run's stages as (name, status) pairs."""
+    cfg, out = tmp_path / "config.json", tmp_path / "out"
+    cfg.write_text(text, encoding="utf-8")
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        codes = main(["validate", str(cfg)]), main(["run", str(cfg), "--out", str(out)])
+    manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
+    return codes, err.getvalue(), [(s["name"], s["status"]) for s in manifest["stages"]]
+
+
+def test_an_integer_without_a_float_exits_2_on_validate_and_run(tmp_path):
+    # 10^400 passed the schema, and the run died in numpy as an internal error
+    codes, err, stages = _validate_and_run(
+        tmp_path, '{"scenario": "perfect-clock", "parameters": {"r_max": 1%s}}' % ("0" * 400))
+    assert codes == (2, 2)
+    line = "config error: /parameters/r_max: an integer of 1329 bits is not a finite number\n"
+    assert err.count(line) == 2
+    assert "Traceback" not in err
+    assert stages == [("validate", "failed")]
+
+
+def test_an_integer_literal_past_the_digit_limit_exits_2_on_validate_and_run(tmp_path):
+    # Python's JSON reader refuses an integer literal of more than 4,300 digits
+    # with a plain ValueError, which is not a JSONDecodeError
+    codes, err, stages = _validate_and_run(
+        tmp_path, '{"scenario": "perfect-clock", "parameters": {"r_max": 1%s}}' % ("0" * 4999))
+    assert codes == (2, 2)
+    assert err.count("config error: /: config holds a number too long to read: ") == 2
+    assert "value has 5000 digits" in err
+    assert "Traceback" not in err
+    assert stages == [("validate", "failed")]
+
+
 @pytest.mark.parametrize("key", ["pulse_amplitude", "pulse_center_fraction"])
 def test_a_nan_scan_parameter_exits_2_before_the_scan(tmp_path, capsys, key):
     # Python's json reads NaN; before the check the scan ran and wrote NaN tables
@@ -322,9 +373,8 @@ def test_beam_on_atom_time_runs_at_the_lattice_group_velocity():
     # of the directed solve, k its plane wave at the total energy
     params = default_config("beam-on-atom")["parameters"]
     cfg = get_scenario("beam-on-atom").config(**params)
-    _, basis = cfg.system_basis()
-    _, r_grid, state, _ = directed_run(cfg, basis, cfg.kinetic_energy)
-    M, hbar, h = cfg.clock_mass, cfg.hbar, r_grid.spacing
+    state, _ = directed_run(cfg, cfg.system_basis(), cfg.kinetic_energy)
+    M, hbar, h = cfg.clock_mass, cfg.hbar, state.fine_spacing
     k = np.arccos(1.0 - M * h * h * state.energy / hbar**2) / h
     v_g = hbar * np.sin(k * h) / (M * h)
     table = SCENARIOS["beam-on-atom"].run(params)["channel_populations"]
@@ -662,6 +712,7 @@ CROSS_FIELD = [
     ("jacobi-paths", {"masses": [1, 1, 1]}, "/parameters/masses"),
     ("perfect-clock", {"r_min": 5, "r_max": 1}, "/parameters/r_max"),
     ("classical-emergence", {"energies": [200]}, "/parameters/energies"),
+    ("emergence-scan", {"kinetic_energies": [15, 50, 100]}, "/parameters/kinetic_energies"),
 ]
 
 
@@ -860,6 +911,37 @@ def test_schema_valid_classical_configs_end_with_finite_results(doc):
         assert all(np.isfinite(float(r["deviation"])) for r in tables["classical_emergence"])
 
 
+# beam-on-atom's directed solve takes about slices + 2 D sqrt(E (E + eps)) / (hbar phi)
+# fine R rows, for duration D, kinetic energy E, phase step phi and incoming
+# channel energy eps; these draws, with the system at its default mass,
+# stiffness and box (so eps < 150 on every channel and x grid drawn), keep it under
+# about 2e4 rows
+_BEAM_GRID = {"kinetic_energy": st.floats(5.0, 50.0), "duration": st.floats(1e-3, 2.0),
+              "max_phase_per_step": st.floats(0.05, 1.0), "hbar": st.floats(0.5, 2.0),
+              "slices": st.integers(3, 201)}
+
+
+@st.composite
+def _beam_configs(draw):
+    doc = draw(_configs("beam-on-atom", 8))
+    params = doc["parameters"]
+    for key in ("system_mass", "system_stiffness", "x_half"):
+        params.pop(key, None)
+    params.update(draw(st.fixed_dictionaries(_BEAM_GRID)))
+    return doc
+
+
+@given(doc=_beam_configs())
+def test_schema_valid_beam_configs_end_with_a_manifest_and_a_documented_code(doc):
+    # the directed run, the state's own lattice clock and the populations
+    code, tables = _run_under_contract(doc)
+    if code == 0:
+        rows = np.array([list(r.values()) for r in tables["channel_populations"]], dtype=float)
+        assert np.all(np.isfinite(rows))
+        assert np.all(np.diff(rows[:, 1]) > 0.0)  # t, read off the lattice clock
+        assert np.isfinite(float(tables["summary"][0]["residual"]))
+
+
 # configs whose numbers overflow inside scipy (trust-exact on the path,
 # the banded eigensolve of the system), in the clock's time or rate table,
 # in the system's launch energy, kinetic prefactor or pulse width, with
@@ -917,6 +999,18 @@ def test_a_directed_grid_past_the_bound_is_refused(tmp_path, capsys, parameters,
     assert "Traceback" not in err
 
 
+def test_an_overflowing_directed_solve_is_a_numerical_error(tmp_path, capsys):
+    # a 2e50 pulse overflows the R recurrence; its nan residual compared
+    # False against every tolerance, and the run wrote all-nan tables with exit 0
+    cfg = write_config(tmp_path, {"scenario": "beam-on-atom", "parameters": {
+        "pulse_amplitude": 2e50, "residual_tol": 1e300, "slices": 149}})
+    out = tmp_path / "out"
+    assert main(["run", cfg, "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert "numerical error: ConvergenceError: directed state residual nan exceeds" in err
+    assert not list(out.glob("*.csv"))
+
+
 def test_a_scan_point_past_the_grid_bound_is_an_error_row(tmp_path):
     cfg = write_config(tmp_path, {"scenario": "emergence-scan",
                                   "parameters": {"kinetic_energies": [15.0, 50.0, 1e9]}})
@@ -962,18 +1056,19 @@ def test_extreme_but_finite_clocks_end_with_finite_outputs(tmp_path, capsys, nam
 
 
 def test_degenerate_scan_fails_fast(tmp_path, capsys):
-    # the scan insists on a >= 30x spread in clock kinetic energy and
-    # checks that before any eigensolve starts
+    # the scan insists on a >= 30x spread in clock kinetic energy; its config
+    # checks that, so `validate` refuses it too, and a run stops at validation
     doc = default_config("emergence-scan")
     doc["parameters"]["kinetic_energies"] = [10.0, 20.0, 40.0]
     cfg = write_config(tmp_path, doc)
     out = tmp_path / "out"
-    assert main(["run", cfg, "--out", str(out)]) == 3
-    assert "30x" in capsys.readouterr().err
+    assert main(["validate", cfg]) == 2
+    assert main(["run", cfg, "--out", str(out)]) == 2
+    line = "config error: /parameters/kinetic_energies: scan span 4.0x is below the required 30x"
+    assert capsys.readouterr().err.count(line) == 2
     manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
-    compute = [s for s in manifest["stages"] if s["name"] == "compute"][0]
-    assert compute["status"] == "failed"
-    assert compute["seconds"] < 1.0
+    assert [(s["name"], s["status"]) for s in manifest["stages"]] == [("validate", "failed")]
+    assert manifest["stages"][0]["seconds"] < 1.0
 
 
 def test_scan_without_two_good_points_exits_3(tmp_path, capsys):

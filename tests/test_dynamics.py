@@ -11,6 +11,7 @@ from scipy.integrate import cumulative_trapezoid
 from chronolab import (
     CompositeSpec,
     ConditionalTrajectory,
+    ConfigError,
     Constant,
     Coupling,
     CouplingDrive,
@@ -438,8 +439,8 @@ def test_free_beam_conditional_carries_emergent_phase():
     r_grid = Grid1D(0.0, 1.4, 8001)
     spec = CompositeSpec(M, 1.0, hbar, Constant(), Harmonic(4.0), ZeroCoupling())
     state = solve_directed_state(spec, basis, r_grid, e_total, 0, 1e-6, stride=4)
-    wkb, tmap = lattice_clock(state, spec, r_grid.spacing)
-    traj = conditional_from_composite(state, wkb, tmap, spec)
+    wkb, tmap = lattice_clock(state)
+    traj = conditional_from_composite(state, wkb, tmap)
 
     assert np.ptp(traj.slice_norms()) < 1e-10
     np.testing.assert_allclose(traj.u_s.real, eps0, rtol=1e-8)
@@ -461,11 +462,12 @@ def test_free_beam_conditional_carries_emergent_phase():
 
 def test_channel_conditional_and_residual_match_x_space_on_a_pulse():
     cfg = DirectedRunConfig(slices=801)
-    system, basis = cfg.system_basis()
-    spec, r_grid, state, _ = directed_run(cfg, basis, 50.0)
-    wkb, tmap = lattice_clock(state, spec, r_grid.spacing)
+    basis = cfg.system_basis()
+    state, _ = directed_run(cfg, basis, 50.0)
+    spec, system = state.spec, state.spec.system
+    wkb, tmap = lattice_clock(state)
     drive = CouplingDrive(spec.v_int, tmap)
-    traj = conditional_from_composite(state, wkb, tmap, spec)
+    traj = conditional_from_composite(state, wkb, tmap)
     rep = tdse_residual(traj, system, drive=drive, mv2=2.0 * 50.0)
 
     psi, u_s = _conditional_x(state, wkb, spec)
@@ -541,10 +543,17 @@ def test_stationary_superposition_has_no_residual():
 
 
 def test_emergence_scan_config_validation():
-    with pytest.raises(DegenerateInputError):
-        emergence_scan(EmergenceScanConfig(kinetic_energies=(10.0, 40.0)))
-    with pytest.raises(DegenerateInputError):
-        emergence_scan(EmergenceScanConfig(kinetic_energies=(10.0, 40.0, 160.0)))
+    # the config refuses a scan the slope fit cannot read when it is built,
+    # so `chronolab validate` refuses it too, before any eigensolve
+    for energies, message in [((10.0, 40.0), "at least 3 points, got 2"),
+                              ((10.0, 40.0, 160.0), "span 16.0x is below the required 30x")]:
+        with pytest.raises(ConfigError, match=message) as exc:
+            EmergenceScanConfig(kinetic_energies=energies)
+        assert exc.value.path == "/parameters/kinetic_energies"
+    # the inherited cross-field checks still run first
+    with pytest.raises(ConfigError) as exc:
+        EmergenceScanConfig(channels=4, incoming=4, kinetic_energies=(1.0, 2.0))
+    assert exc.value.path == "/parameters/incoming"
 
 
 def test_measured_residual_keeps_the_minus_one_exponent():

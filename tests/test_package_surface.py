@@ -5,12 +5,14 @@ tree: every module-level import is used in its module, every `__all__`
 entry is defined there, the package exports exactly the union of its
 public modules' `__all__` lists, private names cross module lines only
 out of `core` (by import or by attribute read), no scipy import runs
-when a module is imported, no module imports jsonschema, and every
+when a module is imported, no module imports jsonschema, every
 optional parameter of the package is passed by some call in the package
-or its tests.
+or its tests, and every cross-field check of a config class points at
+one of its fields.
 """
 
 import ast
+import dataclasses
 import importlib
 import inspect
 from pathlib import Path
@@ -227,3 +229,36 @@ def test_every_optional_parameter_has_a_caller():
              if not any(_passes(c, param, position) for name in _subclasses(tree, callee)
                         for c in calls.get(name, ()))]
     assert not unset, f"optional parameters that no call in src/ or tests/ passes: {unset}"
+
+
+def _require_keys(tree):
+    """(class name, key, line) of each literal key of a `require(ok, key,
+    message)` call in a class's own `__post_init__`."""
+    for cls in ast.walk(tree):
+        if not isinstance(cls, ast.ClassDef):
+            continue
+        for method in cls.body:
+            if not (isinstance(method, ast.FunctionDef) and method.name == "__post_init__"):
+                continue
+            for call in ast.walk(method):
+                if not (isinstance(call, ast.Call) and isinstance(call.func, ast.Name)
+                        and call.func.id == "require"):
+                    continue
+                keys = call.args[1:2] + [kw.value for kw in call.keywords if kw.arg == "key"]
+                yield from ((cls.name, k.value, call.lineno) for k in keys
+                            if isinstance(k, ast.Constant))
+
+
+def test_every_cross_field_check_points_at_a_field():
+    """A `ConfigError` from `require` carries /parameters/<key>: the key
+    must be a field of the config class, inherited fields included, so
+    the pointer names a parameter the config can hold."""
+    checked, stray = 0, []
+    for stem, tree in TREES.items():
+        for cls_name, key, line in _require_keys(tree):
+            cls = getattr(importlib.import_module(f"chronolab.{stem}"), cls_name)
+            checked += 1
+            if key not in {f.name for f in dataclasses.fields(cls)}:
+                stray.append(f"{stem}.py:{line} {cls_name}: {key!r}")
+    assert checked >= 8
+    assert not stray, f"require keys that name no field of their class: {stray}"

@@ -274,6 +274,20 @@ def test_directed_free_beam_keeps_its_channel():
     assert np.max(pops[1:]) < 1e-12 * np.max(pops[0])
 
 
+@pytest.mark.parametrize("stride", [1, 4])
+def test_directed_state_carries_its_composite_and_fine_lattice(stride):
+    # the state's own grid and stride give back the fine grid of the solve
+    # exactly, so a reader of the lattice needs nothing beside the state
+    spec, basis, r_grid, _, energy = _directed_problem(ZeroCoupling())
+    fine = Grid1D(r_grid.lo, r_grid.hi, 2000 * stride + 1)
+    state = solve_directed_state(spec, basis, fine, energy, 0, 1e-6, stride=stride)
+    assert state.spec is spec
+    assert state.stride == stride
+    assert state.r_grid.n == 2001
+    assert state.fine_spacing == fine.spacing
+    assert (state.r_grid.n - 1) * state.stride + 1 == state.fine_points == fine.n
+
+
 def test_directed_pulse_transfers_population():
     # keep the envelope negligible at both open ends of the beam
     pulse = WindowedPulse(0.3, 0.7, 0.08, Linear(1.0))
