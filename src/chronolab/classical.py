@@ -347,7 +347,7 @@ def endpoint_momentum_check(
     problem: PathProblem,
     q_start,
     q_end,
-    segments: int = 64,
+    segments: int,
     delta: float = 1e-4,
 ) -> EndpointReport:
     """Probe dW/dq at both endpoints by re-minimizing at displaced endpoints.
@@ -388,13 +388,11 @@ def endpoint_momentum_check(
 
 @dataclass(eq=False)
 class Trajectory:
-    """Sampled phase-space history over a parameter grid.
+    """Sampled phase-space history of L lanes over a parameter grid.
 
-    A single run has parameter (n,), positions and momenta (n, d) and
-    energies (n,).  A run of L lanes puts the lane axis after the sample
-    axis: positions and momenta (n, L, d), energies (n, L), parameter
-    (n,) when the lanes share one grid and (n, L) when each lane has its
-    own.
+    The lane axis follows the sample axis: positions and momenta
+    (n, L, d), energies (n, L), parameter (n,) when the lanes share one
+    grid and (n, L) when each lane has its own.  One run is one lane.
     """
 
     parameter: np.ndarray
@@ -470,21 +468,18 @@ def integrate_composite(
     """Step the closed composite (R, x) over the internal parameter.
 
     The composite Hamiltonian is p_R^2/2M + p_x^2/2m + V(x, R), stepped
-    with the fourth-order symplectic step of `_verlet`.  With scalar
-    initial data the trajectory has positions and momenta (steps + 1, 2),
-    columns (R, x).  When any of r0, pr0, x0, px0 is an (L,) array, the L
-    initial states are integrated as lanes of one array on one shared
-    parameter grid, and positions and momenta are (steps + 1, L, 2).  The
+    with the fourth-order symplectic step of `_verlet`.  r0, pr0, x0 and
+    px0 broadcast to L launches (scalars give L = 1), integrated as lanes
+    of one array on one shared parameter grid: positions and momenta are
+    (steps + 1, L, 2), columns (R, x), and energies (steps + 1, L).  The
     step count doubles for the whole batch while any lane's relative
     energy drift exceeds `drift_tol` or is not finite; StabilityError is
     raised when it still does after `max_halvings` doublings, and before
     the first step, with no suggested step, when a lane's launch energy
     is not finite: no step size can help a launch that overflows.
     """
-    start = np.stack(np.broadcast_arrays(*(np.asarray(v, dtype=float)
-                                           for v in (r0, pr0, x0, px0))), axis=-1)
-    lanes = start.ndim == 2
-    start = np.atleast_2d(start)
+    start = np.atleast_2d(np.stack(np.broadcast_arrays(*(np.asarray(v, dtype=float)
+                                                         for v in (r0, pr0, x0, px0))), axis=-1))
     q0, p0 = start[:, [0, 2]], start[:, [1, 3]]
     masses = np.array([spec.M, spec.m])
 
@@ -506,9 +501,7 @@ def integrate_composite(
     for _ in range(max_halvings + 1):
         times = np.linspace(0.0, span, n + 1)
         q, p = _verlet(q0, p0, masses, gradient, times[:, None])
-        e = energy(q, p)
-        traj = Trajectory(times, q, p, e) if lanes else Trajectory(
-            times, q[:, 0], p[:, 0], e[:, 0])
+        traj = Trajectory(times, q, p, energy(q, p))
         if traj.energy_drift <= drift_tol:
             return traj
         n *= 2
@@ -539,32 +532,29 @@ class CouplingDrive:
 
 def integrate_driven_system(
     system: SystemSpec,
-    drive: CouplingDrive | list[CouplingDrive],
+    drives,
     x0,
     px0,
     t_grid: np.ndarray,
 ) -> Trajectory:
     """Step the 1D system under V_sys(x) + g(t) sys(x), fourth order (`_verlet`).
 
-    `drive` is one CouplingDrive with an (n,) `t_grid`, giving positions
-    and momenta (n, 1).  For L lanes it is a sequence of L CouplingDrives
-    that share one sys(x), each with its own profile g(t) (clock map,
-    envelope and strength), `t_grid` is (n, L) with one time column per
-    lane, x0 and px0 are scalars or (L,) arrays, and positions and
-    momenta are (n, L, 1).  Each lane's profile is tabulated once before
-    stepping, at the start and at the three force stages of every step;
-    the first and the last step read the clock up to 0.35 dt outside the
-    time grid, on the end cubics of the clock map's Hermite read-out.
-    Each stage evaluates sys'(x) on all lanes at once, and the energies
-    are computed after the loop from the profile at the grid times,
-    which are every third stage.
+    `drives` is a sequence of L CouplingDrives that share one sys(x),
+    each with its own profile g(t) (clock map, envelope and strength);
+    `t_grid` is (n, L), one time column per lane; x0 and px0 are scalars
+    or (L,) arrays.  Positions and momenta are (n, L, 1), energies
+    (n, L).  Each lane's profile is tabulated once before stepping, at
+    the start and at the three force stages of every step; the first and
+    the last step read the clock up to 0.35 dt outside the time grid, on
+    the end cubics of the clock map's Hermite read-out.  Each stage
+    evaluates sys'(x) on all lanes at once, and the energies are computed
+    after the loop from the profile at the grid times, which are every
+    third stage.
     """
-    t_grid = np.asarray(t_grid, dtype=float)
-    lanes = t_grid.ndim == 2
-    drives = list(drive) if lanes else [drive]
-    times = t_grid if lanes else t_grid[:, None]
-    if times.shape[1] != len(drives):
-        raise DegenerateInputError(f"{len(drives)} drives for {times.shape[1]} time columns")
+    times = np.asarray(t_grid, dtype=float)
+    if times.ndim != 2 or times.shape[1] != len(drives):
+        raise DegenerateInputError(
+            f"{len(drives)} drives need an (n, {len(drives)}) time grid, got {times.shape}")
     sys = drives[0].coupling.sys
     if any(d.coupling.sys != sys for d in drives):
         raise DegenerateInputError("the lanes of a driven run must share one sys(x)")
@@ -582,9 +572,7 @@ def integrate_driven_system(
     q, p = _verlet(x0, px0, np.array([system.m]), gradient, times)
     x = q[..., 0]
     e = 0.5 * p[..., 0] ** 2 / system.m + system.v_sys(x) + g[::3] * sys(x)
-    if lanes:
-        return Trajectory(t_grid, q, p, e)
-    return Trajectory(t_grid, q[:, 0], p[:, 0], e[:, 0])
+    return Trajectory(times, q, p, e)
 
 
 # ---------------------------------------------------------------------------
@@ -777,24 +765,24 @@ def compare_composite_reduced(
     x0: float,
     px0: float,
     t_span: float,
-    steps: int = 20000,
+    steps: int,
     clock_energy_offset: str | float = "system",
 ) -> ClassicalEmergenceReport:
     """Composite run vs reduced driven run across a total-energy scan.
 
     For each scan value E the composite starts with the system at
     (x0, px0) and the clock taking up the remaining energy; it is
-    integrated in its internal parameter, its system coordinate re-read
-    against the clock time t(R), and compared with the reduced system
-    driven by V_I(x, R(t)).  Every scan value is one lane of a single
-    composite run and of a single driven run.
+    integrated in its internal parameter over `steps` steps (more if
+    its energy drifts), its system coordinate re-read against the clock
+    time t(R) on `steps` + 1 times, and compared with the reduced system
+    driven by V_I(x, R(t)).  The scan values are the L lanes of one
+    composite run and of one driven run.
 
     The clock model behind t(R) carries E minus `clock_energy_offset`:
     "system" subtracts the initial system energy (the tuned clock, which
-    makes the reduced description exact when V_I = 0), "none" subtracts
-    nothing (the untuned clock, whose momentum mismatch realizes the
-    first-order energy shift E_S^2/(2 M v^2)), a float subtracts that
-    value.
+    makes the reduced description exact when V_I = 0), a float subtracts
+    that value; 0.0 is the untuned clock, whose momentum mismatch
+    realizes the first-order energy shift E_S^2/(2 M v^2).
 
     Each row reports the deviation D = max_t |x_comp - x_red|, the run
     averages of the neglected quadratic term dp^2/2M and of the retained
@@ -806,12 +794,7 @@ def compare_composite_reduced(
     e_sys0 = float(0.5 * np.square(px0) / spec.m + spec.v_sys(x0))
     if not np.isfinite(e_sys0):
         raise DegenerateInputError(f"initial system energy is not finite at x0={x0}, px0={px0}")
-    if clock_energy_offset == "system":
-        offset = e_sys0
-    elif clock_energy_offset == "none":
-        offset = 0.0
-    else:
-        offset = float(clock_energy_offset)
+    offset = e_sys0 if clock_energy_offset == "system" else float(clock_energy_offset)
 
     # composite launch: clock takes whatever the system leaves over
     r0 = 0.0
@@ -825,11 +808,11 @@ def compare_composite_reduced(
     span = t_span * 1.1  # internal-parameter span; clock covers >= t_span
     comp = integrate_composite(spec, r0, pr0, x0, px0, span, steps)
 
-    lanes = [_composite_lane(spec, comp.positions[:, k], comp.momenta[:, k], e_total,
-                             e_total - offset, t_span, steps)
-             for k, e_total in enumerate(total_energies)]
+    readouts = [_composite_lane(spec, comp.positions[:, k], comp.momenta[:, k], e_total,
+                                e_total - offset, t_span, steps)
+                for k, e_total in enumerate(total_energies)]
     del comp  # the lane readouts are all the comparison needs from here on
-    drives, t_grid, x_comp, neglected, retained, v_means = zip(*lanes)
+    drives, t_grid, x_comp, neglected, retained, v_means = zip(*readouts)
     red = integrate_driven_system(spec.system, drives, x0, px0, np.column_stack(t_grid))
     deviation = np.max(np.abs(np.column_stack(x_comp) - red.positions[..., 0]), axis=0)
     neglected, retained, v_means = (np.array(v) for v in (neglected, retained, v_means))

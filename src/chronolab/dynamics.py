@@ -617,17 +617,19 @@ class QuantumEmergenceRow:
     1/(M v^2) law holds on either axis up to that term, and the 2 E_kin
     axis stays.
     `fine_points` and `stride` are the directed solve's fine R grid and
-    the step between the rows it keeps, as the state carries them."""
+    the step between the rows it keeps, as the state carries them.  A
+    point whose stages failed keeps `error` and NaN in every measured
+    field."""
 
     scan_value: float
     mv2: float
-    residual: float
-    rho: float
-    v_mean: float
-    norm_spread: float
-    residual_out_of_span: float
-    fine_points: int
-    stride: int
+    residual: float = np.nan
+    rho: float = np.nan
+    v_mean: float = np.nan
+    norm_spread: float = np.nan
+    residual_out_of_span: float = np.nan
+    fine_points: int = np.nan
+    stride: int = np.nan
     error: str | None = None
 
 
@@ -710,8 +712,7 @@ def emergence_scan(
         try:
             return _scan_point(cfg, basis, e_kin)
         except ChronolabError as exc:
-            return QuantumEmergenceRow(e_kin, 2.0 * e_kin, *[float("nan")] * 7,
-                                       f"{type(exc).__name__}: {exc}")
+            return QuantumEmergenceRow(e_kin, 2.0 * e_kin, error=f"{type(exc).__name__}: {exc}")
 
     points = [float(e) for e in cfg.kinetic_energies]
     if jobs > 1:

@@ -96,10 +96,9 @@ class ConfigError(ChronolabError):
     `path` is a JSON-pointer-style location of the offending entry.
     """
 
-    def __init__(self, message: str, path: str = ""):
+    def __init__(self, message: str, path: str):
         super().__init__(message)
         self.path = path
 
     def __str__(self) -> str:
-        message = super().__str__()
-        return f"{self.path}: {message}" if self.path else message
+        return f"{self.path}: {super().__str__()}"

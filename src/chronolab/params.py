@@ -14,6 +14,7 @@ from dataclasses import field
 from .errors import ConfigError
 
 POSITIVE = {"type": "number", "exclusiveMinimum": 0}
+NONNEGATIVE = {"type": "number", "minimum": 0}
 NUMBER = {"type": "number"}
 INT2 = {"type": "integer", "minimum": 2}
 GRID = {"type": "integer", "minimum": 3}  # point count of a Grid1D

@@ -40,7 +40,7 @@ from .core import (
     WindowedPulse,
 )
 from .errors import ConfigError
-from .params import FRACTION, GRID, INT2, NUMBER, POSITIVE, STRIDE, array, param, require
+from .params import FRACTION, GRID, INT2, NONNEGATIVE, NUMBER, POSITIVE, STRIDE, array, param, require
 from .semiclassical import perfect_clock, quantum_time
 from .stationary import solve_system_basis
 
@@ -196,7 +196,7 @@ class ClassicalEmergenceConfig:
     t_span: float = param(4.0, POSITIVE)
     steps: int = param(1500, INT2)
     clock_energy_offset: str | float = param(
-        "none", {"anyOf": [{"enum": ["system", "none"]}, {"type": "number"}]})
+        0.0, {"anyOf": [{"enum": ["system"]}, {"type": "number"}]})
 
 
 def _run_classical_emergence(p: ClassicalEmergenceConfig, jobs: int) -> dict:
@@ -230,8 +230,8 @@ class JacobiPathsConfig:
     q_start: tuple = param((0.0, 0.0), array(NUMBER, 1))
     q_end: tuple = param((1.0, 0.6), array(NUMBER, 1))
     segments: int = param(48, INT2)
-    well: str = param("harmonic", {"enum": ["none", "harmonic"]})
-    stiffness: float = param(1.0, POSITIVE)
+    # the harmonic well 0.5 k |q - center|^2; k = 0 is the free particle
+    stiffness: float = param(1.0, NONNEGATIVE)
     center: tuple = param((0.6, 0.2), array(NUMBER, 1))
 
     def __post_init__(self):
@@ -240,23 +240,22 @@ class JacobiPathsConfig:
                 f"q_end has {len(self.q_end)} coordinates, q_start has {dims}")
         require(len(self.masses) == dims, "masses",
                 f"{len(self.masses)} masses for {dims}-dimensional endpoints")
-        if self.well == "harmonic":
-            require(len(self.center) == dims, "center",
-                    f"center has {len(self.center)} coordinates, the endpoints have {dims}")
+        require(len(self.center) == dims, "center",
+                f"center has {len(self.center)} coordinates, the endpoints have {dims}")
 
 
 def _run_jacobi_paths(p: JacobiPathsConfig, jobs: int) -> dict:
     masses = np.asarray(p.masses, dtype=float)
     q_start = np.asarray(p.q_start, dtype=float)
     q_end = np.asarray(p.q_end, dtype=float)
-    if p.well == "none":
-        potential = lambda q: np.zeros(np.asarray(q).shape[:-1])
-        gradient = lambda q: np.zeros_like(np.asarray(q, dtype=float))
-    else:
-        k = p.stiffness
-        center = np.asarray(p.center, dtype=float)
-        potential = lambda q: 0.5 * k * np.sum((np.asarray(q) - center) ** 2, axis=-1)
-        gradient = lambda q: k * (np.asarray(q, dtype=float) - center)
+    k = p.stiffness
+    center = np.asarray(p.center, dtype=float)
+
+    def potential(q):  # (k d) d, not k d^2: at k = 0 no distance overflows
+        d = np.asarray(q) - center
+        return 0.5 * np.sum(k * d * d, axis=-1)
+
+    gradient = lambda q: k * (np.asarray(q, dtype=float) - center)
     problem = PathProblem(potential, gradient, masses, p.energy)
 
     endpoint = endpoint_momentum_check(problem, q_start, q_end, p.segments)

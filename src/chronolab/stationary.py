@@ -225,7 +225,7 @@ def _embed_states(grid: Grid1D, vecs: np.ndarray) -> np.ndarray:
     return np.where((peak.real < 0)[:, None], -table, table)
 
 
-def solve_system_basis(system, x_grid: Grid1D, k: int, order: int = 2) -> ChannelBasis:
+def solve_system_basis(system, x_grid: Grid1D, k: int, order: int) -> ChannelBasis:
     """Channel basis from the lowest k system eigenstates.
 
     `order` selects the kinetic stencil and is recorded on the basis so
@@ -525,8 +525,8 @@ def solve_directed_state(
     basis: ChannelBasis,
     r_grid: Grid1D,
     energy: float,
-    incoming: int = 0,
-    residual_tol: float = 1e-6,
+    incoming: int,
+    residual_tol: float,
     stride: int = 1,
 ) -> DirectedState:
     """Directed solution of the composite TISE at fixed total energy.

@@ -198,11 +198,11 @@ def test_criterion_06_classical_emergence():
     spec = CompositeSpec(M, 1.0, 1.0, Constant(0.0), Harmonic(ks), ZeroCoupling())
     traj = integrate_composite(spec, 0.0, np.sqrt(2 * M * 2.5), x0, 0.0,
                                span=2.0, steps=4000)
-    p_comp = float(np.mean(traj.momenta[:, 0]))
+    p_comp = float(np.mean(traj.momenta[:, 0, 0]))
     v = p_comp / M
-    x, px = traj.positions[:, 1], traj.momenta[:, 1]
+    x, px = traj.positions[:, 0, 1], traj.momenta[:, 0, 1]
     e_sys = float(np.mean(0.5 * px**2 + 0.5 * ks * x**2))
-    r_grid = Grid1D(0.0, float(traj.positions[:, 0].max()) + 0.1, 101)
+    r_grid = Grid1D(0.0, float(traj.positions[:, 0, 0].max()) + 0.1, 101)
     model = ClockModel(Constant(0.0), M, e_total, r_grid)
     p_model = float(np.mean(clock_momentum(model, r_grid.points)))
     shift = (p_model - p_comp) * v

@@ -213,11 +213,15 @@ def test_endpoint_momentum_gap_shrinks_with_segments():
 def test_composite_energy_conservation_and_harmonic_motion():
     spec = CompositeSpec(50.0, 1.0, 1.0, Constant(), Harmonic(4.0), ZeroCoupling())
     traj = integrate_composite(spec, 0.0, 10.0, 0.5, 0.0, span=6.0, steps=500)
+    # a scalar launch is one lane
+    assert traj.positions.shape == traj.momenta.shape == (501, 1, 2)
+    assert traj.energies.shape == (501, 1)
     assert traj.energy_drift < 1e-6
     # uncoupled system: x(t) = x0 cos(w t), R(t) = v t
     w = 2.0
-    np.testing.assert_allclose(traj.positions[:, 1], 0.5 * np.cos(w * traj.parameter), atol=5e-6)
-    np.testing.assert_allclose(traj.positions[:, 0], 0.2 * traj.parameter, atol=1e-10)
+    np.testing.assert_allclose(traj.positions[:, 0, 1], 0.5 * np.cos(w * traj.parameter),
+                               atol=5e-6)
+    np.testing.assert_allclose(traj.positions[:, 0, 0], 0.2 * traj.parameter, atol=1e-10)
 
 
 def test_composite_error_scales_fourth_order():
@@ -227,7 +231,7 @@ def test_composite_error_scales_fourth_order():
         # loose drift_tol keeps the integrator from refining on its own
         traj = integrate_composite(spec, 0.0, 10.0, 0.5, 0.0, span=6.0, steps=steps,
                                    drift_tol=1e-3)
-        errs.append(np.max(np.abs(traj.positions[:, 1] - 0.5 * np.cos(2.0 * traj.parameter))))
+        errs.append(np.max(np.abs(traj.positions[:, 0, 1] - 0.5 * np.cos(2.0 * traj.parameter))))
     assert errs[0] / errs[1] == pytest.approx(16.0, rel=0.2)
 
 
@@ -238,13 +242,15 @@ def _free_clock(grid, v):
 
 def _ramped_force_run(t, lam=0.3, v=2.0, k=4.0, x0=0.5):
     # V_I = lam * x * R with R = v t: a linearly ramped force on the
-    # oscillator; returns the driven run's x and the exact solution
+    # oscillator, run as one lane; returns the driven run's x and the
+    # exact solution
     grid = Grid1D(0.0, 20.0, 2001)
     drive = CouplingDrive(Bilinear(lam), _free_clock(grid, v))
-    traj = integrate_driven_system(SystemSpec(1.0, 1.0, Harmonic(k)), drive, x0, 0.0, t)
+    traj = integrate_driven_system(SystemSpec(1.0, 1.0, Harmonic(k)), [drive], x0, 0.0,
+                                   t[:, None])
     w = np.sqrt(k)
     exact = x0 * np.cos(w * t) + lam * v / (k * w) * np.sin(w * t) - lam * v / k * t
-    return traj.positions[:, 0], exact
+    return traj.positions[:, 0, 0], exact
 
 
 def test_driven_system_matches_ramped_force_solution():
@@ -263,7 +269,7 @@ def test_driven_system_error_scales_fourth_order():
 def _same_trajectory(batch, lane, solo):
     # lane `lane` of a batched run against a run of that lane alone
     for name in ("positions", "momenta", "energies"):
-        np.testing.assert_array_equal(getattr(batch, name)[:, lane], getattr(solo, name))
+        np.testing.assert_array_equal(getattr(batch, name)[:, lane], getattr(solo, name)[:, 0])
 
 
 def test_driven_lanes_match_solo_runs_and_the_ramped_force_solution():
@@ -279,7 +285,7 @@ def test_driven_lanes_match_solo_runs_and_the_ramped_force_solution():
     assert batch.positions.shape == (600, 2, 1)
     w = np.sqrt(k)
     for j, (drive, v, x0) in enumerate(zip(drives, speeds, x0s)):
-        _same_trajectory(batch, j, integrate_driven_system(system, drive, x0, 0.0, t[:, j]))
+        _same_trajectory(batch, j, integrate_driven_system(system, [drive], x0, 0.0, t[:, [j]]))
         tj = t[:, j]
         exact = x0 * np.cos(w * tj) + lam * v / (k * w) * np.sin(w * tj) - lam * v / k * tj
         np.testing.assert_allclose(batch.positions[:, j, 0], exact, atol=2e-6)
@@ -298,11 +304,11 @@ def test_driven_lanes_with_different_pulses_match_solo_runs():
     t = np.column_stack([np.linspace(0.0, t_end, 400) for t_end in (3.0, 2.5, 2.0)])
     batch = integrate_driven_system(system, drives, np.array(x0s), 0.0, t)
     for j, (drive, x0) in enumerate(zip(drives, x0s)):
-        solo = integrate_driven_system(system, drive, x0, 0.0, t[:, j])
+        solo = integrate_driven_system(system, [drive], x0, 0.0, t[:, [j]])
         _same_trajectory(batch, j, solo)
         # the pulse acts: the lane leaves the undriven oscillator
         free = x0 * np.cos(2.0 * t[:, j])
-        assert np.max(np.abs(solo.positions[:, 0] - free)) > 1e-3
+        assert np.max(np.abs(solo.positions[:, 0, 0] - free)) > 1e-3
 
 
 def test_driven_lanes_must_share_one_sys():
@@ -313,6 +319,17 @@ def test_driven_lanes_must_share_one_sys():
     t = np.column_stack([np.linspace(0.0, 1.0, 11)] * 2)
     with pytest.raises(DegenerateInputError, match="share one sys"):
         integrate_driven_system(SystemSpec(1.0, 1.0, Harmonic(4.0)), drives, 0.5, 0.0, t)
+
+
+@pytest.mark.parametrize("columns", [None, 2], ids=["1-D", "two-columns"])
+def test_driven_run_needs_one_time_column_per_drive(columns):
+    # a 1-D time grid is not a lane of one drive: a run is always (n, L)
+    drive = CouplingDrive(Bilinear(0.3), _free_clock(Grid1D(0.0, 20.0, 2001), 2.0))
+    t = np.linspace(0.0, 1.0, 11)
+    if columns:
+        t = np.column_stack([t] * columns)
+    with pytest.raises(DegenerateInputError, match=r"1 drives need an \(n, 1\) time grid"):
+        integrate_driven_system(SystemSpec(1.0, 1.0, Harmonic(4.0)), [drive], 0.5, 0.0, t)
 
 
 def test_composite_batch_refines_every_lane_together():
@@ -493,7 +510,7 @@ def test_tuned_clock_makes_reduced_run_exact():
 def test_untuned_clock_deviation_shrinks_with_clock_energy():
     spec = CompositeSpec(100.0, 1.0, 1.0, Constant(), Harmonic(4.0), Bilinear(0.02))
     rep = compare_composite_reduced(spec, [40.0, 160.0, 640.0], 0.5, 0.0,
-                                    t_span=3.0, steps=1000, clock_energy_offset="none")
+                                    t_span=3.0, steps=1000, clock_energy_offset=0.0)
     dev = rep.column("deviation")
     assert dev[0] > dev[1] > dev[2]
     assert -1.5 < rep.slope < -0.5
@@ -506,9 +523,9 @@ def test_energy_lanes_match_single_energy_runs():
     spec = CompositeSpec(100.0, 1.0, 1.0, Constant(), Harmonic(4.0), Bilinear(0.02))
     energies = [40.0, 160.0, 640.0]
     rep = compare_composite_reduced(spec, energies, 0.5, 0.0, t_span=3.0, steps=1000,
-                                    clock_energy_offset="none")
+                                    clock_energy_offset=0.0)
     solo = [compare_composite_reduced(spec, [e], 0.5, 0.0, t_span=3.0, steps=1000,
-                                      clock_energy_offset="none").rows[0]
+                                      clock_energy_offset=0.0).rows[0]
             for e in energies]
     assert rep.rows == tuple(solo)
     fit = np.polyfit(np.log([r.mv2 for r in solo]), np.log([r.deviation for r in solo]), 1)
@@ -532,7 +549,6 @@ def test_float_clock_energy_offset_matches_the_named_ones():
 
     e_sys0 = 0.5 * 4.0 * 0.5**2  # x0 = 0.5 at rest in the k = 4 well
     assert rows(e_sys0) == rows("system")
-    assert rows(0.0) == rows("none")
 
 
 def test_compare_rejects_exhausted_clock():

@@ -82,10 +82,10 @@ def test_default_config_validates(name):
 # sha256 of each builtin's default config document
 DEFAULT_HASHES = {
     "beam-on-atom": "c9c78d9ea5bb76a1b53ec4ed013b5735e2a115a46ec7286ef0a77d26295b8459",
-    "classical-emergence": "1c08aded604e62b14749b6876b360a4f34fa728fa70cbb9a4a37c4e6cd0fab39",
+    "classical-emergence": "9831bb3e5e961c180ff580798176d90496e69b4bdbf9b074390e9eae055c3b6a",
     "emergence-scan": "e610f6388b9f487204aed9652435e9572f79bf2ae0cb6ec3482c9b0ccd27e149",
     "harmonic-clock-two-level": "4e0b9b53c2e97b139bd636070a427745b49906cdd956dfc5ed64d8b41cc7a257",
-    "jacobi-paths": "6882e200532337bfce8f8212bf81155363e5fef58a0fa7e5162fe91ac4f9d6bc",
+    "jacobi-paths": "6888a899d19c492d84abfe7c037c8457096810baa13c086d2444b5cefa2dea42",
     "perfect-clock": "1c70c1b5fccb2c45ccaf564e4fd79589289ee53c4c089eb58d17eb9818351cba",
 }
 
@@ -240,12 +240,17 @@ WORDINGS = [
      "/parameters/masses", "1.0 is not of type 'array'"),
     ("jacobi-paths", {"parameters": {"masses": [1.0, "2"]}},
      "/parameters/masses/1", "'2' is not of type 'number'"),
-    ("jacobi-paths", {"parameters": {"well": "box"}},
-     "/parameters/well", "'box' is not one of ['none', 'harmonic']"),
+    ("jacobi-paths", {"parameters": {"stiffness": -0.5}},
+     "/parameters/stiffness", "-0.5 is less than the minimum of 0"),
     ("classical-emergence", {"parameters": {"energies": [20.0]}},
      "/parameters/energies", "[20.0] is too short"),
     ("classical-emergence", {"parameters": {"clock_energy_offset": "clock"}},
      "/parameters/clock_energy_offset", "'clock' is not valid under any of the given schemas"),
+    # the second spellings are gone: the free path is stiffness 0, the untuned clock 0.0
+    ("jacobi-paths", {"parameters": {"well": "none"}},
+     "/parameters", "Additional properties are not allowed ('well' was unexpected)"),
+    ("classical-emergence", {"parameters": {"clock_energy_offset": "none"}},
+     "/parameters/clock_energy_offset", "'none' is not valid under any of the given schemas"),
 ]
 
 
@@ -600,6 +605,18 @@ def test_jacobi_paths_minimizes_each_path_once(monkeypatch):
     assert np.array_equal(report.path.nodes, minimize(problem, q_start, q_end, 12).nodes)
 
 
+def test_zero_stiffness_is_the_free_path_wherever_the_center_is():
+    # stiffness 0 is the flat potential, even about a center whose squared
+    # distance from the path overflows: the path runs straight along the chord
+    params = {**SCENARIOS["jacobi-paths"].defaults, "stiffness": 0.0}
+    near = SCENARIOS["jacobi-paths"].run(params)
+    assert SCENARIOS["jacobi-paths"].run({**params, "center": [1e200, -1e300]}) == near
+    nodes = np.array(near["path"].rows, dtype=float)[:, 2:]
+    chord = np.subtract(params["q_end"], params["q_start"])
+    rel = nodes - nodes[0]
+    assert np.max(np.abs(rel[:, 0] * chord[1] - rel[:, 1] * chord[0])) < 1e-6
+
+
 def test_seed_override_lands_in_manifest(tmp_path):
     cfg = write_config(tmp_path, {**FAST_CLOCK, "seed": 7})
     out = tmp_path / "out"
@@ -734,8 +751,7 @@ def _cross_field_configs(draw):
                 "parameters": draw(st.fixed_dictionaries({}, optional=optional))}
     coordinate = _vector(st.sampled_from((0.0, 0.5, 1.0)))
     optional = {"q_start": coordinate, "q_end": coordinate, "center": coordinate,
-                "masses": _vector(st.sampled_from((1.0, 2.5))),
-                "well": st.sampled_from(("none", "harmonic"))}
+                "masses": _vector(st.sampled_from((1.0, 2.5)))}
     return {"scenario": "jacobi-paths",
             "parameters": draw(st.fixed_dictionaries({}, optional=optional))}
 
@@ -745,8 +761,7 @@ def _cross_field_violations(doc: dict) -> set:
     p = {**default_config(doc["scenario"])["parameters"], **doc["parameters"]}
     if doc["scenario"] == "perfect-clock":
         return {"r_max"} if p["r_min"] >= p["r_max"] else set()
-    sized = ("q_end", "masses", "center") if p["well"] == "harmonic" else ("q_end", "masses")
-    return {k for k in sized if len(p[k]) != len(p["q_start"])}
+    return {k for k in ("q_end", "masses", "center") if len(p[k]) != len(p["q_start"])}
 
 
 @given(doc=_cross_field_configs())
@@ -942,6 +957,51 @@ def test_schema_valid_beam_configs_end_with_a_manifest_and_a_documented_code(doc
         assert np.isfinite(float(tables["summary"][0]["residual"]))
 
 
+# each scan point's directed solve takes the fine-row count of beam-on-atom's;
+# with the system at its defaults (so eps < 180), a top kinetic energy below
+# 4 * 37.5 = 150 and these draws, that is under 201 + 80 sqrt(150 * 330), about
+# 1.8e4 rows.  The pulse sits at least 6 widths past the entry edge, which the
+# directed solve needs free, so that most scans that compute get to the residual.
+_SCAN_GRID = {"max_phase_per_step": st.floats(0.1, 1.0), "duration": st.floats(1e-3, 2.0),
+              "hbar": st.floats(0.5, 2.0), "slices": st.integers(3, 201),
+              "pulse_center_fraction": st.floats(0.3, 0.7),
+              "pulse_width_fraction": st.floats(0.02, 0.05)}
+
+
+@st.composite
+def _scan_energies(draw):
+    """At least 3 kinetic energies spanning at least 30x, the lowest first,
+    the highest last and the others between them."""
+    lo, span = draw(st.floats(1.0, 4.0)), draw(st.floats(30.0, 37.5))
+    inner = draw(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=2))
+    return [lo, *(lo * span**f for f in inner), lo * span]
+
+
+@st.composite
+def _scan_configs(draw):
+    doc = draw(_configs("emergence-scan", 8))
+    params = doc["parameters"]
+    for key in ("system_mass", "system_stiffness", "x_half"):
+        params.pop(key, None)
+    params.update(draw(st.fixed_dictionaries(_SCAN_GRID)))
+    # channels and a system grid that holds them, so that most runs compute
+    params["channels"] = draw(st.integers(2, 6))
+    params["x_points"] = draw(st.integers(params["channels"] + 2, 41))
+    params["kinetic_energies"] = draw(_scan_energies())
+    return doc
+
+
+@given(doc=_scan_configs())
+def test_schema_valid_scan_configs_end_with_a_manifest_and_a_documented_code(doc):
+    # the directed run of every scan point, its conditional and its residual
+    code, tables = _run_under_contract(doc)
+    if code == 0:
+        details = tables["scan_details"]
+        assert len(details) == len(doc["parameters"]["kinetic_energies"])
+        assert sum(row["error"] == "" for row in details) >= 2
+        assert np.isfinite(float(tables["emergence_scan"][0]["slope_fit"]))
+
+
 # configs whose numbers overflow inside scipy (trust-exact on the path,
 # the banded eigensolve of the system), in the clock's time or rate table,
 # in the system's launch energy, kinetic prefactor or pulse width, with
@@ -952,7 +1012,7 @@ OVERFLOWING = [
     ("jacobi-paths", {"masses": [3.6e307, 1.5e-125], "energy": 6.1e307,
                       "q_start": [5.4e16, 1.4e-190], "segments": 10},
      "ConvergenceError: path minimization"),
-    ("jacobi-paths", {"well": "harmonic", "segments": 8, "masses": [1.3e308, 2.2e16]},
+    ("jacobi-paths", {"segments": 8, "masses": [1.3e308, 2.2e16]},
      "ConvergenceError: path minimization"),
     ("classical-emergence", {"px0": 1e200}, "DegenerateInputError: initial system energy"),
     ("harmonic-clock-two-level", {"x_half": 1e154}, "DegenerateInputError: band table"),
@@ -1018,7 +1078,18 @@ def test_a_scan_point_past_the_grid_bound_is_an_error_row(tmp_path):
     assert main(["run", cfg, "--out", str(out)]) == 0
     rows = list(csv.DictReader((out / "scan_details.csv").read_text(encoding="utf-8").splitlines()))
     assert [r["error"] for r in rows[:2]] == ["", ""]
-    assert rows[2]["error"].startswith("DegenerateInputError: the directed solve needs 1e+11")
+    # every measured cell of the failed point is nan, and the error names the grid
+    assert rows[2] == {
+        "scan_value": "1000000000", "v_mean": "nan", "norm_spread": "nan",
+        "residual_out_of_span": "nan", "fine_points": "nan", "stride": "nan",
+        "error": "DegenerateInputError: the directed solve needs 1e+11 fine R rows, "
+                 "above the bound of 1e+07"}
+    # its M v^2 is 2 E_kin, and the slopes are fitted over the two good points
+    scan = list(csv.DictReader((out / "emergence_scan.csv").read_text(encoding="utf-8")
+                               .splitlines()))
+    assert scan[2] == {"scan_value": "1000000000", "mv2": "2000000000", "residual": "nan",
+                       "rho": "nan", "slope_fit": "-0.99549383652233836",
+                       "residual_slope": "-1.0060586318546072"}
 
 
 def test_a_clock_that_never_moves_is_named(tmp_path, capsys):

@@ -7,8 +7,8 @@ public modules' `__all__` lists, private names cross module lines only
 out of `core` (by import or by attribute read), no scipy import runs
 when a module is imported, no module imports jsonschema, every
 optional parameter of the package is passed by some call in the package
-or its tests, and every cross-field check of a config class points at
-one of its fields.
+or its tests and left at its default by another, and every cross-field
+check of a config class points at one of its fields.
 """
 
 import ast
@@ -216,7 +216,9 @@ def _passes(call: ast.Call, name: str, position) -> bool:
     return position is not None and len(call.args) > position
 
 
-def test_every_optional_parameter_has_a_caller():
+def _calls() -> dict:
+    """callee name -> every call in src/ and tests/ of a function or an
+    attribute by that name."""
     calls = {}
     for tree in (*TREES.values(), *TEST_TREES.values()):
         for node in ast.walk(tree):
@@ -224,11 +226,30 @@ def test_every_optional_parameter_has_a_caller():
                 f = node.func
                 name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
                 calls.setdefault(name, []).append(node)
-    unset = [f"{stem}.{callee}({param})" for stem, tree in TREES.items()
-             for callee, param, position in _optional_parameters(tree)
-             if not any(_passes(c, param, position) for name in _subclasses(tree, callee)
-                        for c in calls.get(name, ()))]
+    return calls
+
+
+def _optional_parameters_where(passed: bool) -> list:
+    """"<module>.<callee>(<parameter>)" of each optional parameter that no
+    call passes (`passed` True) or that every call passes (False)."""
+    calls = _calls()
+    return [f"{stem}.{callee}({param})" for stem, tree in TREES.items()
+            for callee, param, position in _optional_parameters(tree)
+            if not any(_passes(c, param, position) is passed
+                       for name in _subclasses(tree, callee) for c in calls.get(name, ()))]
+
+
+def test_every_optional_parameter_has_a_caller():
+    unset = _optional_parameters_where(passed=True)
     assert not unset, f"optional parameters that no call in src/ or tests/ passes: {unset}"
+
+
+def test_every_default_is_used():
+    """A default that every call overrides is a value no run takes: the
+    parameter is then required.  A call that passes `*args` or
+    `**kwargs` counts as passing every parameter."""
+    always = _optional_parameters_where(passed=False)
+    assert not always, f"optional parameters that every call in src/ or tests/ passes: {always}"
 
 
 def _require_keys(tree):
