@@ -16,8 +16,9 @@ from .errors import ConfigError
 POSITIVE = {"type": "number", "exclusiveMinimum": 0}
 NONNEGATIVE = {"type": "number", "minimum": 0}
 NUMBER = {"type": "number"}
-INT2 = {"type": "integer", "minimum": 2}
-GRID = {"type": "integer", "minimum": 3}  # point count of a Grid1D
+# counts size arrays: none above 1e7, the bound of a directed solve's fine grid
+INT2 = {"type": "integer", "minimum": 2, "maximum": 10**7}
+GRID = {"type": "integer", "minimum": 3, "maximum": 10**7}  # point count of a Grid1D
 INDEX = {"type": "integer", "minimum": 0}
 STRIDE = {"type": "integer", "minimum": 1}
 FRACTION = {"type": "number", "exclusiveMinimum": 0, "maximum": 1}

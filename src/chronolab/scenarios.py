@@ -110,9 +110,9 @@ class TwoLevelConfig:
     pulse_width: float = param(0.8, POSITIVE)
     x_half: float = param(8.0, POSITIVE)
     x_points: int = param(321, GRID)
-    time_steps: int = param(8000, INT2)
+    time_steps: int = param(1000, INT2)
     duration_fraction: float = param(0.9, FRACTION)
-    output_stride: int = param(10, STRIDE)
+    output_stride: int = param(1, STRIDE)
 
 
 def _run_two_level(p: TwoLevelConfig, jobs: int) -> dict:

@@ -22,6 +22,7 @@ from hypothesis import strategies as st
 
 import chronolab
 from chronolab.cli import _config_hash, _schema_errors, load_config, main, validate_config
+from chronolab.core import _loglog_slope
 from chronolab.dynamics import directed_run
 from chronolab.errors import (
     ConfigError,
@@ -84,7 +85,7 @@ DEFAULT_HASHES = {
     "beam-on-atom": "c9c78d9ea5bb76a1b53ec4ed013b5735e2a115a46ec7286ef0a77d26295b8459",
     "classical-emergence": "9831bb3e5e961c180ff580798176d90496e69b4bdbf9b074390e9eae055c3b6a",
     "emergence-scan": "e610f6388b9f487204aed9652435e9572f79bf2ae0cb6ec3482c9b0ccd27e149",
-    "harmonic-clock-two-level": "4e0b9b53c2e97b139bd636070a427745b49906cdd956dfc5ed64d8b41cc7a257",
+    "harmonic-clock-two-level": "1866b82758061fb140d173c1c4c0f642aa5bc5658c40aef847d206e41a966f4f",
     "jacobi-paths": "6888a899d19c492d84abfe7c037c8457096810baa13c086d2444b5cefa2dea42",
     "perfect-clock": "1c70c1b5fccb2c45ccaf564e4fd79589289ee53c4c089eb58d17eb9818351cba",
 }
@@ -251,6 +252,8 @@ WORDINGS = [
      "/parameters", "Additional properties are not allowed ('well' was unexpected)"),
     ("classical-emergence", {"parameters": {"clock_energy_offset": "none"}},
      "/parameters/clock_energy_offset", "'none' is not valid under any of the given schemas"),
+    ("perfect-clock", {"parameters": {"points": 10**30}},
+     "/parameters/points", f"{10**30} is greater than the maximum of 10000000"),
 ]
 
 
@@ -489,6 +492,16 @@ def test_validate_command_rejects_bad_value(tmp_path, capsys):
     assert "/parameters/clock_mass" in err
 
 
+def test_a_count_past_the_array_bound_exits_2(tmp_path, capsys):
+    # without a maximum, 10^30 points passed validate and failed allocating
+    cfg = write_config(tmp_path, {"scenario": "perfect-clock",
+                                  "parameters": {"points": 10**30}})
+    for argv in (["validate", cfg], ["run", cfg, "--out", str(tmp_path / "out")]):
+        assert main(argv) == 2
+        assert (f"/parameters/points: {10**30} is greater than the maximum of 10000000"
+                in capsys.readouterr().err)
+
+
 def test_run_writes_tables_and_manifest(tmp_path):
     cfg = write_config(tmp_path, FAST_CLOCK)
     out = tmp_path / "out"
@@ -531,8 +544,8 @@ DEFAULT_CSV_HASHES = {
         "scan_details.csv": "8b25af6cce06af288308f9a9e2d6de8d212387f7f06b14c15aa4cba32925fc27",
     },
     "harmonic-clock-two-level": {
-        "summary.csv": "8a2fc6a622a3b21a5a10f1d8590587d07c2a24101f03cf9df04e988b9ee3db64",
-        "two_level.csv": "3e44c3380819b7e741290d67f12a02b4e5a87f5a3e3ac4e7e45e3be89856ab31",
+        "summary.csv": "15a7510c1d4c9e200eb0354c29eb9b43b19404c36bdf123addec40b725d8ae1e",
+        "two_level.csv": "9b5927b47e8b6f8fcb1379fe7f35c308201b440a721f5c4f51ff33edb7ce1c65",
     },
     "jacobi-paths": {
         "path.csv": "e13ead03be8bd318303e060a85fa0f3009961926f46b1e4bcf39cca7efdfb9ef",
@@ -1084,12 +1097,15 @@ def test_a_scan_point_past_the_grid_bound_is_an_error_row(tmp_path):
         "residual_out_of_span": "nan", "fine_points": "nan", "stride": "nan",
         "error": "DegenerateInputError: the directed solve needs 1e+11 fine R rows, "
                  "above the bound of 1e+07"}
-    # its M v^2 is 2 E_kin, and the slopes are fitted over the two good points
+    # its M v^2 is 2 E_kin, and the slopes are the fits over the two good
+    # rows as written (their last digits depend on the BLAS thread count)
     scan = list(csv.DictReader((out / "emergence_scan.csv").read_text(encoding="utf-8")
                                .splitlines()))
+    mv2 = [float(r["mv2"]) for r in scan[:2]]
+    fits = {key: format(_loglog_slope(mv2, [float(r[column]) for r in scan[:2]]), ".17g")
+            for key, column in (("slope_fit", "rho"), ("residual_slope", "residual"))}
     assert scan[2] == {"scan_value": "1000000000", "mv2": "2000000000", "residual": "nan",
-                       "rho": "nan", "slope_fit": "-0.99549383652233836",
-                       "residual_slope": "-1.0060586318546072"}
+                       "rho": "nan", **fits}
 
 
 def test_a_clock_that_never_moves_is_named(tmp_path, capsys):
