@@ -18,7 +18,6 @@ numerical/convergence error, 4 I/O error, 5 internal error.
 from __future__ import annotations
 
 import argparse
-import csv
 import hashlib
 import json
 import math
@@ -194,20 +193,56 @@ def _detail(value):
     return None if value is None else _cell(value)
 
 
+# rows formatted per write: the text of one block is alive at a time, so
+# a writer's memory does not grow with the table
+BLOCK_ROWS = 4096
+
+# CSV format of a cell of an array column, by dtype kind; bools and any
+# other kind go cell by cell through `_text`
+_SPECS = {"f": "%.17g", "i": "%d", "u": "%d"}
+
+
+def _text(value, lone: bool) -> str:
+    """A cell as CSV text: a float with 17 significant digits, anything else
+    as str.  Text holding a comma, a double quote or a line feed is quoted,
+    its quotes doubled; the empty cell of a one-column table is quoted too,
+    so its row is not a blank line."""
+    value = _cell(value)
+    text = format(value, ".17g") if isinstance(value, float) else str(value)
+    if "," in text or '"' in text or "\n" in text or (lone and not text):
+        return '"%s"' % text.replace('"', '""')
+    return text
+
+
 def write_csv(path: Path, table: Table) -> None:
+    """Write a table as CSV, converting each column once by its dtype.
+
+    A float array is printed with `%.17g` and an integer array with `%d`;
+    any other column (text, bools, a summary's mixed cells) goes cell by
+    cell through `_text`.  Rows are written in blocks of BLOCK_ROWS, each
+    row one `%` format of a per-table line.
+    """
+    lone = len(table.columns) == 1
+    specs, converters = [], []
+    for col in table.data:
+        spec = _SPECS.get(col.dtype.kind) if isinstance(col, np.ndarray) else None
+        specs.append(spec or "%s")
+        converters.append(np.ndarray.tolist if spec
+                          else lambda cells: [_text(v, lone) for v in cells])
+    line = ",".join(specs) + "\n"
+    n = len(table.data[0]) if table.data else 0
     with open(path, "w", encoding="utf-8", newline="") as f:
-        writer = csv.writer(f, lineterminator="\n")
-        writer.writerow(table.columns)
-        for row in table.rows:
-            writer.writerow([format(v, ".17g") if isinstance(v, float) else str(v)
-                             for v in map(_cell, row)])
+        f.write(",".join(_text(name, lone) for name in table.columns) + "\n")
+        for lo in range(0, n, BLOCK_ROWS):
+            cols = [convert(col[lo:lo + BLOCK_ROWS]) for convert, col in zip(converters, table.data)]
+            f.write("".join([line % row for row in zip(*cols)]))
 
 
 def write_json_table(path: Path, table: Table) -> None:
-    doc = {
-        "columns": list(table.columns),
-        "rows": [[_cell(v) for v in row] for row in table.rows],
-    }
+    """Write a table as JSON, converting each column once."""
+    cols = [col.tolist() if isinstance(col, np.ndarray) and col.dtype.kind != "O"
+            else [_cell(v) for v in col] for col in table.data]
+    doc = {"columns": list(table.columns), "rows": list(zip(*cols))}
     with open(path, "w", encoding="utf-8", newline="\n") as f:
         json.dump(doc, f, indent=1)
         f.write("\n")

@@ -3,10 +3,12 @@
 Each scenario is a named pipeline: a frozen parameter class, whose
 fields declare every parameter once with its default and its schema
 bounds, and a runner that turns a parameter instance into plot-ready
-tables (column names + rows).  The registry derives each scenario's
-defaults and config schema from its parameter class.  Complex quantities
-are split into re_/im_ columns at table-building time so every cell is a
-plain number or string.  The registry is fixed; new pipelines are
+tables (column names + one sequence of cells per column).  A runner
+passes its arrays straight through as columns; `_table` refuses ragged,
+multi-dimensional and complex columns, so complex quantities are split
+into re_/im_ columns by the runner and every cell is a plain number or
+string.  The registry derives each scenario's defaults and config schema
+from its parameter class.  The registry is fixed; new pipelines are
 composed in configs, not plugged in.
 """
 
@@ -47,16 +49,71 @@ from .stationary import solve_system_basis
 __all__ = ["Table", "Scenario", "SCENARIOS", "get_scenario", "config_schema"]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Table:
-    """One output table: a header and rows of plain cells."""
+    """One output table: a header and one sequence of cells per column.
+
+    A numeric column is a 1-D real ndarray; a column of text, of error
+    cells or of a summary's mixed one-row cells is a list.  Two tables are
+    equal when their names and cells are.
+    """
 
     columns: tuple
-    rows: tuple
+    data: tuple
+
+    @property
+    def rows(self) -> tuple:
+        """The cells row by row, zipped on demand (the writers read columns)."""
+        return tuple(zip(*self.data))
+
+    def __eq__(self, other):
+        if not isinstance(other, Table):
+            return NotImplemented
+        return (self.columns == other.columns and len(self.data) == len(other.data)
+                and all(list(a) == list(b) for a, b in zip(self.data, other.data)))
 
 
-def _table(columns, rows) -> Table:
-    return Table(tuple(columns), tuple(tuple(r) for r in rows))
+def _table(columns, data) -> Table:
+    """A Table of named columns, each a 1-D real ndarray or a list of cells.
+
+    Raises ValueError on a name without a column or a column without a
+    name, a column that is not 1-D, a complex column, or columns of
+    unequal length: a runner's fault, caught before anything is written.
+    """
+    columns, data = tuple(columns), tuple(
+        col if isinstance(col, np.ndarray) else list(col) for col in data)
+    if len(data) != len(columns):
+        raise ValueError(f"{len(columns)} column names for {len(data)} columns")
+    for name, col in zip(columns, data):
+        if isinstance(col, np.ndarray) and col.ndim != 1:
+            raise ValueError(f"column {name!r} has shape {col.shape}, not one dimension")
+        if (col.dtype.kind == "c" if isinstance(col, np.ndarray)
+                else any(isinstance(v, (complex, np.complexfloating)) for v in col)):
+            raise ValueError(f"column {name!r} is complex: split it into re_ and im_ columns")
+    if len({len(col) for col in data}) > 1:
+        raise ValueError("columns of unequal length: "
+                         + ", ".join(f"{n} {len(c)}" for n, c in zip(columns, data)))
+    return Table(columns, data)
+
+
+def _summary(columns, values) -> Table:
+    """A one-row Table: a list of one cell per column."""
+    return _table(columns, ([v] for v in values))
+
+
+def _report_columns(report, names) -> list:
+    """Fields of a scan report's rows, one column per name.
+
+    A column is an array unless its rows mix integers with floats (an
+    error row's NaN among fine-point counts, a config's 15 beside 50.5):
+    then its cells stay as they are, so an integer still prints as one.
+    """
+    columns = []
+    for name in names:
+        cells = [getattr(r, name) for r in report.rows]
+        mixed = len({isinstance(c, (int, np.integer)) for c in cells}) > 1
+        columns.append(cells if mixed else np.array(cells))
+    return columns
 
 
 # ---------------------------------------------------------------------------
@@ -83,16 +140,21 @@ def _run_perfect_clock(p: PerfectClockConfig, jobs: int) -> dict:
     tau = quantum_time(clock.chi(), clock.M, p.hbar)
     exact = clock.time_map().times
     err = np.abs(tau.values - exact)
-    rows = [
-        (r, t.real, t.imag, e, d)
-        for r, t, e, d in zip(r_grid.points, tau.values, exact, err)
-    ]
     rel = err[1:] / np.abs(exact[1:])
-    summary = [(float(np.max(err)), float(np.max(rel)), float(tau.max_imag_fraction))]
     return {
-        "perfect_clock": _table(("r", "re_tau", "im_tau", "exact_t", "abs_error"), rows),
-        "summary": _table(("max_abs_error", "max_rel_error", "max_imag_fraction"), summary),
+        "perfect_clock": _table(("r", "re_tau", "im_tau", "exact_t", "abs_error"),
+                                (r_grid.points, tau.values.real, tau.values.imag, exact, err)),
+        "summary": _summary(("max_abs_error", "max_rel_error", "max_imag_fraction"),
+                            (float(np.max(err)), float(np.max(rel)),
+                             float(tau.max_imag_fraction))),
     }
+
+
+# largest grid table of the two-level comparison, in complex cells: the
+# Richardson route's halved Crank-Nicolson run holds (2 time_steps + 1)
+# x_points of them at 16 bytes each, so 1.5e8 cells is 2.4 GB, about the
+# directed solve's MAX_FINE_ROWS; the defaults need 2,001 x 321 = 642,321
+MAX_GRID_CELLS = 150_000_000
 
 
 @dataclass(frozen=True)
@@ -113,6 +175,12 @@ class TwoLevelConfig:
     time_steps: int = param(1000, INT2)
     duration_fraction: float = param(0.9, FRACTION)
     output_stride: int = param(1, STRIDE)
+
+    def __post_init__(self):
+        cells = (2 * self.time_steps + 1) * self.x_points
+        require(cells <= MAX_GRID_CELLS, "time_steps",
+                f"time_steps {self.time_steps} and x_points {self.x_points} need a grid "
+                f"table of {cells:.4g} cells, above the bound of {MAX_GRID_CELLS:.1e}")
 
 
 def _run_two_level(p: TwoLevelConfig, jobs: int) -> dict:
@@ -136,17 +204,14 @@ def _run_two_level(p: TwoLevelConfig, jobs: int) -> dict:
     stride = p.output_stride
     a = rep.ode.amplitudes[::stride]
     g = rep.projected[::stride]
-    rows = np.column_stack([
-        t[::stride], a[:, 0].real, a[:, 0].imag, a[:, 1].real, a[:, 1].imag,
-        np.abs(a) ** 2, np.abs(g) ** 2, np.max(np.abs(a - g), axis=1),
-    ]).tolist()
-    summary = [(rep.max_deviation, rep.basis_defect, rep.ode.population_drift)]
     return {
         "two_level": _table(
             ("t", "re_a0", "im_a0", "re_a1", "im_a1",
              "pop0_ode", "pop1_ode", "pop0_grid", "pop1_grid", "deviation"),
-            rows),
-        "summary": _table(("max_deviation", "basis_defect", "population_drift"), summary),
+            (t[::stride], a[:, 0].real, a[:, 0].imag, a[:, 1].real, a[:, 1].imag,
+             *(np.abs(a) ** 2).T, *(np.abs(g) ** 2).T, np.max(np.abs(a - g), axis=1))),
+        "summary": _summary(("max_deviation", "basis_defect", "population_drift"),
+                            (rep.max_deviation, rep.basis_defect, rep.ode.population_drift)),
     }
 
 
@@ -168,18 +233,16 @@ def _run_beam_on_atom(p: BeamOnAtomConfig, jobs: int) -> dict:
     pops = np.abs(state.amplitudes) ** 2
     pops /= pops[0].sum()  # entry slice defines the unit of population
 
-    idx = range(0, r_sub.n, p.output_stride)
+    stride = p.output_stride
     pop_cols = [f"pop_{n}" for n in range(len(basis))]
-    rows = [
-        (r_sub.points[i], tmap.times[i], *pops[i]) for i in idx
-    ]
-    summary = [(state.residual, float(state.energy), p.incoming,
-                *pops[0], *pops[-1])]
     sum_cols = (["residual", "energy", "incoming"]
                 + [f"entry_{c}" for c in pop_cols] + [f"exit_{c}" for c in pop_cols])
     return {
-        "channel_populations": _table(["r", "t"] + pop_cols, rows),
-        "summary": _table(sum_cols, summary),
+        "channel_populations": _table(
+            ["r", "t"] + pop_cols,
+            (r_sub.points[::stride], tmap.times[::stride], *pops[::stride].T)),
+        "summary": _summary(sum_cols, (state.residual, float(state.energy), p.incoming,
+                                       *pops[0], *pops[-1])),
     }
 
 
@@ -209,17 +272,11 @@ def _run_classical_emergence(p: ClassicalEmergenceConfig, jobs: int) -> dict:
         spec, p.energies, p.x0, p.px0, p.t_span,
         steps=p.steps, clock_energy_offset=p.clock_energy_offset,
     )
-    rows = [
-        (r.scan_value, r.mv2, r.deviation, r.neglected_mean,
-         r.retained_mean, r.ratio_measured, r.ratio_estimate)
-        for r in report.rows
-    ]
+    columns = ("scan_value", "mv2", "deviation", "neglected_mean",
+               "retained_mean", "ratio_measured", "ratio_estimate")
     return {
-        "classical_emergence": _table(
-            ("scan_value", "mv2", "deviation", "neglected_mean",
-             "retained_mean", "ratio_measured", "ratio_estimate"),
-            rows),
-        "summary": _table(("slope", "points"), [(report.slope, len(report.rows))]),
+        "classical_emergence": _table(columns, _report_columns(report, columns)),
+        "summary": _summary(("slope", "points"), (report.slope, len(report.rows))),
     }
 
 
@@ -266,10 +323,9 @@ def _run_jacobi_paths(p: JacobiPathsConfig, jobs: int) -> dict:
 
     seg = np.linalg.norm(np.diff(path.nodes, axis=0), axis=1)
     s = np.concatenate(([0.0], np.cumsum(seg)))
-    rows = [(i, s[i], *path.nodes[i]) for i in range(path.nodes.shape[0])]
     coord_cols = [f"q{j + 1}" for j in range(path.nodes.shape[1])]
 
-    summary = [(
+    summary = (
         action,
         path.segments,
         float(np.max(np.abs(residuals))),
@@ -278,35 +334,31 @@ def _run_jacobi_paths(p: JacobiPathsConfig, jobs: int) -> dict:
         endpoint.max_diff_end,
         endpoint.max_diff_start,
         *momenta[-1],
-    )]
+    )
     sum_cols = (["action", "segments", "max_constraint_residual",
                  "probe_error_end", "probe_error_start",
                  "momentum_gap_end", "momentum_gap_start"]
                 + [f"p_end_{c}" for c in coord_cols])
     return {
-        "path": _table(["node", "s"] + coord_cols, rows),
-        "summary": _table(sum_cols, summary),
+        "path": _table(["node", "s"] + coord_cols,
+                       (np.arange(path.nodes.shape[0]), s, *path.nodes.T)),
+        "summary": _summary(sum_cols, summary),
     }
 
 
 def _run_emergence_scan(p: dynamics.EmergenceScanConfig, jobs: int) -> dict:
     report = dynamics.emergence_scan(p, jobs=jobs)
-    rows = [
-        (r.scan_value, r.mv2, r.residual, r.rho, report.slope, report.residual_slope)
-        for r in report.rows
-    ]
-    details = [
-        (r.scan_value, r.v_mean, r.norm_spread, r.residual_out_of_span,
-         r.fine_points, r.stride, r.error if r.error else "")
-        for r in report.rows
-    ]
+    n = len(report.rows)
+    details = ("scan_value", "v_mean", "norm_spread", "residual_out_of_span",
+               "fine_points", "stride")
     return {
         "emergence_scan": _table(
-            ("scan_value", "mv2", "residual", "rho", "slope_fit", "residual_slope"), rows),
+            ("scan_value", "mv2", "residual", "rho", "slope_fit", "residual_slope"),
+            (*_report_columns(report, ("scan_value", "mv2", "residual", "rho")),
+             np.full(n, report.slope), np.full(n, report.residual_slope))),
         "scan_details": _table(
-            ("scan_value", "v_mean", "norm_spread", "residual_out_of_span",
-             "fine_points", "stride", "error"),
-            details),
+            details + ("error",),
+            (*_report_columns(report, details), [r.error if r.error else "" for r in report.rows])),
     }
 
 

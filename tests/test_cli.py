@@ -12,6 +12,7 @@ import subprocess
 import sys
 import tempfile
 import time
+import tracemalloc
 from pathlib import Path
 
 import jsonschema
@@ -21,7 +22,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import chronolab
-from chronolab.cli import _config_hash, _schema_errors, load_config, main, validate_config
+from chronolab.cli import (
+    BLOCK_ROWS,
+    _cell,
+    _config_hash,
+    _schema_errors,
+    load_config,
+    main,
+    validate_config,
+    write_csv,
+    write_json_table,
+)
 from chronolab.core import _loglog_slope
 from chronolab.dynamics import directed_run
 from chronolab.errors import (
@@ -31,7 +42,15 @@ from chronolab.errors import (
     StabilityError,
     TurningPointError,
 )
-from chronolab.scenarios import SCENARIOS, Table, config_schema, default_config, get_scenario
+from chronolab.scenarios import (
+    MAX_GRID_CELLS,
+    SCENARIOS,
+    Table,
+    _table,
+    config_schema,
+    default_config,
+    get_scenario,
+)
 
 BUILTINS = [
     "beam-on-atom",
@@ -502,6 +521,19 @@ def test_a_count_past_the_array_bound_exits_2(tmp_path, capsys):
                 in capsys.readouterr().err)
 
 
+@pytest.mark.parametrize("time_steps, code", [(4_999_999, 0), (5_000_000, 2), (10**7, 2)])
+def test_a_two_level_grid_past_the_bound_is_refused(tmp_path, capsys, time_steps, code):
+    # (2 time_steps + 1) x_points complex cells; validated only, never run
+    doc = {"scenario": "harmonic-clock-two-level",
+           "parameters": {"time_steps": time_steps, "x_points": 15}}
+    assert ((2 * time_steps + 1) * 15 > MAX_GRID_CELLS) == bool(code)
+    assert main(["validate", write_config(tmp_path, doc)]) == code
+    err = capsys.readouterr().err
+    if code:
+        assert "config error: /parameters/time_steps: " in err
+        assert "above the bound of 1.5e+08" in err
+
+
 def test_run_writes_tables_and_manifest(tmp_path):
     cfg = write_config(tmp_path, FAST_CLOCK)
     out = tmp_path / "out"
@@ -586,6 +618,59 @@ def test_default_csvs_are_pinned(tmp_path, name):
     assert proc.returncode == 0, proc.stderr
     written = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.glob("*.csv")}
     assert written == DEFAULT_CSV_HASHES[name]
+
+
+# sha256 of every `--format json` table each built-in scenario writes at its
+# defaults with one BLAS thread, recorded with the per-row writer
+DEFAULT_JSON_HASHES = {
+    "beam-on-atom": {
+        "channel_populations.json": "476c5065e81a17fb8b4c380de156a73c30d4e43dcc07727c38f592c814b1d5ae",
+        "summary.json": "02fddce0eb3264450ca238be1661f11cb47989cad6a7bdad70b71166e9437054",
+    },
+    "classical-emergence": {
+        "classical_emergence.json": "e7b3db6874caf38a4760a1236a5f277fd5ca5eaeee2ea4118a5a14f04e748547",
+        "summary.json": "158eb251e70b9ac223f5202b93929f2e65c244282e70feb9c5447d934153996b",
+    },
+    "emergence-scan": {
+        "emergence_scan.json": "eaaa31a28bf6e59318a9d82579ef9c79e7cc85eeb60d0abbabada7c4f84d00c3",
+        "scan_details.json": "f7350f75c10b925d458d55281b76c5a2106e4e653a50284bdeee090b2dca48aa",
+    },
+    "harmonic-clock-two-level": {
+        "summary.json": "475b5d9784a725b54dc0a0cd9e36727e1ad74b5f74ebe0c59586e960a32c271b",
+        "two_level.json": "d8df029f099eaf5468196981ac19b981b9fb5266e604f4b19b0566a607cb93bd",
+    },
+    "jacobi-paths": {
+        "path.json": "1473534ada7291377332418567fdf22b7c3cafc158668d87ea4416da708fc255",
+        "summary.json": "de1c53d859defc1da58c38d2e4637671454e2ff0e1d64b6f64d731ccf166b700",
+    },
+    "perfect-clock": {
+        "perfect_clock.json": "1dac6c23e8a6ef035e6fbcdc3ae6d5a0a7cb1f929d553c8880f8da5eb6957bff",
+        "summary.json": "62dcb6275942efbc41ce21ea07064d34ad8ea3839b386049623138638169803d",
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(DEFAULT_JSON_HASHES))
+def test_default_json_tables_are_pinned(tmp_path, name):
+    out = tmp_path / "out"
+    proc = _run_child("run", name, "--out", str(out), "--format", "json")
+    assert proc.returncode == 0, proc.stderr
+    written = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+               for p in out.glob("*.json") if p.name != "manifest.json"}
+    assert written == DEFAULT_JSON_HASHES[name]
+
+
+@pytest.mark.parametrize("name", BUILTINS)
+def test_numeric_columns_are_arrays(name):
+    # a runner hands its arrays to the table; a numeric column of cells
+    # would send every cell through the writers' per-cell path
+    for tname, table in SCENARIOS[name].run(SCENARIOS[name].defaults).items():
+        for cname, col in zip(table.columns, table.data):
+            numeric = all(isinstance(v, (int, float, np.integer, np.floating))
+                          and not isinstance(v, (bool, np.bool_)) for v in col)
+            if numeric and len(col) > 1:
+                assert isinstance(col, np.ndarray), (tname, cname)
+                assert col.ndim == 1 and col.dtype.kind in "fiu", (tname, cname, col.dtype)
 
 
 def test_jacobi_paths_minimizes_each_path_once(monkeypatch):
@@ -1245,6 +1330,121 @@ def test_csv_cells_are_full_precision(tmp_path):
     assert r_cell == format(float(row[0]), ".17g")
     assert re_cell == format(float(row[1]), ".17g")
     assert float(re_cell) == pytest.approx(50.0 * 0.02 / 2.0, rel=1e-3)
+
+
+# ---------------------------------------------------------------------------
+# table writers against the per-row writers they replaced
+
+
+def _oracle_csv(path, table):
+    """The per-row CSV writer: csv.writer, `_cell` and `format(v, ".17g")`."""
+    with open(path, "w", encoding="utf-8", newline="") as f:
+        writer = csv.writer(f, lineterminator="\n")
+        writer.writerow(table.columns)
+        for row in table.rows:
+            writer.writerow([format(v, ".17g") if isinstance(v, float) else str(v)
+                             for v in map(_cell, row)])
+
+
+def _oracle_json(path, table):
+    """The per-row JSON writer: `_cell` on every cell."""
+    doc = {"columns": list(table.columns),
+           "rows": [[_cell(v) for v in row] for row in table.rows]}
+    with open(path, "w", encoding="utf-8", newline="\n") as f:
+        json.dump(doc, f, indent=1)
+        f.write("\n")
+
+
+_FLOATS = st.sampled_from((math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324,
+                           1.7976931348623157e308, -1.7976931348623157e308)) | st.floats()
+_INTS = st.sampled_from((-2**63, 2**63 - 1, 0, -1)) | st.integers(-2**63, 2**63 - 1)
+_TEXT = st.text(st.sampled_from(',"\r\n ') | st.characters(blacklist_categories=("Cs",)),
+                max_size=6)
+_MIXED = st.one_of(_FLOATS, _INTS, _TEXT, st.booleans(), _FLOATS.map(np.float64),
+                   _INTS.map(np.int64), st.booleans().map(np.bool_))
+
+
+@st.composite
+def _tables(draw):
+    """Tables of every column kind the writers read, some longer than a
+    block: a few drawn cells repeated to the drawn length."""
+    n = draw(st.sampled_from((0, 1, 2, 3, BLOCK_ROWS, BLOCK_ROWS + 3)))
+    names = draw(st.lists(_TEXT, min_size=1, max_size=4))
+    data = []
+    for _ in names:
+        kind = draw(st.sampled_from(("float", "float32", "int", "uint", "bool", "text", "mixed")))
+        cells = {"float": _FLOATS, "float32": _FLOATS, "int": _INTS,
+                 "uint": st.integers(0, 2**64 - 1), "bool": st.booleans(),
+                 "text": _TEXT, "mixed": _MIXED}[kind]
+        drawn = draw(st.lists(cells, min_size=1, max_size=5))
+        cycle = [drawn[i % len(drawn)] for i in range(n)]
+        if kind in ("text", "mixed"):
+            data.append(cycle)
+        else:
+            dtype = {"float": np.float64, "int": np.int64, "uint": np.uint64,
+                     "bool": bool}.get(kind, np.float32)
+            with np.errstate(over="ignore"):  # float32 rounds a large float to inf
+                data.append(np.array(cycle, dtype=dtype))
+    return _table(names, data)
+
+
+@settings(max_examples=60, deadline=None)
+@given(table=_tables())
+def test_writers_write_the_bytes_of_the_per_row_writers(table):
+    with tempfile.TemporaryDirectory() as tmp:
+        for write, oracle, suffix in ((write_csv, _oracle_csv, "csv"),
+                                      (write_json_table, _oracle_json, "json")):
+            got, want = Path(tmp) / f"got.{suffix}", Path(tmp) / f"want.{suffix}"
+            write(got, table)
+            oracle(want, table)
+            assert got.read_bytes() == want.read_bytes(), suffix
+
+
+def _peak_bytes_writing(tmp_path, rows):
+    table = _table("abcde", np.random.default_rng(0).normal(size=(5, rows)))
+    tracemalloc.start()
+    try:
+        write_csv(tmp_path / f"{rows}.csv", table)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_csv_writer_memory_does_not_grow_with_the_table(tmp_path):
+    small, large = (_peak_bytes_writing(tmp_path, rows) for rows in (20_000, 200_000))
+    assert large < 4 * 2**20
+    assert abs(large - small) < 0.1 * small
+
+
+def test_table_refuses_columns_of_unequal_length():
+    with pytest.raises(ValueError, match="unequal length: a 3, b 2"):
+        _table(("a", "b"), (np.zeros(3), np.zeros(2)))
+
+
+def test_table_refuses_a_column_that_is_not_one_dimensional():
+    with pytest.raises(ValueError, match="column 'a' has shape"):
+        _table(("a",), (np.zeros((3, 2)),))
+
+
+@pytest.mark.parametrize("column", [np.zeros(3, complex), [1.0, 2j], [np.complex128(1.0)]])
+def test_table_refuses_a_complex_column(column):
+    with pytest.raises(ValueError, match="column 'a' is complex"):
+        _table(("a",), (column,))
+
+
+def test_table_refuses_names_that_do_not_match_its_columns():
+    with pytest.raises(ValueError, match="2 column names for 1 columns"):
+        _table(("a", "b"), (np.zeros(3),))
+
+
+def test_tables_are_equal_when_their_names_and_cells_are():
+    table = _table(("x", "note"), (np.arange(3.0), ["a", "b", "c"]))
+    assert table == _table(("x", "note"), ([0.0, 1.0, 2.0], np.array(["a", "b", "c"])))
+    assert table != _table(("x", "note"), (np.array([0.0, 1.0, 2.5]), ["a", "b", "c"]))
+    assert table != _table(("x", "note"), (np.arange(3.0), ["a", "b", ""]))
+    assert table != _table(("x", "text"), (np.arange(3.0), ["a", "b", "c"]))
+    assert table != _table(("x",), (np.arange(3.0),))
+    assert table.rows == ((0.0, "a"), (1.0, "b"), (2.0, "c"))
 
 
 def test_module_entry_point():
