@@ -50,7 +50,6 @@ __all__ = [
     "clock_time_map",
     "energy_correction",
     "compare_composite_reduced",
-    "EmergenceRow",
     "ClassicalEmergenceReport",
 ]
 
@@ -685,31 +684,20 @@ def energy_correction(e_system: float, M: float, v: float) -> float:
 # composite vs reduced comparison
 
 
-@dataclass(frozen=True)
-class EmergenceRow:
-    """One scan point of the composite-vs-reduced comparison.
-
-    `neglected_mean` is the run average of the quadratic clock-transfer
-    term dp^2/2M (dp = composite p_R minus clock-model p); the retained
-    term is the instantaneous system energy.  `ratio_estimate` is the
-    a-priori E_S/(2 M v^2)."""
-
-    scan_value: float
-    mv2: float
-    deviation: float
-    neglected_mean: float
-    retained_mean: float
-    ratio_measured: float
-    ratio_estimate: float
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ClassicalEmergenceReport:
-    rows: tuple
-    slope: float
+    """The composite-vs-reduced comparison's columns, with the log-log
+    slope of the deviation against M v^2 (NaN for a single energy).
 
-    def column(self, name: str) -> np.ndarray:
-        return np.array([getattr(r, name) for r in self.rows])
+    `columns` maps each output column's name to one 1-D array, a cell
+    per scan energy: `scan_value`, `mv2`, `deviation`, `neglected_mean`
+    (the run average of the quadratic clock-transfer term dp^2/2M, dp =
+    composite p_R minus clock-model p), `retained_mean` (that of the
+    instantaneous system energy), their ratio `ratio_measured`, and
+    `ratio_estimate`, the a-priori E_S/(2 M v^2)."""
+
+    columns: dict
+    slope: float
 
 
 def _composite_lane(spec, q, p, energy, clock_energy, t_span, steps):
@@ -784,9 +772,10 @@ def compare_composite_reduced(
     that value; 0.0 is the untuned clock, whose momentum mismatch
     realizes the first-order energy shift E_S^2/(2 M v^2).
 
-    Each row reports the deviation D = max_t |x_comp - x_red|, the run
-    averages of the neglected quadratic term dp^2/2M and of the retained
-    system energy, their ratio, and the a-priori estimate E_S/(2 M v^2).
+    Each scan energy reports the deviation D = max_t |x_comp - x_red|,
+    the run averages of the neglected quadratic term dp^2/2M and of the
+    retained system energy, their ratio, and the a-priori estimate
+    E_S/(2 M v^2).
     """
     total_energies = np.asarray(total_energies, dtype=float)
     if total_energies.size < 1:
@@ -821,9 +810,10 @@ def compare_composite_reduced(
     if np.any(bad):
         raise DegenerateInputError(
             f"deviation or M v^2 is not finite and positive at E={total_energies[bad][0]}")
-    columns = (total_energies, mv2, deviation, neglected, retained, neglected / retained,
-               e_sys0 / (2.0 * spec.M * v_means**2))
-    rows = [EmergenceRow(*map(float, row)) for row in zip(*columns)]
-    slope = (_loglog_slope(mv2, np.maximum(deviation, 1e-300)) if len(rows) >= 2
+    columns = {"scan_value": total_energies, "mv2": mv2, "deviation": deviation,
+               "neglected_mean": neglected, "retained_mean": retained,
+               "ratio_measured": neglected / retained,
+               "ratio_estimate": e_sys0 / (2.0 * spec.M * v_means**2)}
+    slope = (_loglog_slope(mv2, np.maximum(deviation, 1e-300)) if mv2.size >= 2
              else float("nan"))
-    return ClassicalEmergenceReport(tuple(rows), slope)
+    return ClassicalEmergenceReport(columns, slope)

@@ -373,6 +373,17 @@ def validate_command(args) -> int:
     return code
 
 
+def _jobs(text: str) -> int:
+    """A --jobs value: an integer of at least 1."""
+    try:
+        jobs = int(text)
+    except ValueError:
+        jobs = 0
+    if jobs < 1:
+        raise argparse.ArgumentTypeError(f"{text!r} is not an integer of at least 1")
+    return jobs
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="chronolab",
@@ -383,7 +394,7 @@ def main(argv=None) -> int:
 
     run_p = sub.add_parser("run", help="run a scenario config (or a builtin by name)")
     run_p.add_argument("config", help="path to a JSON config, or a builtin scenario name")
-    run_p.add_argument("--jobs", type=int, default=1,
+    run_p.add_argument("--jobs", type=_jobs, default=1,
                        help="worker pool size for independent scan points")
     run_p.add_argument("--out", default=None, help="output directory")
     run_p.add_argument("--format", choices=("csv", "json"), default="csv",

@@ -75,7 +75,6 @@ __all__ = [
     "directed_run",
     "lattice_clock",
     "EmergenceScanConfig",
-    "QuantumEmergenceRow",
     "EmergenceReport",
     "emergence_scan",
 ]
@@ -551,8 +550,13 @@ class DirectedRunConfig:
         system = SystemSpec(self.system_mass, self.hbar, Harmonic(self.system_stiffness))
         return solve_system_basis(system, x_grid, self.channels, order=2)
 
+    def clock_speed(self, e_kin):
+        """v = sqrt(2 E_kin / M), the clock speed of kinetic energy `e_kin`
+        (a number or an array) that sizes a directed run."""
+        return np.sqrt(2.0 * e_kin / self.clock_mass)
 
-def directed_run(cfg: DirectedRunConfig, basis: ChannelBasis, e_kin: float) -> tuple:
+
+def directed_run(cfg: DirectedRunConfig, basis: ChannelBasis, e_kin: float) -> DirectedState:
     """Directed composite state of one clock kinetic energy.
 
     The clock enters in channel `incoming` and crosses R in
@@ -565,11 +569,10 @@ def directed_run(cfg: DirectedRunConfig, basis: ChannelBasis, e_kin: float) -> t
     On that grid the clock wave moves at the lattice group velocity,
     which is below p / M by a fraction (k dR)^2 / 6: a clock read off
     this state must use it (`lattice_clock` does).
-    Returns (directed state, v).
     """
     M, hbar = cfg.clock_mass, cfg.hbar
     eps0 = float(basis.energies[cfg.incoming])
-    v = float(np.sqrt(2.0 * e_kin / M))
+    v = float(cfg.clock_speed(e_kin))
     span = v * cfg.duration
     e_total = e_kin + eps0
 
@@ -595,9 +598,8 @@ def directed_run(cfg: DirectedRunConfig, basis: ChannelBasis, e_kin: float) -> t
     )
     spec = CompositeSpec(M, cfg.system_mass, hbar, Constant(0.0),
                          Harmonic(cfg.system_stiffness), coupling)
-    state = solve_directed_state(spec, basis, r_grid, e_total, cfg.incoming,
-                                 cfg.residual_tol, stride=stride)
-    return state, v
+    return solve_directed_state(spec, basis, r_grid, e_total, cfg.incoming,
+                                cfg.residual_tol, stride=stride)
 
 
 @dataclass(frozen=True)
@@ -618,44 +620,23 @@ class EmergenceScanConfig(DirectedRunConfig):
                 f"scan span {hi / lo:.1f}x is below the required 30x")
 
 
-@dataclass(frozen=True)
-class QuantumEmergenceRow:
-    """One scan point. `mv2` = M v^2 = 2 E_kin is the x axis of the slope fit,
-    but `rho` is computed with the M v^2 of the clock factor, M v_mean^2,
-    about 2 (E_kin + eps_0): `_scan_point` builds the clock from the
-    lattice momentum of the total energy. The difference is a next-order
-    term, not an inconsistency: rho * M v_mean^2 reads about
-    0.563 + 1.0 / (M v_mean^2), 5% above its limit at E_kin 15, so the
-    1/(M v^2) law holds on either axis up to that term, and the 2 E_kin
-    axis stays.
-    `fine_points` and `stride` are the directed solve's fine R grid and
-    the step between the rows it keeps, as the state carries them.  A
-    point whose stages failed keeps `error` and NaN in every measured
-    field."""
-
-    scan_value: float
-    mv2: float
-    residual: float = np.nan
-    rho: float = np.nan
-    v_mean: float = np.nan
-    norm_spread: float = np.nan
-    residual_out_of_span: float = np.nan
-    fine_points: int = np.nan
-    stride: int = np.nan
-    error: str | None = None
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EmergenceReport:
-    """Scan rows with the log-log slopes of rho (`slope`) and of the
-    measured residual (`residual_slope`) against M v^2."""
+    """The scan's columns with the log-log slopes of rho (`slope`) and of
+    the measured residual (`residual_slope`) against M v^2, fitted over
+    the points that succeeded.
 
-    rows: tuple
+    `columns` maps each output column's name to one 1-D array, a cell
+    per scan point in config order: `scan_value` (E_kin) and `mv2`
+    (M v^2 at the v that sizes the directed run), then the values that
+    `_scan_point` measures, under its names.  `error` holds one text per
+    point, empty where the point succeeded; a failed point has NaN in
+    every measured column, which makes an integer column float."""
+
+    columns: dict
+    error: tuple
     slope: float
     residual_slope: float
-
-    def column(self, name: str) -> np.ndarray:
-        return np.array([getattr(r, name) for r in self.rows])
 
 
 def lattice_clock(state: DirectedState) -> tuple:
@@ -685,9 +666,20 @@ def lattice_clock(state: DirectedState) -> tuple:
     return wkb, TimeMap(r_sub, rel / v_g, np.full(r_sub.n, 1.0 / v_g))
 
 
-def _scan_point(cfg: EmergenceScanConfig, basis: ChannelBasis,
-                e_kin: float) -> QuantumEmergenceRow:
-    state, v = directed_run(cfg, basis, e_kin)
+def _scan_point(cfg: EmergenceScanConfig, basis: ChannelBasis, e_kin: float) -> dict:
+    """The values one scan point measures, by output column name.
+
+    `rho` is computed with the M v^2 of the clock factor, M v_mean^2,
+    about 2 (E_kin + eps_0), not with the scan's 2 E_kin axis: the clock
+    is built from the lattice momentum of the total energy.  The
+    difference is a next-order term, not an inconsistency: rho * M
+    v_mean^2 reads about 0.563 + 1.0 / (M v_mean^2), 5% above its limit
+    at E_kin 15, so the 1/(M v^2) law holds on either axis up to that
+    term, and the 2 E_kin axis stays.  `fine_points` and `stride` are
+    the directed solve's fine R grid and the step between the rows it
+    keeps, as the state carries them.
+    """
+    state = directed_run(cfg, basis, e_kin)
     spec = state.spec
     wkb, tmap = lattice_clock(state)
     traj = conditional_from_composite(state, wkb, tmap)
@@ -696,10 +688,10 @@ def _scan_point(cfg: EmergenceScanConfig, basis: ChannelBasis,
                            mv2=float(wkb.M * v_mean**2))
 
     norms = traj.slice_norms()
-    spread = float((norms.max() - norms.min()) / norms.mean())
-    return QuantumEmergenceRow(e_kin, spec.M * v * v, report.residual, report.rho,
-                               v_mean, spread, report.out_of_span,
-                               state.fine_points, state.stride)
+    return {"residual": report.residual, "rho": report.rho, "v_mean": v_mean,
+            "norm_spread": float((norms.max() - norms.min()) / norms.mean()),
+            "residual_out_of_span": report.out_of_span,
+            "fine_points": state.fine_points, "stride": state.stride}
 
 
 def emergence_scan(
@@ -714,33 +706,40 @@ def emergence_scan(
     the scan continues; the log-log slopes of rho and of the residual vs
     M v^2 are fitted over the successful points; fewer than two raise
     DegenerateInputError listing every point's error.  `jobs` > 1
-    dispatches scan points to a thread pool; row order always follows
+    dispatches scan points to a thread pool; the columns always follow
     the config.
     """
     cfg = config if config is not None else EmergenceScanConfig()
     basis = cfg.system_basis()
 
-    def one(e_kin: float) -> QuantumEmergenceRow:
+    def one(e_kin: float) -> tuple:
         try:
-            return _scan_point(cfg, basis, e_kin)
+            return _scan_point(cfg, basis, e_kin), ""
         except ChronolabError as exc:
-            return QuantumEmergenceRow(e_kin, 2.0 * e_kin, error=f"{type(exc).__name__}: {exc}")
+            return {}, f"{type(exc).__name__}: {exc}"
 
-    points = [float(e) for e in cfg.kinetic_energies]
+    energies = [float(e) for e in cfg.kinetic_energies]
     if jobs > 1:
         from concurrent.futures import ThreadPoolExecutor
 
         with ThreadPoolExecutor(max_workers=jobs) as pool:
-            rows = list(pool.map(one, points))
+            points = list(pool.map(one, energies))
     else:
-        rows = [one(e) for e in points]
+        points = [one(e) for e in energies]
+    measured, errors = zip(*points)
 
-    good = [r for r in rows if r.error is None]
-    if len(good) < 2:
-        failures = "; ".join(f"E_kin={r.scan_value:g}: {r.error}" for r in rows if r.error)
+    good = np.array([not e for e in errors])
+    if good.sum() < 2:
+        failures = "; ".join(f"E_kin={e:g}: {err}" for e, err in zip(energies, errors) if err)
         raise DegenerateInputError(
-            f"{len(good)} of {len(rows)} scan points succeeded, the slope fit needs 2: {failures}"
+            f"{good.sum()} of {len(errors)} scan points succeeded, the slope fit needs 2: "
+            f"{failures}"
         )
-    mv2 = [r.mv2 for r in good]
-    return EmergenceReport(tuple(rows), _loglog_slope(mv2, [r.rho for r in good]),
-                           _loglog_slope(mv2, [r.residual for r in good]))
+    scan_value = np.array(energies)
+    v = cfg.clock_speed(scan_value)
+    columns = {"scan_value": scan_value, "mv2": cfg.clock_mass * v * v}
+    for name in next(m for m in measured if m):
+        columns[name] = np.array([m.get(name, np.nan) for m in measured])
+    mv2 = columns["mv2"][good]
+    return EmergenceReport(columns, errors, _loglog_slope(mv2, columns["rho"][good]),
+                           _loglog_slope(mv2, columns["residual"][good]))

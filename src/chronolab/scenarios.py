@@ -101,21 +101,6 @@ def _summary(columns, values) -> Table:
     return _table(columns, ([v] for v in values))
 
 
-def _report_columns(report, names) -> list:
-    """Fields of a scan report's rows, one column per name.
-
-    A column is an array unless its rows mix integers with floats (an
-    error row's NaN among fine-point counts, a config's 15 beside 50.5):
-    then its cells stay as they are, so an integer still prints as one.
-    """
-    columns = []
-    for name in names:
-        cells = [getattr(r, name) for r in report.rows]
-        mixed = len({isinstance(c, (int, np.integer)) for c in cells}) > 1
-        columns.append(cells if mixed else np.array(cells))
-    return columns
-
-
 # ---------------------------------------------------------------------------
 # parameters and runners
 
@@ -224,7 +209,7 @@ class BeamOnAtomConfig(dynamics.DirectedRunConfig):
 
 def _run_beam_on_atom(p: BeamOnAtomConfig, jobs: int) -> dict:
     basis = p.system_basis()
-    state, _ = dynamics.directed_run(p, basis, p.kinetic_energy)
+    state = dynamics.directed_run(p, basis, p.kinetic_energy)
 
     # the beam's own time axis: its clock wave moves at the lattice group velocity
     r_sub = state.r_grid
@@ -261,6 +246,10 @@ class ClassicalEmergenceConfig:
     clock_energy_offset: str | float = param(
         0.0, {"anyOf": [{"enum": ["system"]}, {"type": "number"}]})
 
+    def __post_init__(self):
+        require(max(self.energies) > min(self.energies), "energies",
+                f"the slope needs two distinct energies, got {list(self.energies)}")
+
 
 def _run_classical_emergence(p: ClassicalEmergenceConfig, jobs: int) -> dict:
     spec = CompositeSpec(
@@ -272,11 +261,9 @@ def _run_classical_emergence(p: ClassicalEmergenceConfig, jobs: int) -> dict:
         spec, p.energies, p.x0, p.px0, p.t_span,
         steps=p.steps, clock_energy_offset=p.clock_energy_offset,
     )
-    columns = ("scan_value", "mv2", "deviation", "neglected_mean",
-               "retained_mean", "ratio_measured", "ratio_estimate")
     return {
-        "classical_emergence": _table(columns, _report_columns(report, columns)),
-        "summary": _summary(("slope", "points"), (report.slope, len(report.rows))),
+        "classical_emergence": _table(report.columns.keys(), report.columns.values()),
+        "summary": _summary(("slope", "points"), (report.slope, len(report.columns["mv2"]))),
     }
 
 
@@ -348,17 +335,17 @@ def _run_jacobi_paths(p: JacobiPathsConfig, jobs: int) -> dict:
 
 def _run_emergence_scan(p: dynamics.EmergenceScanConfig, jobs: int) -> dict:
     report = dynamics.emergence_scan(p, jobs=jobs)
-    n = len(report.rows)
-    details = ("scan_value", "v_mean", "norm_spread", "residual_out_of_span",
-               "fine_points", "stride")
+    cols, n = report.columns, len(report.error)
+    head = ("scan_value", "mv2", "residual", "rho")
+    # every other measured column is a detail of the scan point
+    details = ["scan_value"] + [name for name in cols if name not in head]
     return {
         "emergence_scan": _table(
-            ("scan_value", "mv2", "residual", "rho", "slope_fit", "residual_slope"),
-            (*_report_columns(report, ("scan_value", "mv2", "residual", "rho")),
-             np.full(n, report.slope), np.full(n, report.residual_slope))),
-        "scan_details": _table(
-            details + ("error",),
-            (*_report_columns(report, details), [r.error if r.error else "" for r in report.rows])),
+            head + ("slope_fit", "residual_slope"),
+            [cols[name] for name in head]
+            + [np.full(n, report.slope), np.full(n, report.residual_slope)]),
+        "scan_details": _table(details + ["error"],
+                               [cols[name] for name in details] + [report.error]),
     }
 
 

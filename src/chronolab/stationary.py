@@ -128,7 +128,7 @@ def assemble_tise(spec, grid: Grid2D) -> Hamiltonian2D:
 
     r = grid.r.points[:, None]
     x = grid.x.points[None, :]
-    v = np.asarray(spec.v_env(r) + spec.v_sys(x) + spec.v_int(x, r), dtype=float)
+    v = np.asarray(spec.total_potential(x, r), dtype=float)
     v = np.broadcast_to(v, (grid.r.n, grid.x.n))
     if not np.all(np.isfinite(v)):
         raise DegenerateInputError("potential table contains non-finite values")

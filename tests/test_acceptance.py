@@ -144,10 +144,10 @@ def test_criterion_03_perfect_clock():
 def test_criterion_04_emergence_exponent():
     t0 = time.perf_counter()
     report = emergence_scan(jobs=2)
-    residuals = report.column("residual")
-    rho = report.column("rho")
+    residuals = report.columns["residual"]
+    rho = report.columns["rho"]
     elapsed = time.perf_counter() - t0
-    assert all(r.error is None for r in report.rows)
+    assert not any(report.error)
     print(f"criterion 4: slope {report.slope:.4f} (bound [-1.3, -0.7]); "
           f"residuals {residuals[0]:.2e} -> {residuals[-1]:.2e}; "
           f"rho {rho[0]:.2e} -> {rho[-1]:.2e}; "

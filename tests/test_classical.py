@@ -504,19 +504,19 @@ def test_tuned_clock_makes_reduced_run_exact():
                                     clock_energy_offset="system")
     # without coupling the tuned clock reproduces composite time exactly;
     # what is left is resampling error of the comparison itself
-    assert rep.rows[0].deviation < 1e-7
+    assert rep.columns["deviation"][0] < 1e-7
 
 
 def test_untuned_clock_deviation_shrinks_with_clock_energy():
     spec = CompositeSpec(100.0, 1.0, 1.0, Constant(), Harmonic(4.0), Bilinear(0.02))
     rep = compare_composite_reduced(spec, [40.0, 160.0, 640.0], 0.5, 0.0,
                                     t_span=3.0, steps=1000, clock_energy_offset=0.0)
-    dev = rep.column("deviation")
+    dev = rep.columns["deviation"]
     assert dev[0] > dev[1] > dev[2]
     assert -1.5 < rep.slope < -0.5
     # the measured neglected/retained ratio tracks the a-priori estimate
-    r = rep.rows[-1]
-    assert r.ratio_measured == pytest.approx(r.ratio_estimate, rel=0.3)
+    cols = rep.columns
+    assert cols["ratio_measured"][-1] == pytest.approx(cols["ratio_estimate"][-1], rel=0.3)
 
 
 def test_energy_lanes_match_single_energy_runs():
@@ -525,10 +525,13 @@ def test_energy_lanes_match_single_energy_runs():
     rep = compare_composite_reduced(spec, energies, 0.5, 0.0, t_span=3.0, steps=1000,
                                     clock_energy_offset=0.0)
     solo = [compare_composite_reduced(spec, [e], 0.5, 0.0, t_span=3.0, steps=1000,
-                                      clock_energy_offset=0.0).rows[0]
+                                      clock_energy_offset=0.0).columns
             for e in energies]
-    assert rep.rows == tuple(solo)
-    fit = np.polyfit(np.log([r.mv2 for r in solo]), np.log([r.deviation for r in solo]), 1)
+    assert list(rep.columns) == list(solo[0])
+    for name, col in rep.columns.items():
+        assert col.tolist() == [float(s[name][0]) for s in solo], name
+    fit = np.polyfit(np.log([s["mv2"][0] for s in solo]),
+                     np.log([s["deviation"][0] for s in solo]), 1)
     assert rep.slope == float(fit[0])
 
 
@@ -543,12 +546,13 @@ def test_default_emergence_deviations_match_a_four_times_finer_run():
 def test_float_clock_energy_offset_matches_the_named_ones():
     spec = CompositeSpec(100.0, 1.0, 1.0, Constant(), Harmonic(4.0), Bilinear(0.02))
 
-    def rows(offset):
-        return compare_composite_reduced(spec, [40.0, 160.0], 0.5, 0.0, t_span=1.0,
-                                         steps=2000, clock_energy_offset=offset).rows
+    def columns(offset):
+        cols = compare_composite_reduced(spec, [40.0, 160.0], 0.5, 0.0, t_span=1.0,
+                                         steps=2000, clock_energy_offset=offset).columns
+        return {name: col.tolist() for name, col in cols.items()}
 
     e_sys0 = 0.5 * 4.0 * 0.5**2  # x0 = 0.5 at rest in the k = 4 well
-    assert rows(e_sys0) == rows("system")
+    assert columns(e_sys0) == columns("system")
 
 
 def test_compare_rejects_exhausted_clock():

@@ -400,7 +400,7 @@ def test_beam_on_atom_time_runs_at_the_lattice_group_velocity():
     # of the directed solve, k its plane wave at the total energy
     params = default_config("beam-on-atom")["parameters"]
     cfg = get_scenario("beam-on-atom").config(**params)
-    state, _ = directed_run(cfg, cfg.system_basis(), cfg.kinetic_energy)
+    state = directed_run(cfg, cfg.system_basis(), cfg.kinetic_energy)
     M, hbar, h = cfg.clock_mass, cfg.hbar, state.fine_spacing
     k = np.arccos(1.0 - M * h * h * state.energy / hbar**2) / h
     v_g = hbar * np.sin(k * h) / (M * h)
@@ -496,6 +496,17 @@ def test_list_command_json(capsys):
     doc = json.loads(capsys.readouterr().out)
     assert [item["name"] for item in doc] == BUILTINS
     assert all(item["description"] for item in doc)
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3", "two"])
+def test_jobs_below_one_exits_2_in_the_parser(tmp_path, capsys, jobs):
+    # refused as --format xml is: before any stage runs or any file is written
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "perfect-clock", "--jobs", jobs, "--out", str(out)])
+    assert exc.value.code == 2
+    assert f"argument --jobs: {jobs!r} is not an integer of at least 1" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_validate_command_accepts_builtin(capsys):
@@ -660,11 +671,16 @@ def test_default_json_tables_are_pinned(tmp_path, name):
     assert written == DEFAULT_JSON_HASHES[name]
 
 
-@pytest.mark.parametrize("name", BUILTINS)
-def test_numeric_columns_are_arrays(name):
+@pytest.mark.parametrize("name, params", [
+    *(pytest.param(name, {}, id=name) for name in BUILTINS),
+    pytest.param("emergence-scan", {"kinetic_energies": [15.0, 50.0, 1e9]},
+                 id="emergence-scan-failed-point")])
+def test_numeric_columns_are_arrays(name, params):
     # a runner hands its arrays to the table; a numeric column of cells
-    # would send every cell through the writers' per-cell path
-    for tname, table in SCENARIOS[name].run(SCENARIOS[name].defaults).items():
+    # would send every cell through the writers' per-cell path, and so
+    # would the NaN of a failed scan point among integer counts
+    tables = SCENARIOS[name].run({**SCENARIOS[name].defaults, **params})
+    for tname, table in tables.items():
         for cname, col in zip(table.columns, table.data):
             numeric = all(isinstance(v, (int, float, np.integer, np.floating))
                           and not isinstance(v, (bool, np.bool_)) for v in col)
@@ -828,6 +844,7 @@ CROSS_FIELD = [
     ("perfect-clock", {"r_min": 5, "r_max": 1}, "/parameters/r_max"),
     ("classical-emergence", {"energies": [200]}, "/parameters/energies"),
     ("emergence-scan", {"kinetic_energies": [15, 50, 100]}, "/parameters/kinetic_energies"),
+    ("classical-emergence", {"energies": [20, 20]}, "/parameters/energies"),
 ]
 
 
@@ -1182,15 +1199,19 @@ def test_a_scan_point_past_the_grid_bound_is_an_error_row(tmp_path):
         "residual_out_of_span": "nan", "fine_points": "nan", "stride": "nan",
         "error": "DegenerateInputError: the directed solve needs 1e+11 fine R rows, "
                  "above the bound of 1e+07"}
-    # its M v^2 is 2 E_kin, and the slopes are the fits over the two good
-    # rows as written (their last digits depend on the BLAS thread count)
+    # its M v^2 is the good points' M v^2 at v = sqrt(2 E_kin / M), and the
+    # slopes are the fits over the two good rows as written (their last
+    # digits depend on the BLAS thread count)
     scan = list(csv.DictReader((out / "emergence_scan.csv").read_text(encoding="utf-8")
                                .splitlines()))
+    M = default_config("emergence-scan")["parameters"]["clock_mass"]
+    assert [float(r["mv2"]) for r in scan] == [
+        M * v * v for v in np.sqrt(2.0 * np.array([15.0, 50.0, 1e9]) / M)]
     mv2 = [float(r["mv2"]) for r in scan[:2]]
     fits = {key: format(_loglog_slope(mv2, [float(r[column]) for r in scan[:2]]), ".17g")
             for key, column in (("slope_fit", "rho"), ("residual_slope", "residual"))}
-    assert scan[2] == {"scan_value": "1000000000", "mv2": "2000000000", "residual": "nan",
-                       "rho": "nan", **fits}
+    assert scan[2] == {"scan_value": "1000000000", "mv2": "2000000000.0000002",
+                       "residual": "nan", "rho": "nan", **fits}
 
 
 def test_a_clock_that_never_moves_is_named(tmp_path, capsys):

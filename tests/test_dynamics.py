@@ -502,7 +502,7 @@ def test_free_beam_conditional_carries_emergent_phase():
 def test_channel_conditional_and_residual_match_x_space_on_a_pulse():
     cfg = DirectedRunConfig(slices=801)
     basis = cfg.system_basis()
-    state, _ = directed_run(cfg, basis, 50.0)
+    state = directed_run(cfg, basis, 50.0)
     spec, system = state.spec, state.spec.system
     wkb, tmap = lattice_clock(state)
     drive = CouplingDrive(spec.v_int, tmap)
@@ -601,10 +601,11 @@ def test_measured_residual_keeps_the_minus_one_exponent():
     # flattened the local slopes to about -0.95 above M v^2 = 1e3
     energies = (15.0, 50.0, 150.0, 500.0, 1500.0)
     report = emergence_scan(EmergenceScanConfig(kinetic_energies=energies))
-    assert all(r.error is None for r in report.rows)
-    assert [(r.fine_points, r.stride) for r in report.rows] == [
+    assert not any(report.error)
+    cols = report.columns
+    assert list(zip(cols["fine_points"].tolist(), cols["stride"].tolist())) == [
         (4001, 1), (8001, 2), (16001, 4), (52001, 13), (152001, 38)]
-    mv2, residual = report.column("mv2"), report.column("residual")
+    mv2, residual = cols["mv2"], cols["residual"]
     local = np.diff(np.log(residual)) / np.diff(np.log(mv2))
     above = local[mv2[:-1] >= 100.0]
     assert above.size == 3
