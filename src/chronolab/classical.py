@@ -65,9 +65,9 @@ class PathProblem:
     `potential` and `gradient` take an array q of shape (..., d) and
     return shapes (...) and (..., d); each is called once per action
     evaluation, on all segment midpoints at once.  `minimize_action_path`
-    also makes 6 d such evaluations per iteration for its Hessian, so
-    both must be cheap array functions.  The kinetic metric is diagonal,
-    a_ij = masses[i] * delta_ij.
+    also makes one call per Hessian on the midpoints of a stack of 6 d
+    paths, so both must be array functions of any leading shape.  The
+    kinetic metric is diagonal, a_ij = masses[i] * delta_ij.
     """
 
     potential: object
@@ -111,35 +111,37 @@ def _speed_factor(problem: PathProblem, points: np.ndarray) -> np.ndarray:
 
 
 def _segments(problem: PathProblem, nodes: np.ndarray) -> tuple:
-    """(dq, mids, lengths, f) of each segment of a polyline: its step, its
-    midpoint, its length L = sqrt(dq . A . dq) and the speed factor f at
-    its midpoint.  Raises on a zero-length segment."""
-    dq = nodes[1:] - nodes[:-1]
-    mids = 0.5 * (nodes[1:] + nodes[:-1])
-    lengths = np.sqrt(np.einsum("sd,d,sd->s", dq, problem.masses, dq))
+    """(dq, mids, lengths, f) of each segment of a polyline, or of a stack
+    of them (nodes (..., N+1, d)): its step, its midpoint, its length
+    L = sqrt(dq . A . dq) and the speed factor f at its midpoint.  Raises
+    on a zero-length segment."""
+    dq = nodes[..., 1:, :] - nodes[..., :-1, :]
+    mids = 0.5 * (nodes[..., 1:, :] + nodes[..., :-1, :])
+    lengths = np.sqrt(np.einsum("...sd,d,...sd->...s", dq, problem.masses, dq))
     if np.any(lengths == 0.0):
         raise DegenerateInputError("zero-length path segment")
     return dq, mids, lengths, _speed_factor(problem, mids)
 
 
 def _action_and_gradient(problem: PathProblem, nodes: np.ndarray):
-    """Discrete abbreviated action W and its gradient w.r.t. interior nodes.
+    """Discrete abbreviated action W and its gradient w.r.t. the nodes.
 
     W = sum_s f(mid_s) * L_s with L_s = sqrt(dq . A . dq) on segment s and
-    f evaluated at the segment midpoint.
+    f evaluated at the segment midpoint.  Nodes (..., N+1, d) give W of
+    shape (...) and the gradient (..., N+1, d), one path per leading index.
     """
     a = problem.masses
     dq, mids, lengths, f = _segments(problem, nodes)
-    w = float(np.sum(f * lengths))
+    w = np.sum(f * lengths, axis=-1)
 
     # dW/dq_i collects: endpoint terms f * A dq / L and midpoint terms
     # (1/2) grad f * L, with grad f = -grad V / f.
     gradv = np.asarray(problem.gradient(mids), dtype=float)
-    df = -gradv / f[:, None]
-    unit = (dq * a) / lengths[:, None]
+    df = -gradv / f[..., None]
+    unit = (dq * a) / lengths[..., None]
     g = np.zeros_like(nodes)
-    g[1:] += f[:, None] * unit + 0.5 * df * lengths[:, None]
-    g[:-1] += -f[:, None] * unit + 0.5 * df * lengths[:, None]
+    g[..., 1:, :] += f[..., None] * unit + 0.5 * df * lengths[..., None]
+    g[..., :-1, :] += -f[..., None] * unit + 0.5 * df * lengths[..., None]
     return w, g
 
 
@@ -160,35 +162,95 @@ def _coloured_hessian(grad, z: np.ndarray, d: int, step: float) -> np.ndarray:
     tridiagonal.  Perturbing every third node along one coordinate at
     once therefore leaves each gradient row touched by exactly one
     perturbed node, and one pair of gradients fills three blocks per
-    perturbed node.  `grad` maps the flat interior coordinates z to the
-    flat interior gradient; the (m d, m d) result is symmetrised.
+    perturbed node.  `grad` maps flat interior coordinates z, (..., m d),
+    to the flat interior gradient; it is called once, on the stack of
+    all 6 d probe points.  The (m d, m d) result is symmetrised.
     """
     m = z.size // d
+    colours = min(3, m)
+    shifts = np.zeros((colours, d, m, d))
+    for colour in range(colours):
+        shifts[colour, :, colour::3, :] = step * np.eye(d)[:, None, :]
+    shifts = shifts.reshape(colours * d, m * d)
+    probes = grad(np.concatenate((z + shifts, z - shifts)))
+    # dg[colour, k, i] = d(gradient at node i) / d(node j, coordinate k)
+    # for the one perturbed node j of that colour next to i
+    dg = ((probes[:colours * d] - probes[colours * d:]) / (2.0 * step)).reshape(colours, d, m, d)
     hess = np.zeros((m, d, m, d))
-    for colour in range(min(3, m)):
-        perturbed = np.arange(colour, m, 3)
-        for k in range(d):
-            e = np.zeros(m * d)
-            e[perturbed * d + k] = step
-            dg = ((grad(z + e) - grad(z - e)) / (2.0 * step)).reshape(m, d)
-            for offset in (-1, 0, 1):
-                j = perturbed[(perturbed + offset >= 0) & (perturbed + offset < m)]
-                hess[j + offset, :, j, k] = dg[j + offset]
+    nodes = np.arange(m)
+    for offset in (-1, 0, 1):
+        j = nodes[(nodes + offset >= 0) & (nodes + offset < m)]
+        hess[j + offset, :, j, :] = dg[j % 3, :, j + offset, :].transpose(0, 2, 1)
     hess = hess.reshape(m * d, m * d)
     return 0.5 * (hess + hess.T)
 
 
-def sp_minimize(*args, **kwargs):
-    """scipy.optimize.minimize, imported on the first path minimization.
+@dataclass(frozen=True)
+class _NewtonResult:
+    x: np.ndarray
+    nit: int  # iterations, rejected trials included
+    nfev: int  # action evaluations
 
-    scipy.optimize pulls in scipy.special, scipy.fft and scipy.spatial, so
-    importing it here keeps it out of every start-up.  The name stays a
-    module attribute because the bench times the minimizer by wrapping
-    it; the ROADMAP item "One timing and health record" removes it.
+
+def _damped_newton(fun, hess, x0: np.ndarray, lam: float, max_iter: int, rtol: float) -> _NewtonResult:
+    """Levenberg–Marquardt-damped Newton iteration from x0.
+
+    `fun(x)` returns (W, gradient) and `hess(x)` the Hessian; both raise
+    ForbiddenRegionError where the action is not defined.  Each iteration
+    shifts the Hessian by lam * max|diag H|, tests it for definiteness
+    with a Cholesky factorisation and solves for the step.  lam, from
+    its given start, grows 4-fold on an indefinite shifted Hessian and on
+    a trial that does not lower W or that (or one of its Hessian probes)
+    crosses E = V, and falls 8-fold on an accepted step.  The iteration
+    stops once the 2-norm of the gradient is below rtol * |W(x0)|, after
+    `max_iter` iterations, rejected ones included, or where lam reaches
+    its ceiling: the step falls below the rounding of x, so no trial can
+    move the point.
+
+    Raises ConvergenceError where W, its gradient (or the gradient's
+    2-norm) or its Hessian is not finite at x0 or at an accepted point.
     """
-    from scipy.optimize import minimize
+    def checked(w, g, h):
+        gnorm = np.linalg.norm(g)
+        if not (np.isfinite(w) and np.isfinite(gnorm) and np.all(np.isfinite(h))):
+            raise ConvergenceError("path minimization met non-finite values")
+        return w, g, gnorm, h
 
-    return minimize(*args, **kwargs)
+    x = x0
+    w, g = fun(x)
+    w, g, gnorm, h = checked(w, g, hess(x))
+    gtol = rtol * abs(w)
+    nit, nfev = 0, 1
+    while nit < max_iter and gnorm >= gtol:
+        nit += 1
+        shifted = h + lam * np.max(np.abs(np.diag(h))) * np.eye(x.size)
+        try:
+            np.linalg.cholesky(shifted)
+        except np.linalg.LinAlgError:
+            lam *= 4.0
+            continue
+        step = np.linalg.solve(shifted, -g)
+        if np.max(np.abs(step)) < np.finfo(float).eps * np.max(np.abs(x)):
+            break
+        trial = x + step
+        nfev += 1
+        try:
+            w_new, g_new = fun(trial)
+            h_new = hess(trial) if w_new < w else None
+        except ForbiddenRegionError:
+            h_new = None
+        if h_new is None:
+            lam *= 4.0
+            continue
+        x = trial
+        w, g, gnorm, h = checked(w_new, g_new, h_new)
+        lam = max(lam / 8.0, np.finfo(float).eps)
+    return _NewtonResult(x, nit, nfev)
+
+
+# The bench times the minimizer by wrapping this module attribute; the
+# ROADMAP item "One timing and health record" removes the name.
+sp_minimize = _damped_newton
 
 
 def minimize_action_path(
@@ -201,26 +263,34 @@ def minimize_action_path(
 ) -> DiscretePath:
     """Minimize the discrete fixed-energy action over interior nodes.
 
-    Trust-region Newton (scipy's "trust-exact") on the analytic action
-    gradient from a straight-line seed, or from `seed_nodes`.  The
-    Hessian is the block-tridiagonal one of `_coloured_hessian`: 3 d
-    central differences of the gradient with a step of cbrt(eps) times
-    the seed's mean segment length.  Exact curvature is what resolves the
-    near-flat node-sliding modes of the discrete action, along which
-    gradient and quasi-Newton iterations stall.
+    Levenberg–Marquardt-damped Newton steps (`_damped_newton`) on the
+    analytic action gradient from a straight-line seed, or from
+    `seed_nodes`.  The Hessian is the block-tridiagonal one of
+    `_coloured_hessian`: 3 d central differences of the gradient with a
+    step of cbrt(eps) times the seed's mean segment length, from one
+    gradient call on a stack of 6 d probe paths.  It is shifted by
+    lam * max|diag H| and factorised dense.  Exact curvature is what
+    resolves the near-flat node-sliding modes of the discrete action,
+    along which gradient and quasi-Newton iterations stall.
 
-    A trial point outside the allowed region, E - V <= 0 at a segment
-    midpoint, reads as a flat wall, W = 1e16 with zero gradient and zero
-    Hessian, and so is rejected and the trust region shrinks; the same
-    zero Hessian is returned when a difference probe crosses the wall.
-    `max_iter` counts trust-region iterations, rejected trial points
-    included.  The path is accepted when the max-norm of the interior
-    gradient is below PATH_GRADIENT_TOL * W.
+    The damping starts at lam = 1 from the straight seed and at 1e-6 from
+    `seed_nodes`, which are taken to lie near the minimum.  A trial point
+    outside the allowed region, E - V <= 0 at a segment midpoint of the
+    trial path or of one of its Hessian probes, is rejected and the
+    damping grows.  `max_iter` counts iterations, rejected trial points
+    and indefinite shifted Hessians included.  The iteration stops at a
+    gradient 2-norm of 0.1 * PATH_GRADIENT_TOL times the seed's W, or
+    where the damped step falls below the rounding of the nodes; the path
+    is accepted when the max-norm of the interior gradient is below
+    PATH_GRADIENT_TOL * W.
 
-    Raises ForbiddenRegionError if the seed leaves the allowed region
-    and ConvergenceError, with the gradient max and the action in its
-    trace, if the iteration ends without meeting the gate (without a
-    trace if it meets values the trust-region solver rejects).
+    Raises ForbiddenRegionError if the seed, or one of its Hessian probes,
+    leaves the allowed region, and ConvergenceError if W, its gradient or
+    its Hessian is not finite at the seed or an accepted point, or if the
+    iteration ends short of the gate, as it does where the endpoints lie
+    too far apart for the energy and the path is pressed against E = V;
+    that error's trace holds the gradient max, the action and the
+    iteration count.
     """
     q_start = np.asarray(q_start, dtype=float)
     q_end = np.asarray(q_end, dtype=float)
@@ -231,54 +301,41 @@ def minimize_action_path(
     nodes = _straight_seed(q_start, q_end, segments) if seed_nodes is None else np.array(seed_nodes, dtype=float)
     d = q_start.size
 
-    # the seed itself must be classically allowed
-    w0, _ = _action_and_gradient(problem, nodes)
-
     def unpack(z: np.ndarray) -> np.ndarray:
-        full = np.empty((segments + 1, d))
-        full[0] = q_start
-        full[-1] = q_end
-        full[1:-1] = z.reshape(segments - 1, d)
+        full = np.empty((*z.shape[:-1], segments + 1, d))
+        full[..., 0, :] = q_start
+        full[..., -1, :] = q_end
+        full[..., 1:-1, :] = z.reshape(*z.shape[:-1], segments - 1, d)
         return full
 
-    def gradient(z: np.ndarray) -> np.ndarray:
-        return _action_and_gradient(problem, unpack(z))[1][1:-1].ravel()
-
-    def objective(z: np.ndarray):
-        try:
-            w, g = _action_and_gradient(problem, unpack(z))
-        except ForbiddenRegionError:
-            return 1e16, np.zeros_like(z)
-        return w, g[1:-1].ravel()
+    def action(z: np.ndarray):  # W (...) and the flat interior gradient (..., m d)
+        w, g = _action_and_gradient(problem, unpack(z))
+        return w, g[..., 1:-1, :].reshape(z.shape)
 
     step = np.cbrt(np.finfo(float).eps) * np.mean(np.linalg.norm(np.diff(nodes, axis=0), axis=1))
 
     def hessian(z: np.ndarray) -> np.ndarray:
-        try:
-            return _coloured_hessian(gradient, z, d, step)
-        except ForbiddenRegionError:
-            return np.zeros((z.size, z.size))
+        return _coloured_hessian(lambda probes: action(probes)[1], z, d, step)
 
-    z = nodes[1:-1].ravel()
-    try:  # trust-exact's linear algebra rejects non-finite gradients and Hessians
-        res = sp_minimize(objective, z, jac=True, hess=hessian, method="trust-exact",
-                          options={"maxiter": max_iter, "gtol": 0.1 * PATH_GRADIENT_TOL * abs(w0)})
-    except ValueError as exc:
-        raise ConvergenceError(f"path minimization met non-finite values: {exc}") from exc
+    # heavy damping far from the minimum, light near it (K. Madsen,
+    # H. B. Nielsen & O. Tingleff, Methods for Non-Linear Least Squares
+    # Problems, 2nd ed., 2004)
+    res = sp_minimize(action, hessian, nodes[1:-1].ravel(), 1.0 if seed_nodes is None else 1e-6,
+                      max_iter, 0.1 * PATH_GRADIENT_TOL)
     w, g = _action_and_gradient(problem, unpack(res.x))
     gmax = float(np.max(np.abs(g[1:-1]))) if segments > 2 else 0.0
     if gmax < PATH_GRADIENT_TOL * abs(w):
         return DiscretePath(problem, unpack(res.x))
     raise ConvergenceError(
         f"path minimization stalled at gradient max {gmax:.3e} "
-        f"(target {PATH_GRADIENT_TOL * abs(w):.3e})",
-        trace={"gradient_max": gmax, "action": w},
+        f"(target {PATH_GRADIENT_TOL * abs(w):.3e}) after {res.nit} iterations",
+        trace={"gradient_max": gmax, "action": float(w), "iterations": res.nit},
     )
 
 
 def path_action(path: DiscretePath) -> float:
     w, _ = _action_and_gradient(path.problem, path.nodes)
-    return w
+    return float(w)
 
 
 def _momenta_at_midpoints(path: DiscretePath) -> tuple:

@@ -18,6 +18,7 @@ numerical/convergence error, 4 I/O error, 5 internal error.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import math
@@ -384,7 +385,10 @@ def _jobs(text: str) -> int:
     return jobs
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: building it costs
+    more than parsing with it."""
     parser = argparse.ArgumentParser(
         prog="chronolab",
         description="Emergent-time laboratory: clock-driven classical and "
@@ -407,8 +411,11 @@ def main(argv=None) -> int:
     val_p.add_argument("config", help="path to a JSON config, or a builtin scenario name")
 
     sub.add_parser("version", help="print the artifact version")
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
     if args.command == "run":
         return run_command(args)
     if args.command == "list":

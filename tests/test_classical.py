@@ -124,10 +124,10 @@ def test_coloured_hessian_matches_dense_differences(d, segments):
     bend = np.sin(np.pi * np.arange(segments + 1) / segments)[:, None]
     nodes += 0.1 * bend * np.linspace(1.0, -0.5, d)
 
-    def gradient(z):
-        full = nodes.copy()
-        full[1:-1] = z.reshape(-1, d)
-        return classical._action_and_gradient(problem, full)[1][1:-1].ravel()
+    def gradient(z):  # flat interior coordinates (..., m d), one path per leading index
+        full = np.broadcast_to(nodes, (*z.shape[:-1], *nodes.shape)).copy()
+        full[..., 1:-1, :] = z.reshape(*z.shape[:-1], -1, d)
+        return classical._action_and_gradient(problem, full)[1][..., 1:-1, :].reshape(z.shape)
 
     z, step = nodes[1:-1].ravel(), 1e-6
     coloured = classical._coloured_hessian(gradient, z, d, step)
@@ -147,8 +147,8 @@ def test_coloured_hessian_matches_dense_differences(d, segments):
 
 
 def test_minimizer_meets_the_gate_where_quasi_newton_stalled():
-    # L-BFGS with restarts stalls here at a gradient max of 2.2e-3 against
-    # a gate of 1.8e-7
+    # an earlier quasi-Newton minimizer (L-BFGS with restarts) stalled here
+    # at a gradient max of 2.2e-3 against a gate of 1.8e-7
     problem = _harmonic_problem(1.9799, 3.0988, [0.2399], [2.0643])
     path = minimize_action_path(problem, [0.0], [-0.8362], segments=24)
     w, g = classical._action_and_gradient(problem, path.nodes)
@@ -156,24 +156,45 @@ def test_minimizer_meets_the_gate_where_quasi_newton_stalled():
 
 
 def test_minimizer_backs_off_the_forbidden_wall(monkeypatch):
-    problem = _harmonic_problem(1.2656, 1.8165, [0.5682, 0.3152, -0.0352],
-                               [2.7893, 0.5717, 1.1992])
     action_and_gradient = classical._action_and_gradient
     walls = []
 
-    def counted(*args):
+    def counted(problem, nodes):
         try:
-            return action_and_gradient(*args)
+            return action_and_gradient(problem, nodes)
         except ForbiddenRegionError:
-            walls.append(args)
+            walls.append(nodes.ndim)  # 2 for a trial path, 3 for a stack of Hessian probes
             raise
 
     monkeypatch.setattr(classical, "_action_and_gradient", counted)
+    # damped Newton steps from the straight seed overshoot into E < V here
+    problem = _harmonic_problem(1.5532, 2.1454, [0.1976, -0.3574], [1.4474, 0.8396])
+    path = minimize_action_path(problem, [0.0, 0.0], [0.8292, 0.4818], segments=30)
+    # a trial path crossed E = V, was rejected, and the iteration went on
+    assert 2 in walls
+    w, g = action_and_gradient(problem, path.nodes)
+    assert np.max(np.abs(g[1:-1])) < classical.PATH_GRADIENT_TOL * w
+
+    # the action L-BFGS, trust-region Newton and the damped Newton step
+    # all converged to on this problem, whose trials stay clear of E = V
+    problem = _harmonic_problem(1.2656, 1.8165, [0.5682, 0.3152, -0.0352],
+                               [2.7893, 0.5717, 1.1992])
     path = minimize_action_path(problem, [0.0, 0.0, 0.0], [0.5145, 0.7389, 0.7465], segments=64)
-    # some trial points or their Hessian probes crossed E = V
-    assert walls
-    # the action L-BFGS converged to on this problem
     assert path_action(path) == pytest.approx(1.7462974927629262, rel=1e-10)
+
+
+def test_minimizer_stops_at_the_wall_without_an_interior_minimum():
+    # endpoints too far apart for the energy: the path is pressed against
+    # E = V with a growing gradient until the damped step falls below the
+    # rounding of the nodes: 97 iterations measured, where trust-exact
+    # gave up after 119 in about five times the time
+    problem = _harmonic_problem(1.8245, 2.4603, [0.4597, 0.9591, 0.2122],
+                                [2.633, 2.5545, 1.9668])
+    with pytest.raises(ConvergenceError, match="path minimization stalled") as exc:
+        minimize_action_path(problem, [0.0, 0.0, 0.0], [0.0127, -0.1397, 0.2921], segments=50)
+    trace = exc.value.trace
+    assert trace["iterations"] <= 120
+    assert trace["gradient_max"] > classical.PATH_GRADIENT_TOL * trace["action"]
 
 
 def test_endpoint_probe_second_order():

@@ -591,8 +591,8 @@ DEFAULT_CSV_HASHES = {
         "two_level.csv": "9b5927b47e8b6f8fcb1379fe7f35c308201b440a721f5c4f51ff33edb7ce1c65",
     },
     "jacobi-paths": {
-        "path.csv": "e13ead03be8bd318303e060a85fa0f3009961926f46b1e4bcf39cca7efdfb9ef",
-        "summary.csv": "671838bd5916dedb53c78d6932a2f5ed487a92387dd41aa5f5a81e519fb850ec",
+        "path.csv": "2d9a9ff315969782aafd3141eca31da85ba9cdd89ace8014945edf4919df9f27",
+        "summary.csv": "f575d183a683a9baa11c3e40814db7d34dceb904f83454c22dd286d5f0692f9b",
     },
     "perfect-clock": {
         "perfect_clock.csv": "e2430f4f8fc9085036c6a27cfc095a29065cc26987c09697e5946d2eb3f93014",
@@ -651,8 +651,8 @@ DEFAULT_JSON_HASHES = {
         "two_level.json": "d8df029f099eaf5468196981ac19b981b9fb5266e604f4b19b0566a607cb93bd",
     },
     "jacobi-paths": {
-        "path.json": "1473534ada7291377332418567fdf22b7c3cafc158668d87ea4416da708fc255",
-        "summary.json": "de1c53d859defc1da58c38d2e4637671454e2ff0e1d64b6f64d731ccf166b700",
+        "path.json": "a1a6e114d7dcd0ae6e824668048f6a9237404fde6f2cf6e0df078f51ae929397",
+        "summary.json": "c4c37096f82956a9aef77e26cb1e5c5a10156eab9e8fd3ce8ce54fd1cf12a301",
     },
     "perfect-clock": {
         "perfect_clock.json": "1dac6c23e8a6ef035e6fbcdc3ae6d5a0a7cb1f929d553c8880f8da5eb6957bff",
@@ -1117,10 +1117,10 @@ def test_schema_valid_scan_configs_end_with_a_manifest_and_a_documented_code(doc
         assert np.isfinite(float(tables["emergence_scan"][0]["slope_fit"]))
 
 
-# configs whose numbers overflow inside scipy (trust-exact on the path,
-# the banded eigensolve of the system), in the clock's time or rate table,
-# in the system's launch energy, kinetic prefactor or pulse width, with
-# the chronolab error that names it
+# configs whose numbers overflow in the path minimizer's action, gradient
+# or Hessian, in scipy's banded eigensolve of the system, in the clock's
+# time or rate table, in the system's launch energy, kinetic prefactor or
+# pulse width, with the chronolab error that names it
 OVERFLOWING = [
     ("perfect-clock", {"clock_mass": 6.3e307}, "DegenerateInputError: time map"),
     ("perfect-clock", {"clock_mass": 5e-324, "points": 3}, "DegenerateInputError: time map"),
@@ -1500,7 +1500,7 @@ def test_start_up_and_validation_load_no_scipy():
     assert after_validation == []
 
 
-@pytest.mark.parametrize("name", ["classical-emergence", "perfect-clock"])
+@pytest.mark.parametrize("name", ["classical-emergence", "jacobi-paths", "perfect-clock"])
 def test_runs_without_a_scipy_layer_load_no_scipy(tmp_path, name):
     code = ("import json, sys\n"
             "from chronolab.cli import main\n"

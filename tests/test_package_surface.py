@@ -5,10 +5,11 @@ tree: every module-level import is used in its module, every `__all__`
 entry is defined there, the package exports exactly the union of its
 public modules' `__all__` lists, private names cross module lines only
 out of `core` (by import or by attribute read), no scipy import runs
-when a module is imported, no module imports jsonschema, every
-optional parameter of the package is passed by some call in the package
-or its tests and left at its default by another, and every cross-field
-check of a config class points at one of its fields.
+when a module is imported, no module imports jsonschema or
+scipy.optimize, every optional parameter of the package is passed by
+some call in the package or its tests and left at its default by
+another, and every cross-field check of a config class points at one of
+its fields.
 """
 
 import ast
@@ -159,6 +160,19 @@ def test_no_module_imports_jsonschema():
         stem: [n for n in ast.walk(tree) if isinstance(n, (ast.Import, ast.ImportFrom))]
         for stem, tree in TREES.items()})
     assert not found, f"jsonschema imported: {found}"
+
+
+def test_no_module_imports_scipy_optimize():
+    """The path minimizer is the package's own damped Newton loop."""
+    imports = {stem: [n for n in ast.walk(tree) if isinstance(n, (ast.Import, ast.ImportFrom))]
+               for stem, tree in TREES.items()}
+    found = [f for f in _imports_of("scipy", imports)
+             if f.split()[-1].split(".")[:2] == ["scipy", "optimize"]]
+    found += [f"{stem}.py:{node.lineno} scipy.{alias.name}"
+              for stem, nodes in imports.items() for node in nodes
+              if isinstance(node, ast.ImportFrom) and node.level == 0 and node.module == "scipy"
+              for alias in node.names if alias.name == "optimize"]
+    assert not found, f"scipy.optimize imported: {found}"
 
 
 TEST_TREES = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
