@@ -18,6 +18,7 @@ readout of the heavy clock coordinate.  This module provides
 
 from __future__ import annotations
 
+import contextlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -147,6 +148,8 @@ def _action_and_gradient(problem: PathProblem, nodes: np.ndarray):
 
 # a minimized path is accepted at an interior gradient max-norm below this times W
 PATH_GRADIENT_TOL = 1e-7
+# iterations of one path minimization, rejected trial points included
+PATH_MAX_ITER = 50000
 
 
 def _straight_seed(q_start, q_end, segments):
@@ -192,7 +195,7 @@ class _NewtonResult:
     nfev: int  # action evaluations
 
 
-def _damped_newton(fun, hess, x0: np.ndarray, lam: float, max_iter: int, rtol: float) -> _NewtonResult:
+def _damped_newton(fun, hess, x0: np.ndarray, lam: float) -> _NewtonResult:
     """Levenberg–Marquardt-damped Newton iteration from x0.
 
     `fun(x)` returns (W, gradient) and `hess(x)` the Hessian; both raise
@@ -201,11 +204,11 @@ def _damped_newton(fun, hess, x0: np.ndarray, lam: float, max_iter: int, rtol: f
     with a Cholesky factorisation and solves for the step.  lam, from
     its given start, grows 4-fold on an indefinite shifted Hessian and on
     a trial that does not lower W or that (or one of its Hessian probes)
-    crosses E = V, and falls 8-fold on an accepted step.  The iteration
-    stops once the 2-norm of the gradient is below rtol * |W(x0)|, after
-    `max_iter` iterations, rejected ones included, or where lam reaches
-    its ceiling: the step falls below the rounding of x, so no trial can
-    move the point.
+    crosses E = V, and falls 8-fold on an accepted step.  It stops where
+    `minimize_action_path` says; stopped at the gradient tolerance, it
+    takes one unshifted Newton step, kept where H is positive definite,
+    the trial allowed and W not higher: that settles the near-flat modes
+    the 2-norm barely sees.
 
     Raises ConvergenceError where W, its gradient (or the gradient's
     2-norm) or its Hessian is not finite at x0 or at an accepted point.
@@ -219,9 +222,9 @@ def _damped_newton(fun, hess, x0: np.ndarray, lam: float, max_iter: int, rtol: f
     x = x0
     w, g = fun(x)
     w, g, gnorm, h = checked(w, g, hess(x))
-    gtol = rtol * abs(w)
+    gtol = 0.1 * PATH_GRADIENT_TOL * abs(w)
     nit, nfev = 0, 1
-    while nit < max_iter and gnorm >= gtol:
+    while nit < PATH_MAX_ITER and gnorm >= gtol:
         nit += 1
         shifted = h + lam * np.max(np.abs(np.diag(h))) * np.eye(x.size)
         try:
@@ -245,6 +248,13 @@ def _damped_newton(fun, hess, x0: np.ndarray, lam: float, max_iter: int, rtol: f
         x = trial
         w, g, gnorm, h = checked(w_new, g_new, h_new)
         lam = max(lam / 8.0, np.finfo(float).eps)
+    if gnorm < gtol:
+        with contextlib.suppress(np.linalg.LinAlgError, ForbiddenRegionError):
+            np.linalg.cholesky(h)
+            trial = x + np.linalg.solve(h, -g)
+            nfev += 1
+            if fun(trial)[0] <= w:
+                x = trial
     return _NewtonResult(x, nit, nfev)
 
 
@@ -257,8 +267,7 @@ def minimize_action_path(
     problem: PathProblem,
     q_start,
     q_end,
-    segments: int = 64,
-    max_iter: int = 50000,
+    segments: int,
     seed_nodes: np.ndarray | None = None,
 ) -> DiscretePath:
     """Minimize the discrete fixed-energy action over interior nodes.
@@ -277,9 +286,9 @@ def minimize_action_path(
     `seed_nodes`, which are taken to lie near the minimum.  A trial point
     outside the allowed region, E - V <= 0 at a segment midpoint of the
     trial path or of one of its Hessian probes, is rejected and the
-    damping grows.  `max_iter` counts iterations, rejected trial points
-    and indefinite shifted Hessians included.  The iteration stops at a
-    gradient 2-norm of 0.1 * PATH_GRADIENT_TOL times the seed's W, or
+    damping grows.  PATH_MAX_ITER bounds the iterations, rejected trial
+    points and indefinite shifted Hessians included.  The iteration stops
+    at a gradient 2-norm of 0.1 * PATH_GRADIENT_TOL times the seed's W, or
     where the damped step falls below the rounding of the nodes; the path
     is accepted when the max-norm of the interior gradient is below
     PATH_GRADIENT_TOL * W.
@@ -320,8 +329,7 @@ def minimize_action_path(
     # heavy damping far from the minimum, light near it (K. Madsen,
     # H. B. Nielsen & O. Tingleff, Methods for Non-Linear Least Squares
     # Problems, 2nd ed., 2004)
-    res = sp_minimize(action, hessian, nodes[1:-1].ravel(), 1.0 if seed_nodes is None else 1e-6,
-                      max_iter, 0.1 * PATH_GRADIENT_TOL)
+    res = sp_minimize(action, hessian, nodes[1:-1].ravel(), 1.0 if seed_nodes is None else 1e-6)
     w, g = _action_and_gradient(problem, unpack(res.x))
     gmax = float(np.max(np.abs(g[1:-1]))) if segments > 2 else 0.0
     if gmax < PATH_GRADIENT_TOL * abs(w):
@@ -472,6 +480,9 @@ _DRIFTS = (_W1, _W0, _W1)
 _KICKS = (0.5 * _W1, 0.5 * (_W1 + _W0), 0.5 * (_W0 + _W1), 0.5 * _W1)
 # the step fractions at which the three drifts end and the force is read
 _STAGE_FRACTIONS = np.array([_W1, _W1 + _W0, 1.0])
+# a composite run's relative energy drift bound and its step-count doublings
+COMPOSITE_DRIFT_TOL = 1e-6
+COMPOSITE_MAX_HALVINGS = 3
 
 
 def _verlet(positions0, momenta0, masses, gradient, times):
@@ -518,8 +529,6 @@ def integrate_composite(
     px0,
     span: float,
     steps: int,
-    drift_tol: float = 1e-6,
-    max_halvings: int = 3,
 ) -> Trajectory:
     """Step the closed composite (R, x) over the internal parameter.
 
@@ -529,10 +538,11 @@ def integrate_composite(
     of one array on one shared parameter grid: positions and momenta are
     (steps + 1, L, 2), columns (R, x), and energies (steps + 1, L).  The
     step count doubles for the whole batch while any lane's relative
-    energy drift exceeds `drift_tol` or is not finite; StabilityError is
-    raised when it still does after `max_halvings` doublings, and before
-    the first step, with no suggested step, when a lane's launch energy
-    is not finite: no step size can help a launch that overflows.
+    energy drift exceeds COMPOSITE_DRIFT_TOL or is not finite;
+    StabilityError is raised when it still does after
+    COMPOSITE_MAX_HALVINGS doublings, and before the first step, with no
+    suggested step, when a lane's launch energy is not finite: no step
+    size can help a launch that overflows.
     """
     start = np.atleast_2d(np.stack(np.broadcast_arrays(*(np.asarray(v, dtype=float)
                                                          for v in (r0, pr0, x0, px0))), axis=-1))
@@ -554,15 +564,16 @@ def integrate_composite(
         return g
 
     n = steps
-    for _ in range(max_halvings + 1):
+    for _ in range(COMPOSITE_MAX_HALVINGS + 1):
         times = np.linspace(0.0, span, n + 1)
         q, p = _verlet(q0, p0, masses, gradient, times[:, None])
         traj = Trajectory(times, q, p, energy(q, p))
-        if traj.energy_drift <= drift_tol:
+        if traj.energy_drift <= COMPOSITE_DRIFT_TOL:
             return traj
         n *= 2
     raise StabilityError(
-        f"energy drift {traj.energy_drift:.3e} > {drift_tol:.1e} after {max_halvings} halvings",
+        f"energy drift {traj.energy_drift:.3e} > {COMPOSITE_DRIFT_TOL:.1e} "
+        f"after {COMPOSITE_MAX_HALVINGS} halvings",
         suggested_step=span / (2 * n),
     )
 
@@ -811,7 +822,7 @@ def compare_composite_reduced(
     px0: float,
     t_span: float,
     steps: int,
-    clock_energy_offset: str | float = "system",
+    clock_energy_offset: str | float,
 ) -> ClassicalEmergenceReport:
     """Composite run vs reduced driven run across a total-energy scan.
 

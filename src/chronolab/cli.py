@@ -205,12 +205,12 @@ _SPECS = {"f": "%.17g", "i": "%d", "u": "%d"}
 
 def _text(value, lone: bool) -> str:
     """A cell as CSV text: a float with 17 significant digits, anything else
-    as str.  Text holding a comma, a double quote or a line feed is quoted,
-    its quotes doubled; the empty cell of a one-column table is quoted too,
-    so its row is not a blank line."""
+    as str.  Text holding a comma, a double quote, a line feed or a carriage
+    return is quoted, its quotes doubled (RFC 4180); the empty cell of a
+    one-column table is quoted too, so its row is not a blank line."""
     value = _cell(value)
     text = format(value, ".17g") if isinstance(value, float) else str(value)
-    if "," in text or '"' in text or "\n" in text or (lone and not text):
+    if any(c in text for c in ',"\n\r') or (lone and not text):
         return '"%s"' % text.replace('"', '""')
     return text
 

@@ -56,7 +56,7 @@ from .errors import (
     GridMismatchError,
     StabilityError,
 )
-from .params import FRACTION, GRID, INDEX, INT2, NUMBER, POSITIVE, array, param, require
+from .params import FRACTION, GRID, INDEX, INT2, MAX_FINE_ROWS, NUMBER, POSITIVE, array, param, require
 from .semiclassical import WKBState
 from .stationary import DirectedState, solve_directed_state, solve_system_basis
 
@@ -78,11 +78,6 @@ __all__ = [
     "EmergenceReport",
     "emergence_scan",
 ]
-
-# largest fine R grid a directed solve allocates: it holds about 240 bytes
-# per row at 6 channels (310 MiB at 1 M rows, measured), so 1e7 rows is
-# about 2.4 GB; the M v^2 = 3e4 run at a 0.01 phase step needs 6 M rows
-MAX_FINE_ROWS = 10_000_000
 
 # time steps per block of Crank-Nicolson diagonals: a block's two tables,
 # the diagonals and off-diagonals of its steps' tridiagonal matrices, are
@@ -149,9 +144,6 @@ class WavefunctionTrajectory:
     def norm_drift(self) -> float:
         n = self.slice_norms()
         return float(np.max(np.abs(n - n[0])))
-
-    def slice(self, k: int) -> Field1D:
-        return Field1D(self.x_grid, self.values[k])
 
 
 # ---------------------------------------------------------------------------
@@ -447,7 +439,7 @@ class ResidualReport:
 def tdse_residual(
     traj: ConditionalTrajectory,
     system: SystemSpec,
-    drive: CouplingDrive | None = None,
+    drive: CouplingDrive | None,
     *,
     mv2: float,
 ) -> ResidualReport:
@@ -696,7 +688,8 @@ def _scan_point(cfg: EmergenceScanConfig, basis: ChannelBasis, e_kin: float) -> 
 
 def emergence_scan(
     config: EmergenceScanConfig | None = None,
-    jobs: int = 1,
+    *,
+    jobs: int,
 ) -> EmergenceReport:
     """Scan the clock kinetic energy and fit the correction-term exponent.
 

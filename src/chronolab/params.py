@@ -16,9 +16,12 @@ from .errors import ConfigError
 POSITIVE = {"type": "number", "exclusiveMinimum": 0}
 NONNEGATIVE = {"type": "number", "minimum": 0}
 NUMBER = {"type": "number"}
-# counts size arrays: none above 1e7, the bound of a directed solve's fine grid
-INT2 = {"type": "integer", "minimum": 2, "maximum": 10**7}
-GRID = {"type": "integer", "minimum": 3, "maximum": 10**7}  # point count of a Grid1D
+# largest fine R grid a directed solve allocates: about 240 bytes a row at 6
+# channels (310 MiB at 1 M rows, measured), so 2.4 GB; the M v^2 = 3e4 run at
+# a 0.01 phase step needs 6 M rows.  No count that sizes an array goes above it.
+MAX_FINE_ROWS = 10_000_000
+INT2 = {"type": "integer", "minimum": 2, "maximum": MAX_FINE_ROWS}
+GRID = {"type": "integer", "minimum": 3, "maximum": MAX_FINE_ROWS}  # point count of a Grid1D
 INDEX = {"type": "integer", "minimum": 0}
 STRIDE = {"type": "integer", "minimum": 1}
 FRACTION = {"type": "number", "exclusiveMinimum": 0, "maximum": 1}

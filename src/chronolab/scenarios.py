@@ -54,8 +54,7 @@ class Table:
     """One output table: a header and one sequence of cells per column.
 
     A numeric column is a 1-D real ndarray; a column of text, of error
-    cells or of a summary's mixed one-row cells is a list.  Two tables are
-    equal when their names and cells are.
+    cells or of a summary's mixed one-row cells is a list.
     """
 
     columns: tuple
@@ -65,12 +64,6 @@ class Table:
     def rows(self) -> tuple:
         """The cells row by row, zipped on demand (the writers read columns)."""
         return tuple(zip(*self.data))
-
-    def __eq__(self, other):
-        if not isinstance(other, Table):
-            return NotImplemented
-        return (self.columns == other.columns and len(self.data) == len(other.data)
-                and all(list(a) == list(b) for a, b in zip(self.data, other.data)))
 
 
 def _table(columns, data) -> Table:

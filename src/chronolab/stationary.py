@@ -78,6 +78,9 @@ WINDOW_THRESHOLD = 1e-8
 # kinetic stencil order of the composite Hamiltonian on both axes
 COMPOSITE_ORDER = 4
 
+# R rows per block of the channel-space residual
+RESIDUAL_BLOCK = 8192
+
 
 # ---------------------------------------------------------------------------
 # kinetic matrices (coefficients from core)
@@ -515,10 +518,6 @@ class DirectedState:
         same integer count of steps."""
         return (self.r_grid.hi - self.r_grid.lo) / ((self.r_grid.n - 1) * self.stride)
 
-    def field(self) -> Field2D:
-        values = self.amplitudes @ self.basis.states
-        return Field2D(Grid2D(self.r_grid, self.basis.x_grid), values)
-
 
 def solve_directed_state(
     spec,
@@ -527,7 +526,7 @@ def solve_directed_state(
     energy: float,
     incoming: int,
     residual_tol: float,
-    stride: int = 1,
+    stride: int,
 ) -> DirectedState:
     """Directed solution of the composite TISE at fixed total energy.
 
@@ -678,7 +677,7 @@ def _transfer_scan(seed: np.ndarray, diag: np.ndarray, w: np.ndarray,
 
 
 def _channel_residual(spec, basis: ChannelBasis, r_grid: Grid1D, energy: float,
-                      kappas: np.ndarray, g_of_r: np.ndarray, block: int = 8192) -> float:
+                      kappas: np.ndarray, g_of_r: np.ndarray) -> float:
     """Interior residual ||(H - E) psi|| / ||psi|| of the channel-sum field
     psi = sum_n kappa_n phi_n, H at order 2 in R and the basis order in x,
     computed in channel space: interior row j of (H - E) psi is the row
@@ -694,8 +693,8 @@ def _channel_residual(spec, basis: ChannelBasis, r_grid: Grid1D, energy: float,
     num2 = 0.0
     den2 = 0.0
     n = r_grid.n
-    for a in range(1, n - 1, block):
-        b = min(a + block, n - 1)
+    for a in range(1, n - 1, RESIDUAL_BLOCK):
+        b = min(a + RESIDUAL_BLOCK, n - 1)
         kap = kappas[a:b]
         g = g_of_r[a:b, None]
         y = np.empty((b - a, 3 * k), dtype=complex)

@@ -105,13 +105,14 @@ def test_action_decreases_with_refinement():
     assert (w[0] - w[1]) / (w[1] - w[2]) == pytest.approx(4.0, rel=0.3)
 
 
-def test_minimizer_rejects_forbidden_seed_and_bad_input():
+def test_minimizer_rejects_forbidden_seed_and_bad_input(monkeypatch):
     with pytest.raises(ForbiddenRegionError):
-        minimize_action_path(_harmonic_problem(energy=0.01), [0.0, 0.0], [1.0, 0.6])
+        minimize_action_path(_harmonic_problem(energy=0.01), [0.0, 0.0], [1.0, 0.6], segments=64)
     with pytest.raises(DegenerateInputError):
         minimize_action_path(_free_problem(), [0.0, 0.0], [1.0, 0.6], segments=1)
+    monkeypatch.setattr(classical, "PATH_MAX_ITER", 2)
     with pytest.raises(ConvergenceError):
-        minimize_action_path(_harmonic_problem(), [0.0, 0.0], [1.0, 0.6], max_iter=2)
+        minimize_action_path(_harmonic_problem(), [0.0, 0.0], [1.0, 0.6], segments=64)
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])
@@ -245,13 +246,13 @@ def test_composite_energy_conservation_and_harmonic_motion():
     np.testing.assert_allclose(traj.positions[:, 0, 0], 0.2 * traj.parameter, atol=1e-10)
 
 
-def test_composite_error_scales_fourth_order():
+def test_composite_error_scales_fourth_order(monkeypatch):
     spec = CompositeSpec(50.0, 1.0, 1.0, Constant(), Harmonic(4.0), ZeroCoupling())
+    # a loose drift tolerance keeps the integrator from refining on its own
+    monkeypatch.setattr(classical, "COMPOSITE_DRIFT_TOL", 1e-3)
     errs = []
     for steps in (100, 200):
-        # loose drift_tol keeps the integrator from refining on its own
-        traj = integrate_composite(spec, 0.0, 10.0, 0.5, 0.0, span=6.0, steps=steps,
-                                   drift_tol=1e-3)
+        traj = integrate_composite(spec, 0.0, 10.0, 0.5, 0.0, span=6.0, steps=steps)
         errs.append(np.max(np.abs(traj.positions[:, 0, 1] - 0.5 * np.cos(2.0 * traj.parameter))))
     assert errs[0] / errs[1] == pytest.approx(16.0, rel=0.2)
 
@@ -370,12 +371,12 @@ def test_composite_batch_refines_every_lane_together():
                                                        span=6.0, steps=200))
 
 
-def test_composite_batch_reports_exhausted_refinement():
+def test_composite_batch_reports_exhausted_refinement(monkeypatch):
     # 25 -> 50 -> 100 steps, and lane 0 still drifts 5.3e-6 at 100
     spec = CompositeSpec(50.0, 1.0, 1.0, Constant(), Harmonic(4.0), ZeroCoupling())
+    monkeypatch.setattr(classical, "COMPOSITE_MAX_HALVINGS", 2)
     with pytest.raises(StabilityError) as info:
-        integrate_composite(spec, 0.0, 10.0, np.array([0.5, 0.05]), 0.0, span=6.0,
-                            steps=25, max_halvings=2)
+        integrate_composite(spec, 0.0, 10.0, np.array([0.5, 0.05]), 0.0, span=6.0, steps=25)
     assert info.value.suggested_step > 0.0
     assert info.value.suggested_step < 6.0 / 100
 
@@ -397,14 +398,14 @@ def test_overflowing_launch_fails_at_once(monkeypatch):
     assert info.value.suggested_step is None
 
 
-def test_finite_launch_that_overflows_is_refined():
+def test_finite_launch_that_overflows_is_refined(monkeypatch):
     # omega dt = 2.9 at 1,500 steps over span 4.4 is beyond the step's
     # stability limit: the run overflows from a finite launch energy, and
     # three doublings bring the drift under 1e-2
     spec = CompositeSpec(100.0, 1.0, 1.0, Constant(0.0), Harmonic(1e6), Bilinear(0.02))
+    monkeypatch.setattr(classical, "COMPOSITE_DRIFT_TOL", 1e-2)
     with np.errstate(over="ignore", invalid="ignore"):
-        traj = integrate_composite(spec, 0.0, np.sqrt(2e4), 0.5, 0.0, span=4.4, steps=1500,
-                                   drift_tol=1e-2)
+        traj = integrate_composite(spec, 0.0, np.sqrt(2e4), 0.5, 0.0, span=4.4, steps=1500)
     assert traj.parameter.size - 1 == 12000
     assert traj.energy_drift <= 1e-2
 
@@ -579,11 +580,13 @@ def test_float_clock_energy_offset_matches_the_named_ones():
 def test_compare_rejects_exhausted_clock():
     spec = CompositeSpec(100.0, 1.0, 1.0, Constant(), Harmonic(4.0), ZeroCoupling())
     with pytest.raises(DegenerateInputError):
-        compare_composite_reduced(spec, [0.4], 0.5, 0.0, t_span=1.0, steps=100)
+        compare_composite_reduced(spec, [0.4], 0.5, 0.0, t_span=1.0, steps=100,
+                                  clock_energy_offset="system")
 
 
 def test_turning_clock_is_reported():
     # harmonic environment with little clock energy: R turns around mid-run
     spec = CompositeSpec(1.0, 1.0, 1.0, Harmonic(4.0), Harmonic(4.0), ZeroCoupling())
     with pytest.raises(TurningPointError):
-        compare_composite_reduced(spec, [0.75], 0.5, 0.0, t_span=8.0, steps=4000)
+        compare_composite_reduced(spec, [0.75], 0.5, 0.0, t_span=8.0, steps=4000,
+                                  clock_energy_offset="system")

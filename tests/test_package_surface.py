@@ -7,8 +7,8 @@ public modules' `__all__` lists, private names cross module lines only
 out of `core` (by import or by attribute read), no scipy import runs
 when a module is imported, no module imports jsonschema or
 scipy.optimize, every optional parameter of the package is passed by
-some call in the package or its tests and left at its default by
-another, and every cross-field check of a config class points at one of
+some call in the package or its acceptance spec and left at its default
+by another, and every cross-field check of a config class points at one of
 its fields.
 """
 
@@ -175,8 +175,9 @@ def test_no_module_imports_scipy_optimize():
     assert not found, f"scipy.optimize imported: {found}"
 
 
-TEST_TREES = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
-              for path in sorted(SRC.parent.parent.joinpath("tests").glob("*.py"))}
+# The acceptance spec is the one test file whose calls count as callers: a
+# parameter that only the rest of the suite sets is a knob for tests alone.
+SPEC_TREE = ast.parse(SRC.parent.parent.joinpath("tests", "test_acceptance.py").read_text(encoding="utf-8"))
 
 
 def _optional_parameters(tree) -> list:
@@ -231,10 +232,10 @@ def _passes(call: ast.Call, name: str, position) -> bool:
 
 
 def _calls() -> dict:
-    """callee name -> every call in src/ and tests/ of a function or an
-    attribute by that name."""
+    """callee name -> every call in src/ and tests/test_acceptance.py of a
+    function or an attribute by that name."""
     calls = {}
-    for tree in (*TREES.values(), *TEST_TREES.values()):
+    for tree in (*TREES.values(), SPEC_TREE):
         for node in ast.walk(tree):
             if isinstance(node, ast.Call):
                 f = node.func
@@ -255,7 +256,7 @@ def _optional_parameters_where(passed: bool) -> list:
 
 def test_every_optional_parameter_has_a_caller():
     unset = _optional_parameters_where(passed=True)
-    assert not unset, f"optional parameters that no call in src/ or tests/ passes: {unset}"
+    assert not unset, f"optional parameters that no call in src/ or the acceptance spec passes: {unset}"
 
 
 def test_every_default_is_used():
@@ -263,7 +264,7 @@ def test_every_default_is_used():
     parameter is then required.  A call that passes `*args` or
     `**kwargs` counts as passing every parameter."""
     always = _optional_parameters_where(passed=False)
-    assert not always, f"optional parameters that every call in src/ or tests/ passes: {always}"
+    assert not always, f"optional parameters that every call in src/ or the acceptance spec passes: {always}"
 
 
 def _require_keys(tree):
