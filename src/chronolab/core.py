@@ -23,8 +23,9 @@ It is also the one home of a `ChannelBasis`'s channel space.  A basis
 is its (k, nx) table of states, and every channel-space reader takes
 that table as it is: `_project`, `_coupling_matrix`, the basis' own
 Gram check, and `_channel_operators`, which builds H_s, W and the Gram
-matrix of the out-of-span parts; `_gram_form` is the one quadratic form
-and `_span_norms` the norms that the directed and the TDSE residual take.
+matrix of the out-of-span parts, and `_gram_norms`, the one quadratic
+form: the norms the directed and the TDSE residual read off the Gram
+sums of their rows.
 """
 
 from __future__ import annotations
@@ -527,19 +528,18 @@ def _channel_operators(system, basis: ChannelBasis, sys: Potential) -> tuple:
     return hs, w, (np.conj(vecs) * basis.x_grid.weights[1:-1]) @ vecs.T
 
 
-def _gram_form(v: np.ndarray, block: np.ndarray, weights: np.ndarray) -> float:
-    """sum_i weights_i v_i^H block v_i over the rows v_i of v: the squared
-    norm of the fields whose coefficients on vectors of Gram matrix `block`
-    are the rows."""
-    return float(weights @ np.sum(np.conj(v) * (v @ block.T), axis=1).real)
+def _gram_norms(gram: np.ndarray, sums: np.ndarray) -> tuple:
+    """Squared norms summed over rows sum_m c_m phi_m + sum_n a_n (d_n + g e_n),
+    each row given as y = (c, a, g a), from the `gram` of `_channel_operators`
+    and the rows' (3k, 3k) Gram sums, sums = y^H y over all rows.
 
-
-def _span_norms(y: np.ndarray, gram: np.ndarray, weights: np.ndarray) -> tuple:
-    """Squared norms of the rows sum_m c_m phi_m + sum_n a_n (d_n + g e_n),
-    each given as y = (c, a, g a), a (rows, 3k) table, with the `gram` of
-    `_channel_operators`, summed with `weights`.
-
-    Returns (rows, field), the second for sum_n a_n phi_n.  The rows'
-    part outside the span is the (d, e) block, y[:, k:] with gram[k:, k:]."""
-    k = y.shape[1] // 3
-    return _gram_form(y, gram, weights), _gram_form(y[:, k:2 * k], gram[:k, :k], weights)
+    A row's squared norm y^H gram y is sum(gram * conj(y) y^T), so the sum
+    over rows is Re sum(gram * sums), and the caller forms sums with one
+    product per block of rows instead of a form per row.  Returns (rows,
+    field, outside): field is the norm of sum_n a_n phi_n, the a block of
+    sums on the phi block of gram, and outside that of the rows' part
+    outside the span, the (a, g a) block on the (d, e) block."""
+    k = len(gram) // 3
+    terms = (gram * sums).real
+    field = (gram[:k, :k] * sums[k:2 * k, k:2 * k]).real
+    return float(terms.sum()), float(field.sum()), float(terms[k:, k:].sum())

@@ -42,11 +42,10 @@ from .core import (
     _coupling_matrix,
     _cumulative_trapezoid,
     _discrete_wavenumber,
-    _gram_form,
+    _gram_norms,
     _kinetic_coeffs,
     _loglog_slope,
     _project,
-    _span_norms,
     central_difference,
 )
 from .errors import (
@@ -454,10 +453,11 @@ def tdse_residual(
 
     All of it is computed from the amplitudes.  The drive (a CouplingDrive
     or None) is g(t) sys(x), g = strength * env(R(t)).  Row j of the
-    residual is the row (c_j, a~_j, g_j a~_j) of `_span_norms`, the
+    residual is the row y_j = (c_j, a~_j, g_j a~_j) of `_gram_norms`, the
     directed residual's norm, with c = H_s a~ + g W a~ - Re(U_S) a~ -
-    i hbar D_t a~; `out_of_span` is its (d, e) block.  `rho` is a ratio
-    of amplitude norms.
+    i hbar D_t a~; the three norms (total, field and `out_of_span`, the
+    (d, e) block) are read from the one Gram product S = y^H y.  `rho`
+    is a ratio of amplitude norms.
     """
     if traj.times.size < 3:
         raise DegenerateInputError("need at least 3 slices for time stencils")
@@ -469,7 +469,6 @@ def tdse_residual(
     dt = float(t[1] - t[0])
 
     hbar = system.hbar
-    k = len(traj.basis)
     g, coupling = _drive_parts(drive, t)
     hs, w, gram = _channel_operators(system, traj.basis, coupling.sys)
 
@@ -478,11 +477,9 @@ def tdse_residual(
     c = (inner @ hs.T + g * (inner @ w.T) - u.real[1:-1, None] * inner
          - 1j * hbar * central_difference(tamps, dt, 1))
     y = np.concatenate([c, inner, g * inner], axis=1)
-    ones = np.ones(len(inner))
-    total2, den2 = _span_norms(y, gram, ones)
+    total2, den2, outside2 = _gram_norms(gram, np.conj(y).T @ y)
     if den2 == 0.0:
         raise DegenerateInputError("trajectory is zero on the interior slices")
-    outside2 = _gram_form(y[:, k:], gram[k:, k:], ones)
     residual = np.sqrt(max(total2, 0.0) / den2)
     outside = np.sqrt(max(outside2, 0.0) / den2)
 

@@ -39,9 +39,9 @@ from .core import (
     _channel_operators,
     _coupling_matrix,
     _discrete_wavenumber,
+    _gram_norms,
     _kinetic_coeffs,
     _project,
-    _span_norms,
     central_difference,
     norm,
 )
@@ -79,7 +79,7 @@ WINDOW_THRESHOLD = 1e-8
 COMPOSITE_ORDER = 4
 
 # R rows per block of the channel-space residual
-RESIDUAL_BLOCK = 8192
+RESIDUAL_BLOCK = 2048
 
 
 # ---------------------------------------------------------------------------
@@ -588,8 +588,9 @@ def solve_directed_state(
     seed = np.zeros((2, k), dtype=complex)
     seed[:, incoming] = np.exp(1j * k_in * r[:2])
     pref = 2.0 * spec.M * h * h / (spec.hbar * spec.hbar)
-    diag = pref * (v_env[:, None] - energy + eps[None, :])
-    kappas = _transfer_scan(seed, diag, w, pref * g_of_r)
+    # diag is a temporary: only the scan's padded step table of it stays alive
+    kappas = _transfer_scan(seed, pref * (v_env[:, None] - energy + eps[None, :]), w,
+                            pref * g_of_r)
     res = _channel_residual(spec, basis, r_grid, energy, kappas, g_of_r)
     # an overflowing recurrence leaves a residual of inf or nan, which no tolerance admits
     if not (math.isfinite(res) and res <= residual_tol * max(abs(energy), 1e-300)):
@@ -633,27 +634,36 @@ def _transfer_scan(seed: np.ndarray, diag: np.ndarray, w: np.ndarray,
     2. the boundary states are carried across the blocks in order;
     3. all blocks step again at once from their boundary states and
        write their rows.
+
+    diag and g are gathered once into (blocks, length) step tables, the
+    padding repeating row n - 2, and the caller's diag is released: a
+    sweep step reads views of them and writes into two scratch arrays
+    made once per sweep, so the Python loop gathers and allocates nothing.
     """
     n = diag.shape[0]
     k = seed.shape[1]
     steps = n - 2
     length = math.isqrt(steps - 1) + 1  # ceil(sqrt(steps))
     blocks = -(-steps // length)
-    starts = 1 + length * np.arange(blocks)
-
-    def increment(j, kap):
-        # kap: (blocks, c, k) stack of row vectors at rows j (blocks,)
-        out = diag[j][:, None, :] * kap
-        out += g[j][:, None, None] * (kap.reshape(-1, k) @ w.T).reshape(kap.shape)
-        return out
+    pad = blocks * length - steps
+    diag = np.pad(diag[1:-1], ((0, pad), (0, 0)), mode="edge").reshape(blocks, length, 1, k)
+    g = np.pad(g[1:-1], (0, pad), mode="edge").reshape(blocks, length, 1, 1)
 
     def sweep(kap, delta, rows=None):
+        # kap, delta: (blocks, c, k) stacks of row vectors, stepped in place
+        wt = w.T.astype(kap.dtype)
+        inc = np.empty_like(kap)
+        coupled = np.empty_like(kap)
+        flat, coupled_flat = kap.reshape(-1, k), coupled.reshape(-1, k)
         for s in range(length):
-            j = starts + s
-            delta += increment(np.minimum(j, n - 2), kap)
+            np.multiply(diag[:, s], kap, out=inc)
+            np.matmul(flat, wt, out=coupled_flat)
+            np.multiply(g[:, s], coupled, out=coupled)
+            inc += coupled
+            delta += inc
             kap += delta
             if rows is not None:
-                rows[j + 1] = kap[:, 0]
+                rows[:, s] = kap[:, 0]
 
     # pass 1: row i < k of the unit states is kappa = e_i, row k + i is delta = e_i
     unit = np.eye(2 * k, dtype=np.result_type(diag, w, float))
@@ -672,7 +682,7 @@ def _transfer_scan(seed: np.ndarray, diag: np.ndarray, w: np.ndarray,
     # pass 3: every block from its boundary state, writing its rows
     rows = np.empty((2 + blocks * length, k), dtype=complex)
     rows[:2] = seed
-    sweep(z[:, None, :k].copy(), z[:, None, k:].copy(), rows)
+    sweep(z[:, None, :k].copy(), z[:, None, k:].copy(), rows[2:].reshape(blocks, length, k))
     return rows[:n]
 
 
@@ -681,31 +691,48 @@ def _channel_residual(spec, basis: ChannelBasis, r_grid: Grid1D, energy: float,
     """Interior residual ||(H - E) psi|| / ||psi|| of the channel-sum field
     psi = sum_n kappa_n phi_n, H at order 2 in R and the basis order in x,
     computed in channel space: interior row j of (H - E) psi is the row
-    y_j = (c_j, kappa_j, g(R_j) kappa_j) of `_span_norms`, c_j being the
-    close-coupled residual of row j.  Rows are taken in blocks so no
-    (n, 3k) array is held, and the cost per row does not grow with the x grid.
+    y_j = (c_j, kappa_j, g(R_j) kappa_j) of `_gram_norms`, c_j being the
+    close-coupled residual of row j.
+
+    One (RESIDUAL_BLOCK, 3k) y table is filled in place block by block,
+    and each block adds its Gram sums y^H y to one (3k, 3k) matrix, so
+    the working memory is a few block tables whatever the grid, and the
+    cost per row does not grow with the x grid.  The interior rows'
+    trapezoid weights are all dR and cancel in the ratio.
     """
     k = len(basis)
     hs, w, gram = _channel_operators(spec, basis, spec.v_int.sys)
     _, c1, _ = _kinetic_coeffs(2, r_grid.spacing, spec.M, spec.hbar)
-    v_env = np.asarray(spec.v_env(r_grid.points), dtype=float)
-    wr = r_grid.weights
-    num2 = 0.0
-    den2 = 0.0
+    r = r_grid.points
     n = r_grid.n
+    rows = min(RESIDUAL_BLOCK, n - 2)
+    table = np.empty((rows, 3 * k), dtype=complex)
+    close = np.empty((rows, k), dtype=complex)
+    term = np.empty_like(close)
+    sums = np.zeros((3 * k, 3 * k), dtype=complex)
     for a in range(1, n - 1, RESIDUAL_BLOCK):
         b = min(a + RESIDUAL_BLOCK, n - 1)
         kap = kappas[a:b]
         g = g_of_r[a:b, None]
-        y = np.empty((b - a, 3 * k), dtype=complex)
-        # the R stencil as a difference of differences: c0 = -2 c1
-        y[:, :k] = (c1 * ((kappas[a + 1:b + 1] - kap) - (kap - kappas[a - 1:b - 1]))
-                    + (v_env[a:b, None] - energy) * kap + kap @ hs.T + g * (kap @ w.T))
+        # c is summed in its own contiguous table, faster in place than a
+        # column block of y; the R stencil as a difference of differences: c0 = -2 c1
+        y, c, t = table[:b - a], close[:b - a], term[:b - a]
+        np.subtract(kappas[a + 1:b + 1], kap, out=c)
+        np.subtract(kap, kappas[a - 1:b - 1], out=t)
+        c -= t
+        c *= c1
+        np.multiply(np.asarray(spec.v_env(r[a:b]), dtype=float)[:, None] - energy, kap, out=t)
+        c += t
+        np.matmul(kap, hs.T, out=t)
+        c += t
+        np.matmul(kap, w.T, out=t)
+        t *= g
+        c += t
+        y[:, :k] = c
         y[:, k:2 * k] = kap
-        y[:, 2 * k:] = g * kap
-        total2, field2 = _span_norms(y, gram, wr[a:b])
-        num2 += total2
-        den2 += field2
+        np.multiply(g, kap, out=y[:, 2 * k:])
+        sums += np.conj(y).T @ y
+    num2, den2, _ = _gram_norms(gram, sums)
     if den2 == 0.0:
         raise DegenerateInputError("directed state has no interior weight")
     return float(np.sqrt(max(num2, 0.0) / den2))

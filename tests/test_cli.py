@@ -576,15 +576,15 @@ def test_rerun_is_byte_identical(tmp_path):
 DEFAULT_CSV_HASHES = {
     "beam-on-atom": {
         "channel_populations.csv": "7e16f1c6bbda584bccfeafdbee5409d858aba4057caafea6e939895983ccbb1a",
-        "summary.csv": "045abf2174be5bb2163b04f29b18f9f29308213e7caa1eb20d674d354f5d5573",
+        "summary.csv": "2c37ce639eae94f44525fc4c0d06c3a20d099b15cc253533fd6afa9624ea1af0",
     },
     "classical-emergence": {
         "classical_emergence.csv": "af65d189a7c98bc9385af4dc8e64b42d0d146ec8e5294285a44deefc247d89b5",
         "summary.csv": "2a3f2c939e4210f86aa03498c467fa3b20328139be0a2256e7fd7e670961eead",
     },
     "emergence-scan": {
-        "emergence_scan.csv": "b7ca8046b7e60a4dfb5a6fc5e5edfc2eb9135ec9f2e77153309d5b084fd7a39f",
-        "scan_details.csv": "8b25af6cce06af288308f9a9e2d6de8d212387f7f06b14c15aa4cba32925fc27",
+        "emergence_scan.csv": "3f4fa370e772c1e17ef7f44966fee759206d5b7a7c58c1af079d9c804f130153",
+        "scan_details.csv": "3e7ca947726bee23f25ae6527b489b7d648defe9656d833d6d9a102bd6e2c75b",
     },
     "harmonic-clock-two-level": {
         "summary.csv": "15a7510c1d4c9e200eb0354c29eb9b43b19404c36bdf123addec40b725d8ae1e",
@@ -601,25 +601,26 @@ DEFAULT_CSV_HASHES = {
 }
 
 
-def _run_python(*args: str) -> subprocess.CompletedProcess:
-    """`python *args` in a fresh interpreter with one BLAS thread.
+def _run_python(*args: str, threads: int = 1) -> subprocess.CompletedProcess:
+    """`python *args` in a fresh interpreter with `threads` BLAS threads.
 
     The child imports the same chronolab as this test.  A threaded GEMM
     sums in another order than a single thread and can move the last bit
     of a cell, so the pinned hashes hold at one thread only.
     """
     src = str(Path(chronolab.__file__).resolve().parents[1])
-    one = {k: "1" for k in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
+    limit = {k: str(threads) for k in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                                       "MKL_NUM_THREADS")}
     return subprocess.run(
         [sys.executable, *args],
         capture_output=True, text=True, check=False,
-        env={**os.environ, "PYTHONPATH": src, **one},
+        env={**os.environ, "PYTHONPATH": src, **limit},
     )
 
 
-def _run_child(*args: str) -> subprocess.CompletedProcess:
-    """`python -m chronolab.cli *args` in a child with one BLAS thread."""
-    return _run_python("-m", "chronolab.cli", *args)
+def _run_child(*args: str, threads: int = 1) -> subprocess.CompletedProcess:
+    """`python -m chronolab.cli *args` in a child with `threads` BLAS threads."""
+    return _run_python("-m", "chronolab.cli", *args, threads=threads)
 
 
 @pytest.mark.parametrize("name", sorted(DEFAULT_CSV_HASHES))
@@ -631,20 +632,69 @@ def test_default_csvs_are_pinned(tmp_path, name):
     assert written == DEFAULT_CSV_HASHES[name]
 
 
+# sha256 of the directed state's amplitudes, (fine R rows, stride): the
+# beam-on-atom defaults and the top point of the default emergence scan.
+# The blocked scan's arithmetic is pinned bit for bit, at one BLAS thread.
+DIRECTED_AMPLITUDE_HASHES = {
+    "beam-on-atom": (12001, 3, "d1910ccff0973ce11f0e5dd55357efbc9007e211fd0235285fcd6827a5ea5441"),
+    "emergence-scan": (52001, 13,
+                       "b7cd52c54abb14540f875752efce88c2955d22bca5bf575cbe1a80db5df80b65"),
+}
+
+
+def test_directed_amplitudes_are_pinned_bit_for_bit():
+    code = """
+import hashlib, json
+from chronolab.dynamics import EmergenceScanConfig, directed_run
+from chronolab.scenarios import BeamOnAtomConfig
+beam, scan = BeamOnAtomConfig(), EmergenceScanConfig()
+out = {}
+for name, cfg, e_kin in (("beam-on-atom", beam, beam.kinetic_energy),
+                         ("emergence-scan", scan, max(scan.kinetic_energies))):
+    state = directed_run(cfg, cfg.system_basis(), e_kin)
+    out[name] = [state.fine_points, state.stride,
+                 hashlib.sha256(state.amplitudes.tobytes()).hexdigest()]
+print(json.dumps(out))
+"""
+    proc = _run_python("-c", code)
+    assert proc.returncode == 0, proc.stderr
+    got = {name: tuple(v) for name, v in json.loads(proc.stdout).items()}
+    assert got == DIRECTED_AMPLITUDE_HASHES
+
+
+# the default tables whose bytes do not depend on the BLAS thread count;
+# emergence_scan.csv is left out, its rho still moves between 1 and 2 threads
+THREAD_FREE_CSVS = {
+    "beam-on-atom": ("channel_populations.csv", "summary.csv"),
+    "emergence-scan": ("scan_details.csv",),
+}
+
+
+@pytest.mark.parametrize("name", sorted(THREAD_FREE_CSVS))
+def test_gram_product_tables_do_not_depend_on_the_thread_count(tmp_path, name):
+    written = {}
+    for threads in (1, 2):
+        out = tmp_path / str(threads)
+        proc = _run_child("run", name, "--out", str(out), threads=threads)
+        assert proc.returncode == 0, proc.stderr
+        written[threads] = {f: (out / f).read_bytes() for f in THREAD_FREE_CSVS[name]}
+    assert written[1] == written[2]
+
+
 # sha256 of every `--format json` table each built-in scenario writes at its
 # defaults with one BLAS thread, recorded with the per-row writer
 DEFAULT_JSON_HASHES = {
     "beam-on-atom": {
         "channel_populations.json": "476c5065e81a17fb8b4c380de156a73c30d4e43dcc07727c38f592c814b1d5ae",
-        "summary.json": "02fddce0eb3264450ca238be1661f11cb47989cad6a7bdad70b71166e9437054",
+        "summary.json": "ad6110d198c5710a07ce283e3ab2ce2b858620135fd74353468bca78f2696b4c",
     },
     "classical-emergence": {
         "classical_emergence.json": "e7b3db6874caf38a4760a1236a5f277fd5ca5eaeee2ea4118a5a14f04e748547",
         "summary.json": "158eb251e70b9ac223f5202b93929f2e65c244282e70feb9c5447d934153996b",
     },
     "emergence-scan": {
-        "emergence_scan.json": "eaaa31a28bf6e59318a9d82579ef9c79e7cc85eeb60d0abbabada7c4f84d00c3",
-        "scan_details.json": "f7350f75c10b925d458d55281b76c5a2106e4e653a50284bdeee090b2dca48aa",
+        "emergence_scan.json": "67674072ed16b709b03e81ef7d15dee657137cbc87e3f9a814656cc840554846",
+        "scan_details.json": "c9dbc3df223b4987c8ef8d0338c36b53839d3186b41228cd63979045be4af962",
     },
     "harmonic-clock-two-level": {
         "summary.json": "475b5d9784a725b54dc0a0cd9e36727e1ad74b5f74ebe0c59586e960a32c271b",

@@ -1,5 +1,8 @@
 """Composite eigenproblems, factorization, channels and directed states."""
 
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given
@@ -35,7 +38,9 @@ from chronolab import (
 )
 from chronolab import stationary
 from chronolab.core import _apply_kinetic, _kinetic_coeffs, norm
+from chronolab.dynamics import EmergenceScanConfig, directed_run
 from chronolab.stationary import (
+    RESIDUAL_BLOCK,
     WINDOW_THRESHOLD,
     _channel_residual,
     _embed_states,
@@ -423,3 +428,58 @@ def test_channel_residual_matches_x_space_residual(monkeypatch):
     noise = rng.standard_normal(kappas.shape) + 1j * rng.standard_normal(kappas.shape)
     chan, xspace = both(kappas + 1e-6 * np.max(np.abs(kappas)) * noise)
     assert abs(chan - xspace) < 1e-8 * xspace
+
+
+@pytest.fixture(scope="module")
+def top_scan_point():
+    """The arguments `solve_directed_state` hands to `_transfer_scan` and to
+    `_channel_residual` at the top point of the default scan (52,001 fine
+    R rows), by function name."""
+    captured = {}
+
+    def recording(name):
+        real = getattr(stationary, name)
+
+        def record(*args):
+            captured[name] = args
+            return real(*args)
+        return record
+
+    with pytest.MonkeyPatch.context() as mp:
+        for name in ("_transfer_scan", "_channel_residual"):
+            mp.setattr(stationary, name, recording(name))
+        cfg = EmergenceScanConfig()
+        directed_run(cfg, cfg.system_basis(), max(cfg.kinetic_energies))
+    return captured
+
+
+def _peak_bytes(fn, *args):
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_transfer_scan_holds_only_its_step_tables_and_rows(top_scan_point):
+    seed, diag, w, g = top_scan_point["_transfer_scan"]
+    n, k = diag.shape
+    assert n == 52001
+    # diag and g are handed over as temporaries, as the solve does
+    peak = _peak_bytes(_transfer_scan, seed, diag.copy(), w, g.copy())
+    # the float step tables of diag and g and the complex rows, each at most
+    # sqrt(n) + 1 rows past n; anything else stays below half a float (n, k)
+    # table (measured: 8.22 MiB against 7.57 MiB of tables and rows)
+    rows = n + math.isqrt(n) + 1
+    assert peak < (8 * (k + 1) + 16 * k) * rows + 8 * n * k / 2
+
+
+def test_channel_residual_memory_is_three_block_tables(top_scan_point):
+    args = top_scan_point["_channel_residual"]
+    n, k = args[4].shape
+    assert n == 52001
+    # the y table, its conjugate and two (RESIDUAL_BLOCK, k) scratch tables,
+    # whatever n (measured: 1.52 MiB, 2.70 y tables; 8,192-row blocks with
+    # per-block temporaries took 7.16 MiB)
+    assert _peak_bytes(_channel_residual, *args) < 3 * RESIDUAL_BLOCK * 3 * k * 16
