@@ -292,19 +292,20 @@ class Potential:
 
 @dataclass(frozen=True)
 class Harmonic(Potential):
+    """V(q) = 0.5 * k * q^2."""
+
     k: float
-    center: float = 0.0
 
     def __post_init__(self):
         if self.k < 0:
             raise DegenerateInputError(f"harmonic stiffness must be >= 0, got {self.k}")
 
     def __call__(self, q):
-        d = np.asarray(q) - self.center
-        return 0.5 * self.k * d * d
+        q = np.asarray(q)
+        return 0.5 * self.k * q * q
 
     def derivative(self, q):
-        return self.k * (np.asarray(q) - self.center)
+        return self.k * np.asarray(q)
 
 
 @dataclass(frozen=True)
@@ -339,7 +340,7 @@ class GaussianWell(Potential):
 
     depth: float
     width: float
-    center: float = 0.0
+    center: float
 
     def __post_init__(self):
         if self.width <= 0:
@@ -372,7 +373,7 @@ class Coupling:
 
     env: Potential
     sys: Potential
-    strength: float = 1.0
+    strength: float
 
     def __call__(self, x, r):
         return (self.strength * self.sys(x)) * self.env(r)
@@ -469,7 +470,7 @@ class ChannelBasis:
     x_grid: Grid1D
     states: np.ndarray
     energies: np.ndarray
-    stencil_order: int = 2
+    stencil_order: int
 
     def __post_init__(self):
         self.states = np.asarray(self.states, dtype=complex)
@@ -498,8 +499,13 @@ class ChannelBasis:
 
 
 def _project(basis: ChannelBasis, values: np.ndarray) -> np.ndarray:
-    """<phi_m | values> over the last axis of `values`, (k, ...) by quadrature."""
-    return (np.conj(basis.states) * basis.x_grid.weights) @ values.T
+    """<phi_m | values> over the last axis of `values`, (k, ...) by quadrature.
+
+    An unoptimized einsum sums each x row in one fixed order, so a
+    projection does not depend on the BLAS thread count.
+    """
+    return np.einsum("kx,...x->k...", np.conj(basis.states) * basis.x_grid.weights, values,
+                     optimize=False)
 
 
 def _coupling_matrix(basis: ChannelBasis, sys: Potential) -> np.ndarray:

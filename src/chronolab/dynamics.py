@@ -216,13 +216,11 @@ class AmplitudeSet:
 
     times: np.ndarray
     amplitudes: np.ndarray
-    energies: np.ndarray
 
     def __post_init__(self):
         self.times = np.asarray(self.times, dtype=float)
         self.amplitudes = np.asarray(self.amplitudes, dtype=complex)
-        self.energies = np.asarray(self.energies, dtype=float)
-        if self.amplitudes.shape != (self.times.size, self.energies.size):
+        if self.amplitudes.ndim != 2 or len(self.amplitudes) != self.times.size:
             raise GridMismatchError("amplitude table shape mismatch")
 
     def populations(self) -> np.ndarray:
@@ -288,7 +286,7 @@ def propagate_amplitudes(
     bad = np.flatnonzero(~np.all(np.isfinite(out), axis=1))
     if bad.size:
         raise BlowUpError(f"non-finite amplitudes at t = {t[bad[0]]:g}")
-    result = AmplitudeSet(t, out, eps)
+    result = AmplitudeSet(t, out)
     drift = result.population_drift
     if not drift <= 1e-6:
         raise StabilityError(
@@ -361,19 +359,19 @@ def compare_amplitudes_to_grid(
 @dataclass(eq=False)
 class ConditionalTrajectory:
     """Conditional state psi(x, t_j) = sum_n amplitudes[j, n] phi_n(x) and
-    its back-reaction samples u_s (zero if not given).  The M v^2 of the
-    TDSE correction term is the caller's: `tdse_residual` takes it."""
+    its back-reaction samples u_s.  The M v^2 of the TDSE correction term
+    is the caller's: `tdse_residual` takes it."""
 
     basis: ChannelBasis
     times: np.ndarray
     amplitudes: np.ndarray
-    u_s: np.ndarray | None = None
+    u_s: np.ndarray
 
     def __post_init__(self):
         self.times = np.asarray(self.times, dtype=float)
         self.amplitudes = np.asarray(self.amplitudes, dtype=complex)
         n = self.times.size
-        self.u_s = np.zeros(n, complex) if self.u_s is None else np.asarray(self.u_s, complex)
+        self.u_s = np.asarray(self.u_s, complex)
         if self.amplitudes.shape != (n, len(self.basis)) or self.u_s.shape != (n,):
             raise GridMismatchError("amplitude or u_s table does not match the time axis")
         _time_axis(self.times)
@@ -432,7 +430,6 @@ class ResidualReport:
     residual: float
     out_of_span: float
     rho: float
-    mv2: float
 
 
 def tdse_residual(
@@ -483,11 +480,13 @@ def tdse_residual(
     residual = np.sqrt(max(total2, 0.0) / den2)
     outside = np.sqrt(max(outside2, 0.0) / den2)
 
-    retained = hbar * np.linalg.norm(central_difference(amps, dt, 1))
-    correction = (hbar * hbar / (2.0 * mv2)) * np.linalg.norm(central_difference(amps, dt, 2))
+    # plain sums, not np.linalg.norm: a BLAS norm moves with the thread count
+    retained = hbar * np.sqrt(np.sum(np.abs(central_difference(amps, dt, 1)) ** 2))
+    correction = ((hbar * hbar / (2.0 * mv2))
+                  * np.sqrt(np.sum(np.abs(central_difference(amps, dt, 2)) ** 2)))
     if retained == 0.0:
         raise DegenerateInputError("trajectory is time-independent; no retained term")
-    return ResidualReport(float(residual), float(outside), float(correction / retained), mv2)
+    return ResidualReport(float(residual), float(outside), float(correction / retained))
 
 
 # ---------------------------------------------------------------------------

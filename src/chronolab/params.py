@@ -16,9 +16,10 @@ from .errors import ConfigError
 POSITIVE = {"type": "number", "exclusiveMinimum": 0}
 NONNEGATIVE = {"type": "number", "minimum": 0}
 NUMBER = {"type": "number"}
-# largest fine R grid a directed solve allocates: about 240 bytes a row at 6
-# channels (310 MiB at 1 M rows, measured), so 2.4 GB; the M v^2 = 3e4 run at
-# a 0.01 phase step needs 6 M rows.  No count that sizes an array goes above it.
+# largest fine R grid a directed solve allocates: its peak is 184 bytes a row
+# at 6 channels (264 MiB at 1.5 M rows, measured with tracemalloc), so about
+# 1.8 GB; the M v^2 = 3e4 run needs 1.5 M rows at the default 0.04 phase step
+# and 6 M at 0.01.  No count that sizes an array goes above it.
 MAX_FINE_ROWS = 10_000_000
 INT2 = {"type": "integer", "minimum": 2, "maximum": MAX_FINE_ROWS}
 GRID = {"type": "integer", "minimum": 3, "maximum": MAX_FINE_ROWS}  # point count of a Grid1D

@@ -130,8 +130,9 @@ def _run_perfect_clock(p: PerfectClockConfig, jobs: int) -> dict:
 
 # largest grid table of the two-level comparison, in complex cells: the
 # Richardson route's halved Crank-Nicolson run holds (2 time_steps + 1)
-# x_points of them at 16 bytes each, so 1.5e8 cells is 2.4 GB, about the
-# directed solve's MAX_FINE_ROWS; the defaults need 2,001 x 321 = 642,321
+# x_points of them at 16 bytes each, so 1.5e8 cells is 2.4 GB, a little
+# above the 1.8 GB of the directed solve's MAX_FINE_ROWS; the defaults need
+# 2,001 x 321 = 642,321
 MAX_GRID_CELLS = 150_000_000
 
 

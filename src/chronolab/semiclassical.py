@@ -9,7 +9,8 @@ For a plane-wave clock tau is the real classical time M R / P; for real
 wavefunctions it is purely imaginary; in between it interpolates.
 
 All derivatives of sampled data use the shared second-order stencils
-from `core`.  hbar defaults to 1 throughout the module.
+from `core`.  `quantum_time` and `perfect_clock` default hbar to 1; the
+records are given it.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ class WKBState:
     amplitude: np.ndarray
     momentum: np.ndarray
     M: float
-    hbar: float = 1.0
+    hbar: float
 
     def __post_init__(self):
         self.action = np.asarray(self.action, dtype=float)
@@ -125,7 +126,7 @@ class PerfectClock:
     M: float
     P: float
     r_grid: Grid1D
-    hbar: float = 1.0
+    hbar: float
 
     def chi(self) -> Field1D:
         """Plane wave (2 pi hbar)^(-1/2) exp(i P R / hbar)."""

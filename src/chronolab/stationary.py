@@ -24,7 +24,7 @@ the 3-point form in R.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -256,7 +256,6 @@ class FactorizedState:
     chi: Field1D
     psi: Field2D
     window: tuple
-    mode: str
     u_s: Field1D | None = None
 
 
@@ -291,7 +290,7 @@ def factorize_prescribed(state: Field2D, chi: Field1D) -> FactorizedState:
     chi_w = Field1D(sub, chi.values[i0:i1 + 1])
     grid_w = Grid2D(sub, state.grid.x)
     psi = Field2D(grid_w, state.values[i0:i1 + 1, :] / chi_w.values[:, None])
-    out = FactorizedState(chi_w, psi, (i0, i1), mode="prescribed")
+    out = FactorizedState(chi_w, psi, (i0, i1))
     _check_product(out, state)
     return out
 
@@ -351,15 +350,7 @@ def compute_back_reaction(fs: FactorizedState, spec) -> Field1D:
     return Field1D(sub, term / weight)
 
 
-@dataclass(frozen=True)
-class IterationTrace:
-    """Per-iteration chi change and clock eigenvalue of the fixed point."""
-
-    steps: tuple
-    energies: tuple
-
-
-def factorize_selfconsistent(pair: EigenPair, spec) -> tuple[FactorizedState, IterationTrace]:
+def factorize_selfconsistent(pair: EigenPair, spec) -> tuple[FactorizedState, dict]:
     """Gauge-fixed factorization found by fixed-point iteration.
 
     Seeds chi with the marginal amplitude sqrt(int |Psi|^2 dx), then
@@ -368,7 +359,9 @@ def factorize_selfconsistent(pair: EigenPair, spec) -> tuple[FactorizedState, It
     eigenvector with maximal overlap with the previous chi.  The gauge
     is chi real and positive at its maximum with unit norm.  Converged
     when chi moves by less than 1e-7 in one step; ConvergenceError
-    after 60 steps.
+    after 60 steps.  The trace, returned with the state and carried by a
+    ConvergenceError, is {"steps": [...], "energies": [...]}: each
+    iteration's chi change and clock eigenvalue.
     """
     state = pair.state
     wx = state.grid.x.weights
@@ -379,14 +372,12 @@ def factorize_selfconsistent(pair: EigenPair, spec) -> tuple[FactorizedState, It
 
     v_env = np.asarray(spec.v_env(r_grid.points), dtype=float)
 
-    steps = []
-    energies = []
+    trace = {"steps": [], "energies": []}
     for _ in range(60):
         fs = factorize_prescribed(state, chi)
         u_s = compute_back_reaction(fs, spec)
         if float(np.max(np.abs(u_s.values.imag))) > 1e-6 * max(1.0, float(np.max(np.abs(u_s.values.real)))):
-            raise ConvergenceError("back-reaction picked up a large imaginary part",
-                                   trace=IterationTrace(tuple(steps), tuple(energies)))
+            raise ConvergenceError("back-reaction picked up a large imaginary part", trace=trace)
         # pad U_S onto the full grid: edge values continue outside the window
         i0, i1 = fs.window
         margin = COMPOSITE_ORDER // 2
@@ -405,18 +396,15 @@ def factorize_selfconsistent(pair: EigenPair, spec) -> tuple[FactorizedState, It
         new_chi = Field1D(r_grid, cands[best])
 
         step = float(np.sqrt(np.sum(w_r * np.abs(new_chi.values - chi.values) ** 2)))
-        steps.append(step)
-        energies.append(float(vals[best]))
+        trace["steps"].append(step)
+        trace["energies"].append(float(vals[best]))
         chi = new_chi
         if step < 1e-7:
             fs = factorize_prescribed(state, chi)
-            fs = replace(fs, mode="selfconsistent", u_s=compute_back_reaction(fs, spec))
-            return fs, IterationTrace(tuple(steps), tuple(energies))
+            return FactorizedState(fs.chi, fs.psi, fs.window, compute_back_reaction(fs, spec)), trace
 
     raise ConvergenceError(
-        f"factorization did not converge in 60 iterations (last step {steps[-1]:.3e})",
-        trace=IterationTrace(tuple(steps), tuple(energies)),
-    )
+        f"factorization did not converge in 60 iterations (last step {step:.3e})", trace=trace)
 
 
 # ---------------------------------------------------------------------------

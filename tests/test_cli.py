@@ -571,24 +571,24 @@ def test_rerun_is_byte_identical(tmp_path):
         assert (out_a / fname).read_bytes() == (out_b / fname).read_bytes()
 
 
-# sha256 of every CSV each built-in scenario writes at its defaults with one
-# BLAS thread; a change that moves a digit updates the hash and says so
+# sha256 of every CSV each built-in scenario writes at its defaults, at any
+# BLAS thread count; a change that moves a digit updates the hash and says so
 DEFAULT_CSV_HASHES = {
     "beam-on-atom": {
         "channel_populations.csv": "7e16f1c6bbda584bccfeafdbee5409d858aba4057caafea6e939895983ccbb1a",
-        "summary.csv": "2c37ce639eae94f44525fc4c0d06c3a20d099b15cc253533fd6afa9624ea1af0",
+        "summary.csv": "02d74b90c499a99926bb5637585b5fa1a35bc2b2eb4fa3ea5b8e6e9601aaf20c",
     },
     "classical-emergence": {
         "classical_emergence.csv": "af65d189a7c98bc9385af4dc8e64b42d0d146ec8e5294285a44deefc247d89b5",
         "summary.csv": "2a3f2c939e4210f86aa03498c467fa3b20328139be0a2256e7fd7e670961eead",
     },
     "emergence-scan": {
-        "emergence_scan.csv": "3f4fa370e772c1e17ef7f44966fee759206d5b7a7c58c1af079d9c804f130153",
-        "scan_details.csv": "3e7ca947726bee23f25ae6527b489b7d648defe9656d833d6d9a102bd6e2c75b",
+        "emergence_scan.csv": "60b4d8a322eb81a82fb89608ea40b72ef0afc846c11a905aedd5adbd78f7f383",
+        "scan_details.csv": "716fda8f62e976987211d88338d14a488859b42d00fbb46e6dfa110a95c1777c",
     },
     "harmonic-clock-two-level": {
-        "summary.csv": "15a7510c1d4c9e200eb0354c29eb9b43b19404c36bdf123addec40b725d8ae1e",
-        "two_level.csv": "9b5927b47e8b6f8fcb1379fe7f35c308201b440a721f5c4f51ff33edb7ce1c65",
+        "summary.csv": "7d66fb625c1c3ca05c3f6fed50f6058e76e3cd34c5a64ea92e5cbd6c12e28c57",
+        "two_level.csv": "12859d6827516dec18161a8d10ecf28c56e6281810d9f17df55fc994cb03a1f4",
     },
     "jacobi-paths": {
         "path.csv": "4bd5b4913319e4394d0104d6ccbd0388297dd7c23cd1cb8f9d0de273a2c6223e",
@@ -601,16 +601,15 @@ DEFAULT_CSV_HASHES = {
 }
 
 
-def _run_python(*args: str, threads: int = 1) -> subprocess.CompletedProcess:
-    """`python *args` in a fresh interpreter with `threads` BLAS threads.
+def _run_python(*args: str, threads: int | None = None) -> subprocess.CompletedProcess:
+    """`python *args` in a fresh interpreter with `threads` BLAS threads,
+    or with this process's thread settings if `threads` is None.
 
-    The child imports the same chronolab as this test.  A threaded GEMM
-    sums in another order than a single thread and can move the last bit
-    of a cell, so the pinned hashes hold at one thread only.
+    The child imports the same chronolab as this test.
     """
     src = str(Path(chronolab.__file__).resolve().parents[1])
-    limit = {k: str(threads) for k in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
-                                       "MKL_NUM_THREADS")}
+    limit = {} if threads is None else {
+        k: str(threads) for k in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
     return subprocess.run(
         [sys.executable, *args],
         capture_output=True, text=True, check=False,
@@ -618,8 +617,8 @@ def _run_python(*args: str, threads: int = 1) -> subprocess.CompletedProcess:
     )
 
 
-def _run_child(*args: str, threads: int = 1) -> subprocess.CompletedProcess:
-    """`python -m chronolab.cli *args` in a child with `threads` BLAS threads."""
+def _run_child(*args: str, threads: int | None = None) -> subprocess.CompletedProcess:
+    """`python -m chronolab.cli *args` in a child, threads as in `_run_python`."""
     return _run_python("-m", "chronolab.cli", *args, threads=threads)
 
 
@@ -634,7 +633,7 @@ def test_default_csvs_are_pinned(tmp_path, name):
 
 # sha256 of the directed state's amplitudes, (fine R rows, stride): the
 # beam-on-atom defaults and the top point of the default emergence scan.
-# The blocked scan's arithmetic is pinned bit for bit, at one BLAS thread.
+# The blocked scan's arithmetic is pinned bit for bit.
 DIRECTED_AMPLITUDE_HASHES = {
     "beam-on-atom": (12001, 3, "d1910ccff0973ce11f0e5dd55357efbc9007e211fd0235285fcd6827a5ea5441"),
     "emergence-scan": (52001, 13,
@@ -662,11 +661,11 @@ print(json.dumps(out))
     assert got == DIRECTED_AMPLITUDE_HASHES
 
 
-# the default tables whose bytes do not depend on the BLAS thread count;
-# emergence_scan.csv is left out, its rho still moves between 1 and 2 threads
+# the default tables whose bytes do not depend on the BLAS thread count
 THREAD_FREE_CSVS = {
     "beam-on-atom": ("channel_populations.csv", "summary.csv"),
-    "emergence-scan": ("scan_details.csv",),
+    "emergence-scan": ("emergence_scan.csv", "scan_details.csv"),
+    "harmonic-clock-two-level": ("summary.csv", "two_level.csv"),
 }
 
 
@@ -682,23 +681,23 @@ def test_gram_product_tables_do_not_depend_on_the_thread_count(tmp_path, name):
 
 
 # sha256 of every `--format json` table each built-in scenario writes at its
-# defaults with one BLAS thread, recorded with the per-row writer
+# defaults, at any BLAS thread count
 DEFAULT_JSON_HASHES = {
     "beam-on-atom": {
         "channel_populations.json": "476c5065e81a17fb8b4c380de156a73c30d4e43dcc07727c38f592c814b1d5ae",
-        "summary.json": "ad6110d198c5710a07ce283e3ab2ce2b858620135fd74353468bca78f2696b4c",
+        "summary.json": "15fab40096fb6fdd09ae638af6fa3296e4f2b3ab0b8de54a1ffa9f409a16d8ce",
     },
     "classical-emergence": {
         "classical_emergence.json": "e7b3db6874caf38a4760a1236a5f277fd5ca5eaeee2ea4118a5a14f04e748547",
         "summary.json": "158eb251e70b9ac223f5202b93929f2e65c244282e70feb9c5447d934153996b",
     },
     "emergence-scan": {
-        "emergence_scan.json": "67674072ed16b709b03e81ef7d15dee657137cbc87e3f9a814656cc840554846",
-        "scan_details.json": "c9dbc3df223b4987c8ef8d0338c36b53839d3186b41228cd63979045be4af962",
+        "emergence_scan.json": "84ab64596ce7baf1b78e0d26f2811e8fd12efe9d957396c363dd3a28c861d36a",
+        "scan_details.json": "b8fd49132137268105e0becb7fc2455086074c638f913c87e3174d23750123ce",
     },
     "harmonic-clock-two-level": {
-        "summary.json": "475b5d9784a725b54dc0a0cd9e36727e1ad74b5f74ebe0c59586e960a32c271b",
-        "two_level.json": "d8df029f099eaf5468196981ac19b981b9fb5266e604f4b19b0566a607cb93bd",
+        "summary.json": "b331b0b4ee0db19b1b1998011424cf0e3b7e76886e19a18bd5e869a7edbba502",
+        "two_level.json": "01c3693deb28713674c53c335d1eea6c52af382e89ea3e02a3e06a55aed91cc1",
     },
     "jacobi-paths": {
         "path.json": "d4cb416ab6d02fcb45231b9d14f1ed0d76f2631774283ad949f49248132cb502",
@@ -1262,8 +1261,7 @@ def test_a_scan_point_past_the_grid_bound_is_an_error_row(tmp_path):
         "error": "DegenerateInputError: the directed solve needs 1e+11 fine R rows, "
                  "above the bound of 1e+07"}
     # its M v^2 is the good points' M v^2 at v = sqrt(2 E_kin / M), and the
-    # slopes are the fits over the two good rows as written (their last
-    # digits depend on the BLAS thread count)
+    # slopes are the fits over the two good rows as written
     scan = list(csv.DictReader((out / "emergence_scan.csv").read_text(encoding="utf-8")
                                .splitlines()))
     M = default_config("emergence-scan")["parameters"]["clock_mass"]

@@ -131,11 +131,10 @@ def test_central_difference_rejects_other_derivatives(deriv, order):
 def test_potential_values():
     q = np.array([-1.0, 0.0, 2.0])
     np.testing.assert_allclose(Harmonic(3.0)(q), 1.5 * q**2)
-    np.testing.assert_allclose(Harmonic(2.0, center=1.0)(q), (q - 1.0) ** 2)
     np.testing.assert_allclose(Linear(0.7)(q), 0.7 * q)
     np.testing.assert_allclose(Constant(4.2)(q), 4.2)
     np.testing.assert_allclose(
-        GaussianWell(depth=2.0, width=0.5)(q), -2.0 * np.exp(-q**2 / 0.5)
+        GaussianWell(depth=2.0, width=0.5, center=0.0)(q), -2.0 * np.exp(-q**2 / 0.5)
     )
 
 
@@ -145,7 +144,7 @@ def test_potential_values():
 
 COUPLINGS = [
     Bilinear(0.3),
-    Coupling(GaussianWell(1.0, 0.7), Linear(2.0)),
+    Coupling(GaussianWell(1.0, 0.7, 0.0), Linear(2.0), 1.0),
     WindowedPulse(0.5, 1.0, 0.4, Linear(1.0)),
     ZeroCoupling(),
 ]
@@ -160,7 +159,7 @@ def test_factorized_matches_direct_evaluation(coupling):
 
 
 @pytest.mark.parametrize(
-    "coupling", COUPLINGS + [Coupling(Harmonic(1.5, 0.2), GaussianWell(0.8, 0.6, -0.3), 0.7)]
+    "coupling", COUPLINGS + [Coupling(Harmonic(1.5), GaussianWell(0.8, 0.6, -0.3), 0.7)]
 )
 def test_coupling_derivatives_match_central_differences(coupling):
     x = np.linspace(-2.0, 2.0, 11)[:, None]
@@ -213,7 +212,7 @@ def _analytic_ho_basis(grid: Grid1D, k: float):
     g0 = ho_ground(grid, 1.0, k)
     w = np.sqrt(k)
     g1 = np.sqrt(2.0 * w) * x * g0  # first excited via the raising operator
-    return ChannelBasis(grid, np.array([g0, g1]), np.array([0.5, 1.5]) * w)
+    return ChannelBasis(grid, np.array([g0, g1]), np.array([0.5, 1.5]) * w, 2)
 
 
 def test_channel_basis_orthonormal():
@@ -228,9 +227,9 @@ def test_channel_basis_rejects_skewed_states():
     grid = Grid1D(-9.0, 9.0, 301)
     g0 = ho_ground(grid, 1.0, 1.0)
     with pytest.raises(DegenerateInputError):
-        ChannelBasis(grid, np.array([g0, g0]), np.array([0.5, 1.5]))
+        ChannelBasis(grid, np.array([g0, g0]), np.array([0.5, 1.5]), 2)
     # one row per energy, one column per grid point
     with pytest.raises(GridMismatchError):
-        ChannelBasis(grid, g0[None, :], np.array([0.5, 1.5]))
+        ChannelBasis(grid, g0[None, :], np.array([0.5, 1.5]), 2)
     with pytest.raises(GridMismatchError):
-        ChannelBasis(grid, g0[None, 1:], np.array([0.5]))
+        ChannelBasis(grid, g0[None, 1:], np.array([0.5]), 2)

@@ -56,6 +56,11 @@ class _Func(Potential):
         return self.f(np.asarray(q, dtype=float))
 
 
+def _shifted_harmonic(k, center):
+    """0.5 k (q - center)^2: off centre, it mixes channels of both parities."""
+    return _Func(lambda q: 0.5 * k * (q - center) ** 2)
+
+
 def _clock(t0, t1):
     """A clock map that reads R = t on [t0, t1], up to rounding."""
     grid = Grid1D(t0, t1, 3)
@@ -93,7 +98,7 @@ def test_cn_conserves_norm_for_random_real_potentials(nx, steps, scale, seed):
     psi0 = rng.standard_normal(nx) + 1j * rng.standard_normal(nx)
     psi0[[0, -1]] = 0.0
     t = np.cumsum(np.r_[0.0, rng.uniform(1e-3, 0.1, steps)])
-    drive = CouplingDrive(Coupling(_Func(lambda r: np.cos(omega * r)), _Func(lambda x: v_wave)),
+    drive = CouplingDrive(Coupling(_Func(lambda r: np.cos(omega * r)), _Func(lambda x: v_wave), 1.0),
                           _clock(t[0], t[-1]))
     traj = propagate_tdse(system, drive, Field1D(grid, psi0), t)
     norms = traj.slice_norms()
@@ -204,7 +209,7 @@ def test_rk4_keeps_population_or_suggests_a_smaller_step(k, steps, log_strength,
     rng = np.random.default_rng(seed)
     grid = Grid1D(-1.0, 1.0, 16)
     q, _ = np.linalg.qr(rng.standard_normal((grid.n, k)) + 1j * rng.standard_normal((grid.n, k)))
-    basis = ChannelBasis(grid, (q / np.sqrt(grid.weights)[:, None]).T, rng.uniform(-10.0, 10.0, k))
+    basis = ChannelBasis(grid, (q / np.sqrt(grid.weights)[:, None]).T, rng.uniform(-10.0, 10.0, k), 2)
     v = rng.standard_normal(grid.n)
     v /= np.max(np.abs(v))
     omega = rng.uniform(0.0, 20.0)
@@ -413,7 +418,7 @@ def test_grid_blow_up_names_the_first_bad_step(bad_step):
     t_bad = 0.5 * (t[bad_step] + t[bad_step + 1])
     # NaN from half a step before t_bad: the clock reads R = t only to rounding
     nan_from = _Func(lambda r: np.where(r >= t_bad - 0.5 * (t[1] - t[0]), np.nan, 1.0))
-    drive = CouplingDrive(Coupling(nan_from, Linear(0.1)), _clock(t[0], t[-1]))
+    drive = CouplingDrive(Coupling(nan_from, Linear(0.1), 1.0), _clock(t[0], t[-1]))
 
     with pytest.raises(BlowUpError, match=rf"at step {bad_step} "):
         propagate_tdse(system, drive, _packet(grid), t)
@@ -524,7 +529,8 @@ def test_channel_conditional_and_residual_match_x_space_on_a_pulse():
     wkb, tmap = lattice_clock(state)
     drive = CouplingDrive(spec.v_int, tmap)
     traj = conditional_from_composite(state, wkb, tmap)
-    rep = tdse_residual(traj, system, drive=drive, mv2=2.0 * 50.0)
+    mv2 = 2.0 * 50.0
+    rep = tdse_residual(traj, system, drive=drive, mv2=mv2)
 
     psi, u_s = _conditional_x(state, wkb, spec)
     wx = basis.x_grid.weights
@@ -532,7 +538,7 @@ def test_channel_conditional_and_residual_match_x_space_on_a_pulse():
                                np.sqrt(np.sum(wx * np.abs(psi) ** 2, axis=1)), rtol=1e-10)
     assert np.max(np.abs(traj.u_s - u_s)) <= 1e-10 * np.max(np.abs(u_s))
     residual, rho, rows = _tdse_residual_x(
-        basis.x_grid, basis.stencil_order, traj.times, psi, u_s, system, drive, rep.mv2)
+        basis.x_grid, basis.stencil_order, traj.times, psi, u_s, system, drive, mv2)
     assert rep.residual == pytest.approx(residual, rel=1e-10)
     assert rep.rho == pytest.approx(rho, rel=1e-10)
     # out of the span only channel truncation is left: the directed-solve level
@@ -555,7 +561,7 @@ def test_channel_residual_matches_x_space_on_random_trajectories(k, nt, order, s
     basis = solve_system_basis(SystemSpec(1.0, 1.0, Harmonic(rng.uniform(1.0, 5.0))),
                                grid, k, order=order)
     system = SystemSpec(rng.uniform(0.5, 2.0), rng.uniform(0.5, 1.5),
-                        Harmonic(rng.uniform(0.5, 6.0), rng.uniform(-0.5, 0.5)))
+                        _shifted_harmonic(rng.uniform(0.5, 6.0), rng.uniform(-0.5, 0.5)))
     steps = np.full(nt - 1, 0.05)
     t = rng.uniform(-1.0, 1.0) + np.r_[0.0, np.cumsum(steps)]
     amps = rng.standard_normal((nt, k)) + 1j * rng.standard_normal((nt, k))
@@ -565,15 +571,16 @@ def test_channel_residual_matches_x_space_on_random_trajectories(k, nt, order, s
     scale = (t[-1] - t[0] + 0.2) / 1.5
     tmap = TimeMap(r_map, t[0] - 0.1 + scale * (s + 0.5 * s * s), scale * (1.0 + s))
     coupling = Coupling(GaussianWell(-1.0, rng.uniform(0.1, 0.5), rng.uniform(0.0, 1.0)),
-                        Harmonic(rng.uniform(0.5, 2.0), rng.uniform(-1.0, 1.0)),
+                        _shifted_harmonic(rng.uniform(0.5, 2.0), rng.uniform(-1.0, 1.0)),
                         rng.uniform(-2.0, 2.0))
     drive = CouplingDrive(coupling, tmap)
     traj = ConditionalTrajectory(basis, t, amps, u_s)
-    rep = tdse_residual(traj, system, drive=drive, mv2=rng.uniform(10.0, 1e3))
+    mv2 = rng.uniform(10.0, 1e3)
+    rep = tdse_residual(traj, system, drive=drive, mv2=mv2)
 
     psi = amps @ basis.states
     residual, rho, rows = _tdse_residual_x(
-        grid, order, t, psi, u_s, system, drive, rep.mv2)
+        grid, order, t, psi, u_s, system, drive, mv2)
     assert rep.residual == pytest.approx(residual, rel=1e-10)
     assert rep.rho == pytest.approx(rho, rel=1e-10)
     assert rep.out_of_span == pytest.approx(_out_of_span(basis, rows), rel=1e-10)
@@ -585,7 +592,7 @@ def test_stationary_superposition_has_no_residual():
     basis = solve_system_basis(system, grid, 2, order=2)
     t = np.linspace(0.0, 2.0, 2001)
     amps = np.array([0.6, 0.8j]) * np.exp(-1j * np.outer(t, basis.energies))
-    traj = ConditionalTrajectory(basis, t, amps)
+    traj = ConditionalTrajectory(basis, t, amps, np.zeros(t.size))
     rep = tdse_residual(traj, system, None, mv2=100.0)
     assert rep.residual < 1e-5
     assert rep.out_of_span < 1e-10
@@ -595,7 +602,8 @@ def test_stationary_superposition_has_no_residual():
         tdse_residual(traj, system, drive=lambda x, tt: 0.0 * x, mv2=100.0)
     # and its time stencils need uniformly spaced slices
     with pytest.raises(DegenerateInputError, match="uniformly spaced"):
-        tdse_residual(ConditionalTrajectory(basis, t ** 1.5, amps), system, None, mv2=100.0)
+        tdse_residual(ConditionalTrajectory(basis, t ** 1.5, amps, np.zeros(t.size)), system, None,
+                      mv2=100.0)
 
 
 def test_emergence_scan_config_validation():

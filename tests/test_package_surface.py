@@ -6,16 +6,17 @@ entry is defined there, the package exports exactly the union of its
 public modules' `__all__` lists, private names cross module lines only
 out of `core` (by import or by attribute read), no scipy import runs
 when a module is imported, no module imports jsonschema or
-scipy.optimize, every optional parameter of the package is passed by
-some call in the package or its acceptance spec and left at its default
-by another, and every cross-field check of a config class points at one of
-its fields.
+scipy.optimize, every optional parameter and every defaulted dataclass
+field of the package is passed by some call in the package or its
+acceptance spec and left at its default by another, and every
+cross-field check of a config class points at one of its fields.
 """
 
 import ast
 import dataclasses
 import importlib
 import inspect
+import textwrap
 from pathlib import Path
 
 import chronolab
@@ -211,6 +212,34 @@ def _optional_parameters(tree) -> list:
     return out
 
 
+def _named(node, name: str) -> bool:
+    """`node` is the name `name` or a call of it."""
+    node = node.func if isinstance(node, ast.Call) else node
+    return isinstance(node, ast.Name) and node.id == name
+
+
+def _dataclass_fields(tree) -> list:
+    """(class name, field, position) of every field with a default of the
+    module's dataclasses, config parameters (`param(...)`) excepted: their
+    defaults are the scenario defaults a run takes.
+
+    A field's position counts the fields of the class's dataclass bases
+    in the module first, as the generated `__init__` does.
+    """
+    classes = {node.name: node for node in ast.walk(tree) if isinstance(node, ast.ClassDef)
+               and any(_named(d, "dataclass") for d in node.decorator_list)}
+
+    def fields(cls):
+        inherited = [f for b in cls.bases if isinstance(b, ast.Name) and b.id in classes
+                     for f in fields(classes[b.id])]
+        return inherited + [s for s in cls.body
+                            if isinstance(s, ast.AnnAssign) and isinstance(s.target, ast.Name)]
+
+    return [(name, f.target.id, i) for name, cls in classes.items()
+            for i, f in enumerate(fields(cls))
+            if f in cls.body and f.value is not None and not _named(f.value, "param")]
+
+
 def _subclasses(tree, name: str) -> set:
     """`name` and the names of the module's classes that derive from it."""
     classes = [node for node in ast.walk(tree) if isinstance(node, ast.ClassDef)]
@@ -231,11 +260,11 @@ def _passes(call: ast.Call, name: str, position) -> bool:
     return position is not None and len(call.args) > position
 
 
-def _calls() -> dict:
-    """callee name -> every call in src/ and tests/test_acceptance.py of a
-    function or an attribute by that name."""
+def _calls(trees) -> dict:
+    """callee name -> every call in `trees` of a function or an attribute
+    by that name."""
     calls = {}
-    for tree in (*TREES.values(), SPEC_TREE):
+    for tree in trees:
         for node in ast.walk(tree):
             if isinstance(node, ast.Call):
                 f = node.func
@@ -244,27 +273,58 @@ def _calls() -> dict:
     return calls
 
 
-def _optional_parameters_where(passed: bool) -> list:
-    """"<module>.<callee>(<parameter>)" of each optional parameter that no
-    call passes (`passed` True) or that every call passes (False)."""
-    calls = _calls()
-    return [f"{stem}.{callee}({param})" for stem, tree in TREES.items()
-            for callee, param, position in _optional_parameters(tree)
+def _defaults_where(trees: dict, callers, passed: bool) -> list:
+    """"<module>.<callee>(<name>)" of each optional parameter and defaulted
+    dataclass field of the modules `trees`, {stem: tree}, that no call in
+    the trees `callers` passes (`passed` True) or that every call passes
+    (False)."""
+    calls = _calls(callers)
+    return [f"{stem}.{callee}({param})" for stem, tree in trees.items()
+            for callee, param, position in (*_optional_parameters(tree), *_dataclass_fields(tree))
             if not any(_passes(c, param, position) is passed
                        for name in _subclasses(tree, callee) for c in calls.get(name, ()))]
 
 
 def test_every_optional_parameter_has_a_caller():
-    unset = _optional_parameters_where(passed=True)
-    assert not unset, f"optional parameters that no call in src/ or the acceptance spec passes: {unset}"
+    unset = _defaults_where(TREES, (*TREES.values(), SPEC_TREE), passed=True)
+    assert not unset, f"defaults that no call in src/ or the acceptance spec overrides: {unset}"
 
 
 def test_every_default_is_used():
     """A default that every call overrides is a value no run takes: the
-    parameter is then required.  A call that passes `*args` or
+    parameter or field is then required.  A call that passes `*args` or
     `**kwargs` counts as passing every parameter."""
-    always = _optional_parameters_where(passed=False)
-    assert not always, f"optional parameters that every call in src/ or the acceptance spec passes: {always}"
+    always = _defaults_where(TREES, (*TREES.values(), SPEC_TREE), passed=False)
+    assert not always, f"defaults that every call in src/ or the acceptance spec overrides: {always}"
+
+
+SYNTHETIC = ast.parse(textwrap.dedent("""
+    @dataclass(frozen=True)
+    class Record:
+        size: int
+        mixed: float = 2.0
+        always: float = 1.0
+        unset: float = 0.0
+
+    @dataclass(frozen=True)
+    class Config:
+        knob: int = param(3, {})
+
+    def build():
+        return Record(2, 7.0, 3.0), Record(size=4, always=5.0), Config()
+"""))
+
+
+def test_the_gates_see_dataclass_fields():
+    """On a module of one record, the gates report the field no call sets
+    and the field every call sets; the field set by position in one call
+    and left in another passes, and a config parameter is not a field
+    they check."""
+    assert _dataclass_fields(SYNTHETIC) == [
+        ("Record", "mixed", 1), ("Record", "always", 2), ("Record", "unset", 3)]
+    trees = {"synthetic": SYNTHETIC}
+    assert _defaults_where(trees, [SYNTHETIC], passed=True) == ["synthetic.Record(unset)"]
+    assert _defaults_where(trees, [SYNTHETIC], passed=False) == ["synthetic.Record(always)"]
 
 
 def _require_keys(tree):

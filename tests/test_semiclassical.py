@@ -23,7 +23,7 @@ def _wkb_state(clock: ClockModel) -> WKBState:
     """WKB tables of a clock branch: W = cumulative integral of p, A = p^(-1/2)."""
     p = clock.momentum_table()
     w = cumulative_trapezoid(p, clock.r_grid.points, initial=0.0)
-    return WKBState(clock.r_grid, w, p ** (-0.5), p, clock.M)
+    return WKBState(clock.r_grid, w, p ** (-0.5), p, clock.M, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -108,7 +108,7 @@ def test_wkb_state_checks_its_own_consistency():
     assert wkb.momentum_defect < 1e-4
     with pytest.raises(DegenerateInputError):
         # action table inconsistent with the momentum table
-        WKBState(grid, np.zeros(grid.n), wkb.amplitude, wkb.momentum, 500.0)
+        WKBState(grid, np.zeros(grid.n), wkb.amplitude, wkb.momentum, 500.0, 1.0)
 
 
 # ---------------------------------------------------------------------------

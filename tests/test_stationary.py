@@ -1,5 +1,6 @@
 """Composite eigenproblems, factorization, channels and directed states."""
 
+import json
 import math
 import tracemalloc
 
@@ -37,6 +38,7 @@ from chronolab import (
     solve_system_basis,
 )
 from chronolab import stationary
+from chronolab.cli import _detail
 from chronolab.core import _apply_kinetic, _kinetic_coeffs, norm
 from chronolab.dynamics import EmergenceScanConfig, directed_run
 from chronolab.stationary import (
@@ -184,10 +186,18 @@ def test_prescribed_factorization_rejects_wrong_grid(weak_pair):
 def test_selfconsistent_factorization_recovers_total_energy(weak_pair):
     spec, grid, pair = weak_pair
     fs, trace = factorize_selfconsistent(pair, spec)
-    assert fs.mode == "selfconsistent"
     # the clock eigenvalue of the effective 1D problem is the composite energy
-    assert trace.energies[-1] == pytest.approx(pair.energy, abs=1e-6)
+    assert trace["energies"][-1] == pytest.approx(pair.energy, abs=1e-6)
     assert fs.u_s is not None
+
+
+def test_factorization_trace_is_plain_json(weak_pair):
+    # a ConvergenceError carries the trace in this shape, and a failing
+    # stage writes its fields to the manifest through `_detail`
+    spec, grid, pair = weak_pair
+    _, trace = factorize_selfconsistent(pair, spec)
+    assert json.loads(json.dumps(_detail(trace))) == trace
+    assert len(trace["steps"]) == len(trace["energies"]) >= 1
 
 
 def test_back_reaction_of_uncoupled_state_is_flat():
