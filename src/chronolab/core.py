@@ -20,12 +20,12 @@ the composite's sparse matrix from it; there is no matrix-free
 composite Hamiltonian.
 
 It is also the one home of a `ChannelBasis`'s channel space.  A basis
-is its (k, nx) table of states, and every channel-space reader takes
-that table as it is: `_project`, `_coupling_matrix`, the basis' own
-Gram check, and `_channel_operators`, which builds H_s, W and the Gram
-matrix of the out-of-span parts, and `_gram_norms`, the one quadratic
-form: the norms the directed and the TDSE residual read off the Gram
-sums of their rows.
+is its real (k, nx) table of states, and every channel-space reader
+takes that table as it is: `_project`, `_coupling_matrix`, the basis'
+own Gram check, and `_channel_operators`, which builds the real H_s, W
+and Gram matrix of the out-of-span parts, and `_gram_norms`, the one
+quadratic form: the norms the directed and the TDSE residual read off
+the real Gram sums of their rows.
 """
 
 from __future__ import annotations
@@ -461,10 +461,13 @@ ORTHONORMALITY_TOL = 1e-8
 class ChannelBasis:
     """Orthonormal system states with their energies.
 
-    `states` is the one table of the basis: a complex (k, nx) array whose
-    row n is phi_n on `x_grid`, the k rows matching the k `energies`.
-    `stencil_order` records which kinetic stencil produced the states so
-    residual evaluators can stay consistent with them.
+    `states` is the one table of the basis: a real, C-contiguous (k, nx)
+    array whose row n is phi_n on `x_grid`, the k rows matching the k
+    `energies`.  A complex table is accepted only with an imaginary part
+    that is exactly zero (DegenerateInputError otherwise), so every
+    channel-space matrix built from the states is real.  `stencil_order`
+    records which kinetic stencil produced the states so residual
+    evaluators can stay consistent with them.
     """
 
     x_grid: Grid1D
@@ -473,7 +476,13 @@ class ChannelBasis:
     stencil_order: int
 
     def __post_init__(self):
-        self.states = np.asarray(self.states, dtype=complex)
+        states = np.asarray(self.states)
+        if np.iscomplexobj(states):
+            if np.any(states.imag):
+                raise DegenerateInputError("channel states must be real: the imaginary part "
+                                           "of the state table is not zero")
+            states = states.real
+        self.states = np.ascontiguousarray(states, dtype=float)
         self.energies = np.asarray(self.energies, dtype=float)
         if self.states.shape != (self.energies.shape[0], self.x_grid.n):
             raise GridMismatchError(
@@ -491,7 +500,7 @@ class ChannelBasis:
         return self.states.shape[0]
 
     def gram(self) -> np.ndarray:
-        return (self.states * self.x_grid.weights) @ np.conj(self.states).T
+        return (self.states * self.x_grid.weights) @ self.states.T
 
 
 # ---------------------------------------------------------------------------
@@ -504,19 +513,33 @@ def _project(basis: ChannelBasis, values: np.ndarray) -> np.ndarray:
     An unoptimized einsum sums each x row in one fixed order, so a
     projection does not depend on the BLAS thread count.
     """
-    return np.einsum("kx,...x->k...", np.conj(basis.states) * basis.x_grid.weights, values,
+    return np.einsum("kx,...x->k...", basis.states * basis.x_grid.weights, values,
                      optimize=False)
 
 
+def _real_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b of two real tables as a contiguous real table, summed as one
+    complex product.
+
+    The channel-space matrices are quadrature sums over the x grid, and
+    the out-of-span norms the residuals read from them are differences of
+    near-equal sums, which move with the last bit of a sum: the complex
+    product's rounding is the one the directed amplitudes and the recorded
+    residuals carry, bit for bit."""
+    return np.ascontiguousarray((a.astype(complex) @ b).real)
+
+
 def _coupling_matrix(basis: ChannelBasis, sys: Potential) -> np.ndarray:
-    """W = <phi_m | sys | phi_n> by quadrature, (k, k), for the x factor
-    `sys` of a coupling g(R) sys(x): the one formula for W."""
+    """W = <phi_m | sys | phi_n> by quadrature, a real (k, k) table, for the
+    x factor `sys` of a coupling g(R) sys(x): the one formula for W."""
     sys_x = np.asarray(sys(basis.x_grid.points), dtype=float)
-    return (np.conj(basis.states) * (basis.x_grid.weights * sys_x)) @ basis.states.T
+    return _real_product(basis.states * (basis.x_grid.weights * sys_x), basis.states.T)
 
 
 def _channel_operators(system, basis: ChannelBasis, sys: Potential) -> tuple:
-    """(hs, W, gram) of a system (SystemSpec or CompositeSpec) and a coupling g(R) sys(x).
+    """(hs, W, gram) of a system (SystemSpec or CompositeSpec) and a coupling g(R) sys(x),
+    three real tables, each summed in complex arithmetic as `_real_product`
+    explains (hs by the complex einsum of `_project`).
 
     hs = <phi_m|H_S phi_n> at the basis stencil, W from `_coupling_matrix`
     and gram the 3k x 3k Gram matrix over the interior x columns of
@@ -528,24 +551,28 @@ def _channel_operators(system, basis: ChannelBasis, sys: Potential) -> tuple:
                              system.hbar)
               + np.asarray(system.v_sys(x), dtype=float) * mat)
     sys_phi = np.asarray(sys(x), dtype=float) * mat
-    hs = _project(basis, hs_phi)
+    hs = np.ascontiguousarray(_project(basis, hs_phi.astype(complex)).real)
     w = _coupling_matrix(basis, sys)
-    vecs = np.concatenate([mat, hs_phi - hs.T @ mat, sys_phi - w.T @ mat])[:, 1:-1]
-    return hs, w, (np.conj(vecs) * basis.x_grid.weights[1:-1]) @ vecs.T
+    vecs = np.concatenate([mat, hs_phi - _real_product(hs.T, mat),
+                           sys_phi - _real_product(w.T, mat)])[:, 1:-1]
+    return hs, w, _real_product(vecs * basis.x_grid.weights[1:-1], vecs.T)
 
 
 def _gram_norms(gram: np.ndarray, sums: np.ndarray) -> tuple:
     """Squared norms summed over rows sum_m c_m phi_m + sum_n a_n (d_n + g e_n),
-    each row given as y = (c, a, g a), from the `gram` of `_channel_operators`
-    and the rows' (3k, 3k) Gram sums, sums = y^H y over all rows.
+    each row given as y = (c, a, g a), from the real `gram` of
+    `_channel_operators` and the rows' real (3k, 3k) Gram sums,
+    sums = Re y^H y over all rows.
 
-    A row's squared norm y^H gram y is sum(gram * conj(y) y^T), so the sum
-    over rows is Re sum(gram * sums), and the caller forms sums with one
-    product per block of rows instead of a form per row.  Returns (rows,
-    field, outside): field is the norm of sum_n a_n phi_n, the a block of
-    sums on the phi block of gram, and outside that of the rows' part
-    outside the span, the (a, g a) block on the (d, e) block."""
+    A row's squared norm y^H gram y is sum(gram * conj(y) y^T), whose
+    imaginary part cancels for a real symmetric gram, so the sum over
+    rows is sum(gram * sums): the caller forms sums with one product per
+    block of rows instead of a form per row, as yf yf^T of the rows'
+    real and imaginary parts side by side.  Returns (rows, field,
+    outside): field is the norm of sum_n a_n phi_n, the a block of sums
+    on the phi block of gram, and outside that of the rows' part outside
+    the span, the (a, g a) block on the (d, e) block."""
     k = len(gram) // 3
-    terms = (gram * sums).real
-    field = (gram[:k, :k] * sums[k:2 * k, k:2 * k]).real
+    terms = gram * sums
+    field = gram[:k, :k] * sums[k:2 * k, k:2 * k]
     return float(terms.sum()), float(field.sum()), float(terms[k:, k:].sum())

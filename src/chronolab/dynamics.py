@@ -55,7 +55,19 @@ from .errors import (
     GridMismatchError,
     StabilityError,
 )
-from .params import FRACTION, GRID, INDEX, INT2, MAX_FINE_ROWS, NUMBER, POSITIVE, array, param, require
+from .params import (
+    FRACTION,
+    GRID,
+    INDEX,
+    INT2,
+    MAX_DIRECTED_BYTES,
+    MAX_FINE_ROWS,
+    NUMBER,
+    POSITIVE,
+    array,
+    param,
+    require,
+)
 from .semiclassical import WKBState
 from .stationary import DirectedState, solve_directed_state, solve_system_basis
 
@@ -452,9 +464,12 @@ def tdse_residual(
     or None) is g(t) sys(x), g = strength * env(R(t)).  Row j of the
     residual is the row y_j = (c_j, a~_j, g_j a~_j) of `_gram_norms`, the
     directed residual's norm, with c = H_s a~ + g W a~ - Re(U_S) a~ -
-    i hbar D_t a~; the three norms (total, field and `out_of_span`, the
-    (d, e) block) are read from the one Gram product S = y^H y.  `rho`
-    is a ratio of amplitude norms.
+    i hbar D_t a~.  The rows fill one channel-major (3k, slices - 2) y
+    table: the real H_s and W act on the float view of the a~ rows, one
+    real product each, and the three norms (total, field and
+    `out_of_span`, the (d, e) block) are read from the one Gram product
+    yf yf^T of the float view of y, the real part of y^H y.  `rho` is a
+    ratio of amplitude norms.
     """
     if traj.times.size < 3:
         raise DegenerateInputError("need at least 3 slices for time stencils")
@@ -468,13 +483,23 @@ def tdse_residual(
     hbar = system.hbar
     g, coupling = _drive_parts(drive, t)
     hs, w, gram = _channel_operators(system, traj.basis, coupling.sys)
+    k = len(traj.basis)
 
-    tamps = amps * np.exp((1j / hbar) * _cumulative_trapezoid(u.real, t))[:, None]
-    inner, g = tamps[1:-1], g[1:-1, None]
-    c = (inner @ hs.T + g * (inner @ w.T) - u.real[1:-1, None] * inner
-         - 1j * hbar * central_difference(tamps, dt, 1))
-    y = np.concatenate([c, inner, g * inner], axis=1)
-    total2, den2, outside2 = _gram_norms(gram, np.conj(y).T @ y)
+    # channel-major: tamps (k, nt), and y one (3k, nt - 2) table
+    phase = np.exp((1j / hbar) * _cumulative_trapezoid(u.real, t))
+    tamps = np.multiply(amps.T, phase, out=np.empty((k, t.size), dtype=complex))
+    y = np.empty((3 * k, t.size - 2), dtype=complex)
+    yf = y.view(float)
+    c, inner = y[:k], y[k:2 * k]
+    inner[...] = tamps[:, 1:-1]
+    g = g[1:-1]
+    np.matmul(w, yf[k:2 * k], out=c.view(float))
+    c *= g
+    c += (hs @ yf[k:2 * k]).view(complex)
+    c -= u.real[1:-1] * inner
+    c -= 1j * hbar * central_difference(tamps.T, dt, 1).T
+    np.multiply(g, inner, out=y[2 * k:])
+    total2, den2, outside2 = _gram_norms(gram, yf @ yf.T)
     if den2 == 0.0:
         raise DegenerateInputError("trajectory is zero on the interior slices")
     residual = np.sqrt(max(total2, 0.0) / den2)
@@ -552,8 +577,10 @@ def directed_run(cfg: DirectedRunConfig, basis: ChannelBasis, e_kin: float) -> D
     points, with the smallest stride that keeps k_max * dR at or below
     `max_phase_per_step`; the returned state keeps every stride-th row,
     and carries the composite and the stride, so its fine grid needs no
-    second copy.  A grid of more than MAX_FINE_ROWS points is refused
-    with DegenerateInputError before anything is allocated.
+    second copy.  A grid of more than MAX_FINE_ROWS points, or one whose
+    row table and first-pass scan tables would take more than
+    MAX_DIRECTED_BYTES at the basis' channel count, is refused with
+    DegenerateInputError before anything is allocated.
     On that grid the clock wave moves at the lattice group velocity,
     which is below p / M by a fraction (k dR)^2 / 6: a clock read off
     this state must use it (`lattice_clock` does).
@@ -574,6 +601,13 @@ def directed_run(cfg: DirectedRunConfig, basis: ChannelBasis, e_kin: float) -> D
         raise DegenerateInputError(
             f"the directed solve needs {rows:.4g} fine R rows, above the bound of "
             f"{MAX_FINE_ROWS:.0e}"
+        )
+    channels = len(basis)
+    table_bytes = 16.0 * channels * rows + 64.0 * channels**2 * np.sqrt(rows)
+    if not table_bytes <= MAX_DIRECTED_BYTES:
+        raise DegenerateInputError(
+            f"the directed solve's tables at {rows:.4g} fine R rows and {channels} channels "
+            f"need {table_bytes:.3g} bytes, above the bound of {MAX_DIRECTED_BYTES:.1e}"
         )
     stride = int(stride)
     r_grid = Grid1D(0.0, span, int(rows))

@@ -21,6 +21,12 @@ NUMBER = {"type": "number"}
 # 1.8 GB; the M v^2 = 3e4 run needs 1.5 M rows at the default 0.04 phase step
 # and 6 M at 0.01.  No count that sizes an array goes above it.
 MAX_FINE_ROWS = 10_000_000
+# largest directed-solve tables, in bytes: the complex (k, n) rows and the four
+# float (k, 2k, about sqrt(n)) tables of the scan's first pass at k channels
+# and n fine rows may take the 1.8 GB the whole solve takes at MAX_FINE_ROWS
+# and the default 6 channels, whose tables are 0.97 GB of it; so up to 11
+# channels only the row bound binds
+MAX_DIRECTED_BYTES = 1.8e9
 INT2 = {"type": "integer", "minimum": 2, "maximum": MAX_FINE_ROWS}
 GRID = {"type": "integer", "minimum": 3, "maximum": MAX_FINE_ROWS}  # point count of a Grid1D
 INDEX = {"type": "integer", "minimum": 0}

@@ -20,6 +20,7 @@ import numpy as np
 
 from . import dynamics
 from .classical import (
+    COMPOSITE_MAX_HALVINGS,
     ClockModel,
     CouplingDrive,
     PathProblem,
@@ -135,6 +136,17 @@ def _run_perfect_clock(p: PerfectClockConfig, jobs: int) -> dict:
 # 2,001 x 321 = 642,321
 MAX_GRID_CELLS = 150_000_000
 
+# largest composite run of the classical comparison, in lane steps: its last
+# attempt steps (steps + 1) 2^COMPOSITE_MAX_HALVINGS times per energy lane and
+# holds positions, momenta, kicks and drifts, 112 bytes a lane step, so 1.6e7
+# lane steps are 1.8 GB; the defaults need 1,501 x 5 x 8 = 60,040
+MAX_LANE_STEPS = 16_000_000
+
+# largest dense Hessian of the path minimizer, in entries, ((segments - 1) d)^2:
+# 2.5e7 is a 5,000 x 5,000 table of 200 MB, and the damped Newton loop holds
+# about six tables of its size at once; the defaults need 94^2 = 8,836
+MAX_HESSIAN_ENTRIES = 25_000_000
+
 
 @dataclass(frozen=True)
 class TwoLevelConfig:
@@ -243,6 +255,10 @@ class ClassicalEmergenceConfig:
     def __post_init__(self):
         require(max(self.energies) > min(self.energies), "energies",
                 f"the slope needs two distinct energies, got {list(self.energies)}")
+        lane_steps = (self.steps + 1) * len(self.energies) * 2**COMPOSITE_MAX_HALVINGS
+        require(lane_steps <= MAX_LANE_STEPS, "steps",
+                f"steps {self.steps} at {len(self.energies)} energies may need "
+                f"{lane_steps:.4g} composite lane steps, above the bound of {MAX_LANE_STEPS:.1e}")
 
 
 def _run_classical_emergence(p: ClassicalEmergenceConfig, jobs: int) -> dict:
@@ -280,6 +296,10 @@ class JacobiPathsConfig:
                 f"{len(self.masses)} masses for {dims}-dimensional endpoints")
         require(len(self.center) == dims, "center",
                 f"center has {len(self.center)} coordinates, the endpoints have {dims}")
+        entries = ((self.segments - 1) * dims) ** 2
+        require(entries <= MAX_HESSIAN_ENTRIES, "segments",
+                f"segments {self.segments} in {dims} dimensions need a Hessian of "
+                f"{entries:.4g} entries, above the bound of {MAX_HESSIAN_ENTRIES:.1e}")
 
 
 def _run_jacobi_paths(p: JacobiPathsConfig, jobs: int) -> dict:

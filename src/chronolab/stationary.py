@@ -81,6 +81,9 @@ COMPOSITE_ORDER = 4
 # R rows per block of the channel-space residual
 RESIDUAL_BLOCK = 2048
 
+# steps of the directed scan's pass 3 held before they are written to its rows
+FLUSH_STEPS = 8
+
 
 # ---------------------------------------------------------------------------
 # kinetic matrices (coefficients from core)
@@ -560,7 +563,7 @@ def solve_directed_state(
 
     # the coupling on row j is g(R_j) w: no (nR, k, k) table is formed
     g_of_r = spec.v_int.profile(r)
-    w = _real_if_exact(_coupling_matrix(basis, spec.v_int.sys))
+    w = _coupling_matrix(basis, spec.v_int.sys)
     entry = g_of_r[:2, None, None] * w
     flat_tol = residual_tol * abs(energy)
     v_step = float(np.max(np.abs(v_env[:2] - v_env[0])))
@@ -576,9 +579,7 @@ def solve_directed_state(
     seed = np.zeros((2, k), dtype=complex)
     seed[:, incoming] = np.exp(1j * k_in * r[:2])
     pref = 2.0 * spec.M * h * h / (spec.hbar * spec.hbar)
-    # diag is a temporary: only the scan's padded step table of it stays alive
-    kappas = _transfer_scan(seed, pref * (v_env[:, None] - energy + eps[None, :]), w,
-                            pref * g_of_r)
+    kappas = _transfer_scan(seed, v_env - energy, eps, w, g_of_r, pref)  # (k, n)
     res = _channel_residual(spec, basis, r_grid, energy, kappas, g_of_r)
     # an overflowing recurrence leaves a residual of inf or nan, which no tolerance admits
     if not (math.isfinite(res) and res <= residual_tol * max(abs(energy), 1e-300)):
@@ -587,27 +588,28 @@ def solve_directed_state(
             trace={"residual": res, "energy": energy},
         )
 
-    # quadrature norm from the channel amplitudes (basis is orthonormal)
-    total = float(np.sqrt(np.sum(r_grid.weights * np.sum(np.abs(kappas) ** 2, axis=1))))
+    # quadrature norm from the channel amplitudes (basis is orthonormal); each
+    # row's channel sum runs along a row of one (n, k) table, a fixed order
+    power = np.abs(kappas.T, out=np.empty((r_grid.n, k)))
+    power *= power
+    total = float(np.sqrt(np.sum(r_grid.weights * np.sum(power, axis=1))))
     if total == 0.0:
         raise DegenerateInputError("directed state vanished")
     sub = r_grid if stride == 1 else Grid1D(r_grid.lo, r_grid.hi, (r_grid.n - 1) // stride + 1)
-    return DirectedState(spec, basis, sub, stride, kappas[::stride] / total, energy, res)
+    amplitudes = np.ascontiguousarray(kappas[:, ::stride].T) / total
+    return DirectedState(spec, basis, sub, stride, amplitudes, energy, res)
 
 
-def _real_if_exact(a: np.ndarray) -> np.ndarray:
-    """The real part of `a` when its imaginary part is exactly zero."""
-    return a if np.any(a.imag) else a.real
+def _transfer_scan(seed: np.ndarray, u: np.ndarray, eps: np.ndarray, w: np.ndarray,
+                   g: np.ndarray, pref: float) -> np.ndarray:
+    """The (k, n) table of rows kappa_0 .. kappa_{n-1}, channel-major, of
+    the second-order recurrence
 
+        kappa_{j+1} = 2 kappa_j - kappa_{j-1} + p (u_j + eps) kappa_j + p g_j w kappa_j
 
-def _transfer_scan(seed: np.ndarray, diag: np.ndarray, w: np.ndarray,
-                   g: np.ndarray) -> np.ndarray:
-    """Rows kappa_0 .. kappa_{n-1} of the second-order recurrence
-
-        kappa_{j+1} = 2 kappa_j - kappa_{j-1} + diag_j * kappa_j + g_j w kappa_j
-
-    from the two seed rows, for a (k, k) matrix w, an (n,) profile g and
-    an (n, k) diag.
+    from the two seed rows, a (2, k) table, for a (k, k) matrix w of any
+    dtype, (n,) profiles u and g, the (k,) channel shifts eps and the
+    number p = `pref`; the step tables hold p (u_j + eps_n) and p g_j.
 
     The state is carried as (kappa_j, delta_j = kappa_j - kappa_{j-1})
     and stepped by delta += increment, kappa += delta.  This is the
@@ -623,42 +625,60 @@ def _transfer_scan(seed: np.ndarray, diag: np.ndarray, w: np.ndarray,
     3. all blocks step again at once from their boundary states and
        write their rows.
 
-    diag and g are gathered once into (blocks, length) step tables, the
-    padding repeating row n - 2, and the caller's diag is released: a
-    sweep step reads views of them and writes into two scratch arrays
-    made once per sweep, so the Python loop gathers and allocates nothing.
+    Every table is channel-major with the blocks last: the states are
+    (k, c, blocks) stacks of c column states, and the step tables,
+    (length, k, 1, blocks) and (length, 1, 1, blocks), are gathered
+    once from u, eps and g, the padding repeating row n - 2.  So each
+    elementwise product of a step runs along contiguous rows of all the
+    blocks, its coupling is one (k, k) by (k, c blocks) product, and the
+    Python loop gathers and allocates nothing.  Pass 3 keeps FLUSH_STEPS
+    steps in a buffer and writes them into the rows as runs of
+    contiguous columns.
     """
-    n = diag.shape[0]
+    n = u.shape[0]
     k = seed.shape[1]
     steps = n - 2
     length = math.isqrt(steps - 1) + 1  # ceil(sqrt(steps))
     blocks = -(-steps // length)
-    pad = blocks * length - steps
-    diag = np.pad(diag[1:-1], ((0, pad), (0, 0)), mode="edge").reshape(blocks, length, 1, k)
-    g = np.pad(g[1:-1], (0, pad), mode="edge").reshape(blocks, length, 1, 1)
+    # step s of block b advances from row 1 + b length + s
+    at = np.minimum(np.arange(1, 1 + blocks * length).reshape(blocks, length).T, n - 2)
+    diag = u[at][:, None, None, :] + eps[None, :, None, None]
+    diag *= pref
+    g = pref * g[at][:, None, None, :]
+    del at, u  # a caller's temporary u is released with the gather
 
     def sweep(kap, delta, rows=None):
-        # kap, delta: (blocks, c, k) stacks of row vectors, stepped in place
-        wt = w.T.astype(kap.dtype)
+        # kap, delta: (k, c, blocks) stacks of column states, stepped in place
         inc = np.empty_like(kap)
         coupled = np.empty_like(kap)
-        flat, coupled_flat = kap.reshape(-1, k), coupled.reshape(-1, k)
+        flat, coupled_flat = kap.reshape(k, -1), coupled.reshape(k, -1)
+        if w.dtype == float:  # one real product on the real and imaginary parts
+            flat, coupled_flat = flat.view(float), coupled_flat.view(float)
+        wk = w.astype(flat.dtype)
+        if rows is not None:
+            buffer = np.empty((k, FLUSH_STEPS, kap.shape[2]), dtype=kap.dtype)
         for s in range(length):
-            np.multiply(diag[:, s], kap, out=inc)
-            np.matmul(flat, wt, out=coupled_flat)
-            np.multiply(g[:, s], coupled, out=coupled)
+            np.multiply(diag[s], kap, out=inc)
+            np.matmul(wk, flat, out=coupled_flat)
+            np.multiply(g[s], coupled, out=coupled)
             inc += coupled
             delta += inc
             kap += delta
             if rows is not None:
-                rows[:, s] = kap[:, 0]
+                held = s % FLUSH_STEPS
+                buffer[:, held] = kap[:, 0]
+                if held == FLUSH_STEPS - 1 or s == length - 1:
+                    rows[:, :, s - held:s + 1] = buffer[:, :held + 1].transpose(0, 2, 1)
 
-    # pass 1: row i < k of the unit states is kappa = e_i, row k + i is delta = e_i
-    unit = np.eye(2 * k, dtype=np.result_type(diag, w, float))
-    kap = np.repeat(unit[None, :, :k], blocks, axis=0)
-    delta = np.repeat(unit[None, :, k:], blocks, axis=0)
+    # pass 1: column i < k of the unit states is kappa = e_i, column k + i is delta = e_i
+    unit = np.eye(2 * k, dtype=np.result_type(diag, w))[:, :, None]
+    kap = np.repeat(unit[:k], blocks, axis=2)
+    delta = np.repeat(unit[k:], blocks, axis=2)
     sweep(kap, delta)
-    transfer = np.concatenate([kap, delta], axis=2)  # (blocks, 2k, 2k), z_out = z_in @ T
+    transfer = np.empty((blocks, 2 * k, 2 * k), dtype=kap.dtype)  # z_out = z_in @ T
+    transfer[:, :, :k] = kap.T
+    transfer[:, :, k:] = delta.T
+    del kap, delta
 
     # pass 2: boundary states (kappa, delta) at the start of each block
     z = np.empty((blocks, 2 * k), dtype=complex)
@@ -668,58 +688,61 @@ def _transfer_scan(seed: np.ndarray, diag: np.ndarray, w: np.ndarray,
         z[b + 1] = z[b] @ transfer[b]
 
     # pass 3: every block from its boundary state, writing its rows
-    rows = np.empty((2 + blocks * length, k), dtype=complex)
-    rows[:2] = seed
-    sweep(z[:, None, :k].copy(), z[:, None, k:].copy(), rows[2:].reshape(blocks, length, k))
-    return rows[:n]
+    rows = np.empty((k, 2 + blocks * length), dtype=complex)
+    rows[:, :2] = seed.T
+    sweep(np.ascontiguousarray(z[:, None, :k].T), np.ascontiguousarray(z[:, None, k:].T),
+          rows[:, 2:].reshape(k, blocks, length))
+    return rows[:, :n]
 
 
 def _channel_residual(spec, basis: ChannelBasis, r_grid: Grid1D, energy: float,
                       kappas: np.ndarray, g_of_r: np.ndarray) -> float:
     """Interior residual ||(H - E) psi|| / ||psi|| of the channel-sum field
-    psi = sum_n kappa_n phi_n, H at order 2 in R and the basis order in x,
-    computed in channel space: interior row j of (H - E) psi is the row
+    psi = sum_n kappa_n phi_n, given as the channel-major (k, n) table
+    `kappas`, H at order 2 in R and the basis order in x, computed in
+    channel space: interior row j of (H - E) psi is the row
     y_j = (c_j, kappa_j, g(R_j) kappa_j) of `_gram_norms`, c_j being the
     close-coupled residual of row j.
 
-    One (RESIDUAL_BLOCK, 3k) y table is filled in place block by block,
-    and each block adds its Gram sums y^H y to one (3k, 3k) matrix, so
-    the working memory is a few block tables whatever the grid, and the
-    cost per row does not grow with the x grid.  The interior rows'
-    trapezoid weights are all dR and cancel in the ratio.
+    One (3k, RESIDUAL_BLOCK) y table is filled in place block by block.
+    The real H_s and W act on the real and imaginary parts of a block at
+    once, one real product each on the float view of its kappa rows, and
+    each block adds its Gram sums yf yf^T of the float view of y, the
+    real part of y^H y, to one (3k, 3k) matrix: the working memory is a
+    few block tables whatever the grid, and the cost per row does not
+    grow with the x grid.  The interior rows' trapezoid weights are all
+    dR and cancel in the ratio.
     """
     k = len(basis)
     hs, w, gram = _channel_operators(spec, basis, spec.v_int.sys)
     _, c1, _ = _kinetic_coeffs(2, r_grid.spacing, spec.M, spec.hbar)
     r = r_grid.points
     n = r_grid.n
-    rows = min(RESIDUAL_BLOCK, n - 2)
-    table = np.empty((rows, 3 * k), dtype=complex)
-    close = np.empty((rows, k), dtype=complex)
-    term = np.empty_like(close)
-    sums = np.zeros((3 * k, 3 * k), dtype=complex)
+    size = min(RESIDUAL_BLOCK, n - 2)
+    table = np.empty((3 * k, size), dtype=complex)
+    scratch = np.empty((k, size), dtype=complex)
+    sums = np.zeros((3 * k, 3 * k))
     for a in range(1, n - 1, RESIDUAL_BLOCK):
         b = min(a + RESIDUAL_BLOCK, n - 1)
-        kap = kappas[a:b]
-        g = g_of_r[a:b, None]
-        # c is summed in its own contiguous table, faster in place than a
-        # column block of y; the R stencil as a difference of differences: c0 = -2 c1
-        y, c, t = table[:b - a], close[:b - a], term[:b - a]
-        np.subtract(kappas[a + 1:b + 1], kap, out=c)
-        np.subtract(kap, kappas[a - 1:b - 1], out=t)
+        y, t = table[:, :b - a], scratch[:, :b - a]
+        yf, tf = y.view(float), t.view(float)
+        c, kap = y[:k], y[k:2 * k]
+        g = g_of_r[a:b]
+        kap[...] = kappas[:, a:b]
+        # the R stencil as a difference of differences: c0 = -2 c1
+        np.subtract(kappas[:, a + 1:b + 1], kap, out=c)
+        np.subtract(kap, kappas[:, a - 1:b - 1], out=t)
         c -= t
         c *= c1
-        np.multiply(np.asarray(spec.v_env(r[a:b]), dtype=float)[:, None] - energy, kap, out=t)
+        np.multiply(np.asarray(spec.v_env(r[a:b]), dtype=float) - energy, kap, out=t)
         c += t
-        np.matmul(kap, hs.T, out=t)
+        np.matmul(hs, yf[k:2 * k], out=tf)
         c += t
-        np.matmul(kap, w.T, out=t)
+        np.matmul(w, yf[k:2 * k], out=tf)
         t *= g
         c += t
-        y[:, :k] = c
-        y[:, k:2 * k] = kap
-        np.multiply(g, kap, out=y[:, 2 * k:])
-        sums += np.conj(y).T @ y
+        np.multiply(g, kap, out=y[2 * k:])
+        sums += yf @ yf.T
     num2, den2, _ = _gram_norms(gram, sums)
     if den2 == 0.0:
         raise DegenerateInputError("directed state has no interior weight")

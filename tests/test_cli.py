@@ -44,6 +44,8 @@ from chronolab.errors import (
 )
 from chronolab.scenarios import (
     MAX_GRID_CELLS,
+    MAX_HESSIAN_ENTRIES,
+    MAX_LANE_STEPS,
     SCENARIOS,
     Table,
     _table,
@@ -545,6 +547,35 @@ def test_a_two_level_grid_past_the_bound_is_refused(tmp_path, capsys, time_steps
         assert "above the bound of 1.5e+08" in err
 
 
+# array-sizing products of the other scenarios, at and one step past their
+# bounds: the classical composite's last attempt, (steps + 1) x 5 default
+# energies x 2^3 lane steps, and the path minimizer's dense ((segments - 1) 2)^2
+# Hessian; validated only, never run
+SIZING_PRODUCTS = [
+    ("classical-emergence", "steps", 399_999, 0),
+    ("classical-emergence", "steps", 400_000, 2),
+    ("classical-emergence", "steps", 10_000_000, 2),
+    ("jacobi-paths", "segments", 2_501, 0),
+    ("jacobi-paths", "segments", 2_502, 2),
+    ("jacobi-paths", "segments", 20_000, 2),
+]
+
+
+@pytest.mark.parametrize("name, key, value, code", SIZING_PRODUCTS,
+                         ids=[f"{name}-{value}" for name, _, value, _ in SIZING_PRODUCTS])
+def test_an_array_sizing_product_past_its_bound_is_refused(tmp_path, capsys, name, key, value,
+                                                           code):
+    product = ((value + 1) * 5 * 8 if name == "classical-emergence" else (2 * (value - 1)) ** 2)
+    bound = MAX_LANE_STEPS if name == "classical-emergence" else MAX_HESSIAN_ENTRIES
+    assert (product > bound) == bool(code)
+    doc = {"scenario": name, "parameters": {key: value}}
+    assert main(["validate", write_config(tmp_path, doc)]) == code
+    err = capsys.readouterr().err
+    if code:
+        assert f"config error: /parameters/{key}: " in err
+        assert f"above the bound of {bound:.1e}" in err
+
+
 def test_run_writes_tables_and_manifest(tmp_path):
     cfg = write_config(tmp_path, FAST_CLOCK)
     out = tmp_path / "out"
@@ -576,15 +607,15 @@ def test_rerun_is_byte_identical(tmp_path):
 DEFAULT_CSV_HASHES = {
     "beam-on-atom": {
         "channel_populations.csv": "7e16f1c6bbda584bccfeafdbee5409d858aba4057caafea6e939895983ccbb1a",
-        "summary.csv": "02d74b90c499a99926bb5637585b5fa1a35bc2b2eb4fa3ea5b8e6e9601aaf20c",
+        "summary.csv": "9370cb3d1df0105b9e8ca5c46054ca599ade7058dabe02abf50931722046a508",
     },
     "classical-emergence": {
         "classical_emergence.csv": "af65d189a7c98bc9385af4dc8e64b42d0d146ec8e5294285a44deefc247d89b5",
         "summary.csv": "2a3f2c939e4210f86aa03498c467fa3b20328139be0a2256e7fd7e670961eead",
     },
     "emergence-scan": {
-        "emergence_scan.csv": "60b4d8a322eb81a82fb89608ea40b72ef0afc846c11a905aedd5adbd78f7f383",
-        "scan_details.csv": "716fda8f62e976987211d88338d14a488859b42d00fbb46e6dfa110a95c1777c",
+        "emergence_scan.csv": "e474f5c9c9356da1ed6bdb1663b50f317336e7ad7ea01320b94f996df8915eb2",
+        "scan_details.csv": "0b102e396f1e3f57630aa7cb5ff2dde75a93c06ba27cd12c7dabb38411ae5f9d",
     },
     "harmonic-clock-two-level": {
         "summary.csv": "7d66fb625c1c3ca05c3f6fed50f6058e76e3cd34c5a64ea92e5cbd6c12e28c57",
@@ -685,15 +716,15 @@ def test_gram_product_tables_do_not_depend_on_the_thread_count(tmp_path, name):
 DEFAULT_JSON_HASHES = {
     "beam-on-atom": {
         "channel_populations.json": "476c5065e81a17fb8b4c380de156a73c30d4e43dcc07727c38f592c814b1d5ae",
-        "summary.json": "15fab40096fb6fdd09ae638af6fa3296e4f2b3ab0b8de54a1ffa9f409a16d8ce",
+        "summary.json": "cea237ef2ec401c45677c91430085d00dc206eda13bfb8f5b12aeced3ad1aa93",
     },
     "classical-emergence": {
         "classical_emergence.json": "e7b3db6874caf38a4760a1236a5f277fd5ca5eaeee2ea4118a5a14f04e748547",
         "summary.json": "158eb251e70b9ac223f5202b93929f2e65c244282e70feb9c5447d934153996b",
     },
     "emergence-scan": {
-        "emergence_scan.json": "84ab64596ce7baf1b78e0d26f2811e8fd12efe9d957396c363dd3a28c861d36a",
-        "scan_details.json": "b8fd49132137268105e0becb7fc2455086074c638f913c87e3174d23750123ce",
+        "emergence_scan.json": "bae5e5966bec140f09a97e72c92f30ceb5bb6187cdf839b9494b15f08c34e00d",
+        "scan_details.json": "c6ec18eb700309206dfd4bcbacbe024a9e1edc538bc963e6cc5c2125e6a3c0e8",
     },
     "harmonic-clock-two-level": {
         "summary.json": "b331b0b4ee0db19b1b1998011424cf0e3b7e76886e19a18bd5e869a7edbba502",
@@ -1232,6 +1263,20 @@ def test_a_directed_grid_past_the_bound_is_refused(tmp_path, capsys, parameters,
     err = capsys.readouterr().err
     assert (f"numerical error: DegenerateInputError: the directed solve needs {rows} "
             "fine R rows, above the bound of 1e+07") in err
+    assert "Traceback" not in err
+
+
+def test_a_directed_solve_past_the_table_bound_is_refused(tmp_path, capsys):
+    # 400 open channels on 1,004,001 fine rows, under the row bound: a 6.4 GB
+    # row table and 10 GB of first-pass scan tables, refused with their size
+    # before they are allocated
+    cfg = write_config(tmp_path, {"scenario": "beam-on-atom", "parameters": {
+        "kinetic_energy": 5000.0, "channels": 400, "x_points": 1001}})
+    assert main(["run", cfg, "--out", str(tmp_path / "out")]) == 3
+    err = capsys.readouterr().err
+    assert ("numerical error: DegenerateInputError: the directed solve's tables at "
+            "1.004e+06 fine R rows and 400 channels need 1.67e+10 bytes, above the bound "
+            "of 1.8e+09") in err
     assert "Traceback" not in err
 
 

@@ -220,7 +220,18 @@ def test_channel_basis_orthonormal():
     assert len(basis) == 2
     np.testing.assert_allclose(basis.gram(), np.eye(2), atol=1e-10)
     assert basis.states.shape == (2, 601)
-    assert basis.states.dtype == complex
+    assert basis.states.dtype == float
+
+
+def test_channel_basis_takes_real_states_only():
+    grid = Grid1D(-9.0, 9.0, 301)
+    g0 = ho_ground(grid, 1.0, 1.0)
+    # a complex table whose imaginary part is exactly zero is the real table
+    basis = ChannelBasis(grid, (g0 + 0j)[None, :], np.array([0.5]), 2)
+    assert basis.states.dtype == float and basis.states.flags.c_contiguous
+    assert np.array_equal(basis.states[0], g0)
+    with pytest.raises(DegenerateInputError, match="real"):
+        ChannelBasis(grid, (1j * g0)[None, :], np.array([0.5]), 2)
 
 
 def test_channel_basis_rejects_skewed_states():

@@ -40,7 +40,13 @@ from chronolab import (
     solve_system_basis,
     tdse_residual,
 )
-from chronolab.core import _apply_kinetic, _kinetic_coeffs, central_difference
+from chronolab.core import (
+    _apply_kinetic,
+    _channel_operators,
+    _gram_norms,
+    _kinetic_coeffs,
+    central_difference,
+)
 from chronolab.dynamics import BLOCK_STEPS, DirectedRunConfig, directed_run, lattice_clock
 from chronolab.errors import BlowUpError, StabilityError
 from chronolab.scenarios import TwoLevelConfig
@@ -208,7 +214,7 @@ def test_rk4_keeps_population_or_suggests_a_smaller_step(k, steps, log_strength,
     strength = 10.0 ** log_strength
     rng = np.random.default_rng(seed)
     grid = Grid1D(-1.0, 1.0, 16)
-    q, _ = np.linalg.qr(rng.standard_normal((grid.n, k)) + 1j * rng.standard_normal((grid.n, k)))
+    q, _ = np.linalg.qr(rng.standard_normal((grid.n, k)))
     basis = ChannelBasis(grid, (q / np.sqrt(grid.weights)[:, None]).T, rng.uniform(-10.0, 10.0, k), 2)
     v = rng.standard_normal(grid.n)
     v /= np.max(np.abs(v))
@@ -295,7 +301,7 @@ def _rk4_per_sample(basis, drive, a0, t, hbar):
     deps = basis.energies[:, None] - basis.energies[None, :]
     x = basis.x_grid.points
     w = basis.x_grid.weights
-    mat = basis.states
+    mat = basis.states.astype(complex)  # W summed as the complex product of _coupling_matrix
     wmat = (np.conj(mat) * (w * np.asarray(drive.coupling.sys(x), dtype=float))) @ mat.T
     eye = np.eye(len(basis))
     out = np.empty((t.size, len(basis)), dtype=complex)
@@ -486,6 +492,33 @@ def _out_of_span(basis, rows):
     w = basis.x_grid.weights
     perp = rows - ((np.conj(mat) * w) @ rows.T).T @ mat
     return float(np.sqrt(np.sum(w[1:-1] * np.abs(perp[:, 1:-1]) ** 2)))
+
+
+def _tdse_residual_rows(traj, system, drive):
+    """(residual, out_of_span) of a trajectory under a CouplingDrive as complex,
+    row-major channel-space sums, as an oracle for tdse_residual: one
+    (slices - 2, 3k) y table of rows (c, a~, g a~) and its Gram sums y^H y."""
+    t, amps, u = traj.times, traj.amplitudes, traj.u_s
+    hbar = system.hbar
+    g = drive(t)
+    hs, w, gram = _channel_operators(system, traj.basis, drive.coupling.sys)
+    tamps = amps * np.exp((1j / hbar) * cumulative_trapezoid(u.real, t, initial=0.0))[:, None]
+    inner, g = tamps[1:-1], g[1:-1, None]
+    c = (inner @ hs.T + g * (inner @ w.T) - u.real[1:-1, None] * inner
+         - 1j * hbar * central_difference(tamps, float(t[1] - t[0]), 1))
+    y = np.concatenate([c, inner, g * inner], axis=1)
+    total2, den2, outside2 = _gram_norms(gram, (np.conj(y).T @ y).real)
+    return float(np.sqrt(total2 / den2)), float(np.sqrt(outside2 / den2))
+
+
+def test_tdse_residual_matches_the_row_major_complex_sums(default_residual_calls):
+    calls = default_residual_calls["tdse_residual"]
+    assert len(calls) == 4  # the default scan points
+    for (traj, system), kwargs in calls:
+        rep = tdse_residual(traj, system, **kwargs)
+        residual, out_of_span = _tdse_residual_rows(traj, system, kwargs["drive"])
+        assert abs(rep.residual - residual) <= 1e-13 * residual
+        assert abs(rep.out_of_span - out_of_span) <= 1e-13 * out_of_span
 
 
 def test_free_beam_conditional_carries_emergent_phase():

@@ -39,7 +39,7 @@ from chronolab import (
 )
 from chronolab import stationary
 from chronolab.cli import _detail
-from chronolab.core import _apply_kinetic, _kinetic_coeffs, norm
+from chronolab.core import _apply_kinetic, _channel_operators, _gram_norms, _kinetic_coeffs, norm
 from chronolab.dynamics import EmergenceScanConfig, directed_run
 from chronolab.stationary import (
     RESIDUAL_BLOCK,
@@ -344,7 +344,8 @@ def _sequential_scan(seed, diag, w, g):
 def _directed_residual(spec, basis, r_grid, energy, kappas, block=2048):
     """The directed residual in x space, as an oracle for _channel_residual.
 
-    Assembles the channel-sum field in row blocks and applies the
+    Assembles the channel-sum field of the (k, n) rows `kappas` in row
+    blocks and applies the
     composite H - E with the order-2 R stencil (wall rows taken as they
     stand) and the basis stencil in x, over interior rows and columns.
     """
@@ -359,7 +360,7 @@ def _directed_residual(spec, basis, r_grid, energy, kappas, block=2048):
     n = r_grid.n
     for a in range(1, n - 1, block):
         b = min(a + block, n - 1)
-        psi = kappas[a - 1:b + 1] @ mat  # one halo row each side
+        psi = kappas[:, a - 1:b + 1].T @ mat  # one halo row each side
         mid = psi[1:-1]
         lhs = c0 * mid + c1 * (psi[:-2] + psi[2:])
         lhs += _apply_kinetic(mid, basis.stencil_order, basis.x_grid.spacing,
@@ -407,14 +408,16 @@ def _hermitian(rng, shape, scale):
 def test_transfer_scan_matches_sequential_recurrence(n, k, seed):
     rng = np.random.default_rng(seed)
     kh = rng.uniform(1e-3, 5e-2)  # lattice phase per step
-    diag = -kh**2 * (1.0 + 0.2 * rng.random((n, k)))
+    # the diagonal kh^2 (u_j + eps_n) lies in [-1.2, -1] kh^2
+    u = -1.0 - 0.1 * rng.random(n)
+    eps = -0.1 * rng.random(k)
     seed_rows = rng.standard_normal((2, k)) + 1j * rng.standard_normal((2, k))
-    w = _hermitian(rng, (k, k), 0.05 * kh**2)
+    w = _hermitian(rng, (k, k), 0.05)
     g = rng.standard_normal(n)
-    want = _sequential_scan(seed_rows, diag, w, g)
-    got = _transfer_scan(seed_rows, diag, w, g)
-    assert got.shape == want.shape
-    assert np.max(np.abs(got - want)) <= 1e-9 * np.max(np.abs(want))
+    want = _sequential_scan(seed_rows, kh**2 * (u[:, None] + eps), w, kh**2 * g)
+    got = _transfer_scan(seed_rows, u, eps, w, g, kh**2)
+    assert got.shape == (k, n)
+    assert np.max(np.abs(got.T - want)) <= 1e-9 * np.max(np.abs(want))
 
 
 def test_channel_residual_matches_x_space_residual(monkeypatch):
@@ -422,7 +425,7 @@ def test_channel_residual_matches_x_space_residual(monkeypatch):
     spec, basis, r_grid, stride, energy = _directed_problem(pulse, slices=4001, e_kin=15.0)
     assert stride == 1
     pair = solve_directed_state(spec, basis, r_grid, energy, 0, 1e-6, stride=1)
-    kappas = pair.amplitudes
+    kappas = np.ascontiguousarray(pair.amplitudes.T)  # (k, n)
     # blocks of 1,000 rows: the sums run over several blocks and a short last one
     monkeypatch.setattr(stationary, "RESIDUAL_BLOCK", 1000)
     g_r = pulse.strength * pulse.env(r_grid.points)
@@ -438,6 +441,31 @@ def test_channel_residual_matches_x_space_residual(monkeypatch):
     noise = rng.standard_normal(kappas.shape) + 1j * rng.standard_normal(kappas.shape)
     chan, xspace = both(kappas + 1e-6 * np.max(np.abs(kappas)) * noise)
     assert abs(chan - xspace) < 1e-8 * xspace
+
+
+def _channel_residual_rows(spec, basis, r_grid, energy, kappas, g_of_r):
+    """The directed residual of the (n, k) rows `kappas` as complex, row-major
+    channel-space sums, as an oracle for _channel_residual: one (n - 2, 3k)
+    y table of rows (c, kappa, g kappa) and its Gram sums y^H y."""
+    hs, w, gram = _channel_operators(spec, basis, spec.v_int.sys)
+    _, c1, _ = _kinetic_coeffs(2, r_grid.spacing, spec.M, spec.hbar)
+    kap, g = kappas[1:-1], g_of_r[1:-1, None]
+    v = np.asarray(spec.v_env(r_grid.points[1:-1]), dtype=float)[:, None]
+    c = (c1 * ((kappas[2:] - kap) - (kap - kappas[:-2])) + (v - energy) * kap
+         + kap @ hs.T + g * (kap @ w.T))
+    y = np.concatenate([c, kap, g * kap], axis=1)
+    num2, den2, _ = _gram_norms(gram, (np.conj(y).T @ y).real)
+    return float(np.sqrt(num2 / den2))
+
+
+def test_channel_residual_matches_the_row_major_complex_sums(default_residual_calls):
+    # the four default scan points and the beam-on-atom run
+    calls = default_residual_calls["_channel_residual"]
+    assert len(calls) == 5
+    for (spec, basis, r_grid, energy, kappas, g_of_r), _ in calls:
+        want = _channel_residual_rows(spec, basis, r_grid, energy, kappas.T, g_of_r)
+        got = _channel_residual(spec, basis, r_grid, energy, kappas, g_of_r)
+        assert abs(got - want) <= 1e-13 * want
 
 
 @pytest.fixture(scope="module")
@@ -473,23 +501,23 @@ def _peak_bytes(fn, *args):
 
 
 def test_transfer_scan_holds_only_its_step_tables_and_rows(top_scan_point):
-    seed, diag, w, g = top_scan_point["_transfer_scan"]
-    n, k = diag.shape
+    seed, u, eps, w, g, pref = top_scan_point["_transfer_scan"]
+    n, k = u.size, eps.size
     assert n == 52001
-    # diag and g are handed over as temporaries, as the solve does
-    peak = _peak_bytes(_transfer_scan, seed, diag.copy(), w, g.copy())
+    peak = _peak_bytes(_transfer_scan, seed, u, eps, w, g, pref)
     # the float step tables of diag and g and the complex rows, each at most
     # sqrt(n) + 1 rows past n; anything else stays below half a float (n, k)
-    # table (measured: 8.22 MiB against 7.57 MiB of tables and rows)
+    # table (measured: 8.14 MiB against 7.57 MiB of tables and rows)
     rows = n + math.isqrt(n) + 1
     assert peak < (8 * (k + 1) + 16 * k) * rows + 8 * n * k / 2
 
 
 def test_channel_residual_memory_is_three_block_tables(top_scan_point):
     args = top_scan_point["_channel_residual"]
-    n, k = args[4].shape
+    k, n = args[4].shape
     assert n == 52001
-    # the y table, its conjugate and two (RESIDUAL_BLOCK, k) scratch tables,
-    # whatever n (measured: 1.52 MiB, 2.70 y tables; 8,192-row blocks with
-    # per-block temporaries took 7.16 MiB)
+    # the y table and one (k, RESIDUAL_BLOCK) scratch table, whatever n
+    # (measured: 1.00 MiB, 1.77 y tables; row-major blocks with the y table's
+    # conjugate took 1.52 MiB, and 8,192-row blocks with per-block
+    # temporaries 7.16 MiB)
     assert _peak_bytes(_channel_residual, *args) < 3 * RESIDUAL_BLOCK * 3 * k * 16
